@@ -31,7 +31,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=24, help="grid points per axis")
     ap.add_argument("--steps-per-period", type=int, default=512)
     ap.add_argument("--n-cycles", type=int, default=24)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("results"))
     args = ap.parse_args()
 
@@ -46,7 +45,7 @@ def main() -> None:
     )
 
     t0 = time.time()
-    scan = grid_instability_scan(drive, p, cfg, workers=args.workers)
+    scan = grid_instability_scan(drive, p, cfg)
     print(f"scan of {args.n}x{args.n} modes in {time.time() - t0:.1f}s "
           f"(norm drift {scan.norm_drift:.1e})")
 

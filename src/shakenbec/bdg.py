@@ -5,21 +5,26 @@ equations of motion in the co-moving frame,
 
     i d/dt (u, v) = [[eps(q, t) + g, g], [-g, -eps(-q, t) - g]] (u, v),
 
-integrated with a fixed-step classical Runge-Kutta scheme, vectorized
-over an arbitrary collection of modes.  The combination |u|^2 - |v|^2 is
-an exact invariant of the continuous equations and is monitored as an
-integration-quality check (relative to the mode magnitude, so that
-strongly amplified modes are held to the same standard as quiescent
-ones).  The pair occupation |v|^2, sampled stroboscopically at period
-boundaries, grows as exp(2 s t) on resonance; rates extracted here are
-occupation rates, i.e. twice the amplitude rate.
+which are linear, so each drive period acts on (u, v) as a 2x2 map per
+mode.  The engine builds that map by integrating the columns (1, 0) and
+(0, 1) over one period with fixed-step classical Runge-Kutta, vectorized
+over modes, and propagates (u, v) stroboscopically, one map product per
+period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
+constant drive reuses one map; an envelope needs one per period.  The
+drive is evaluated at absolute time, so a restarted state continues its
+protocol.  The guards run on the propagated state every period: the
+amplitudes must stay finite and below OCCUPATION_CEILING, and the exact
+invariant |u|^2 - |v|^2 must not drift by more than NORM_DRIFT_TOL
+relative to the mode magnitude (so strongly amplified modes are held to
+the same standard as quiescent ones).  The pair occupation |v|^2 grows
+as exp(2 s t) on resonance; rates extracted here are occupation rates,
+i.e. twice the amplitude rate.  Grid scans run in one process.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,51 +154,66 @@ def _evolve_batch(
     ez: np.ndarray,
     u0: np.ndarray,
     v0: np.ndarray,
+    t0: float,
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Evolve many modes at once; returns times, |v|^2 samples, u, v, drift.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Evolve many modes from time t0; returns times, |v|^2 samples, u, v, drift.
 
     The occupied-band sample array has shape [n_cycles + 1, n_modes].
     """
     sqx, cqx = np.sin(0.5 * qx), np.cos(0.5 * qx)
     sqy, cqy = np.sin(0.5 * qy), np.cos(0.5 * qy)
+    sxx, syy, sxc, syc = sqx * sqx, sqy * sqy, sqx * cqx, sqy * cqy
     g = p.g
     fourj = 4.0 * p.j
     period = drive.period
-    dt = period / cfg.steps_per_period
-    u = u0.astype(np.complex128).copy()
-    v = v0.astype(np.complex128).copy()
+    n_steps = cfg.steps_per_period
+    dt = period / n_steps
 
-    def eps_pair(t: float):
-        ax, ay = drive_shift(t, drive)
-        sax, cax = math.sin(ax), math.cos(ax)
-        say, cay = math.sin(ay), math.cos(ay)
-        even = fourj * (sqx * sqx * cax + sqy * sqy * cay) + ez
-        odd = fourj * (sqx * cqx * sax + sqy * cqy * say)
-        return even - odd, even + odd  # eps(+q, t), eps(-q, t)
+    def period_map(t_start: float) -> np.ndarray:
+        """m[i, j, mode]: one period from t_start takes (u, v) to m @ (u, v)."""
+        # the drive at each of the 2 * n_steps + 1 half-step times, once
+        shifts = np.array(
+            [drive_shift(t_start + 0.5 * dt * k, drive) for k in range(2 * n_steps + 1)]
+        )
+        sin_a, cos_a = np.sin(shifts), np.cos(shifts)
 
-    n_samples = cfg.n_cycles + 1
-    occ = np.empty((n_samples, u.size))
-    occ[0] = np.abs(v) ** 2
-    times = np.arange(n_samples) * period
-    drift = 0.0
-    drift_abs = 0.0
-    norm0 = np.abs(u) ** 2 - np.abs(v) ** 2
-    t = 0.0
-    for cycle in range(cfg.n_cycles):
-        for _ in range(cfg.steps_per_period):
-            ep1, em1 = eps_pair(t)
-            ep2, em2 = eps_pair(t + 0.5 * dt)
-            ep4, em4 = eps_pair(t + dt)
+        def eps_pair(k: int):
+            even = fourj * (sxx * cos_a[k, 0] + syy * cos_a[k, 1]) + ez
+            odd = fourj * (sxc * sin_a[k, 0] + syc * sin_a[k, 1])
+            return even - odd, even + odd  # eps(+q, t), eps(-q, t)
+
+        # row j of (u, v) is the solution starting from column j of the identity
+        u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, qx.size))
+        ep4, em4 = eps_pair(0)
+        for step in range(n_steps):
+            ep1, em1 = ep4, em4
+            ep2, em2 = eps_pair(2 * step + 1)
+            ep4, em4 = eps_pair(2 * step + 2)
             k1u, k1v = _batch_rhs(u, v, ep1, em1, g)
             k2u, k2v = _batch_rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, ep2, em2, g)
             k3u, k3v = _batch_rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, ep2, em2, g)
             k4u, k4v = _batch_rhs(u + dt * k3u, v + dt * k3v, ep4, em4, g)
             u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            t += dt
+        return np.stack((u, v))
+
+    u = u0.astype(np.complex128)
+    v = v0.astype(np.complex128)
+    n_samples = cfg.n_cycles + 1
+    occ = np.empty((n_samples, u.size))
+    occ[0] = np.abs(v) ** 2
+    times = t0 + np.arange(n_samples) * period
+    drift = 0.0
+    drift_abs = 0.0
+    norm0 = np.abs(u) ** 2 - np.abs(v) ** 2
+    m = None
+    for cycle in range(cfg.n_cycles):
+        if m is None or drive.envelope is not None:
+            m = period_map(times[cycle])
+        u, v = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
         nu = np.abs(u) ** 2
         nv = np.abs(v) ** 2
         occ[cycle + 1] = nv
@@ -223,26 +243,13 @@ def evolve_mode(
     state: ModePairState, drive: DriveSpec, p: LatticeParams, cfg: BdgRunConfig
 ) -> ModeTrajectory:
     """Integrate one Bogoliubov pair over cfg.n_cycles drive periods."""
-    q = state.q
-    times, occ, u, v, drift, drift_abs = _evolve_batch(
-        np.array([q.qx]),
-        np.array([q.qy]),
-        np.array([0.5 * q.qz**2 / p.m_z]),
-        np.array([state.u]),
-        np.array([state.v]),
-        drive,
-        p,
-        cfg,
-    )
-    final = ModePairState(
-        q=q, u=complex(u[0]), v=complex(v[0]), t=state.t + times[-1]
-    )
+    run = evolve_modes([state], drive, p, cfg)
     return ModeTrajectory(
-        times=state.t + times,
-        occupation=occ[:, 0],
-        final_state=final,
-        norm_drift=drift,
-        norm_drift_abs=drift_abs,
+        times=run.times,
+        occupation=run.occupations[:, 0],
+        final_state=run.final_states[0],
+        norm_drift=run.norm_drift,
+        norm_drift_abs=run.norm_drift_abs,
     )
 
 
@@ -268,14 +275,14 @@ def evolve_modes(
     u0 = np.array([s.u for s in states], dtype=np.complex128)
     v0 = np.array([s.v for s in states], dtype=np.complex128)
     times, occ, u, v, drift, drift_abs = _evolve_batch(
-        qx, qy, ez, u0, v0, drive, p, cfg
+        qx, qy, ez, u0, v0, t0, drive, p, cfg
     )
     finals = tuple(
-        ModePairState(q=s.q, u=complex(u[i]), v=complex(v[i]), t=t0 + times[-1])
+        ModePairState(q=s.q, u=complex(u[i]), v=complex(v[i]), t=times[-1])
         for i, s in enumerate(states)
     )
     return ModeBatchTrajectory(
-        times=t0 + times,
+        times=times,
         occupations=occ,
         final_states=finals,
         norm_drift=drift,
@@ -285,30 +292,29 @@ def evolve_modes(
 
 def occupation_rate(
     times: np.ndarray, occupation: np.ndarray, fit_window_cycles: int
-) -> float:
-    """Log-slope of an occupation series over its trailing window.
+) -> float | np.ndarray:
+    """Log-slope of occupation series over their trailing window.
 
-    Returns 0 for windows containing non-positive samples (modes that
-    never got populated, e.g. at zero interaction).
+    occupation is one series [n_samples] or one series per column
+    [n_samples, n_modes]; all columns are fitted in one least-squares
+    solve, and a 1-D input returns a float.  A series whose window
+    contains non-positive samples (a mode that never got populated,
+    e.g. at zero interaction) gets rate 0.
     """
     w = fit_window_cycles + 1
-    tw, nw = times[-w:], occupation[-w:]
-    if np.any(nw <= 0.0):
-        return 0.0
-    return float(np.polyfit(tw, np.log(nw), 1)[0])
-
-
-def _scan_chunk(payload) -> tuple[np.ndarray, np.ndarray, float]:
-    qx, qy, ez, u0, v0, drive, p, cfg = payload
-    times, occ, _, _, drift, _ = _evolve_batch(qx, qy, ez, u0, v0, drive, p, cfg)
-    return times, occ, drift
+    tw = times[-w:] - times[-w:].mean()
+    nw = occupation[-w:]
+    populated = np.all(nw > 0.0, axis=0)
+    # centred times sum to zero, so the intercept drops out of the slope
+    slope = tw @ np.log(np.where(populated, nw, 1.0)) / (tw @ tw)
+    rates = np.where(populated, slope, 0.0)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def grid_instability_scan(
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
-    workers: int = 1,
     keep_occupations: bool = False,
 ) -> GridScanResult:
     """Evolve every mode of a momentum grid and locate the fastest growth.
@@ -336,24 +342,10 @@ def grid_instability_scan(
     u0 = np.sqrt(0.5 * (cosh2 + 1.0)).astype(np.complex128)
     v0 = -np.sqrt(np.maximum(0.5 * (cosh2 - 1.0), 0.0)).astype(np.complex128)
 
-    if workers > 1:
-        chunks = np.array_split(np.arange(qx.size), workers)
-        payloads = [
-            (qx[c], qy[c], ez[c], u0[c], v0[c], drive, p, cfg)
-            for c in chunks
-            if c.size
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, payloads))
-        times = parts[0][0]
-        occ = np.concatenate([pt[1] for pt in parts], axis=1)
-        drift = max(pt[2] for pt in parts)
-    else:
-        times, occ, _, _, drift, _ = _evolve_batch(qx, qy, ez, u0, v0, drive, p, cfg)
-
-    rates_flat = np.array(
-        [occupation_rate(times, occ[:, i], cfg.fit_window_cycles) for i in range(qx.size)]
+    times, occ, _, _, drift, _ = _evolve_batch(
+        qx, qy, ez, u0, v0, 0.0, drive, p, cfg
     )
+    rates_flat = occupation_rate(times, occ, cfg.fit_window_cycles)
     best = rates_flat.max()
     tie = np.flatnonzero(rates_flat == best)
     order = np.lexsort((qz[tie], qy[tie], qx[tie]))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -169,7 +170,7 @@ def cmd_bdg(args) -> int:
         except InvertedBandError:
             analytic = None
         try:
-            result = bdg.grid_instability_scan(d, p, cfg, workers=args.workers)
+            result = bdg.grid_instability_scan(d, p, cfg)
             q = result.q_max
             rows.append([
                 d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI,
@@ -402,6 +403,13 @@ def cmd_fit(args) -> int:
     return _finish(args, cp, outdir, "fit", ["fit.csv"])
 
 
+def _worker_count(text: str) -> int:
+    n, limit = int(text), os.cpu_count() or 1
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(f"must be in 1..{limit}, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="shakenbec",
@@ -417,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="DIR", default=".", help="output directory")
         sp.add_argument("--seed", type=int, metavar="N",
                         help="override the ensemble master seed")
-        sp.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="parallel workers for ensembles and grid scans")
+        sp.add_argument("--workers", type=_worker_count, default=1, metavar="N",
+                        help="parallel workers for TWA ensembles")
         if trace_arg:
             sp.add_argument("trace", help="input CSV with time,value columns")
         sp.set_defaults(func=func)

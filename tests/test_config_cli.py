@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -387,6 +388,31 @@ def test_cli_bdg_scan_marks_failed_points(tmp_path):
     assert status["100"] == "ok"
     failed = [r for r in rows if r["status"] != "ok"][0]
     assert failed["extracted_rate_rad_s"] == ""
+
+
+def test_cli_bdg_workers_byte_identical(tmp_path):
+    # bdg runs in one process: the worker count must not touch its output
+    body = BASE + (
+        "\n[bdg]\nnx = 6\nny = 6\nnz = 1\nsteps_per_period = 512\n"
+        "n_cycles = 12\nfit_window_cycles = 4\n"
+        "\n[scan]\nvariable = omega\nvalues = 6, 11\n"
+    )
+    cfg = write_cfg(tmp_path, body)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    workers = str(min(2, os.cpu_count() or 1))
+    assert main(["bdg", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["bdg", "--config", cfg, "--out", str(out2), "--workers", workers]) == 0
+    assert (out1 / "bdg.csv").read_bytes() == (out2 / "bdg.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_cli_workers_out_of_range(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["twa", "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"1..{os.cpu_count() or 1}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ cli: others
