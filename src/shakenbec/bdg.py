@@ -10,8 +10,10 @@ mode.  The engine builds that map by integrating the columns (1, 0) and
 (0, 1) over one period with fixed-step classical Runge-Kutta, vectorized
 over modes, and propagates (u, v) stroboscopically, one map product per
 period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
-constant drive reuses one map; an envelope needs one per period.  The
-drive is evaluated at absolute time, so a restarted state continues its
+constant drive reuses one map; an envelope needs one per period, and
+the RK4 step holding an abrupt stop is split at the cut, which keeps
+the scheme fourth order across the kink in the drive.  The drive is
+evaluated at absolute time, so a restarted state continues its
 protocol.  The guards run on the propagated state every period: the
 amplitudes must stay finite and below OCCUPATION_CEILING, and the exact
 invariant |u|^2 - |v|^2 must not drift by more than NORM_DRIFT_TOL
@@ -174,10 +176,18 @@ def _evolve_batch(
 
     def period_map(t_start: float) -> np.ndarray:
         """m[i, j, mode]: one period from t_start takes (u, v) to m @ (u, v)."""
-        # the drive at each of the 2 * n_steps + 1 half-step times, once
-        shifts = np.array(
-            [drive_shift(t_start + 0.5 * dt * k, drive) for k in range(2 * n_steps + 1)]
-        )
+        # the drive at each of the 2 * n_steps + 1 half-step times, once;
+        # an abrupt stop strictly inside step `cut` splits that step at
+        # the cut, whose kink would otherwise cost the scheme its order
+        times = [t_start + 0.5 * dt * k for k in range(2 * n_steps + 1)]
+        ts = drive.stop_time()
+        cut = math.floor((ts - t_start) / dt) if ts is not None else -1
+        if 0 <= cut < n_steps and times[2 * cut] < ts < times[2 * cut + 2]:
+            h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
+            times += [ts - 0.5 * h1, ts, ts + 0.5 * h2]
+        else:
+            cut = -1
+        shifts = np.array([drive_shift(t, drive) for t in times])
         sin_a, cos_a = np.sin(shifts), np.cos(shifts)
 
         def eps_pair(k: int):
@@ -185,19 +195,27 @@ def _evolve_batch(
             odd = fourj * (sxc * sin_a[k, 0] + syc * sin_a[k, 1])
             return even - odd, even + odd  # eps(+q, t), eps(-q, t)
 
+        def rk4(u, v, h, e1, e2, e4):
+            k1u, k1v = _batch_rhs(u, v, *e1, g)
+            k2u, k2v = _batch_rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v, *e2, g)
+            k3u, k3v = _batch_rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v, *e2, g)
+            k4u, k4v = _batch_rhs(u + h * k3u, v + h * k3v, *e4, g)
+            return (
+                u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            )
+
         # row j of (u, v) is the solution starting from column j of the identity
         u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, qx.size))
-        ep4, em4 = eps_pair(0)
+        e4 = eps_pair(0)
         for step in range(n_steps):
-            ep1, em1 = ep4, em4
-            ep2, em2 = eps_pair(2 * step + 1)
-            ep4, em4 = eps_pair(2 * step + 2)
-            k1u, k1v = _batch_rhs(u, v, ep1, em1, g)
-            k2u, k2v = _batch_rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, ep2, em2, g)
-            k3u, k3v = _batch_rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, ep2, em2, g)
-            k4u, k4v = _batch_rhs(u + dt * k3u, v + dt * k3v, ep4, em4, g)
-            u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            e1, e4 = e4, eps_pair(2 * step + 2)
+            if step == cut:
+                e_cut = eps_pair(2 * n_steps + 2)
+                u, v = rk4(u, v, h1, e1, eps_pair(2 * n_steps + 1), e_cut)
+                u, v = rk4(u, v, h2, e_cut, eps_pair(2 * n_steps + 3), e4)
+            else:
+                u, v = rk4(u, v, dt, e1, eps_pair(2 * step + 1), e4)
         return np.stack((u, v))
 
     u = u0.astype(np.complex128)

@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, metavar="N",
                         help="override the ensemble master seed")
         sp.add_argument("--workers", type=_worker_count, default=1, metavar="N",
-                        help="parallel workers for TWA ensembles")
+                        help="TWA ensembles: realization batches, one process each")
         if trace_arg:
             sp.add_argument("trace", help="input CSV with time,value columns")
         sp.set_defaults(func=func)

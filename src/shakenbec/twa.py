@@ -16,8 +16,18 @@ second-order Strang splitting of the Gross-Pitaevskii equation in the
 co-moving frame: half-step kinetic (diagonal in momentum, drive shift
 evaluated at the substep midpoint), full-step contact interaction
 (diagonal in position, exact phase rotation), half-step kinetic.
-Ensemble means subtract the sampled half quantum per mode to estimate
-the physical excited density.
+gpe_step takes one such step in position space.  run_trajectory keeps
+the field in momentum space and fuses the trailing half-kinetic phase
+of each step with the leading one of the next, which is the same
+splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487 (2002)) at
+one FFT pair per step; observables read |A_q|^2, which the kinetic
+phase leaves unchanged, so no closing half step is taken.  A FieldState
+may carry a leading realization axis: ensembles run as contiguous
+batches of realizations, one array per batch, with one process per
+batch when there is more than one.  Every period the run checks that
+the field is finite and that each realization keeps its atom number to
+ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
+mode to estimate the physical excited density.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ from .model import DriveSpec, Grid, LatticeParams, Momentum, drive_shift
 FIELD_FORMAT = "shakenbec-field"
 FIELD_VERSION = 1
 GAUGE_TAG = "comoving-shift-v1"  # kinetic frame, dispersion at q - A(t)
+ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
+GRID_AXES = (-3, -2, -1)  # amplitudes[..., ix, iy, iz], after any realization axis
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,10 @@ class FieldState:
 
     amplitudes[ix, iy, iz] is the field on lattice site (ix, iy) and
     transverse slice iz; |a|^2 integrates to the atom number with the
-    transverse measure dz.
+    transverse measure dz.  A stacked state carries a leading
+    realization axis, amplitudes[r, ix, iy, iz], whose rows share every
+    other attribute; run_trajectory and gpe_step evolve the rows
+    independently, save_field stores unstacked states only.
     """
 
     amplitudes: np.ndarray
@@ -119,7 +134,11 @@ class ObservableTrace:
 
     n_ex_raw is the Wigner-mean excited density including the sampled
     half quantum per mode; n_ex subtracts half_quantum, the constant
-    (n_modes - 1) noise_scale^2 / (2 volume).
+    (n_modes - 1) noise_scale^2 / (2 volume).  atom_drift is the worst
+    relative change of the atom number over the run.  A trace of a
+    stacked state has arrays with a leading realization axis: n_ex_raw,
+    n_ex and condensed_fraction of shape (R, n_cycles + 1), atom_drift
+    of shape (R,).
     """
 
     times: np.ndarray
@@ -127,6 +146,7 @@ class ObservableTrace:
     n_ex: np.ndarray
     condensed_fraction: np.ndarray
     half_quantum: float
+    atom_drift: float | np.ndarray
     realization: int | None = None
 
 
@@ -150,18 +170,18 @@ class EnsembleResult:
     bands_degenerate: bool = False
 
 
-def _static_dispersion_rel(grid: Grid, p: LatticeParams, q0: Momentum) -> np.ndarray:
-    """eps0(q) - eps0(q0) on the full grid (static lattice)."""
+def _band_energies(grid: Grid, p: LatticeParams, shifts: np.ndarray):
+    """eps0(q - A) per axis for each shift A = shifts[k]: (m, nx), (m, ny), (m, nz)."""
+    ex = 4.0 * p.j * np.sin(0.5 * (grid.qx_axis - shifts[:, :1])) ** 2
+    ey = 4.0 * p.j * np.sin(0.5 * (grid.qy_axis - shifts[:, 1:])) ** 2
+    ez = np.broadcast_to(0.5 * grid.qz_axis**2 / p.m_z, (len(shifts), grid.nz))
+    return ex, ey, ez
 
-    def eps1d(qs):
-        return 4.0 * p.j * np.sin(0.5 * qs) ** 2
 
-    ex = eps1d(grid.qx_axis)[:, None, None]
-    ey = eps1d(grid.qy_axis)[None, :, None]
-    ez = (0.5 * grid.qz_axis**2 / p.m_z)[None, None, :]
-    eps0 = ex + ey + ez
-    i0 = grid.index_of(q0)
-    return eps0 - eps0[i0]
+def _dispersion(grid: Grid, p: LatticeParams, shift=(0.0, 0.0)) -> np.ndarray:
+    """eps0(q - A) on the full grid for one shift A."""
+    ex, ey, ez = _band_energies(grid, p, np.array([shift]))
+    return ex[0][:, None, None] + ey[0][None, :, None] + ez[0]
 
 
 def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
@@ -196,8 +216,9 @@ def sample_initial(
         rng = seed
     if noise_scale < 0.0:
         raise DomainError("noise_scale must be >= 0")
-    eps_rel = _static_dispersion_rel(grid, p, q0)
     i0 = grid.index_of(q0)
+    eps0 = _dispersion(grid, p)
+    eps_rel = eps0 - eps0[i0]
 
     uu = np.ones_like(eps_rel)
     vv = np.zeros_like(eps_rel)
@@ -231,97 +252,143 @@ def sample_initial(
     )
 
 
-def _kinetic_phases(grid: Grid, p: LatticeParams, dt_half: float, ax: float, ay: float):
-    px = np.exp(-1j * dt_half * 4.0 * p.j * np.sin(0.5 * (grid.qx_axis - ax)) ** 2)
-    py = np.exp(-1j * dt_half * 4.0 * p.j * np.sin(0.5 * (grid.qy_axis - ay)) ** 2)
-    pz = np.exp(-1j * dt_half * 0.5 * grid.qz_axis**2 / p.m_z)
-    return px[:, None, None], py[None, :, None], pz[None, None, :]
+def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
+    """exp(-i h eps0(q - A)) for each shift A, one (m, n) factor table per
+    axis; the outer product of row k of each is the phase at shifts[k]."""
+    return tuple(np.exp(-1j * h * e) for e in _band_energies(grid, p, shifts))
 
 
-def _strang_step(
-    a: np.ndarray,
-    t: float,
-    dt: float,
-    grid: Grid,
-    drive: DriveSpec,
-    p: LatticeParams,
-    u_coupling: float,
-) -> np.ndarray:
-    ax, ay = drive_shift(t + 0.25 * dt, drive)
-    px, py, pz = _kinetic_phases(grid, p, 0.5 * dt, ax, ay)
-    a = np.fft.ifftn(np.fft.fftn(a, norm="ortho") * px * py * pz, norm="ortho")
-    a = a * np.exp(-1j * dt * u_coupling * np.abs(a) ** 2)
-    ax, ay = drive_shift(t + 0.75 * dt, drive)
-    px, py, pz = _kinetic_phases(grid, p, 0.5 * dt, ax, ay)
-    return np.fft.ifftn(np.fft.fftn(a, norm="ortho") * px * py * pz, norm="ortho")
+def _phase(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """Outer product of one row of each axis' factor table."""
+    return fx[:, None, None] * (fy[:, None] * fz)
+
+
+def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
+    """Exact contact phase exp(-i dt U |a|^2), applied in place.
+
+    cos and sin written into one complex buffer give the same bits as a
+    complex exp in about half the time."""
+    theta = a.real**2 + a.imag**2
+    theta *= -dt_u
+    phase = np.empty_like(a)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    a *= phase
+    return a
+
+
+def _fft_axes(a: np.ndarray) -> tuple[int, ...]:
+    """The grid axes longer than one point (a length-1 FFT is the identity)."""
+    return tuple(ax for ax in GRID_AXES if a.shape[ax] > 1)
 
 
 def gpe_step(
     state: FieldState, drive: DriveSpec, p: LatticeParams, dt: float
 ) -> FieldState:
-    """Advance the field by one Strang split step of length dt."""
+    """Advance the field by one Strang split step of length dt.
+
+    Position space in and out, two FFT pairs: half kinetic, contact,
+    half kinetic.  A stacked state advances row by row.
+    """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    a = _strang_step(state.amplitudes, state.t, dt, state.grid, drive, p, p.u)
+    shifts = np.array([drive_shift(state.t + f * dt, drive) for f in (0.25, 0.75)])
+    factors = _kinetic_factors(state.grid, p, 0.5 * dt, shifts)
+    a = state.amplitudes
+    axes = _fft_axes(a)
+    for k in (0, 1):
+        if k:
+            a = _contact(a, dt * p.u)
+        amps = np.fft.fftn(a, axes=axes, norm="ortho") * _phase(*(f[k] for f in factors))
+        a = np.fft.ifftn(amps, axes=axes, norm="ortho")
     return replace(state, amplitudes=a, t=state.t + dt)
 
 
-def _observables(
-    a: np.ndarray, grid: Grid, i0: tuple[int, int, int]
-) -> tuple[float, float]:
-    amps_q = np.fft.fftn(a, norm="ortho") * math.sqrt(grid.dz)
-    total = float(np.sum(np.abs(amps_q) ** 2))
-    cond = float(np.abs(amps_q[i0]) ** 2)
-    n_ex = (total - cond) / grid.volume
-    cf = cond / total if total > 0.0 else 0.0
-    return n_ex, cf
-
-
 def run_trajectory(
-    state: FieldState, drive: DriveSpec, p: LatticeParams, cfg: TwaRunConfig
+    state: FieldState,
+    drive: DriveSpec,
+    p: LatticeParams,
+    cfg: TwaRunConfig,
+    *,
+    first_realization: int = 0,
 ) -> ObservableTrace:
-    """Evolve one field sample, recording observables each drive period."""
+    """Evolve a field sample, recording observables each drive period.
+
+    The field stays in momentum space: each step applies one fused
+    kinetic phase and one FFT pair around the contact phase.  A stacked
+    state evolves its rows in one array and the trace arrays gain its
+    leading axis; row j is named realization first_realization + j in
+    errors.  Raises BlowUpError when the field leaves the finite range
+    or an atom number drifts by more than ATOM_DRIFT_TOL.
+    """
     n_cycles = cfg.resolve_cycles(drive)
-    period = drive.period
-    dt = period / cfg.steps_per_period
-    grid = state.grid
-    i0 = state.condensate_index
-    a = state.amplitudes.copy()
-    half_quantum = (grid.n_modes - 1) * state.noise_scale**2 / (2.0 * grid.volume)
-
-    times = state.t + np.arange(n_cycles + 1) * period
-    n_raw = np.empty(n_cycles + 1)
-    cf = np.empty(n_cycles + 1)
-    n_raw[0], cf[0] = _observables(a, grid, i0)
-    t = state.t
-    for cycle in range(n_cycles):
-        for _ in range(cfg.steps_per_period):
-            a = _strang_step(a, t, dt, grid, drive, p, p.u)
-            t += dt
-        if not np.all(np.isfinite(a)):
-            raise BlowUpError(
-                f"field left the finite range in cycle {cycle + 1}; "
-                "reduce the time step or the drive strength"
+    n_steps, grid = cfg.steps_per_period, state.grid
+    dt = drive.period / n_steps
+    stacked = state.amplitudes.ndim == 4
+    a = state.amplitudes if stacked else state.amplitudes[None]
+    axes = _fft_axes(a)
+    i0 = np.ravel_multi_index(state.condensate_index, a.shape[1:])
+    times = state.t + np.arange(n_cycles + 1) * drive.period
+    total = np.empty((len(a), n_cycles + 1))
+    cond = np.empty_like(total)
+    drift = np.zeros(len(a))
+    # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
+    offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
+    trail = np.ones(grid.nx), np.ones(grid.ny), np.ones(grid.nz)
+    amps = np.fft.fftn(a, axes=axes, norm="ortho")
+    for cycle in range(n_cycles + 1):
+        if cycle:
+            t0 = times[cycle - 1]
+            shifts = np.array([drive_shift(t0 + off, drive) for off in offsets])
+            factors = _kinetic_factors(grid, p, 0.5 * dt, shifts)
+            # step s: trailing half of step s - 1, then leading half of step s
+            fused = [
+                f[0::2] * np.vstack((tr, f[1:-1:2])) for f, tr in zip(factors, trail)
+            ]
+            trail = [f[-1] for f in factors]
+            for step in range(n_steps):
+                amps *= _phase(*(f[step] for f in fused))
+                a = _contact(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
+                amps = np.fft.fftn(a, axes=axes, norm="ortho")
+        occ = (amps.real**2 + amps.imag**2).reshape(len(a), -1)
+        total[:, cycle] = occ.sum(axis=1) * grid.dz
+        cond[:, cycle] = occ[:, i0] * grid.dz
+        dev = np.abs(total[:, cycle] - total[:, 0]) / np.maximum(total[:, 0], 1e-300)
+        drift = np.maximum(drift, dev)
+        bad = ~np.isfinite(total[:, cycle]) | (dev > ATOM_DRIFT_TOL)
+        if bad.any():
+            row = int(np.argmax(bad))
+            where = f"realization {first_realization + row}: " if stacked else ""
+            what = (
+                f"atom number drifted by {dev[row]:.3e} (relative)"
+                if np.isfinite(total[row, cycle]) else "field left the finite range"
             )
-        n_raw[cycle + 1], cf[cycle + 1] = _observables(a, grid, i0)
-    return ObservableTrace(
-        times=times,
-        n_ex_raw=n_raw,
-        n_ex=n_raw - half_quantum,
-        condensed_fraction=cf,
-        half_quantum=half_quantum,
-    )
+            raise BlowUpError(f"{where}{what} in cycle {cycle}; "
+                              "reduce the time step or the drive strength")
+    n_raw = (total - cond) / grid.volume
+    cf = cond / np.where(total > 0.0, total, 1.0)
+    if not stacked:
+        n_raw, cf, drift = n_raw[0], cf[0], float(drift[0])
+    half_quantum = (grid.n_modes - 1) * state.noise_scale**2 / (2.0 * grid.volume)
+    return ObservableTrace(times, n_raw, n_raw - half_quantum, cf, half_quantum, drift)
 
 
-def _run_realization(payload) -> ObservableTrace:
-    grid, drive, p, run_cfg, ens_cfg, k = payload
-    rng = realization_rng(ens_cfg.master_seed, k)
-    state = sample_initial(grid, p, ens_cfg.q0, rng, ens_cfg.noise_scale)
-    try:
-        trace = run_trajectory(state, drive, p, run_cfg)
-    except BlowUpError as exc:
-        raise BlowUpError(f"realization {k}: {exc}") from exc
-    return replace(trace, realization=k)
+def _run_batch(payload) -> list[ObservableTrace]:
+    """Evolve realizations ks as one stacked state; one trace per realization."""
+    grid, drive, p, run_cfg, ens_cfg, ks = payload
+    states = [
+        sample_initial(grid, p, ens_cfg.q0, realization_rng(ens_cfg.master_seed, k),
+                       ens_cfg.noise_scale)
+        for k in ks
+    ]
+    batch = replace(states[0], amplitudes=np.stack([st.amplitudes for st in states]))
+    tr = run_trajectory(batch, drive, p, run_cfg, first_realization=ks[0])
+    return [
+        replace(tr, n_ex_raw=tr.n_ex_raw[j], n_ex=tr.n_ex[j],
+                condensed_fraction=tr.condensed_fraction[j],
+                atom_drift=float(tr.atom_drift[j]), realization=k)
+        for j, k in enumerate(ks)
+    ]
 
 
 def ensemble_run(
@@ -334,17 +401,28 @@ def ensemble_run(
 ) -> EnsembleResult:
     """Average an ensemble of Wigner samples; deterministic per seed.
 
-    Bootstrap bands resample whole realizations (seeded from the master
-    seed) and report mean +/- std of the resampled ensemble means.
+    The realizations are split into min(workers, n_realizations)
+    contiguous batches, each evolved as one stacked state, in a process
+    pool when there is more than one batch.  Realization k is sampled
+    from realization_rng(master_seed, k) whatever its batch, and rows of
+    a stacked state evolve bit-identically to single runs, so results do
+    not depend on workers.  Bootstrap bands resample whole realizations
+    (seeded from the master seed) and report mean +/- std of the
+    resampled ensemble means.
     """
+    n_real = ens_cfg.n_realizations
+    n_batches = min(workers, n_real)
     payloads = [
-        (grid, drive, p, run_cfg, ens_cfg, k) for k in range(ens_cfg.n_realizations)
+        (grid, drive, p, run_cfg, ens_cfg,
+         range(n_real * b // n_batches, n_real * (b + 1) // n_batches))
+        for b in range(n_batches)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_realization, payloads))
+    if n_batches > 1:
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            batches = list(pool.map(_run_batch, payloads))
     else:
-        traces = [_run_realization(pl) for pl in payloads]
+        batches = [_run_batch(payloads[0])]
+    traces = [tr for batch in batches for tr in batch]
 
     raw = np.stack([tr.n_ex_raw for tr in traces])
     cf = np.stack([tr.condensed_fraction for tr in traces])
@@ -355,7 +433,6 @@ def ensemble_run(
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((ens_cfg.master_seed, 0xB00757)))
     )
-    n_real = raw.shape[0]
     resampled = np.empty((ens_cfg.bootstrap_resamples, raw.shape[1]))
     for b in range(ens_cfg.bootstrap_resamples):
         pick = rng.integers(0, n_real, size=n_real)
@@ -374,36 +451,41 @@ def ensemble_run(
     )
 
 
-def atom_number(state: FieldState) -> float:
-    """Total atom number sum_q |A_q|^2 (conserved by the evolution)."""
-    return float(np.sum(np.abs(state.amplitudes) ** 2) * state.grid.dz)
+def atom_number(state: FieldState) -> float | np.ndarray:
+    """Total atom number sum_q |A_q|^2 (conserved by the evolution), per
+    realization for a stacked state."""
+    return np.sum(np.abs(state.amplitudes) ** 2, axis=GRID_AXES) * state.grid.dz
 
 
 def field_energy(
     state: FieldState, p: LatticeParams, drive: DriveSpec | None = None
-) -> float:
+) -> float | np.ndarray:
     """Mean-field energy of the state; conserved when the drive is off.
 
     Kinetic part evaluated with the co-moving shift at state.t when a
-    drive is given, static dispersion otherwise.
+    drive is given, static dispersion otherwise.  Per realization for a
+    stacked state.
     """
     grid = state.grid
-    ax, ay = drive_shift(state.t, drive) if drive is not None else (0.0, 0.0)
-    ex = 4.0 * p.j * np.sin(0.5 * (grid.qx_axis - ax)) ** 2
-    ey = 4.0 * p.j * np.sin(0.5 * (grid.qy_axis - ay)) ** 2
-    ez = 0.5 * grid.qz_axis**2 / p.m_z
-    eps = ex[:, None, None] + ey[None, :, None] + ez[None, None, :]
-    amps_q = np.fft.fftn(state.amplitudes, norm="ortho") * math.sqrt(grid.dz)
-    kinetic = float(np.sum(eps * np.abs(amps_q) ** 2))
-    interaction = 0.5 * p.u * float(np.sum(np.abs(state.amplitudes) ** 4)) * grid.dz
-    return kinetic + interaction
+    shift = drive_shift(state.t, drive) if drive is not None else (0.0, 0.0)
+    eps = _dispersion(grid, p, shift)
+    amps_q = np.fft.fftn(state.amplitudes, axes=GRID_AXES, norm="ortho")
+    kinetic = np.sum(eps * np.abs(amps_q) ** 2, axis=GRID_AXES) * grid.dz
+    interaction = np.sum(np.abs(state.amplitudes) ** 4, axis=GRID_AXES) * grid.dz
+    return kinetic + 0.5 * p.u * interaction
 
 
 def save_field(path, state: FieldState) -> None:
     """Write a field checkpoint: one JSON header line + raw amplitudes.
 
-    Amplitudes are stored as little-endian complex128 in C order.
+    Amplitudes are stored as little-endian complex128 in C order.  A
+    stacked state is rejected: the format holds one field.
     """
+    if state.amplitudes.ndim != 3:
+        raise DomainError(
+            f"save_field stores one field, got amplitudes of shape "
+            f"{state.amplitudes.shape}; save each realization separately"
+        )
     header = {
         "format": FIELD_FORMAT,
         "version": FIELD_VERSION,

@@ -1,12 +1,22 @@
 """Classical-field sampling, evolution invariants, ensembles, checkpoints."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from shakenbec import twa
 from shakenbec.errors import BlowUpError, ConfigError, DomainError
-from shakenbec.model import DriveSpec, Grid, LatticeParams, Momentum, Trajectory
+from shakenbec.model import (
+    DriveSpec,
+    Envelope,
+    Grid,
+    LatticeParams,
+    Momentum,
+    Trajectory,
+)
 from shakenbec.twa import (
     GAUGE_TAG,
     EnsembleConfig,
@@ -177,6 +187,99 @@ def test_trace_identities():
     assert np.allclose(np.diff(tr.times), d.period, rtol=1e-12)
 
 
+# ------------------------------------------------------------ k-space loop
+
+
+def stacked(states):
+    return replace(states[0], amplitudes=np.stack([st.amplitudes for st in states]))
+
+
+STOP = Envelope(ramp_up=2, hold=1, abrupt_stop=True, end_phase=0.5)
+
+
+@pytest.mark.parametrize("envelope", [None, STOP], ids=["constant", "abrupt-stop"])
+def test_run_trajectory_matches_gpe_step_loop(envelope):
+    # the fused momentum-space loop is the same splitting as gpe_step's
+    # two FFT pairs per step, up to rounding
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0, envelope)
+    cfg = TwaRunConfig(steps_per_period=32, n_cycles=5)
+    st = replace(sample_initial(GRID, P, seed=4), t=0.1)
+    tr = run_trajectory(st, d, P, cfg)
+    s = st
+    want = [observables_of(s)]
+    for _ in range(cfg.n_cycles):
+        for _ in range(cfg.steps_per_period):
+            s = gpe_step(s, d, P, d.period / cfg.steps_per_period)
+        want.append(observables_of(s))
+    want = np.array(want)
+    np.testing.assert_allclose(tr.times, st.t + d.period * np.arange(6), rtol=1e-12)
+    np.testing.assert_allclose(tr.n_ex_raw, want[:, 0], rtol=1e-10)
+    np.testing.assert_allclose(tr.condensed_fraction, want[:, 1], rtol=1e-10)
+
+
+def test_stacked_rows_bit_identical_to_single_runs():
+    d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
+    cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
+    grid = Grid(5, 3, 3, lz=2.0)  # odd sizes: no row aligns with a SIMD width
+    states = [sample_initial(grid, P, seed=k) for k in range(5)]
+    batch = run_trajectory(stacked(states), d, P, cfg)
+    assert batch.n_ex_raw.shape == batch.condensed_fraction.shape == (5, 5)
+    assert batch.atom_drift.shape == (5,)
+    for j, st in enumerate(states):
+        solo = run_trajectory(st, d, P, cfg)
+        np.testing.assert_array_equal(batch.n_ex_raw[j], solo.n_ex_raw)
+        np.testing.assert_array_equal(batch.n_ex[j], solo.n_ex)
+        np.testing.assert_array_equal(batch.condensed_fraction[j], solo.condensed_fraction)
+        assert batch.atom_drift[j] == solo.atom_drift
+
+
+def test_invariants_of_stacked_state():
+    d = DriveSpec(Trajectory.DIAGONAL, 1.0, 7.0)
+    states = [sample_initial(GRID, P, seed=k) for k in range(3)]
+    batch = stacked(states)
+    np.testing.assert_allclose(
+        atom_number(batch), [atom_number(st) for st in states], rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        field_energy(batch, P, d), [field_energy(st, P, d) for st in states], rtol=1e-12
+    )
+
+
+def test_atom_drift_matches_atom_number(monkeypatch):
+    # a lossy contact step makes the drift large and known; the trace
+    # must report the same drift as atom_number on gpe_step's fields
+    contact = twa._contact
+
+    def lossy(a, dt_u):
+        return contact(a, dt_u) * math.exp(-1e-4)
+
+    monkeypatch.setattr(twa, "_contact", lossy)
+    monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 1.0)
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
+    cfg = TwaRunConfig(steps_per_period=32, n_cycles=3)
+    st = sample_initial(GRID, P, seed=6)
+    tr = run_trajectory(st, d, P, cfg)
+    s = st
+    for _ in range(cfg.n_cycles * cfg.steps_per_period):
+        s = gpe_step(s, d, P, d.period / cfg.steps_per_period)
+    want = 1.0 - atom_number(s) / atom_number(st)
+    assert want == pytest.approx(1.0 - math.exp(-2e-4 * 96), rel=1e-9)
+    assert tr.atom_drift == pytest.approx(want, rel=1e-9)
+
+
+def test_atom_drift_guard_names_realization(monkeypatch):
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
+    res = ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=2)
+    drifts = np.array([tr.atom_drift for tr in res.traces])
+    assert np.all(drifts < twa.ATOM_DRIFT_TOL)
+    worst = int(np.argmax(drifts))
+    assert drifts[worst] > 0.0
+    assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
+    monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
+    with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
+        ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=2)
+
+
 # -------------------------------------------------------------- run config
 
 
@@ -217,7 +320,15 @@ def quick_run():
     return TwaRunConfig(steps_per_period=32, n_cycles=6)
 
 
-def test_ensemble_deterministic_and_worker_independent():
+def test_ensemble_deterministic_and_worker_independent(monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(twa, "ProcessPoolExecutor", CountingPool)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     a = ensemble_run(GRID, d, P, quick_run(), ens(), workers=1)
     b = ensemble_run(GRID, d, P, quick_run(), ens(), workers=1)
@@ -227,6 +338,14 @@ def test_ensemble_deterministic_and_worker_independent():
     np.testing.assert_array_equal(a.band_lo, c.band_lo)
     other = ensemble_run(GRID, d, P, quick_run(), ens(seed=1), workers=1)
     assert not np.array_equal(a.n_ex, other.n_ex)
+    # never more batches (processes) than realizations, none empty
+    pools.clear()
+    runs = [ensemble_run(GRID, d, P, quick_run(), ens(n=2), workers=w) for w in (1, 2, 3)]
+    assert pools == [2, 2]
+    for run in runs:
+        assert [tr.realization for tr in run.traces] == [0, 1]
+        for field in ("n_ex", "band_lo", "band_hi"):
+            assert getattr(run, field).tobytes() == getattr(runs[0], field).tobytes()
 
 
 def test_ensemble_structure():
@@ -297,6 +416,14 @@ def test_checkpoint_round_trip(tmp_path):
     cont = gpe_step(s, d, P, 0.01)
     reload_cont = gpe_step(back, d, P, 0.01)
     np.testing.assert_array_equal(cont.amplitudes, reload_cont.amplitudes)
+
+
+def test_checkpoint_rejects_stacked_state(tmp_path):
+    states = [sample_initial(GRID, P, seed=k) for k in range(2)]
+    path = tmp_path / "field.bin"
+    with pytest.raises(DomainError, match="one field"):
+        save_field(path, stacked(states))
+    assert not path.exists()
 
 
 def test_checkpoint_seed_none_round_trip(tmp_path):
