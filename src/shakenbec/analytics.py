@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CalibrationError, DomainError, InvertedBandError, NoCriticalAmplitudeError
 from .model import DriveSpec, LatticeParams, Momentum, Regime, Trajectory
@@ -102,7 +103,13 @@ class InstabilityResult:
     gamma: float  # single-mode amplitude growth rate
     big_gamma: float  # predicted total heating rate (includes gamma0)
     regime: Regime
-    omega_c: float
+    cusp: CuspData  # cusp of the trajectory at this amplitude
+
+
+@lru_cache(maxsize=1024)
+def _k0_terms(trajectory: Trajectory, k0: float, p: LatticeParams):
+    """(J0(k0), |J2(k0)|, CuspData), computed once per (trajectory, k0, p)."""
+    return bessel_j(0, k0), abs(bessel_j(2, k0)), cusp_frequency(trajectory, k0, p)
 
 
 def mode_growth_rate(
@@ -147,9 +154,7 @@ def most_unstable_mode(
         )
     if omega <= 0.0:
         raise DomainError(f"drive frequency must be positive, got {omega}")
-    b0 = bessel_j(0, k0)
-    b2 = abs(bessel_j(2, k0))
-    cusp = cusp_frequency(trajectory, k0, p)
+    b0, b2, cusp = _k0_terms(trajectory, k0, p)
     c = _corner_factor(trajectory)
     if omega >= cusp.omega_c:
         regime = Regime.HIGH_FREQ
@@ -179,7 +184,7 @@ def most_unstable_mode(
         gamma=gamma,
         big_gamma=big_gamma,
         regime=regime,
-        omega_c=cusp.omega_c,
+        cusp=cusp,
     )
 
 

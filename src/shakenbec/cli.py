@@ -51,7 +51,7 @@ def _setup(args):
     return cp, outdir
 
 
-def _finish(args, cp, outdir, command, outputs) -> int:
+def _finish(args, cp, outdir, command, outputs, diagnostics=None) -> int:
     write_manifest(
         outdir,
         command,
@@ -60,8 +60,17 @@ def _finish(args, cp, outdir, command, outputs) -> int:
         getattr(args, "workers", 1),
         outputs,
         started=getattr(args, "_started", None),
+        diagnostics=diagnostics,
     )
     return 0
+
+
+def _failed_point(command: str, variable: str, value: float, exc: Exception) -> dict:
+    """Report a failed scan point on stderr; return its manifest record."""
+    print(f"shakenbec {command}: point {variable}={value} failed: {exc}",
+          file=sys.stderr)
+    return {"variable": variable, "value": value,
+            "error": type(exc).__name__, "message": str(exc)}
 
 
 def _drive_variant(drive: DriveSpec, variable: str, value: float) -> DriveSpec:
@@ -98,8 +107,7 @@ def cmd_rates(args) -> int:
         for traj in Trajectory:
             try:
                 res = analytics.most_unstable_mode(traj, d.k0, d.omega, p)
-                cusp = analytics.cusp_frequency(traj, d.k0, p)
-                q = res.q_mum[0]
+                q, cusp = res.q_mum[0], res.cusp
                 rows.append([
                     traj.value, d.k0, d.omega, d.omega / TWO_PI,
                     res.regime.value, q.qx, q.qy, len(res.q_mum),
@@ -159,7 +167,7 @@ def cmd_bdg(args) -> int:
         "extracted_rate_rad_s", "analytic_rate_rad_s",
         "qx_max", "qy_max", "qz_max", "norm_drift", "status",
     ]
-    rows = []
+    rows, drifts, failures = [], [], []
     single = scan is None
     for variable, value in points:
         d = _drive_variant(drive, variable, value)
@@ -177,18 +185,20 @@ def cmd_bdg(args) -> int:
                 result.rate, analytic, q.qx, q.qy, q.qz,
                 result.norm_drift, "ok",
             ])
+            drifts.append(float(result.norm_drift))
         except NumericalError as exc:
             if single:
                 raise
-            print(f"shakenbec bdg: point {variable}={value} failed: {exc}",
-                  file=sys.stderr)
+            failures.append(_failed_point("bdg", variable, value, exc))
             rows.append([
                 d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI,
                 None, analytic, None, None, None, None,
                 type(exc).__name__,
             ])
     write_csv(outdir / "bdg.csv", header, rows)
-    return _finish(args, cp, outdir, "bdg", ["bdg.csv"])
+    return _finish(args, cp, outdir, "bdg", ["bdg.csv"], {
+        "norm_drift_max": max(drifts, default=None), "failed_points": failures,
+    })
 
 
 def _early_slice(trace: fitting.DecayTrace, n_keep: int) -> fitting.DecayTrace:
@@ -222,7 +232,7 @@ def cmd_twa(args) -> int:
             "g_rad_s", "g_over_j", "rate_rad_s", "rate_err_rad_s",
             "n_realizations", "status",
         ]
-        rows = []
+        rows, drifts, failures = [], [], []
         for g in scan.values:
             p_g = dataclasses.replace(p, g=float(g))
             try:
@@ -240,12 +250,15 @@ def cmd_twa(args) -> int:
                 )
                 rows.append([float(g), float(g) / p.j, fit.rate, boot.std,
                              ens_cfg.n_realizations, "ok"])
+                drifts.append(result.atom_drift)
             except NumericalError as exc:
-                print(f"shakenbec twa: point g={g} failed: {exc}", file=sys.stderr)
+                failures.append(_failed_point("twa", "g", float(g), exc))
                 rows.append([float(g), float(g) / p.j, None, None,
                              ens_cfg.n_realizations, type(exc).__name__])
         write_csv(outdir / "twa_g_scan.csv", header, rows)
-        return _finish(args, cp, outdir, "twa", ["twa_g_scan.csv"])
+        return _finish(args, cp, outdir, "twa", ["twa_g_scan.csv"], {
+            "atom_drift_max": max(drifts, default=None), "failed_points": failures,
+        })
 
     result = twa.ensemble_run(grid, drive, p, run_cfg, ens_cfg, workers=args.workers)
     trace_rows = [
@@ -287,7 +300,8 @@ def cmd_twa(args) -> int:
          "window_start_s", "window_end_s", "n_points", "warning"],
         rate_rows,
     )
-    return _finish(args, cp, outdir, "twa", ["twa_trace.csv", "twa_rates.csv"])
+    return _finish(args, cp, outdir, "twa", ["twa_trace.csv", "twa_rates.csv"],
+                   {"atom_drift_max": result.atom_drift})
 
 
 def cmd_endphase(args) -> int:
@@ -309,12 +323,15 @@ def cmd_endphase(args) -> int:
     ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
     post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
 
+    drifts = []
+
     def run_with(envelope: Envelope, extra_hold: int):
         d = dataclasses.replace(drive, envelope=envelope)
         cfg = dataclasses.replace(
             run_cfg, n_cycles=None, post_hold_periods=extra_hold
         )
         result = twa.ensemble_run(grid, d, p, cfg, ens_cfg, workers=args.workers)
+        drifts.append(result.atom_drift)
         i_stop = envelope.total_periods
         return float(result.n_ex[i_stop]), float(result.n_ex[-1])
 
@@ -344,7 +361,8 @@ def cmd_endphase(args) -> int:
         ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"],
         rows,
     )
-    return _finish(args, cp, outdir, "endphase", ["endphase.csv"])
+    return _finish(args, cp, outdir, "endphase", ["endphase.csv"],
+                   {"atom_drift_max": max(drifts)})
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -195,11 +195,15 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
             raise ConfigError(f"bad [scan] values list: {raw!r}") from exc
         if values.size == 0:
             raise ConfigError("[scan] values list is empty")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[scan] values must be finite, got {raw!r}")
     else:
         start = _get(cp, "scan", "start", float)
         stop = _get(cp, "scan", "stop", float)
         count = _get(cp, "scan", "count", int)
         spacing = _get(cp, "scan", "spacing", str, "linear").strip().lower()
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"[scan] start and stop must be finite, got {start}, {stop}")
         if count < 1:
             raise ConfigError("[scan] count must be >= 1")
         if spacing == "linear":

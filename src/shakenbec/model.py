@@ -79,6 +79,13 @@ class Momentum:
         return Momentum(-self.qx, -self.qy, -self.qz)
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _wrap_bz(q: float) -> float:
     if not math.isfinite(q):
         raise DomainError(f"momentum component must be finite, got {q}")
@@ -105,6 +112,7 @@ class LatticeParams:
     m_z: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("j", "g", "n0", "gamma0", "m_z"))
         if self.j <= 0.0:
             raise DomainError(f"hopping must be positive, got {self.j}")
         if self.g < 0.0:
@@ -175,6 +183,7 @@ class DriveSpec:
     envelope: Envelope | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("k0", "omega"))
         if self.k0 < 0.0:
             raise DomainError(f"drive amplitude must be >= 0, got {self.k0}")
         if self.omega <= 0.0:

@@ -5,15 +5,15 @@ floats at 12 significant digits.  Every frequency-dimensioned column
 carries an explicit _rad_s or _hz suffix (exponential rates are
 e-folding rates; their _rad_s values coincide numerically with 1/s).
 Each run directory gets a manifest.json recording the command, the
-fully-resolved configuration, the seed, and a checksum per output file
-so scans can be audited and reproduced byte for byte.
+fully-resolved configuration, the seed, a checksum per output file
+so scans can be audited and reproduced byte for byte, and the run's
+diagnostics (worst invariant drift, failed scan points).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,16 +22,12 @@ import numpy as np
 
 
 def format_value(value) -> str:
+    if isinstance(value, float):  # most cells, so tested first; nan -> "nan"
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
     return str(value)
 
 
@@ -71,11 +67,14 @@ def write_manifest(
     workers: int,
     outputs: Sequence[str],
     started: str | None = None,
+    diagnostics: dict | None = None,
 ) -> Path:
     """Write manifest.json next to the outputs; returns its path.
 
     The manifest itself carries wall-clock timestamps; reproducibility
     guarantees apply to the listed output files, whose digests it pins.
+    diagnostics holds the run's worst invariant drifts and its failed
+    scan points (an empty object for commands that report none).
     """
     from . import __version__
 
@@ -98,6 +97,7 @@ def write_manifest(
         "started": started,
         "finished": utc_stamp(),
         "outputs": entries,
+        "diagnostics": diagnostics or {},
     }
     path = outdir / "manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

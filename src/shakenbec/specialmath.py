@@ -5,6 +5,9 @@ rather than pulled from a heavier dependency: the ascending series is
 used at small argument and Miller's backward recurrence beyond, which
 keeps the package dependency surface at numpy only.  Accuracy is well
 below 1e-10 absolute over the supported range (order <= 64, |x| <= 50).
+J_0 is inverted on its first monotone branch by plain Newton steps
+from the small-argument estimate x = 2 sqrt(1 - y), which lies below
+the root; a handful of steps reach the rounding floor.
 
 The band-structure solver diagonalizes the lattice Hamiltonian in a
 plane-wave basis and is used to convert a lattice depth into a tunneling
@@ -31,6 +34,8 @@ RB87_MASS_U = 86.909180527  # atomic mass units
 MAX_ORDER = 64
 MAX_ARGUMENT = 50.0
 _SERIES_SWITCH = 12.0  # ascending series below, Miller recurrence above
+_NEWTON_STEPS = 30  # bessel_j0_inverse takes at most 5 steps on (0, 1]
+_EPS = math.ulp(1.0)  # machine epsilon
 
 
 def _bessel_series(n: int, x: float) -> float:
@@ -118,28 +123,29 @@ def bessel_j0_inverse(y: float) -> float:
 
     Returns the unique x in [0, first zero] with J_0(x) = y, for
     y in (0, 1].  Values outside that interval raise DomainError.
+    Newton's method starts from x = min(2 sqrt(1 - y), first zero),
+    below the root since J_0(x) >= 1 - x^2/4, and stops once the step
+    falls below 1e-15 x or |J_0(x) - y| is within one machine epsilon
+    (where J_0 is flat the step stalls at the rounding floor of y).
+    Raises ConvergenceError when neither happens in _NEWTON_STEPS steps.
     """
     if not (0.0 < y <= 1.0):
         raise DomainError(f"bessel_j0_inverse needs y in (0, 1], got {y}")
-    if y == 1.0:
-        return 0.0
-    lo, hi = 0.0, j0_first_zero()
-    # J0 decreases monotonically on [0, first zero]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if bessel_j(0, mid) > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
+    zero = j0_first_zero()
+    x = min(2.0 * math.sqrt(1.0 - y), zero)
+    for _ in range(_NEWTON_STEPS):
+        residual = bessel_j(0, x) - y
+        if abs(residual) <= _EPS:
             break
-    x = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish
-        fp = -bessel_j(1, x)
-        if fp == 0.0:
+        step = residual / bessel_j(1, x)  # J_0' = -J_1
+        x += step
+        if abs(step) < 1e-15 * x:
             break
-        x -= (bessel_j(0, x) - y) / fp
-    return min(max(x, 0.0), j0_first_zero())
+    else:
+        raise ConvergenceError(
+            f"bessel_j0_inverse({y}) not converged in {_NEWTON_STEPS} Newton steps"
+        )
+    return min(max(x, 0.0), zero)
 
 
 def recoil_frequency_hz(wavelength_m: float, mass_kg: float) -> float:

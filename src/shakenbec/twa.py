@@ -156,7 +156,8 @@ class EnsembleResult:
 
     bands_degenerate marks ensembles too small for the bootstrap to say
     anything (a single realization); the bands are then zero width and
-    should not be quoted.
+    should not be quoted.  atom_drift is the worst atom_drift over the
+    realizations' traces.
     """
 
     times: np.ndarray
@@ -167,6 +168,7 @@ class EnsembleResult:
     band_hi: np.ndarray
     traces: tuple[ObservableTrace, ...]
     half_quantum: float
+    atom_drift: float
     bands_degenerate: bool = False
 
 
@@ -447,6 +449,7 @@ def ensemble_run(
         band_hi=mean_sub + band,
         traces=tuple(traces),
         half_quantum=half_quantum,
+        atom_drift=max(tr.atom_drift for tr in traces),
         bands_degenerate=n_real < 2,
     )
 

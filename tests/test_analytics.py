@@ -263,6 +263,7 @@ def test_most_unstable_mode_against_shell_scan():
 def test_most_unstable_mode_guards():
     p = lat()
     zero = j0_first_zero()
+    an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 1.0, p)  # cached k0 terms first
     for bad in (-0.1, zero, zero + 0.2, 2.404826):
         with pytest.raises(InvertedBandError):
             an.most_unstable_mode(Trajectory.LINEAR_X, bad, 1.0, p)
@@ -270,6 +271,26 @@ def test_most_unstable_mode_guards():
         an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 0.0, p)
     with pytest.raises(InvertedBandError):
         an.cusp_frequency(Trajectory.DIAGONAL, zero + 0.1, p)
+
+
+# ------------------------------------------------------- k0-term cache
+
+
+def test_instability_result_carries_the_cusp():
+    for traj in Trajectory:
+        for omega in (0.5, 40.0):  # both regimes
+            res = an.most_unstable_mode(traj, 1.1, omega, lat())
+            assert res.cusp == an.cusp_frequency(traj, 1.1, lat())
+
+
+def test_k0_terms_cache_keys_on_lattice():
+    weak, strong = lat(g=1.0), lat(g=3.0)  # differ only in g
+    terms_weak = an._k0_terms(Trajectory.LINEAR_X, 1.1, weak)
+    terms_strong = an._k0_terms(Trajectory.LINEAR_X, 1.1, strong)
+    assert terms_weak[2] != terms_strong[2]
+    assert terms_weak[2] == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, weak)
+    assert terms_strong[2] == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, strong)
+    assert terms_weak[:2] == (bessel_j(0, 1.1), abs(bessel_j(2, 1.1)))
 
 
 def test_effective_hopping():

@@ -11,6 +11,8 @@ import sys
 import numpy as np
 import pytest
 
+from shakenbec import twa
+from shakenbec.bdg import NORM_DRIFT_TOL
 from shakenbec.cli import main
 from shakenbec.config import (
     available_presets,
@@ -21,7 +23,7 @@ from shakenbec.config import (
     scan_from_config,
     twa_from_config,
 )
-from shakenbec.errors import ConfigError
+from shakenbec.errors import BlowUpError, ConfigError
 from shakenbec.model import Trajectory
 from shakenbec.output import format_value, write_csv
 
@@ -192,6 +194,12 @@ def test_scan_validation():
         scan_from_config(
             parse(BASE + "\n[scan]\nvariable = omega\nvalues = ,\n"), ("omega",)
         )
+    for body in ("values = inf", "values = 6, nan",
+                 "start = 1\nstop = inf\ncount = 3"):
+        with pytest.raises(ConfigError, match="finite"):
+            scan_from_config(
+                parse(BASE + f"\n[scan]\nvariable = omega\n{body}\n"), ("omega",)
+            )
     with pytest.raises(ConfigError, match="count"):
         scan_from_config(
             parse(BASE + "\n[scan]\nvariable = omega\nstart = 1\nstop = 2\ncount = 0\n"),
@@ -331,9 +339,10 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     m = json.loads((out1 / "manifest.json").read_text())
     for key in (
         "tool", "versions", "command", "seed", "workers", "config",
-        "config_sha256", "started", "finished", "outputs",
+        "config_sha256", "started", "finished", "outputs", "diagnostics",
     ):
         assert key in m
+    assert m["diagnostics"] == {}
     assert m["tool"] == "shakenbec"
     assert m["command"] == "rates"
     assert m["versions"]["numpy"] == np.__version__
@@ -349,6 +358,20 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["outputs"] == m["outputs"]
     assert m2["config_sha256"] == m["config_sha256"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("k0 = 1.25", "k0 = nan"),
+    ("omega = 9.0", "omega = inf"),
+    ("j = 1.0", "j = nan"),
+])
+def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, RATES_CFG.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    field = new.split(" = ")[0]
+    assert f"invalid parameter: {field} must be finite" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -388,6 +411,12 @@ def test_cli_bdg_scan_marks_failed_points(tmp_path):
     assert status["100"] == "ok"
     failed = [r for r in rows if r["status"] != "ok"][0]
     assert failed["extracted_rate_rad_s"] == ""
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    [point] = diag["failed_points"]
+    assert (point["variable"], point["value"]) == ("omega", 20.0)
+    assert point["error"] == "IntegratorToleranceError"
+    assert point["message"]
+    assert 0.0 <= diag["norm_drift_max"] <= NORM_DRIFT_TOL
 
 
 def test_cli_bdg_workers_byte_identical(tmp_path):
@@ -460,6 +489,7 @@ def test_cli_twa_trace_run(tmp_path):
     names = {e["name"] for e in manifest["outputs"]}
     assert names == {"twa_trace.csv", "twa_rates.csv"}
     assert manifest["seed"] is None
+    assert 0.0 < manifest["diagnostics"]["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
 def test_cli_twa_seed_flag_recorded(tmp_path):
@@ -483,6 +513,31 @@ def test_cli_twa_g_scan(tmp_path):
     assert [r["g_rad_s"] for r in rows] == ["6", "12"]
     assert [r["g_over_j"] for r in rows] == ["6", "12"]
     assert all(r["status"] == "ok" for r in rows)
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["failed_points"] == []
+    assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
+
+
+def test_cli_twa_g_scan_records_failed_point(tmp_path, monkeypatch):
+    real_run = twa.ensemble_run
+
+    def run_failing_at_g12(grid, drive, p, *rest, **kw):
+        if p.g == 12.0:
+            raise BlowUpError("atom number drifted")
+        return real_run(grid, drive, p, *rest, **kw)
+
+    monkeypatch.setattr(twa, "ensemble_run", run_failing_at_g12)
+    cfg = write_cfg(tmp_path, TWA_BODY + "\n[scan]\nvariable = g\nvalues = 6, 12\n")
+    out = tmp_path / "o"
+    assert main(["twa", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "twa_g_scan.csv", encoding="utf-8", newline="") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "BlowUpError"]
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["failed_points"] == [{
+        "variable": "g", "value": 12.0, "error": "BlowUpError",
+        "message": "atom number drifted",
+    }]
+    assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
 ENDPHASE_BODY = (
@@ -504,6 +559,8 @@ def test_cli_endphase(tmp_path):
     assert rows[2]["end_phase_rad"] == ""
     for r in rows:
         assert float(r["n_ex_final"]) == float(r["n_ex_final"])  # parses
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

@@ -318,6 +318,11 @@ def test_envelope_validation():
         DriveSpec(Trajectory.LINEAR_X, k0=-0.1, omega=1.0)
     with pytest.raises(DomainError):
         DriveSpec(Trajectory.LINEAR_X, k0=1.0, omega=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="k0 must be finite"):
+            DriveSpec(Trajectory.LINEAR_X, k0=bad, omega=1.0)
+        with pytest.raises(DomainError, match="omega must be finite"):
+            DriveSpec(Trajectory.LINEAR_X, k0=1.0, omega=bad)
 
 
 def test_lattice_params_validation():
@@ -331,6 +336,11 @@ def test_lattice_params_validation():
         LatticeParams(j=1.0, g=1.0, gamma0=-0.5)
     with pytest.raises(DomainError):
         LatticeParams(j=1.0, g=1.0, m_z=0.0)
+    good = dict(j=1.0, g=1.0, n0=1.0, gamma0=0.0, m_z=1.0)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                LatticeParams(**{**good, name: bad})
     p = LatticeParams(j=1.0, g=3.0, n0=50.0)
     assert p.u * p.n0 == pytest.approx(p.g, rel=1e-12)
 

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shakenbec.errors import DomainError
+from shakenbec.errors import ConvergenceError, DomainError
 from shakenbec.specialmath import (
     ATOMIC_MASS_KG,
     MAX_ARGUMENT,
@@ -114,6 +114,29 @@ def test_j0_inverse_roundtrip_and_frozen():
         assert 0.0 <= x < j0_first_zero() + 1e-12
         assert bessel_j(0, x) == pytest.approx(float(y), abs=1e-12)
     assert bessel_j0_inverse(1.0) == 0.0
+
+
+def test_j0_inverse_against_scipy_oracle():
+    zero = j0_first_zero()
+    ys = np.concatenate([
+        np.linspace(1e-6, 1.0, 20001),
+        1.0 - np.logspace(-16, -1, 300),
+        np.logspace(-300, -1, 300),
+        [1e-300, 1e-12, 1.0 - 1e-12, 1.0],
+    ])
+    for y in ys:
+        x = bessel_j0_inverse(float(y))
+        assert 0.0 <= x <= zero
+        assert abs(scipy.special.j0(x) - y) <= 1e-15, (y, x)
+
+
+def test_j0_inverse_raises_when_newton_stalls(monkeypatch):
+    import shakenbec.specialmath as sm
+
+    j0_first_zero()  # cached before J0 is replaced
+    monkeypatch.setattr(sm, "bessel_j", lambda order, x: 0.5)
+    with pytest.raises(ConvergenceError, match="Newton"):
+        sm.bessel_j0_inverse(0.3)
 
 
 def test_j0_inverse_domain():

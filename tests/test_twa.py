@@ -274,6 +274,7 @@ def test_atom_drift_guard_names_realization(monkeypatch):
     assert np.all(drifts < twa.ATOM_DRIFT_TOL)
     worst = int(np.argmax(drifts))
     assert drifts[worst] > 0.0
+    assert res.atom_drift == drifts[worst]  # worst over both batches
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
@@ -361,6 +362,8 @@ def test_ensemble_structure():
     np.testing.assert_allclose(res.n_ex, res.n_ex_raw - res.half_quantum,
                                rtol=1e-12)
     assert not res.bands_degenerate
+    assert res.atom_drift == max(tr.atom_drift for tr in res.traces)
+    assert 0.0 <= res.atom_drift <= twa.ATOM_DRIFT_TOL
     assert np.all(res.band_hi >= res.band_lo)
     assert np.all((res.n_ex >= res.band_lo) & (res.n_ex <= res.band_hi))
     # member traces are exactly the matching single-seed runs
