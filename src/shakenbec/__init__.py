@@ -33,8 +33,6 @@ from .bdg import (
     GridScanResult,
     ModeBatchTrajectory,
     ModePairState,
-    ModeTrajectory,
-    evolve_mode,
     evolve_modes,
     grid_instability_scan,
     init_mode,
@@ -75,7 +73,9 @@ from .model import (
     Momentum,
     Regime,
     Trajectory,
+    axis_energies,
     bogoliubov_frame,
+    bogoliubov_transform,
     dispersion,
     drive_harmonics,
     drive_shift,

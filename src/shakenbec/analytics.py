@@ -31,7 +31,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CalibrationError, DomainError, InvertedBandError, NoCriticalAmplitudeError
-from .model import DriveSpec, LatticeParams, Momentum, Regime, Trajectory
+from .model import (
+    DriveSpec,
+    LatticeParams,
+    Momentum,
+    Regime,
+    Trajectory,
+    bogoliubov_frame,
+    bogoliubov_transform,
+    drive_harmonics,
+)
 from .specialmath import bessel_j, bessel_j0_inverse, j0_first_zero
 
 
@@ -69,7 +78,7 @@ def bogoliubov_bandwidth(trajectory: Trajectory, k0: float, p: LatticeParams) ->
         top = 4.0 * p.j * (b0 + 1.0)
     else:
         top = 8.0 * p.j * b0
-    return math.sqrt(top * (top + 2.0 * p.g))
+    return float(bogoliubov_transform(top, p.g)[0])
 
 
 def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
@@ -86,7 +95,7 @@ def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspD
             f"cusp undefined at k0 = {k0}: effective hopping {j_eff:.4e} <= 0"
         )
     corner = _corner_factor(trajectory) * j_eff
-    omega_c = math.sqrt(corner * (corner + 2.0 * p.g))
+    omega_c = float(bogoliubov_transform(corner, p.g)[0])
     bandwidth = bogoliubov_bandwidth(trajectory, k0, p)
     return CuspData(
         omega_c=omega_c,
@@ -127,8 +136,6 @@ def mode_growth_rate(
     """
     if omega <= 0.0:
         raise DomainError(f"drive frequency must be positive, got {omega}")
-    from .model import bogoliubov_frame, drive_harmonics
-
     frame = bogoliubov_frame(q, k0, trajectory, p)
     c1 = drive_harmonics(q, k0, trajectory, p, l_max=1)[0]
     return 0.5 * abs(c1) * frame.sinh2

@@ -38,7 +38,9 @@ from .model import (
     LatticeParams,
     Momentum,
     Trajectory,
+    axis_energies,
     bogoliubov_frame,
+    bogoliubov_transform,
     drive_shift,
 )
 
@@ -95,17 +97,6 @@ class ModePairState:
 
 
 @dataclass(frozen=True)
-class ModeTrajectory:
-    """Stroboscopic record of one evolved mode."""
-
-    times: np.ndarray
-    occupation: np.ndarray  # |v|^2 at each period boundary
-    final_state: ModePairState
-    norm_drift: float  # worst relative violation of |u|^2 - |v|^2 = 1
-    norm_drift_abs: float = 0.0  # same, unnormalized
-
-
-@dataclass(frozen=True)
 class ModeBatchTrajectory:
     """Stroboscopic record of a batch of modes sharing one clock."""
 
@@ -131,17 +122,12 @@ class GridScanResult:
 
 
 def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
-    """Ground-state (u, v) of the undriven lattice at momentum q.
-
-    The stationary positive-energy amplitudes are (cosh theta,
-    -sinh theta) in the convention where the anomalous coupling enters
-    with +g; the relative sign is what makes |v|^2 silent until the
-    drive is switched on.
+    """Ground-state (u, v) = (cosh theta, -sinh theta) of the undriven
+    lattice at momentum q; the relative sign is what makes |v|^2 silent
+    until the drive is switched on.
     """
     frame = bogoliubov_frame(q, 0.0, Trajectory.LINEAR_X, p)
-    u = math.sqrt(0.5 * (frame.cosh2 + 1.0))
-    v = -math.sqrt(0.5 * (frame.cosh2 - 1.0))
-    return ModePairState(q=q, u=complex(u), v=complex(v), t=0.0)
+    return ModePairState(q=q, u=complex(frame.cosh), v=complex(-frame.sinh), t=0.0)
 
 
 def _batch_rhs(u, v, ep, em, g):
@@ -153,7 +139,7 @@ def _batch_rhs(u, v, ep, em, g):
 def _evolve_batch(
     qx: np.ndarray,
     qy: np.ndarray,
-    ez: np.ndarray,
+    qz: np.ndarray,
     u0: np.ndarray,
     v0: np.ndarray,
     t0: float,
@@ -165,6 +151,7 @@ def _evolve_batch(
 
     The occupied-band sample array has shape [n_cycles + 1, n_modes].
     """
+    ez = axis_energies(qx, qy, qz, p)[2]
     sqx, cqx = np.sin(0.5 * qx), np.cos(0.5 * qx)
     sqy, cqy = np.sin(0.5 * qy), np.cos(0.5 * qy)
     sxx, syy, sxc, syc = sqx * sqx, sqy * sqy, sqx * cqx, sqy * cqy
@@ -257,20 +244,6 @@ def _evolve_batch(
     return times, occ, u, v, drift, drift_abs
 
 
-def evolve_mode(
-    state: ModePairState, drive: DriveSpec, p: LatticeParams, cfg: BdgRunConfig
-) -> ModeTrajectory:
-    """Integrate one Bogoliubov pair over cfg.n_cycles drive periods."""
-    run = evolve_modes([state], drive, p, cfg)
-    return ModeTrajectory(
-        times=run.times,
-        occupation=run.occupations[:, 0],
-        final_state=run.final_states[0],
-        norm_drift=run.norm_drift,
-        norm_drift_abs=run.norm_drift_abs,
-    )
-
-
 def evolve_modes(
     states: Sequence[ModePairState],
     drive: DriveSpec,
@@ -280,7 +253,7 @@ def evolve_modes(
     """Integrate many Bogoliubov pairs at once.
 
     All states must share the same start time; the batch advances on a
-    common stroboscopic clock.  Far cheaper than looping evolve_mode.
+    common stroboscopic clock.
     """
     if not states:
         raise DomainError("evolve_modes needs at least one mode")
@@ -289,11 +262,11 @@ def evolve_modes(
         raise DomainError("all modes in a batch must share the same start time")
     qx = np.array([s.q.qx for s in states])
     qy = np.array([s.q.qy for s in states])
-    ez = np.array([0.5 * s.q.qz**2 / p.m_z for s in states])
+    qz = np.array([s.q.qz for s in states])
     u0 = np.array([s.u for s in states], dtype=np.complex128)
     v0 = np.array([s.v for s in states], dtype=np.complex128)
     times, occ, u, v, drift, drift_abs = _evolve_batch(
-        qx, qy, ez, u0, v0, t0, drive, p, cfg
+        qx, qy, qz, u0, v0, t0, drive, p, cfg
     )
     finals = tuple(
         ModePairState(q=s.q, u=complex(u[i]), v=complex(v[i]), t=times[-1])
@@ -345,23 +318,12 @@ def grid_instability_scan(
     density of a truncated-Wigner run on the same grid.
     """
     grid = cfg.momentum_grid
-    qxg, qyg, qzg = np.meshgrid(
-        grid.qx_axis, grid.qy_axis, grid.qz_axis, indexing="ij"
-    )
-    qx, qy, qz = qxg.ravel(), qyg.ravel(), qzg.ravel()
+    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*grid.mesh))
     keep = ~((qx == 0.0) & (qy == 0.0) & (qz == 0.0))
     qx, qy, qz = qx[keep], qy[keep], qz[keep]
-    ez = 0.5 * qz**2 / p.m_z
-
-    # static ground-state amplitudes, vectorized (g = 0 gives u=1, v=0)
-    eps = 4.0 * p.j * (np.sin(0.5 * qx) ** 2 + np.sin(0.5 * qy) ** 2) + ez
-    energy = np.sqrt(eps * (eps + 2.0 * p.g))
-    cosh2 = (eps + p.g) / energy
-    u0 = np.sqrt(0.5 * (cosh2 + 1.0)).astype(np.complex128)
-    v0 = -np.sqrt(np.maximum(0.5 * (cosh2 - 1.0), 0.0)).astype(np.complex128)
-
+    _, u0, v0 = bogoliubov_transform(sum(axis_energies(qx, qy, qz, p)), p.g)
     times, occ, _, _, drift, _ = _evolve_batch(
-        qx, qy, ez, u0, v0, 0.0, drive, p, cfg
+        qx, qy, qz, u0, v0, 0.0, drive, p, cfg
     )
     rates_flat = occupation_rate(times, occ, cfg.fit_window_cycles)
     best = rates_flat.max()

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   with a third, continuous transverse direction of effective mass m_z,
   so single-particle energies read
   eps0(q) = 4 J [sin^2(qx/2) + sin^2(qy/2)] + qz^2 / (2 m_z).
+  axis_energies is the only place this dispersion is written, and
+  bogoliubov_transform the only place of the static Bogoliubov energy
+  E = sqrt(eps (eps + 2 g)) and amplitudes (u, v); the scalar API here
+  and the bdg, twa and analytics engines all call these two kernels.
 * Shaking enters as a time-dependent quasimomentum shift A(t): the
   simulation frame is the co-moving (kinetic) frame where the dispersion
   is evaluated at q - A(t).  The sine-phased components (x always, y for
@@ -247,6 +251,39 @@ def drive_shift(t: float, drive: DriveSpec) -> tuple[float, float]:
     return ax, ay
 
 
+def axis_energies(qx, qy, qz, p: LatticeParams, ax=0.0, ay=0.0):
+    """Per-axis terms of eps0(q - A), elementwise over broadcastable arrays.
+
+    Returns (4 J sin^2((qx - ax)/2), 4 J sin^2((qy - ay)/2), qz^2 / (2 m_z));
+    their sum is the lattice dispersion eps0(q - A) for the shift A = (ax, ay).
+    """
+    four_j = 4.0 * p.j
+    return (
+        four_j * np.sin(0.5 * (qx - ax)) ** 2,
+        four_j * np.sin(0.5 * (qy - ay)) ** 2,
+        0.5 * qz**2 / p.m_z,
+    )
+
+
+def bogoliubov_transform(eps, g: float):
+    """Static Bogoliubov energy and amplitudes, elementwise over eps.
+
+    Returns (E, u, v) with E = sqrt(eps (eps + 2 g)) and (u, v) =
+    (cosh theta, -sinh theta), cosh(2 theta) = (eps + g) / E: the
+    positive-energy amplitudes in the convention where the anomalous
+    coupling enters with +g.  Where eps <= 0 there is no Bogoliubov
+    mode; there E = 0 and (u, v) = (1, 0), bare vacuum.
+    """
+    eps = np.asarray(eps, dtype=float)
+    ok = eps > 0.0
+    e = np.where(ok, eps, 1.0)
+    energy = np.sqrt(e * (e + 2.0 * g))
+    cosh2 = (e + g) / energy
+    u = np.where(ok, np.sqrt(0.5 * (cosh2 + 1.0)), 1.0)
+    v = np.where(ok, -np.sqrt(np.maximum(0.5 * (cosh2 - 1.0), 0.0)), 0.0)
+    return np.where(ok, energy, 0.0), u, v
+
+
 def dispersion(q: Momentum, t: float, drive: DriveSpec, p: LatticeParams) -> float:
     """Instantaneous single-particle energy in the co-moving frame.
 
@@ -254,11 +291,8 @@ def dispersion(q: Momentum, t: float, drive: DriveSpec, p: LatticeParams) -> flo
     condensate's own micromotion energy so eps(0, t) = 0 at all times.
     """
     ax, ay = drive_shift(t, drive)
-    sx, sy = math.sin(0.5 * q.qx), math.sin(0.5 * q.qy)
-    val = 4.0 * p.j * (
-        sx * math.sin(0.5 * q.qx - ax) + sy * math.sin(0.5 * q.qy - ay)
-    )
-    return val + 0.5 * q.qz**2 / p.m_z
+    shifted = sum(axis_energies(q.qx, q.qy, q.qz, p, ax, ay))
+    return float(shifted - sum(axis_energies(0.0, 0.0, 0.0, p, ax, ay)))
 
 
 def effective_dispersion(
@@ -273,13 +307,9 @@ def effective_dispersion(
     probed direction.
     """
     b0 = bessel_j(0, k0)
-    sx2 = math.sin(0.5 * q.qx) ** 2
-    sy2 = math.sin(0.5 * q.qy) ** 2
-    if trajectory is Trajectory.LINEAR_X:
-        planar = 4.0 * p.j * (b0 * sx2 + sy2)
-    else:
-        planar = 4.0 * p.j * b0 * (sx2 + sy2)
-    eps = planar + 0.5 * q.qz**2 / p.m_z
+    ex, ey, ez = axis_energies(q.qx, q.qy, q.qz, p)
+    planar = b0 * ex + ey if trajectory is Trajectory.LINEAR_X else b0 * (ex + ey)
+    eps = float(planar + ez)
     if eps < 0.0:
         raise InvertedBandError(
             f"effective dispersion is negative at q = {q.as_tuple()} for "
@@ -294,16 +324,18 @@ class BogoliubovFrame:
 
     eps_eff: float
     energy: float  # Bogoliubov energy E(q)
-    cosh2: float  # cosh(2 theta) = (eps_eff + g) / E
-    sinh2: float  # sinh(2 theta) = g / E
+    cosh: float  # u = cosh(theta)
+    sinh: float  # -v = sinh(theta)
 
     @property
-    def cosh(self) -> float:
-        return math.sqrt(0.5 * (self.cosh2 + 1.0))
+    def cosh2(self) -> float:
+        """cosh(2 theta) = (eps_eff + g) / E."""
+        return self.cosh**2 + self.sinh**2
 
     @property
-    def sinh(self) -> float:
-        return math.sqrt(0.5 * (self.cosh2 - 1.0))
+    def sinh2(self) -> float:
+        """sinh(2 theta) = g / E."""
+        return 2.0 * self.cosh * self.sinh
 
 
 def bogoliubov_frame(
@@ -320,13 +352,8 @@ def bogoliubov_frame(
         raise SingularModeError(
             f"Bogoliubov frame undefined at gapless momentum {q.as_tuple()}"
         )
-    energy = math.sqrt(eps * (eps + 2.0 * p.g))
-    return BogoliubovFrame(
-        eps_eff=eps,
-        energy=energy,
-        cosh2=(eps + p.g) / energy,
-        sinh2=p.g / energy,
-    )
+    energy, u, v = bogoliubov_transform(eps, p.g)
+    return BogoliubovFrame(eps, float(energy), float(u), -float(v))
 
 
 def drive_harmonics(
@@ -342,18 +369,17 @@ def drive_harmonics(
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
-    sx2 = math.sin(0.5 * q.qx) ** 2
-    sy2 = math.sin(0.5 * q.qy) ** 2
+    ex, ey, _ = axis_energies(q.qx, q.qy, 0.0, p)
     out = []
     for l in range(1, l_max + 1):
         b = bessel_j(2 * l, k0)
         if trajectory is Trajectory.LINEAR_X:
-            geom = sx2
+            geom = ex
         elif trajectory is Trajectory.DIAGONAL:
-            geom = sx2 + sy2
+            geom = ex + ey
         else:
-            geom = sx2 + ((-1.0) ** l) * sy2
-        out.append(8.0 * p.j * b * geom)
+            geom = ex + ((-1.0) ** l) * ey
+        out.append(float(2.0 * b * geom))
     return out
 
 
@@ -375,6 +401,7 @@ class Grid:
     def __post_init__(self) -> None:
         if min(self.nx, self.ny, self.nz) < 1:
             raise DomainError("grid extents must all be >= 1")
+        _require_finite(self, ("lz",))
         if self.lz <= 0.0:
             raise DomainError(f"transverse box length must be positive, got {self.lz}")
 
@@ -389,6 +416,11 @@ class Grid:
     @property
     def qz_axis(self) -> np.ndarray:
         return TWO_PI * np.fft.fftfreq(self.nz, d=self.lz / self.nz)
+
+    @property
+    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(qx, qy, qz) axes shaped to broadcast over an [nx, ny, nz] array."""
+        return np.ix_(self.qx_axis, self.qy_axis, self.qz_axis)
 
     @property
     def dz(self) -> float:

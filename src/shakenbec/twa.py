@@ -40,7 +40,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, DomainError
-from .model import DriveSpec, Grid, LatticeParams, Momentum, drive_shift
+from .model import (
+    DriveSpec,
+    Grid,
+    LatticeParams,
+    Momentum,
+    axis_energies,
+    bogoliubov_transform,
+    drive_shift,
+)
 
 FIELD_FORMAT = "shakenbec-field"
 FIELD_VERSION = 1
@@ -103,8 +111,14 @@ class EnsembleConfig:
             raise DomainError("n_realizations must be >= 1")
         if self.bootstrap_resamples < 1:
             raise DomainError("bootstrap_resamples must be >= 1")
-        if self.noise_scale < 0.0:
-            raise DomainError("noise_scale must be >= 0")
+        _check_noise_scale(self.noise_scale)
+
+
+def _check_noise_scale(noise_scale: float) -> None:
+    if not math.isfinite(noise_scale):
+        raise DomainError(f"noise_scale must be finite, got {noise_scale}")
+    if noise_scale < 0.0:
+        raise DomainError("noise_scale must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -172,20 +186,6 @@ class EnsembleResult:
     bands_degenerate: bool = False
 
 
-def _band_energies(grid: Grid, p: LatticeParams, shifts: np.ndarray):
-    """eps0(q - A) per axis for each shift A = shifts[k]: (m, nx), (m, ny), (m, nz)."""
-    ex = 4.0 * p.j * np.sin(0.5 * (grid.qx_axis - shifts[:, :1])) ** 2
-    ey = 4.0 * p.j * np.sin(0.5 * (grid.qy_axis - shifts[:, 1:])) ** 2
-    ez = np.broadcast_to(0.5 * grid.qz_axis**2 / p.m_z, (len(shifts), grid.nz))
-    return ex, ey, ez
-
-
-def _dispersion(grid: Grid, p: LatticeParams, shift=(0.0, 0.0)) -> np.ndarray:
-    """eps0(q - A) on the full grid for one shift A."""
-    ex, ey, ez = _band_energies(grid, p, np.array([shift]))
-    return ex[0][:, None, None] + ey[0][None, :, None] + ez[0]
-
-
 def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
     """Counter-based generator for one ensemble member."""
     return np.random.Generator(
@@ -216,20 +216,10 @@ def sample_initial(
         rng = realization_rng(scalar_seed, 0)
     else:
         rng = seed
-    if noise_scale < 0.0:
-        raise DomainError("noise_scale must be >= 0")
+    _check_noise_scale(noise_scale)
     i0 = grid.index_of(q0)
-    eps0 = _dispersion(grid, p)
-    eps_rel = eps0 - eps0[i0]
-
-    uu = np.ones_like(eps_rel)
-    vv = np.zeros_like(eps_rel)
-    ok = eps_rel > 0.0
-    e_ok = eps_rel[ok]
-    energy = np.sqrt(e_ok * (e_ok + 2.0 * p.g))
-    cosh2 = (e_ok + p.g) / energy
-    uu[ok] = np.sqrt(0.5 * (cosh2 + 1.0))
-    vv[ok] = -np.sqrt(np.maximum(0.5 * (cosh2 - 1.0), 0.0))
+    eps0 = sum(axis_energies(*grid.mesh, p))
+    _, uu, vv = bogoliubov_transform(eps0 - eps0[i0], p.g)
 
     shape = (grid.nx, grid.ny, grid.nz)
     gamma = noise_scale * (
@@ -257,7 +247,11 @@ def sample_initial(
 def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
     """exp(-i h eps0(q - A)) for each shift A, one (m, n) factor table per
     axis; the outer product of row k of each is the phase at shifts[k]."""
-    return tuple(np.exp(-1j * h * e) for e in _band_energies(grid, p, shifts))
+    ex, ey, ez = axis_energies(
+        grid.qx_axis, grid.qy_axis, grid.qz_axis, p, shifts[:, :1], shifts[:, 1:]
+    )
+    ez = np.broadcast_to(ez, (len(shifts), grid.nz))
+    return tuple(np.exp(-1j * h * e) for e in (ex, ey, ez))
 
 
 def _phase(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
@@ -471,7 +465,7 @@ def field_energy(
     """
     grid = state.grid
     shift = drive_shift(state.t, drive) if drive is not None else (0.0, 0.0)
-    eps = _dispersion(grid, p, shift)
+    eps = sum(axis_energies(*grid.mesh, p, *shift))
     amps_q = np.fft.fftn(state.amplitudes, axes=GRID_AXES, norm="ortho")
     kinetic = np.sum(eps * np.abs(amps_q) ** 2, axis=GRID_AXES) * grid.dz
     interaction = np.sum(np.abs(state.amplitudes) ** 4, axis=GRID_AXES) * grid.dz

@@ -12,7 +12,6 @@ from shakenbec.bdg import (
     BdgRunConfig,
     GridScanResult,
     ModePairState,
-    evolve_mode,
     evolve_modes,
     grid_instability_scan,
     init_mode,
@@ -73,8 +72,9 @@ def test_init_mode_eps_equals_2g():
 
 def test_undriven_mode_is_stationary():
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 8.0)
-    tr = evolve_mode(init_mode(Momentum(1.2, 0.5, 0.0), P), d, P, cfg())
-    assert np.abs(tr.occupation - tr.occupation[0]).max() < 1e-7
+    tr = evolve_modes([init_mode(Momentum(1.2, 0.5, 0.0), P)], d, P, cfg())
+    occ = tr.occupations[:, 0]
+    assert np.abs(occ - occ[0]).max() < 1e-7
     assert tr.norm_drift_abs < 1e-7
 
 
@@ -84,19 +84,19 @@ def test_norm_conservation_random_modes():
     c = cfg(n_cycles=20)
     for _ in range(10):
         q = Momentum(*rng.uniform(-math.pi, math.pi, size=2), 0.0)
-        tr = evolve_mode(init_mode(q, P), d, P, c)
+        tr = evolve_modes([init_mode(q, P)], d, P, c)
         assert tr.norm_drift_abs < 1e-7
         assert tr.norm_drift <= tr.norm_drift_abs + 1e-15  # relative never larger
-        assert tr.final_state.norm == pytest.approx(1.0, abs=1e-7)
+        assert tr.final_states[0].norm == pytest.approx(1.0, abs=1e-7)
 
 
 def test_pair_symmetry_q_and_minus_q():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     c = cfg()
-    a = evolve_mode(init_mode(Momentum(1.1, 0.7, 0.0), P), d, P, c)
-    b = evolve_mode(init_mode(Momentum(-1.1, -0.7, 0.0), P), d, P, c)
-    diff = np.abs(a.occupation - b.occupation)
-    assert diff.max() / max(1.0, a.occupation.max()) < 1e-8
+    a = evolve_modes([init_mode(Momentum(1.1, 0.7, 0.0), P)], d, P, c).occupations[:, 0]
+    b = evolve_modes([init_mode(Momentum(-1.1, -0.7, 0.0), P)], d, P, c).occupations[:, 0]
+    diff = np.abs(a - b)
+    assert diff.max() / max(1.0, a.max()) < 1e-8
 
 
 def test_stroboscopic_times_and_restart():
@@ -110,15 +110,15 @@ def test_stroboscopic_times_and_restart():
         d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0, envelope=envelope)
         for t0 in (0.0, 0.25 * d.period):
             start = dataclasses.replace(init_mode(Momentum(1.667, 0.0, 0.0), P), t=t0)
-            first = evolve_mode(start, d, P, c8)
+            first = evolve_modes([start], d, P, c8)
             assert first.times[0] == t0
             assert np.allclose(np.diff(first.times), d.period, rtol=1e-12)
-            assert first.final_state.t == pytest.approx(t0 + 8 * d.period, rel=1e-12)
-            second = evolve_mode(first.final_state, d, P, c8)
-            straight = evolve_mode(start, d, P, c16)
+            assert first.final_states[0].t == pytest.approx(t0 + 8 * d.period, rel=1e-12)
+            second = evolve_modes([first.final_states[0]], d, P, c8)
+            straight = evolve_modes([start], d, P, c16)
             assert second.times[0] == pytest.approx(t0 + 8 * d.period, rel=1e-12)
             np.testing.assert_allclose(
-                second.occupation, straight.occupation[8:], rtol=1e-9
+                second.occupations[:, 0], straight.occupations[8:, 0], rtol=1e-9
             )
 
 
@@ -196,8 +196,8 @@ def test_resonant_rate_low_frequency():
     omega = 6.0
     res = most_unstable_mode(Trajectory.LINEAR_X, 1.25, omega, P)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, omega)
-    tr = evolve_mode(init_mode(res.q_mum[0], P), d, P, cfg(n_cycles=32))
-    rate = occupation_rate(tr.times, tr.occupation, 8)
+    tr = evolve_modes([init_mode(res.q_mum[0], P)], d, P, cfg(n_cycles=32))
+    rate = occupation_rate(tr.times, tr.occupations[:, 0], 8)
     assert rate == pytest.approx(2.0 * res.gamma, rel=0.05)
 
 
@@ -210,8 +210,8 @@ def test_resonant_rate_band_edge():
     sy2 = eps_res / (4.0 * P.j) - bessel_j(0, 1.25)
     q_shell = Momentum(math.pi, 2.0 * math.asin(math.sqrt(sy2)), 0.0)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, omega)
-    tr = evolve_mode(init_mode(q_shell, P), d, P, cfg(n_cycles=32))
-    rate = occupation_rate(tr.times, tr.occupation, 8)
+    tr = evolve_modes([init_mode(q_shell, P)], d, P, cfg(n_cycles=32))
+    rate = occupation_rate(tr.times, tr.occupations[:, 0], 8)
     assert rate == pytest.approx(2.0 * res.gamma, rel=0.05)
 
 
@@ -230,8 +230,8 @@ def test_rate_converged_in_step_size():
 
 
 def _run(q, d, c):
-    tr = evolve_mode(init_mode(q, P), d, P, c)
-    return tr.times, tr.occupation
+    tr = evolve_modes([init_mode(q, P)], d, P, c)
+    return tr.times, tr.occupations[:, 0]
 
 
 def test_occupation_rate_exact_and_zero():
@@ -269,7 +269,7 @@ def test_blow_up_on_unstable_step():
     d = DriveSpec(Trajectory.LINEAR_X, 1.0, 2.0 * math.pi)
     c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError):
-        evolve_mode(init_mode(Momentum(math.pi, 0.0, 0.0), pbig), d, pbig, c)
+        evolve_modes([init_mode(Momentum(math.pi, 0.0, 0.0), pbig)], d, pbig, c)
 
 
 def test_blow_up_on_occupation_ceiling():
@@ -277,7 +277,7 @@ def test_blow_up_on_occupation_ceiling():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
     c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
     with pytest.raises(BlowUpError, match="1e\\+200"):
-        evolve_mode(st, d, P, c)
+        evolve_modes([st], d, P, c)
 
 
 def test_integrator_tolerance_guard():
@@ -286,7 +286,7 @@ def test_integrator_tolerance_guard():
     d = DriveSpec(Trajectory.LINEAR_X, 2.1, 20.0)
     c = BdgRunConfig(steps_per_period=64, n_cycles=64, fit_window_cycles=8)
     with pytest.raises(IntegratorToleranceError, match="steps_per_period"):
-        evolve_mode(init_mode(Momentum(math.pi, 0.0, 0.0), P), d, P, c)
+        evolve_modes([init_mode(Momentum(math.pi, 0.0, 0.0), P)], d, P, c)
 
 
 # -------------------------------------------------------------- grid scans

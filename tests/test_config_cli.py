@@ -364,14 +364,18 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     ("k0 = 1.25", "k0 = nan"),
     ("omega = 9.0", "omega = inf"),
     ("j = 1.0", "j = nan"),
+    pytest.param("lz = 1", "lz = nan", id="twa-lz-nan"),
+    pytest.param("lz = 1", "lz = 1\nnoise_scale = nan", id="twa-noise_scale-nan"),
 ])
 def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
-    cfg = write_cfg(tmp_path, RATES_CFG.replace(old, new))
+    # [twa] inputs are checked where they enter, before any field is evolved
+    command, body = ("twa", TWA_BODY) if old == "lz = 1" else ("rates", RATES_CFG)
+    cfg = write_cfg(tmp_path, body.replace(old, new))
     out = tmp_path / "o"
-    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
-    field = new.split(" = ")[0]
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    field = new.split("\n")[-1].split(" = ")[0]
     assert f"invalid parameter: {field} must be finite" in capsys.readouterr().err
-    assert not (out / "rates.csv").exists()
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_exit_codes(tmp_path):
@@ -561,6 +565,21 @@ def test_cli_endphase(tmp_path):
         assert float(r["n_ex_final"]) == float(r["n_ex_final"])  # parses
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
+
+
+def test_cli_endphase_preset(tmp_path):
+    assert "endphase-12x12" in available_presets()
+    cfg = write_cfg(tmp_path, "[twa]\nn_realizations = 2\n\n[endphase]\nphases = 0\n")
+    out = tmp_path / "o"
+    argv = ["endphase", "--preset", "endphase-12x12", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "endphase.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["protocol"], r["end_phase_rad"]) for r in rows] == [
+        ("abrupt", "0"), ("ramped", "")
+    ]
+    for r in rows:
+        assert float(r["n_ex_at_stop"]) > 0.0 and float(r["n_ex_final"]) > 0.0
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

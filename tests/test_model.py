@@ -15,7 +15,9 @@ from shakenbec.model import (
     LatticeParams,
     Momentum,
     Trajectory,
+    axis_energies,
     bogoliubov_frame,
+    bogoliubov_transform,
     dispersion,
     drive_harmonics,
     drive_shift,
@@ -73,6 +75,44 @@ def eps0(qx, qy, qz, p):
         4.0 * p.j * (math.sin(0.5 * qx) ** 2 + math.sin(0.5 * qy) ** 2)
         + 0.5 * qz**2 / p.m_z
     )
+
+
+def test_axis_energies_broadcast_and_sum_to_eps0():
+    rng = np.random.default_rng(13)
+    p = lat(j=1.3, m_z=0.07)
+    qx, qy = rng.uniform(-math.pi, math.pi, (2, 5))
+    qz = rng.uniform(-2.0, 2.0, 3)
+    ax = rng.uniform(-2.0, 2.0, (4, 1, 1, 1))
+    ex, ey, ez = axis_energies(qx[:, None, None], qy[None, :, None], qz, p, ax, 0.4)
+    total = ex + ey + ez
+    assert total.shape == (4, 5, 5, 3)
+    for k, i, j, l in [(0, 0, 0, 0), (3, 4, 1, 2), (2, 1, 3, 1)]:
+        ref = eps0(qx[i] - ax[k, 0, 0, 0], qy[j] - 0.4, qz[l], p)
+        assert total[k, i, j, l] == pytest.approx(ref, rel=1e-14)
+
+
+def test_bogoliubov_transform_on_arrays():
+    g = 3.0
+    eps = np.array([-1.0, 0.0, 1e-12, 0.5, 2.0 * g, 40.0])
+    energy, u, v = bogoliubov_transform(eps, g)
+    ok = eps > 0.0
+    e = eps[ok]
+    np.testing.assert_allclose(energy[ok], np.sqrt(e * (e + 2 * g)), rtol=1e-15)
+    # |u|^2 - |v|^2 = 1 up to rounding of the much larger |u|^2 + |v|^2
+    norm = u[ok] ** 2 - v[ok] ** 2
+    assert np.all(np.abs(norm - 1.0) <= 1e-14 * (u[ok] ** 2 + v[ok] ** 2))
+    assert np.all(u[ok] > 0.0) and np.all(v[ok] < 0.0)
+    # each (u, v) is the positive-energy eigenvector of the pairing matrix
+    for e, en, uu, vv in zip(eps[ok], energy[ok], u[ok], v[ok]):
+        m = np.array([[e + g, g], [-g, -e - g]])
+        assert np.abs(m @ [uu, vv] - en * np.array([uu, vv])).max() < 1e-9 * (1 + en)
+    # no Bogoliubov mode where eps <= 0: bare vacuum
+    assert list(energy[~ok]) == [0.0, 0.0]
+    assert list(u[~ok]) == [1.0, 1.0] and list(v[~ok]) == [0.0, 0.0]
+    # no interaction, no mixing
+    e0, u0, v0 = bogoliubov_transform(eps[ok], 0.0)
+    np.testing.assert_array_equal(e0, eps[ok])
+    assert np.all(u0 == 1.0) and np.all(v0 == 0.0)
 
 
 def test_dispersion_matches_defining_formula():
@@ -378,6 +418,9 @@ def test_grid_validation():
         Grid(0, 4)
     with pytest.raises(DomainError):
         Grid(4, 4, 1, lz=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="lz must be finite"):
+            Grid(4, 4, 1, lz=bad)
 
 
 def test_shake_displacement_magnitude():

@@ -1,0 +1,35 @@
+"""The experiment scripts run end to end on tiny inputs."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# bdg_rate_map's default drive trips the norm-drift guard at 64 steps/period
+@pytest.mark.parametrize("script, args, output", [
+    ("bdg_rate_map.py",
+     ["--n", "4", "--n-cycles", "4", "--steps-per-period", "128"],
+     "bdg_rate_map.csv"),
+    ("twa_growth_demo.py",
+     ["--nx", "4", "--nz", "1", "--hold", "1", "--realizations", "2"],
+     "twa_growth.csv"),
+])
+def test_script_writes_its_csv(tmp_path, script, args, output):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / output, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) > 1

@@ -73,6 +73,8 @@ def test_sample_seed_forms():
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     with pytest.raises(DomainError):
         sample_initial(GRID, P, seed=0, noise_scale=-0.1)
+    with pytest.raises(DomainError, match="noise_scale must be finite"):
+        sample_initial(GRID, P, seed=0, noise_scale=float("nan"))
     with pytest.raises(DomainError):
         sample_initial(GRID, P, Momentum(0.123, 0.0, 0.0), seed=0)  # off grid
 
@@ -396,6 +398,8 @@ def test_ensemble_config_validation():
         EnsembleConfig(bootstrap_resamples=0)
     with pytest.raises(DomainError):
         EnsembleConfig(noise_scale=-1.0)
+    with pytest.raises(DomainError, match="noise_scale must be finite"):
+        EnsembleConfig(noise_scale=float("nan"))
 
 
 # -------------------------------------------------------------- checkpoints
