@@ -7,6 +7,7 @@ closed-form prediction puts the most unstable mode.
 
 import argparse
 import pathlib
+import sys
 import time
 
 from shakenbec import (
@@ -17,6 +18,8 @@ from shakenbec import (
     grid_instability_scan,
     most_unstable_mode,
 )
+from shakenbec.cli import report_failure
+from shakenbec.errors import ShakenBecError
 from shakenbec.output import write_csv
 
 
@@ -67,4 +70,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ShakenBecError as exc:
+        sys.exit(report_failure("bdg_rate_map", exc))

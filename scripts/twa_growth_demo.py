@@ -8,6 +8,7 @@ linear prediction.
 
 import argparse
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -24,6 +25,8 @@ from shakenbec import (
     ensemble_run,
     grid_instability_scan,
 )
+from shakenbec.cli import report_failure
+from shakenbec.errors import ShakenBecError
 from shakenbec.output import write_csv
 
 
@@ -94,4 +97,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ShakenBecError as exc:
+        sys.exit(report_failure("twa_growth_demo", exc))

@@ -35,6 +35,7 @@ from .errors import (
     InvertedBandError,
     NoCriticalAmplitudeError,
     NumericalError,
+    ShakenBecError,
 )
 from .model import DriveSpec, Envelope, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
@@ -323,46 +324,43 @@ def cmd_endphase(args) -> int:
     ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
     post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
 
-    drifts = []
-
-    def run_with(envelope: Envelope, extra_hold: int):
-        d = dataclasses.replace(drive, envelope=envelope)
-        cfg = dataclasses.replace(
-            run_cfg, n_cycles=None, post_hold_periods=extra_hold
-        )
-        result = twa.ensemble_run(grid, d, p, cfg, ens_cfg, workers=args.workers)
-        drifts.append(result.atom_drift)
-        i_stop = envelope.total_periods
-        return float(result.n_ex[i_stop]), float(result.n_ex[-1])
-
-    rows = []
-    for phase in phases:
-        envelope = Envelope(
-            ramp_up=env.ramp_up, hold=env.hold, ramp_down=0,
-            abrupt_stop=True, end_phase=phase,
-        )
-        n_stop, n_final = run_with(envelope, post_hold)
-        rows.append(["abrupt", phase, n_stop, n_final])
+    if post_hold < 0:
+        raise ConfigError("[endphase] post_hold_periods must be >= 0")
+    protocols = [
+        ("abrupt", phase, Envelope(ramp_up=env.ramp_up, hold=env.hold, ramp_down=0,
+                                   abrupt_stop=True, end_phase=phase))
+        for phase in phases
+    ]
     if include_ramped:
-        extra = post_hold + 1 - ramp_down
-        if extra < 0:
+        if ramp_down > post_hold + 1:
             raise ConfigError(
                 "[endphase] ramp_down exceeds post_hold_periods + 1; "
                 "the ramped control would outlast the comparison window"
             )
-        envelope = Envelope(
-            ramp_up=env.ramp_up, hold=env.hold, ramp_down=ramp_down,
-            abrupt_stop=False,
-        )
-        n_stop, n_final = run_with(envelope, extra)
-        rows.append(["ramped", None, n_stop, n_final])
+        protocols.append(("ramped", None, Envelope(
+            ramp_up=env.ramp_up, hold=env.hold, ramp_down=ramp_down, abrupt_stop=False,
+        )))
+    if not protocols:
+        raise ConfigError("[endphase] has nothing to run: no phases and "
+                          "include_ramped is off")
+
+    # the abrupt stops are over after ramp_up + hold + 1 periods, the
+    # ramped control (ramp_down <= post_hold + 1) no later: one run length
+    # serves every protocol, so they evolve the same samples as one stack
+    cfg = dataclasses.replace(run_cfg, n_cycles=env.ramp_up + env.hold + post_hold + 1)
+    drives = tuple(dataclasses.replace(drive, envelope=e) for _, _, e in protocols)
+    results = twa.ensemble_run(grid, drives, p, cfg, ens_cfg, workers=args.workers)
+    rows = [
+        [name, phase, float(res.n_ex[e.total_periods]), float(res.n_ex[-1])]
+        for (name, phase, e), res in zip(protocols, results)
+    ]
     write_csv(
         outdir / "endphase.csv",
         ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"],
         rows,
     )
     return _finish(args, cp, outdir, "endphase", ["endphase.csv"],
-                   {"atom_drift_max": max(drifts)})
+                   {"atom_drift_max": max(res.atom_drift for res in results)})
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -459,19 +457,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_EXIT_CODES = (
+    (ConfigError, "config error", 2),
+    (DomainError, "invalid parameter", 2),
+    (NumericalError, "numerical failure", 3),
+)
+
+
+def report_failure(prog: str, exc: ShakenBecError) -> int:
+    """Print exc as one stderr line; return the exit code of its family:
+    2 for configuration and parameter errors, 3 for numerical failures."""
+    for family, label, code in _EXIT_CODES:
+        if isinstance(exc, family):
+            print(f"{prog}: {label}: {exc}", file=sys.stderr)
+            return code
+    raise exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"shakenbec: config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"shakenbec: invalid parameter: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"shakenbec: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except ShakenBecError as exc:
+        return report_failure("shakenbec", exc)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,24 @@ from .bdg import BdgRunConfig
 TWO_PI = 2.0 * math.pi
 _REQUIRED = object()
 
+# Every section a config may hold and the keys each one reads; anything
+# else is a typo that would otherwise fall back to a default unseen.
+_KNOWN_KEYS = {
+    "units": ("frequency",),
+    "lattice": ("j", "depth_er", "cutoff", "recoil", "wavelength_nm", "mass_u",
+                "g", "n0", "gamma0", "transverse_recoil", "m_z"),
+    "drive": ("trajectory", "k0", "omega", "ramp_up", "hold", "ramp_down",
+              "abrupt_stop", "end_phase"),
+    "scan": ("variable", "values", "start", "stop", "count", "spacing"),
+    "bdg": ("nx", "ny", "nz", "lz", "steps_per_period", "n_cycles",
+            "fit_window_cycles"),
+    "twa": ("nx", "ny", "nz", "lz", "steps_per_period", "n_cycles",
+            "post_hold_periods", "n_realizations", "master_seed",
+            "bootstrap_resamples", "noise_scale", "rate_window_cycles"),
+    "endphase": ("phases", "include_ramped", "ramp_down", "post_hold_periods"),
+    "fit": ("kind", "r2_threshold"),
+}
+
 
 def _preset_dir():
     return resources.files("shakenbec").joinpath("presets")
@@ -46,7 +64,11 @@ def available_presets() -> list[str]:
 def load_config(
     path: str | None = None, preset: str | None = None
 ) -> configparser.ConfigParser:
-    """Layered config: preset first, then an optional file on top."""
+    """Layered config: preset first, then an optional file on top.
+
+    Every section and key must be one _KNOWN_KEYS lists (ConfigError
+    otherwise), so a misspelt name fails instead of being ignored.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if preset is not None:
         entry = _preset_dir().joinpath(f"{preset.lower()}.cfg")
@@ -63,6 +85,17 @@ def load_config(
             raise ConfigError(f"config file not found: {path}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(
+                f"unknown section [{section}]; known: {', '.join(_KNOWN_KEYS)}"
+            )
+        for key in cp.options(section):
+            if key not in _KNOWN_KEYS[section]:
+                raise ConfigError(
+                    f"unknown key '{key}' in section [{section}]; "
+                    f"known: {', '.join(_KNOWN_KEYS[section])}"
+                )
     return cp
 
 

@@ -24,8 +24,14 @@ one FFT pair per step; observables read |A_q|^2, which the kinetic
 phase leaves unchanged, so no closing half step is taken.  A FieldState
 may carry a leading realization axis: ensembles run as contiguous
 batches of realizations, one array per batch, with one process per
-batch when there is more than one.  Every period the run checks that
-the field is finite and that each realization keeps its atom number to
+batch when there is more than one.  A run may also take a tuple of
+drives that share omega and run length, such as the stopping protocols
+of an end-phase study: every drive evolves the same samples, the P x R
+rows stack protocol-major in one array, each step applies each drive's
+kinetic phase to its own rows and one FFT pair serves the whole stack,
+and one result per drive comes back.  Rows of a stack evolve
+bit-identically to single runs.  Every period the run checks that the
+field is finite and that each realization keeps its atom number to
 ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
 mode to estimate the physical excited density.
 """
@@ -55,6 +61,7 @@ FIELD_VERSION = 1
 GAUGE_TAG = "comoving-shift-v1"  # kinetic frame, dispersion at q - A(t)
 ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
 GRID_AXES = (-3, -2, -1)  # amplitudes[..., ix, iy, iz], after any realization axis
+STEP_CHUNK = 32  # steps whose kinetic factor tables are built at once
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,21 @@ class TwaRunConfig:
         if self.post_hold_periods < 0:
             raise DomainError("post_hold_periods must be >= 0")
 
-    def resolve_cycles(self, drive: DriveSpec) -> int:
+    def resolve_cycles(self, drive: DriveSpec | tuple[DriveSpec, ...]) -> int:
+        """Periods to run for one drive, or for a tuple of stacked drives.
+
+        Stacked drives run as one array, so they must resolve to the same
+        count; DomainError otherwise.
+        """
+        counts = {self._cycles_of(d) for d in _protocols(drive)}
+        if len(counts) > 1:
+            raise DomainError(
+                "stacked drives resolve to different run lengths "
+                f"{sorted(counts)} periods; give n_cycles or equal schedules"
+            )
+        return counts.pop()
+
+    def _cycles_of(self, drive: DriveSpec) -> int:
         if self.n_cycles is not None:
             return self.n_cycles
         env = drive.envelope
@@ -89,6 +110,19 @@ class TwaRunConfig:
                 "run length is zero: give n_cycles, an envelope, or post_hold_periods"
             )
         return total
+
+
+def _protocols(drive: DriveSpec | tuple[DriveSpec, ...]) -> tuple[DriveSpec, ...]:
+    """The drives of a run as a tuple: one DriveSpec, or P that share omega."""
+    drives = (drive,) if isinstance(drive, DriveSpec) else tuple(drive)
+    if not drives:
+        raise DomainError("a run needs at least one drive")
+    omegas = {d.omega for d in drives}
+    if len(omegas) > 1:
+        raise DomainError(
+            f"stacked drives must share omega (one time step), got {sorted(omegas)}"
+        )
+    return drives
 
 
 @dataclass(frozen=True)
@@ -255,8 +289,9 @@ def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray)
 
 
 def _phase(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
-    """Outer product of one row of each axis' factor table."""
-    return fx[:, None, None] * (fy[:, None] * fz)
+    """Outer product of one row of each axis' factor table; leading axes
+    (one per stacked drive) carry through."""
+    return fx[..., :, None, None] * (fy[..., None, :, None] * fz[..., None, None, :])
 
 
 def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
@@ -302,51 +337,73 @@ def gpe_step(
 
 def run_trajectory(
     state: FieldState,
-    drive: DriveSpec,
+    drive: DriveSpec | tuple[DriveSpec, ...],
     p: LatticeParams,
     cfg: TwaRunConfig,
     *,
     first_realization: int = 0,
-) -> ObservableTrace:
+) -> ObservableTrace | tuple[ObservableTrace, ...]:
     """Evolve a field sample, recording observables each drive period.
 
     The field stays in momentum space: each step applies one fused
     kinetic phase and one FFT pair around the contact phase.  A stacked
     state evolves its rows in one array and the trace arrays gain its
-    leading axis; row j is named realization first_realization + j in
-    errors.  Raises BlowUpError when the field leaves the finite range
-    or an atom number drifts by more than ATOM_DRIFT_TOL.
+    leading axis.  drive may be a tuple of P drives sharing omega and
+    resolving to one run length: the state then holds P x R rows,
+    protocol-major (row k R + j runs drive k), every step applies each
+    drive's kinetic phase to its R rows and takes one FFT pair over the
+    whole stack, and one trace per drive is returned, each as for a
+    stacked state of R rows.  Row j of a drive's block is named
+    realization first_realization + j in errors, and the drive's index
+    as the protocol when P > 1.  Raises BlowUpError when the field
+    leaves the finite range or an atom number drifts by more than
+    ATOM_DRIFT_TOL.
     """
-    n_cycles = cfg.resolve_cycles(drive)
-    n_steps, grid = cfg.steps_per_period, state.grid
-    dt = drive.period / n_steps
+    drives = _protocols(drive)
+    n_cycles = cfg.resolve_cycles(drives)
+    n_steps, grid, period = cfg.steps_per_period, state.grid, drives[0].period
+    dt = period / n_steps
     stacked = state.amplitudes.ndim == 4
-    a = state.amplitudes if stacked else state.amplitudes[None]
+    rows = state.amplitudes if stacked else state.amplitudes[None]
+    n_prot = len(drives)
+    if len(rows) % n_prot:
+        raise DomainError(
+            f"{len(rows)} field rows do not split evenly over {n_prot} drives"
+        )
+    n_real = len(rows) // n_prot
+    a = rows.reshape(n_prot, n_real, *rows.shape[1:])
     axes = _fft_axes(a)
-    i0 = np.ravel_multi_index(state.condensate_index, a.shape[1:])
-    times = state.t + np.arange(n_cycles + 1) * drive.period
-    total = np.empty((len(a), n_cycles + 1))
+    i0 = np.ravel_multi_index(state.condensate_index, a.shape[2:])
+    times = state.t + np.arange(n_cycles + 1) * period
+    total = np.empty((len(rows), n_cycles + 1))
     cond = np.empty_like(total)
-    drift = np.zeros(len(a))
+    drift = np.zeros(len(rows))
     # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
     offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
-    trail = np.ones(grid.nx), np.ones(grid.ny), np.ones(grid.nz)
+    trail = [np.ones((n_prot, n)) for n in (grid.nx, grid.ny, grid.nz)]
     amps = np.fft.fftn(a, axes=axes, norm="ortho")
     for cycle in range(n_cycles + 1):
         if cycle:
             t0 = times[cycle - 1]
-            shifts = np.array([drive_shift(t0 + off, drive) for off in offsets])
-            factors = _kinetic_factors(grid, p, 0.5 * dt, shifts)
-            # step s: trailing half of step s - 1, then leading half of step s
-            fused = [
-                f[0::2] * np.vstack((tr, f[1:-1:2])) for f, tr in zip(factors, trail)
-            ]
-            trail = [f[-1] for f in factors]
-            for step in range(n_steps):
-                amps *= _phase(*(f[step] for f in fused))
-                a = _contact(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
-                amps = np.fft.fftn(a, axes=axes, norm="ortho")
-        occ = (amps.real**2 + amps.imag**2).reshape(len(a), -1)
+            for first in range(0, 2 * n_steps, 2 * STEP_CHUNK):
+                shifts = np.array([[drive_shift(t0 + off, d) for d in drives]
+                                   for off in offsets[first:first + 2 * STEP_CHUNK]])
+                # per axis, a (2 steps, P, n) table: every drive at every offset
+                factors = [
+                    f.reshape(len(shifts), n_prot, -1)
+                    for f in _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
+                ]
+                # step s: trailing half of step s - 1, then leading half of step s
+                fused = [f[0::2] for f in factors]
+                for lead, f, tr in zip(fused, factors, trail):
+                    lead[1:] *= f[1:-1:2]
+                    lead[0] *= tr
+                trail = [f[-1] for f in factors]
+                for step in zip(*fused):
+                    amps *= _phase(*step)[:, None]
+                    a = _contact(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
+                    amps = np.fft.fftn(a, axes=axes, norm="ortho")
+        occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
         total[:, cycle] = occ.sum(axis=1) * grid.dz
         cond[:, cycle] = occ[:, i0] * grid.dz
         dev = np.abs(total[:, cycle] - total[:, 0]) / np.maximum(total[:, 0], 1e-300)
@@ -354,7 +411,11 @@ def run_trajectory(
         bad = ~np.isfinite(total[:, cycle]) | (dev > ATOM_DRIFT_TOL)
         if bad.any():
             row = int(np.argmax(bad))
-            where = f"realization {first_realization + row}: " if stacked else ""
+            prot, real = divmod(row, n_real)
+            names = [f"protocol {prot}"] if n_prot > 1 else []
+            if stacked:
+                names.append(f"realization {first_realization + real}")
+            where = ", ".join(names) + ": " if names else ""
             what = (
                 f"atom number drifted by {dev[row]:.3e} (relative)"
                 if np.isfinite(total[row, cycle]) else "field left the finite range"
@@ -363,38 +424,46 @@ def run_trajectory(
                               "reduce the time step or the drive strength")
     n_raw = (total - cond) / grid.volume
     cf = cond / np.where(total > 0.0, total, 1.0)
-    if not stacked:
-        n_raw, cf, drift = n_raw[0], cf[0], float(drift[0])
     half_quantum = (grid.n_modes - 1) * state.noise_scale**2 / (2.0 * grid.volume)
-    return ObservableTrace(times, n_raw, n_raw - half_quantum, cf, half_quantum, drift)
+    traces = []
+    for block in range(0, len(rows), n_real):
+        n_k, cf_k, drift_k = (x[block:block + n_real] for x in (n_raw, cf, drift))
+        if not stacked:
+            n_k, cf_k, drift_k = n_k[0], cf_k[0], float(drift_k[0])
+        traces.append(
+            ObservableTrace(times, n_k, n_k - half_quantum, cf_k, half_quantum, drift_k)
+        )
+    return traces[0] if isinstance(drive, DriveSpec) else tuple(traces)
 
 
-def _run_batch(payload) -> list[ObservableTrace]:
-    """Evolve realizations ks as one stacked state; one trace per realization."""
-    grid, drive, p, run_cfg, ens_cfg, ks = payload
+def _run_batch(payload) -> tuple[list[ObservableTrace], ...]:
+    """Evolve realizations ks under every drive as one stacked state; per
+    drive, one trace per realization."""
+    grid, drives, p, run_cfg, ens_cfg, ks = payload
     states = [
         sample_initial(grid, p, ens_cfg.q0, realization_rng(ens_cfg.master_seed, k),
                        ens_cfg.noise_scale)
         for k in ks
     ]
-    batch = replace(states[0], amplitudes=np.stack([st.amplitudes for st in states]))
-    tr = run_trajectory(batch, drive, p, run_cfg, first_realization=ks[0])
-    return [
-        replace(tr, n_ex_raw=tr.n_ex_raw[j], n_ex=tr.n_ex[j],
-                condensed_fraction=tr.condensed_fraction[j],
-                atom_drift=float(tr.atom_drift[j]), realization=k)
-        for j, k in enumerate(ks)
-    ]
+    samples = np.stack([st.amplitudes for st in states])
+    batch = replace(states[0], amplitudes=np.concatenate([samples] * len(drives)))
+    return tuple(
+        [replace(tr, n_ex_raw=tr.n_ex_raw[j], n_ex=tr.n_ex[j],
+                 condensed_fraction=tr.condensed_fraction[j],
+                 atom_drift=float(tr.atom_drift[j]), realization=k)
+         for j, k in enumerate(ks)]
+        for tr in run_trajectory(batch, drives, p, run_cfg, first_realization=ks[0])
+    )
 
 
 def ensemble_run(
     grid: Grid,
-    drive: DriveSpec,
+    drive: DriveSpec | tuple[DriveSpec, ...],
     p: LatticeParams,
     run_cfg: TwaRunConfig,
     ens_cfg: EnsembleConfig,
     workers: int = 1,
-) -> EnsembleResult:
+) -> EnsembleResult | tuple[EnsembleResult, ...]:
     """Average an ensemble of Wigner samples; deterministic per seed.
 
     The realizations are split into min(workers, n_realizations)
@@ -402,14 +471,19 @@ def ensemble_run(
     pool when there is more than one batch.  Realization k is sampled
     from realization_rng(master_seed, k) whatever its batch, and rows of
     a stacked state evolve bit-identically to single runs, so results do
-    not depend on workers.  Bootstrap bands resample whole realizations
-    (seeded from the master seed) and report mean +/- std of the
-    resampled ensemble means.
+    not depend on workers.  drive may be a tuple of drives that share
+    omega and run length (see run_trajectory): every drive then evolves
+    the same samples, all drives in one stack per batch, and one
+    EnsembleResult per drive is returned, equal bit for bit to a
+    separate call with that drive.  Bootstrap bands resample whole
+    realizations (seeded from the master seed, afresh for each drive)
+    and report mean +/- std of the resampled ensemble means.
     """
+    drives = _protocols(drive)
     n_real = ens_cfg.n_realizations
     n_batches = min(workers, n_real)
     payloads = [
-        (grid, drive, p, run_cfg, ens_cfg,
+        (grid, drives, p, run_cfg, ens_cfg,
          range(n_real * b // n_batches, n_real * (b + 1) // n_batches))
         for b in range(n_batches)
     ]
@@ -418,8 +492,16 @@ def ensemble_run(
             batches = list(pool.map(_run_batch, payloads))
     else:
         batches = [_run_batch(payloads[0])]
-    traces = [tr for batch in batches for tr in batch]
+    results = tuple(
+        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg)
+        for k in range(len(drives))
+    )
+    return results[0] if isinstance(drive, DriveSpec) else results
 
+
+def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> EnsembleResult:
+    """Ensemble means and bootstrap bands of one drive's realizations."""
+    n_real = len(traces)
     raw = np.stack([tr.n_ex_raw for tr in traces])
     cf = np.stack([tr.condensed_fraction for tr in traces])
     mean_raw = raw.mean(axis=0)

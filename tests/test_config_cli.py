@@ -5,8 +5,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from shakenbec.model import Trajectory
 from shakenbec.output import format_value, write_csv
 
 TWO_PI = 2.0 * math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse(text):
@@ -260,6 +263,30 @@ def test_preset_loading_and_layering(tmp_path):
     p2 = lattice_from_config(load_config(str(override), preset="paper-11er"))
     assert p2.j == pytest.approx(TWO_PI * 75.0, rel=1e-12)
     assert p2.g == p.g  # untouched keys survive the overlay
+
+
+@pytest.mark.parametrize("path, preset", [
+    *[(None, name) for name in available_presets()],
+    *[(f"perfbench/workloads/{cfg.name}", None)
+      for cfg in sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))],
+])
+def test_shipped_configs_load(path, preset):
+    assert load_config(path and str(ROOT / path), preset).sections()
+
+
+@pytest.mark.parametrize("overlay, name", [
+    ("[bdg]\nsteps_per_perod = 64\n", "unknown key 'steps_per_perod' in section [bdg]"),
+    ("[lattic]\nj = 2\n", "unknown section [lattic]"),
+])
+def test_unknown_names_rejected(tmp_path, capsys, overlay, name):
+    cfg = write_cfg(tmp_path, overlay)
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        load_config(cfg, preset="paper-11er")
+    out = tmp_path / "o"
+    argv = ["bdg", "--preset", "paper-11er", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_unknown_preset():
@@ -580,6 +607,35 @@ def test_cli_endphase_preset(tmp_path):
     ]
     for r in rows:
         assert float(r["n_ex_at_stop"]) > 0.0 and float(r["n_ex_final"]) > 0.0
+
+
+def test_cli_endphase_workers_byte_identical(tmp_path):
+    body = ENDPHASE_BODY.replace("n_realizations = 2", "n_realizations = 3")
+    cfg = write_cfg(tmp_path, body)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    workers = str(min(2, os.cpu_count() or 1))
+    for out, n in ((out1, "1"), (out2, workers)):
+        assert main(["endphase", "--config", cfg, "--out", str(out), "--workers", n]) == 0
+    assert (out1 / "endphase.csv").read_bytes() == (out2 / "endphase.csv").read_bytes()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("post_hold_periods = 4\n", "post_hold_periods = 4\nramp_down = 6\n",
+     "ramp_down exceeds post_hold_periods + 1"),
+    ("phases = 0, 1.5707963267948966\n", "phases = ,\ninclude_ramped = false\n",
+     "nothing to run"),
+])
+def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
+                                             old, new, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the config was checked")
+
+    monkeypatch.setattr(twa, "ensemble_run", no_run)
+    cfg = write_cfg(tmp_path, ENDPHASE_BODY.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["endphase", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

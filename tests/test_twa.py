@@ -219,6 +219,19 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     np.testing.assert_allclose(tr.condensed_fraction, want[:, 1], rtol=1e-10)
 
 
+def test_step_chunks_do_not_change_results(monkeypatch):
+    # kinetic tables are built STEP_CHUNK steps at a time; the trailing
+    # half step carries across chunk boundaries, uneven last chunk included
+    d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
+    cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
+    st = sample_initial(GRID, P, seed=2)
+    whole = run_trajectory(st, d, P, cfg)
+    monkeypatch.setattr(twa, "STEP_CHUNK", 5)
+    chunked = run_trajectory(st, d, P, cfg)
+    assert chunked.n_ex_raw.tobytes() == whole.n_ex_raw.tobytes()
+    assert chunked.condensed_fraction.tobytes() == whole.condensed_fraction.tobytes()
+
+
 def test_stacked_rows_bit_identical_to_single_runs():
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
@@ -281,6 +294,67 @@ def test_atom_drift_guard_names_realization(monkeypatch):
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
         ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=2)
+
+
+# ------------------------------------------------------------ protocol axis
+
+
+def end_phase_drives(omega=9.0):
+    """Two abrupt stops and a ramped control, as the endphase study runs."""
+    envs = (STOP, replace(STOP, end_phase=2.0), Envelope(ramp_up=2, hold=1, ramp_down=2))
+    return tuple(DriveSpec(Trajectory.LINEAR_X, 1.25, omega, e) for e in envs)
+
+
+def test_stacked_drives_bit_identical_to_single_runs():
+    drives = end_phase_drives()
+    stack = ensemble_run(GRID, drives, P, quick_run(), ens(n=3), workers=2)
+    assert len(stack) == len(drives)
+    for d, res in zip(drives, stack):
+        solo = ensemble_run(GRID, d, P, quick_run(), ens(n=3), workers=1)
+        for field in ("times", "n_ex_raw", "n_ex", "condensed_fraction",
+                      "band_lo", "band_hi"):
+            assert getattr(res, field).tobytes() == getattr(solo, field).tobytes(), field
+        assert (res.half_quantum, res.atom_drift, res.bands_degenerate) == (
+            solo.half_quantum, solo.atom_drift, solo.bands_degenerate)
+        for tr, want in zip(res.traces, solo.traces, strict=True):
+            assert tr.realization == want.realization
+            assert tr.n_ex_raw.tobytes() == want.n_ex_raw.tobytes()
+            assert tr.atom_drift == want.atom_drift
+    # the protocols differ, so no result is a copy of another
+    assert not np.array_equal(stack[0].n_ex, stack[1].n_ex)
+
+
+def test_stacked_drives_must_share_omega_and_run_length():
+    drives = end_phase_drives()
+    st = stacked([sample_initial(GRID, P, seed=k) for k in range(3)])
+    mixed = drives[:2] + (replace(drives[2], omega=10.0),)
+    with pytest.raises(DomainError, match="share omega"):
+        ensemble_run(GRID, mixed, P, quick_run(), ens(n=1))
+    with pytest.raises(DomainError, match="share omega"):
+        run_trajectory(st, mixed, P, quick_run())
+    # with n_cycles unset, the ramped control ends a period after the stops
+    by_schedule = TwaRunConfig(steps_per_period=32)
+    assert by_schedule.resolve_cycles(drives[:2]) == 4
+    with pytest.raises(DomainError, match="different run lengths"):
+        by_schedule.resolve_cycles(drives)
+    with pytest.raises(DomainError, match="different run lengths"):
+        run_trajectory(st, drives, P, by_schedule)
+    with pytest.raises(DomainError, match="split evenly"):
+        run_trajectory(stacked([sample_initial(GRID, P, seed=k) for k in range(2)]),
+                       drives, P, quick_run())
+
+
+def test_atom_drift_guard_names_protocol_and_realization(monkeypatch):
+    drives = end_phase_drives()
+    runs = ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
+    drifts = np.array([[tr.atom_drift for tr in res.traces] for res in runs])
+    worst = np.unravel_index(np.argmax(drifts), drifts.shape)
+    assert drifts[worst] > 0.0
+    assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
+    monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
+    want = f"protocol {worst[0]}, realization {worst[1]}: atom number .* cycle"
+    with pytest.raises(BlowUpError, match=want):
+        ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
 
 
 # -------------------------------------------------------------- run config
