@@ -14,8 +14,10 @@ length unit; energies and rates are angular frequencies.
 """
 
 from .analytics import (
+    ClosedFormScan,
     CuspData,
     InstabilityResult,
+    ModeScan,
     bogoliubov_bandwidth,
     calibrate_g_from_cusp,
     critical_drive_amplitude,

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+
+import numpy as np
 
 from .errors import CalibrationError, DomainError, InvertedBandError, NoCriticalAmplitudeError
 from .model import (
@@ -41,7 +43,7 @@ from .model import (
     bogoliubov_transform,
     drive_harmonics,
 )
-from .specialmath import bessel_j, bessel_j0_inverse, j0_first_zero
+from .specialmath import _require, bessel_j, bessel_j0_inverse, j0_first_zero
 
 
 def effective_hopping(j: float, k0: float) -> float:
@@ -66,42 +68,45 @@ class CuspData:
     equals_bandwidth: bool  # True when the cusp sits exactly at the bandwidth
 
 
-def bogoliubov_bandwidth(trajectory: Trajectory, k0: float, p: LatticeParams) -> float:
-    """Maximum Bogoliubov energy over the effective Brillouin zone.
+def _cusp_terms(trajectory: Trajectory, b0, p: LatticeParams):
+    """(omega_c, bandwidth, omega_c == bandwidth) elementwise over J0(k0).
 
+    The cusp is where the resonant shell reaches the trajectory's most
+    unstable band corner: Bogoliubov energy of 4 J_eff (linear and
+    circular, corner (pi, 0)) or 8 J_eff (diagonal, corner (pi, pi)).
     For linear shaking the top of the effective band is at (pi, pi) with
     single-particle energy 4 J (|J0| + 1); for diagonal and circular
     trajectories it is 8 J |J0|.
     """
-    b0 = abs(bessel_j(0, k0))
+    corner = _corner_factor(trajectory) * (p.j * b0)
+    b0 = np.abs(b0)
     if trajectory is Trajectory.LINEAR_X:
         top = 4.0 * p.j * (b0 + 1.0)
     else:
         top = 8.0 * p.j * b0
-    return float(bogoliubov_transform(top, p.g)[0])
+    omega_c = bogoliubov_transform(corner, p.g)[0]
+    bandwidth = bogoliubov_transform(top, p.g)[0]
+    return omega_c, bandwidth, np.abs(omega_c - bandwidth) <= 1e-12 * bandwidth
+
+
+def bogoliubov_bandwidth(trajectory: Trajectory, k0: float, p: LatticeParams) -> float:
+    """Maximum Bogoliubov energy over the effective Brillouin zone."""
+    return float(_cusp_terms(trajectory, bessel_j(0, k0), p)[1])
 
 
 def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
     """Frequency of the rate cusp separating the two instability regimes.
 
-    The cusp is where the resonant shell reaches the trajectory's most
-    unstable band corner: Bogoliubov energy of 4 J_eff (linear and
-    circular, corner (pi, 0)) or 8 J_eff (diagonal, corner (pi, pi)).
     Raises InvertedBandError when J_eff <= 0.
     """
-    j_eff = effective_hopping(p.j, k0)
+    b0 = bessel_j(0, k0)
+    j_eff = p.j * b0  # effective_hopping(p.j, k0)
     if j_eff <= 0.0:
         raise InvertedBandError(
             f"cusp undefined at k0 = {k0}: effective hopping {j_eff:.4e} <= 0"
         )
-    corner = _corner_factor(trajectory) * j_eff
-    omega_c = float(bogoliubov_transform(corner, p.g)[0])
-    bandwidth = bogoliubov_bandwidth(trajectory, k0, p)
-    return CuspData(
-        omega_c=omega_c,
-        bandwidth=bandwidth,
-        equals_bandwidth=abs(omega_c - bandwidth) <= 1e-12 * bandwidth,
-    )
+    omega_c, bandwidth, at_bandwidth = _cusp_terms(trajectory, b0, p)
+    return CuspData(float(omega_c), float(bandwidth), bool(at_bandwidth))
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,133 @@ class InstabilityResult:
     cusp: CuspData  # cusp of the trajectory at this amplitude
 
 
-@lru_cache(maxsize=1024)
-def _k0_terms(trajectory: Trajectory, k0: float, p: LatticeParams):
-    """(J0(k0), |J2(k0)|, CuspData), computed once per (trajectory, k0, p)."""
-    return bessel_j(0, k0), abs(bessel_j(2, k0)), cusp_frequency(trajectory, k0, p)
+@dataclass(frozen=True, eq=False)
+class ModeScan:
+    """Most unstable mode of one trajectory at every point of a scan.
+
+    Arrays have the scan's shape.  (qx, qy) is the first momentum of the
+    q_mum set and n_pairs the number of (q, -q) pairs in it.  Where the
+    band is inverted every float is nan and every flag False.
+    """
+
+    trajectory: Trajectory
+    n_pairs: int
+    inverted: np.ndarray
+    high_freq: np.ndarray  # regime: omega >= omega_c
+    qx: np.ndarray
+    qy: np.ndarray
+    gamma: np.ndarray
+    big_gamma: np.ndarray
+    omega_c: np.ndarray
+    bandwidth: np.ndarray
+    cusp_at_bandwidth: np.ndarray
+
+
+def _scan_arrays(omega, k0) -> tuple[np.ndarray, np.ndarray]:
+    """omega and k0 as float arrays, each value checked as DriveSpec does."""
+    omega, k0 = np.asarray(omega, dtype=float), np.asarray(k0, dtype=float)
+    _require(omega <= 0.0, omega, "drive frequency must be positive")
+    _require(k0 < 0.0, k0, "drive amplitude must be >= 0")
+    return omega, k0
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    # fn on each value as a Python float, so that pow and asin come from
+    # the C library as in scalar code: numpy's own differ from it in the
+    # last place on some inputs
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedFormScan:
+    """Closed-form predictions over arrays of drive frequency and amplitude.
+
+    omega and k0 are floats or arrays that broadcast together (k0 = 0
+    when only the threshold is wanted).  This is the one implementation
+    of the rate and threshold formulas: most_unstable_mode and
+    critical_drive_amplitude evaluate it at a single point, and element
+    by element it gives their bits.  Raises DomainError naming the first
+    omega <= 0 or k0 < 0; k0 at or past the first zero of J0 is marked
+    inverted, not raised.
+    """
+
+    omega: np.ndarray
+    lattice: LatticeParams
+    k0: np.ndarray = 0.0
+
+    def __post_init__(self) -> None:
+        omega, k0 = _scan_arrays(self.omega, self.k0)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "k0", k0)
+
+    @cached_property
+    def k0_critical(self) -> np.ndarray:
+        """Runaway-heating threshold per omega, nan where g > omega.
+
+        J0(k0c) = g / omega on the first monotone branch of J0 (see
+        critical_drive_amplitude); the array has omega's shape.
+        """
+        ratio = self.lattice.g / self.omega
+        out = np.full(ratio.shape, np.nan)
+        out[ratio == 0.0] = j0_first_zero()
+        solve = ~((ratio > 1.0) | (ratio == 0.0))
+        out[solve] = bessel_j0_inverse(ratio[solve])
+        return out
+
+    @cached_property
+    def _bessel_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (inverted, J0(k0), |J2(k0)|) on k0's shape, nan where inverted;
+        # an inverted k0 never reaches bessel_j, so k0 > 50 is fine
+        inverted = ~(self.k0 < j0_first_zero())
+        b0 = np.full(self.k0.shape, np.nan)
+        b2 = np.full(self.k0.shape, np.nan)
+        ok = ~inverted
+        b0[ok] = bessel_j(0, self.k0[ok])
+        b2[ok] = np.abs(bessel_j(2, self.k0[ok]))
+        return inverted, b0, b2
+
+    def modes(self, trajectory: Trajectory) -> ModeScan:
+        """Location and rate of the dominant parametric instability.
+
+        High frequency (omega >= omega_c): band-corner momenta and
+        gamma = c J |J2| g / omega.  Low frequency: the resonant shell at
+        eps* = sqrt(g^2 + omega^2) - g, q_r = 2 asin(sqrt(eps* / (c J J0)))
+        and gamma = eps* (|J2| / J0) (g / omega).  big_gamma = 2 gamma
+        n_pairs + gamma0.
+        """
+        p = self.lattice
+        inverted, b0, b2 = self._bessel_terms
+        omega_c, bandwidth, at_bandwidth = _cusp_terms(trajectory, b0, p)
+        omega_c[inverted] = np.nan
+        bandwidth[inverted] = np.nan
+        at_bandwidth &= ~inverted
+        inverted, b0, b2, omega_c, bandwidth, at_bandwidth, omega = np.broadcast_arrays(
+            inverted, b0, b2, omega_c, bandwidth, at_bandwidth, self.omega
+        )
+        high = omega >= omega_c  # False where inverted (nan)
+        low = ~(high | inverted)
+        c = _corner_factor(trajectory)
+        qx = np.full(high.shape, np.nan)
+        gamma = np.full(high.shape, np.nan)
+        qx[high] = math.pi
+        gamma[high] = c * p.j * b2[high] * p.g / omega[high]
+        w, b0, b2 = omega[low], b0[low], b2[low]
+        eps_res = np.sqrt(p.g**2 + _libm(lambda v: v**2, w)) - p.g
+        # omega < omega_c keeps the arcsine argument <= 1 up to roundoff
+        arg = np.minimum(np.sqrt(eps_res / (c * p.j * b0)), 1.0)
+        qx[low] = 2.0 * _libm(math.asin, arg)
+        gamma[low] = eps_res * (b2 / b0) * (p.g / w)
+        if trajectory is Trajectory.DIAGONAL:
+            qy = qx
+        else:
+            qy = np.where(inverted, np.nan, 0.0)
+        n_pairs = 1 if trajectory is Trajectory.LINEAR_X else 2
+        return ModeScan(
+            trajectory, n_pairs, inverted=inverted.copy(), high_freq=high, qx=qx,
+            qy=qy, gamma=gamma, big_gamma=2.0 * gamma * n_pairs + p.gamma0,
+            omega_c=omega_c.copy(), bandwidth=bandwidth.copy(),
+            cusp_at_bandwidth=at_bandwidth.copy(),
+        )
 
 
 def mode_growth_rate(
@@ -152,46 +280,27 @@ def most_unstable_mode(
     Requires 0 <= k0 < first zero of J0 (non-inverted band).  The
     returned q_mum contains one representative momentum per inequivalent
     (q, -q) pair; the total rate is big_gamma = 2 * gamma * (number of
-    pairs) + gamma0.
+    pairs) + gamma0.  The one-point case of ClosedFormScan.modes.
     """
     zero = j0_first_zero()
     if not (0.0 <= k0 < zero):
         raise InvertedBandError(
             f"most_unstable_mode needs 0 <= k0 < {zero:.6f}, got {k0}"
         )
-    if omega <= 0.0:
-        raise DomainError(f"drive frequency must be positive, got {omega}")
-    b0, b2, cusp = _k0_terms(trajectory, k0, p)
-    c = _corner_factor(trajectory)
-    if omega >= cusp.omega_c:
-        regime = Regime.HIGH_FREQ
-        gamma = c * p.j * b2 * p.g / omega
-        if trajectory is Trajectory.LINEAR_X:
-            q_set = (Momentum(math.pi, 0.0),)
-        elif trajectory is Trajectory.DIAGONAL:
-            q_set = (Momentum(math.pi, math.pi), Momentum(-math.pi, math.pi))
-        else:
-            q_set = (Momentum(math.pi, 0.0), Momentum(0.0, math.pi))
+    m = ClosedFormScan(omega, p, k0).modes(trajectory)
+    qx, qy = float(m.qx), float(m.qy)
+    if trajectory is Trajectory.LINEAR_X:
+        q_set = (Momentum(qx, qy),)
+    elif trajectory is Trajectory.DIAGONAL:
+        q_set = (Momentum(qx, qy), Momentum(-qx, qy))
     else:
-        regime = Regime.LOW_FREQ
-        eps_res = math.sqrt(p.g**2 + omega**2) - p.g
-        arg = math.sqrt(eps_res / (c * p.j * b0))
-        arg = min(arg, 1.0)  # omega < omega_c keeps this <= 1 up to roundoff
-        qr = 2.0 * math.asin(arg)
-        gamma = eps_res * (b2 / b0) * (p.g / omega)
-        if trajectory is Trajectory.LINEAR_X:
-            q_set = (Momentum(qr, 0.0),)
-        elif trajectory is Trajectory.DIAGONAL:
-            q_set = (Momentum(qr, qr), Momentum(-qr, qr))
-        else:
-            q_set = (Momentum(qr, 0.0), Momentum(0.0, qr))
-    big_gamma = 2.0 * gamma * len(q_set) + p.gamma0
+        q_set = (Momentum(qx, qy), Momentum(qy, qx))
     return InstabilityResult(
         q_mum=q_set,
-        gamma=gamma,
-        big_gamma=big_gamma,
-        regime=regime,
-        cusp=cusp,
+        gamma=float(m.gamma),
+        big_gamma=float(m.big_gamma),
+        regime=Regime.HIGH_FREQ if m.high_freq else Regime.LOW_FREQ,
+        cusp=CuspData(float(m.omega_c), float(m.bandwidth), bool(m.cusp_at_bandwidth)),
     )
 
 
@@ -204,18 +313,15 @@ def critical_drive_amplitude(omega: float, p: LatticeParams) -> float:
     J0(k0^c) = g / omega on the first monotone branch of J0, so the
     threshold rises with omega and saturates at the first zero of J0.
     Raises NoCriticalAmplitudeError when g > omega (the combination
-    exceeds one at any amplitude).
+    exceeds one at any amplitude).  The one-point case of
+    ClosedFormScan.k0_critical.
     """
-    if omega <= 0.0:
-        raise DomainError(f"drive frequency must be positive, got {omega}")
-    ratio = p.g / omega
-    if ratio > 1.0:
+    k0c = float(ClosedFormScan(omega, p).k0_critical)
+    if math.isnan(k0c):
         raise NoCriticalAmplitudeError(
-            f"no critical amplitude: g/omega = {ratio:.4f} > 1"
+            f"no critical amplitude: g/omega = {p.g / omega:.4f} > 1"
         )
-    if ratio == 0.0:
-        return j0_first_zero()
-    return bessel_j0_inverse(ratio)
+    return k0c
 
 
 def interaction_from_cusp(omega_c: float, j_eff: float) -> float:

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,10 @@ from .errors import (
     ConfigError,
     DomainError,
     InvertedBandError,
-    NoCriticalAmplitudeError,
     NumericalError,
     ShakenBecError,
 )
-from .model import DriveSpec, Envelope, Trajectory
+from .model import DriveSpec, Envelope, Regime, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
 from .specialmath import j0_first_zero
 
@@ -82,15 +82,58 @@ def _drive_variant(drive: DriveSpec, variable: str, value: float) -> DriveSpec:
     raise ConfigError(f"cannot scan drive variable '{variable}'")
 
 
+def _cells(values: np.ndarray, missing: np.ndarray) -> list:
+    """values as Python scalars, None where missing."""
+    if missing.any():
+        return np.where(missing, None, values.astype(object)).tolist()
+    return values.tolist()
+
+
+def _rate_rows(k0, omega, k0c, modes, chunk: int = 1024):
+    """rates.csv rows, scan value first and trajectory within each value.
+
+    Columns become Python values one chunk of scan points at a time, so
+    only the arrays and one chunk are held in memory, never every row.
+    """
+    for lo in range(0, omega.size, chunk):
+        part = slice(lo, lo + chunk)
+        point = [k0[part].tolist(), omega[part].tolist(),
+                 (omega[part] / TWO_PI).tolist()]
+        crit = _cells(k0c[part], np.isnan(k0c[part]))
+        per_mode = []
+        for m in modes:
+            inverted = m.inverted[part]
+            cells = (
+                np.where(m.high_freq[part], Regime.HIGH_FREQ.value,
+                         Regime.LOW_FREQ.value),
+                m.qx[part], m.qy[part], np.full(inverted.shape, m.n_pairs),
+                m.gamma[part], m.big_gamma[part], m.omega_c[part],
+                m.omega_c[part] / TWO_PI, m.bandwidth[part],
+                m.cusp_at_bandwidth[part],
+            )
+            per_mode.append(zip(
+                repeat(m.trajectory.value), *point,
+                *(_cells(c, inverted) for c in cells), crit,
+                inverted.astype(int).tolist(),
+            ))
+        for rows in zip(*per_mode):
+            yield from rows
+
+
 def cmd_rates(args) -> int:
     cp, outdir = _setup(args)
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     scan = scan_from_config(cp, allowed=("omega", "k0"))
-    if scan is None:
-        scan_var, values = "omega", np.array([drive.omega])
-    else:
-        scan_var, values = scan.variable, scan.values
+    k0, omega = drive.k0, np.array([drive.omega])
+    if scan is not None and scan.variable == "omega":
+        omega = scan.values
+    elif scan is not None:
+        k0 = scan.values
+    table = analytics.ClosedFormScan(omega, p, k0)
+    k0, omega = np.broadcast_arrays(table.k0, table.omega)
+    k0c = np.broadcast_to(table.k0_critical, omega.shape)
+    modes = [table.modes(traj) for traj in Trajectory]
 
     header = [
         "trajectory", "k0", "omega_rad_s", "omega_hz", "regime",
@@ -98,31 +141,7 @@ def cmd_rates(args) -> int:
         "omega_c_rad_s", "omega_c_hz", "bandwidth_rad_s",
         "cusp_at_bandwidth", "k0_critical", "inverted_band",
     ]
-    rows = []
-    for value in values:
-        d = _drive_variant(drive, scan_var, float(value))
-        try:
-            k0c = analytics.critical_drive_amplitude(d.omega, p)
-        except NoCriticalAmplitudeError:
-            k0c = None
-        for traj in Trajectory:
-            try:
-                res = analytics.most_unstable_mode(traj, d.k0, d.omega, p)
-                q, cusp = res.q_mum[0], res.cusp
-                rows.append([
-                    traj.value, d.k0, d.omega, d.omega / TWO_PI,
-                    res.regime.value, q.qx, q.qy, len(res.q_mum),
-                    res.gamma, res.big_gamma, cusp.omega_c,
-                    cusp.omega_c / TWO_PI, cusp.bandwidth,
-                    cusp.equals_bandwidth, k0c, 0,
-                ])
-            except InvertedBandError:
-                rows.append([
-                    traj.value, d.k0, d.omega, d.omega / TWO_PI,
-                    None, None, None, None, None, None, None, None, None,
-                    None, k0c, 1,
-                ])
-    write_csv(outdir / "rates.csv", header, rows)
+    write_csv(outdir / "rates.csv", header, _rate_rows(k0, omega, k0c, modes))
     return _finish(args, cp, outdir, "rates", ["rates.csv"])
 
 
@@ -132,22 +151,18 @@ def cmd_k0c(args) -> int:
     scan = scan_from_config(cp, allowed=("omega",))
     if scan is None:
         drive = drive_from_config(cp)
-        values = np.array([drive.omega])
+        omega = np.array([drive.omega])
     else:
-        values = scan.values
+        omega = scan.values
+    k0c = analytics.ClosedFormScan(omega, p).k0_critical
     asymptote = j0_first_zero()
     header = [
         "omega_rad_s", "omega_hz", "g_over_omega",
         "k0_critical", "k0_critical_asymptote", "no_solution",
     ]
-    rows = []
-    for omega in values:
-        omega = float(omega)
-        try:
-            k0c = analytics.critical_drive_amplitude(omega, p)
-            rows.append([omega, omega / TWO_PI, p.g / omega, k0c, asymptote, 0])
-        except NoCriticalAmplitudeError:
-            rows.append([omega, omega / TWO_PI, p.g / omega, None, asymptote, 1])
+    none = np.isnan(k0c)
+    rows = zip(omega.tolist(), (omega / TWO_PI).tolist(), (p.g / omega).tolist(),
+               _cells(k0c, none), repeat(asymptote), none.astype(int).tolist())
     write_csv(outdir / "k0c.csv", header, rows)
     return _finish(args, cp, outdir, "k0c", ["k0c.csv"])
 

@@ -21,28 +21,48 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):  # most cells, so tested first; nan -> "nan"
-        return f"{value:.12g}"
-    if value is None:
+def _field(index: int, kind: type) -> str:
+    # the str.format field of one cell: floats (numpy's included, nan and
+    # inf too) at 12 significant digits, None empty, booleans (numpy's
+    # too) as 1/0, anything else as str()
+    if issubclass(kind, float):
+        return f"{{{index}:.12g}}"
+    if kind is type(None):
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+    if issubclass(kind, (bool, np.bool_)):
+        return f"{{{index}:d}}"
+    return f"{{{index}!s}}"
+
+
+def format_value(value) -> str:
+    """One CSV cell, formatted as write_csv formats it."""
+    return _field(0, type(value)).format(value)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write rows under a header; returns the number of data rows."""
+    """Write rows under a header; returns the number of data rows.
+
+    Rows are written as they come.  Each is formatted by one str.format
+    call on a line template built once per sequence of cell types.
+    """
     path = Path(path)
+    width = len(header)
+    templates: dict[tuple[type, ...], str] = {}
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if len(row) != len(header):
+            if len(row) != width:
                 raise ValueError(
-                    f"row of width {len(row)} does not match header width {len(header)}"
+                    f"row of width {len(row)} does not match header width {width}"
                 )
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            line = templates.get(kinds)
+            if line is None:
+                line = templates[kinds] = ",".join(
+                    _field(i, kind) for i, kind in enumerate(kinds)
+                ) + "\n"
+            fh.write(line.format(*row))
             count += 1
     return count
 

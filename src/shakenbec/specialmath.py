@@ -1,13 +1,19 @@
 """Special functions and single-particle band structure.
 
 Bessel functions of the first kind (integer order) are implemented here
-rather than pulled from a heavier dependency: the ascending series is
-used at small argument and Miller's backward recurrence beyond, which
-keeps the package dependency surface at numpy only.  Accuracy is well
-below 1e-10 absolute over the supported range (order <= 64, |x| <= 50).
-J_0 is inverted on its first monotone branch by plain Newton steps
-from the small-argument estimate x = 2 sqrt(1 - y), which lies below
-the root; a handful of steps reach the rounding floor.
+rather than pulled from a heavier dependency, which keeps the package
+dependency surface at numpy only.  `bessel_j` and `bessel_j0_inverse`
+take a float (and return a float) or an array of any shape (and return
+an array of that shape); a float is the one-point case of the array
+code.  Each element takes the path a scalar loop would: the ascending
+series at |x| <= 12, Miller's backward recurrence beyond, and for the
+J_0 inverse plain Newton steps from the small-argument estimate
+x = 2 sqrt(1 - y), which lies below the root.  Masks drop an element
+from the work once it has converged, so it stops taking series terms
+or Newton steps exactly where the scalar loop would stop: every element
+gets the bits of a one-point call.  Accuracy is well below 1e-10
+absolute over the supported range (order <= 64, |x| <= 50); a handful
+of Newton steps reach the rounding floor.
 
 The band-structure solver diagonalizes the lattice Hamiltonian in a
 plane-wave basis and is used to convert a lattice depth into a tunneling
@@ -34,74 +40,116 @@ RB87_MASS_U = 86.909180527  # atomic mass units
 MAX_ORDER = 64
 MAX_ARGUMENT = 50.0
 _SERIES_SWITCH = 12.0  # ascending series below, Miller recurrence above
+_SERIES_TERMS = 200  # the series stalls if term 199 has not converged
 _NEWTON_STEPS = 30  # bessel_j0_inverse takes at most 5 steps on (0, 1]
 _EPS = math.ulp(1.0)  # machine epsilon
 
 
-def _bessel_series(n: int, x: float) -> float:
-    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), term-ratio recursion
+def _require(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise DomainError naming the first of values where bad holds."""
+    if bad.any():
+        raise DomainError(f"{message}, got {float(values.flat[bad.argmax()])}")
+
+
+def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
+    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 12]: the
+    # term ratios of a block of k are multiplied and summed as running
+    # products and sums, and each element keeps the sum at its own first
+    # term below 1e-17 of the total, where a term-by-term loop stops.
+    # About 2 x + 10 terms reach that at order 0 (fewer at higher orders),
+    # so one block nearly always does.
     h = 0.5 * x
-    term = 1.0
+    term = np.ones(h.shape)
     for k in range(1, n + 1):
         term *= h / k
-        if term == 0.0:
-            return 0.0
     total = term
     hh = h * h
-    for k in range(1, 200):
-        term *= -hh / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            return total
-    raise ConvergenceError(f"Bessel series stalled at order {n}, x = {x}")
+    out = np.empty(h.shape)
+    rows = np.arange(h.size)
+    block = int(2.0 * x.max(initial=0.0)) + 10
+    for first in range(1, _SERIES_TERMS, block):
+        k = np.arange(first, min(first + block, _SERIES_TERMS), dtype=float)
+        chain = np.empty((rows.size, k.size + 1))
+        chain[:, 0] = term
+        np.divide(-hh[:, None], k * (n + k), out=chain[:, 1:])
+        terms = np.multiply.accumulate(chain, axis=1)[:, 1:]
+        chain[:, 0] = total
+        chain[:, 1:] = terms
+        totals = np.add.accumulate(chain, axis=1)[:, 1:]
+        done = np.abs(terms) <= 1e-17 * np.abs(totals) + 1e-300
+        stop = done.argmax(axis=1)
+        ends = totals[np.arange(rows.size), stop]
+        hit = done[np.arange(rows.size), stop]
+        if hit.all():
+            out[rows] = ends
+            return out
+        out[rows[hit]] = ends[hit]
+        miss = ~hit
+        rows, hh = rows[miss], hh[miss]
+        term, total = terms[miss, -1], totals[miss, -1]
+    raise ConvergenceError(f"Bessel series stalled at order {n}, x = {x[rows[0]]}")
 
 
-def _bessel_miller(n: int, x: float) -> float:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, normalized with
-    # J_0 + 2 sum_k J_{2k} = 1.  Start well above both order and argument.
-    m = (max(n, int(x)) + 44) // 2 * 2
-    jp, j = 0.0, 1e-30
-    norm = 0.0
-    result = 0.0
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp, j = j, jm
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
+def _bessel_miller(n: int, x: np.ndarray) -> np.ndarray:
+    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} at each x > 12,
+    # normalized with J_0 + 2 sum_k J_{2k} = 1, started at
+    # k = m = (max(n, int(x)) + 44) // 2 * 2, well above order and
+    # argument.  Sorted by m, the elements already started at k are a
+    # trailing slice.  From 1e-30 the recurrence stays below 1e61 over the
+    # whole supported range, so it never needs rescaling.
+    m = (np.maximum(n, x.astype(int)) + 44) // 2 * 2
+    perm = np.argsort(m, kind="stable")
+    x, m = x[perm], m[perm]
+    ks = np.arange(m[-1], 0, -1)
+    starts = np.searchsorted(m, ks).tolist()
+    ratios = (2.0 * ks)[:, None] / x  # 2k / x, one row per k
+    jp, j = np.empty_like(x), np.empty_like(x)
+    norm = np.zeros_like(x)
+    begun = x.size
+    for k, s, ratio in zip(ks.tolist(), starts, ratios):
+        if s < begun:  # elements whose m is k start here
+            jp[s:begun], j[s:begun] = 0.0, 1e-30
+            begun = s
+        # J_{k-1} overwrites J_{k+1}, then the names swap
+        np.subtract(ratio[s:] * j[s:], jp[s:], out=jp[s:])
+        jp, j = j, jp
         if k - 1 == n:
-            result = j
+            result = j.copy()  # every element starts above n + 1
         if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * j
+            norm[s:] += 2.0 * j[s:]
     norm += j
-    return result / norm
+    out = np.empty_like(x)
+    out[perm] = result / norm
+    return out
 
 
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x).
+def bessel_j(order: int, x):
+    """Bessel function of the first kind J_order(x), elementwise over x.
 
-    Supports integer orders 0..64 and |x| <= 50 with absolute error
-    below 1e-10 (in practice close to machine precision).
+    x is a float (a float is returned) or an array (an array of its
+    shape is returned).  Supports integer orders 0..64 and |x| <= 50
+    with absolute error below 1e-10 (in practice close to machine
+    precision); an element outside raises DomainError naming it.
     """
     if not isinstance(order, (int, np.integer)):
         raise DomainError(f"order must be an integer, got {order!r}")
     if order < 0 or order > MAX_ORDER:
         raise DomainError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    if not math.isfinite(x) or abs(x) > MAX_ARGUMENT:
-        raise DomainError(f"|x| must be <= {MAX_ARGUMENT}, got {x}")
     n = int(order)
-    ax = abs(x)
-    if ax == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if ax <= _SERIES_SWITCH:
+    xa = np.asarray(x, dtype=float)
+    flat = xa.reshape(-1)
+    ax = np.abs(flat)
+    _require(~(ax <= MAX_ARGUMENT), flat, f"|x| must be <= {MAX_ARGUMENT}")
+    miller = ax > _SERIES_SWITCH
+    if miller.any():
+        val = np.empty(ax.shape)
+        val[~miller] = _bessel_series(n, ax[~miller])
+        val[miller] = _bessel_miller(n, ax[miller])
+    else:  # the series gives J_n(0) = 1 or 0 exactly
         val = _bessel_series(n, ax)
-    else:
-        val = _bessel_miller(n, ax)
-    if x < 0.0 and n % 2 == 1:
-        val = -val
-    return val
+    if n % 2 == 1:
+        np.negative(val, out=val, where=flat < 0.0)
+    return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 
 
 @lru_cache(maxsize=1)
@@ -118,34 +166,51 @@ def j0_first_zero() -> float:
     return x
 
 
-def bessel_j0_inverse(y: float) -> float:
-    """Inverse of J_0 on its first monotone branch.
+def bessel_j0_inverse(y):
+    """Inverse of J_0 on its first monotone branch, elementwise over y.
 
     Returns the unique x in [0, first zero] with J_0(x) = y, for
-    y in (0, 1].  Values outside that interval raise DomainError.
-    Newton's method starts from x = min(2 sqrt(1 - y), first zero),
-    below the root since J_0(x) >= 1 - x^2/4, and stops once the step
-    falls below 1e-15 x or |J_0(x) - y| is within one machine epsilon
-    (where J_0 is flat the step stalls at the rounding floor of y).
-    Raises ConvergenceError when neither happens in _NEWTON_STEPS steps.
+    y in (0, 1]: a float for a float y, an array of y's shape for an
+    array.  An element outside that interval raises DomainError naming
+    it.  Newton's method starts from x = min(2 sqrt(1 - y), first zero),
+    below the root since J_0(x) >= 1 - x^2/4; an element stops once its
+    step falls below 1e-15 x or |J_0(x) - y| is within one machine
+    epsilon (where J_0 is flat the step stalls at the rounding floor of
+    y).  Raises ConvergenceError, naming the first such y, when an
+    element does neither in _NEWTON_STEPS steps.
     """
-    if not (0.0 < y <= 1.0):
-        raise DomainError(f"bessel_j0_inverse needs y in (0, 1], got {y}")
+    ya = np.asarray(y, dtype=float)
+    flat = ya.reshape(-1)
+    _require(~((flat > 0.0) & (flat <= 1.0)), flat, "bessel_j0_inverse needs y in (0, 1]")
     zero = j0_first_zero()
-    x = min(2.0 * math.sqrt(1.0 - y), zero)
+    x = np.minimum(2.0 * np.sqrt(1.0 - flat), zero)
+    if x.size == 0:
+        return x.reshape(ya.shape)
+    # the unconverged elements, compacted: their index, x and y
+    idx, xl, yl = np.arange(x.size), x, flat
     for _ in range(_NEWTON_STEPS):
-        residual = bessel_j(0, x) - y
-        if abs(residual) <= _EPS:
-            break
-        step = residual / bessel_j(1, x)  # J_0' = -J_1
-        x += step
-        if abs(step) < 1e-15 * x:
-            break
+        residual = bessel_j(0, xl) - yl
+        moving = ~(np.abs(residual) <= _EPS)
+        if not moving.all():
+            x[idx] = xl
+            idx, xl, yl, residual = idx[moving], xl[moving], yl[moving], residual[moving]
+            if idx.size == 0:
+                break
+        step = residual / bessel_j(1, xl)  # J_0' = -J_1
+        xl = xl + step
+        moving = ~(np.abs(step) < 1e-15 * xl)
+        if not moving.all():
+            x[idx] = xl
+            idx, xl, yl = idx[moving], xl[moving], yl[moving]
+            if idx.size == 0:
+                break
     else:
         raise ConvergenceError(
-            f"bessel_j0_inverse({y}) not converged in {_NEWTON_STEPS} Newton steps"
+            f"bessel_j0_inverse({yl[0]}) not converged in "
+            f"{_NEWTON_STEPS} Newton steps"
         )
-    return min(max(x, 0.0), zero)
+    x = np.minimum(np.maximum(x, 0.0), zero)
+    return float(x[0]) if ya.ndim == 0 else x.reshape(ya.shape)
 
 
 def recoil_frequency_hz(wavelength_m: float, mass_kg: float) -> float:

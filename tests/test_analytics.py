@@ -7,6 +7,7 @@ internals) so the two computations share no code.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_most_unstable_mode_against_shell_scan():
 def test_most_unstable_mode_guards():
     p = lat()
     zero = j0_first_zero()
-    an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 1.0, p)  # cached k0 terms first
+    an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 1.0, p)  # a valid point first
     for bad in (-0.1, zero, zero + 0.2, 2.404826):
         with pytest.raises(InvertedBandError):
             an.most_unstable_mode(Trajectory.LINEAR_X, bad, 1.0, p)
@@ -273,7 +274,7 @@ def test_most_unstable_mode_guards():
         an.cusp_frequency(Trajectory.DIAGONAL, zero + 0.1, p)
 
 
-# ------------------------------------------------------- k0-term cache
+# ------------------------------------------------------- cusp in results
 
 
 def test_instability_result_carries_the_cusp():
@@ -283,14 +284,15 @@ def test_instability_result_carries_the_cusp():
             assert res.cusp == an.cusp_frequency(traj, 1.1, lat())
 
 
-def test_k0_terms_cache_keys_on_lattice():
+def test_instability_cusp_keys_on_lattice():
     weak, strong = lat(g=1.0), lat(g=3.0)  # differ only in g
-    terms_weak = an._k0_terms(Trajectory.LINEAR_X, 1.1, weak)
-    terms_strong = an._k0_terms(Trajectory.LINEAR_X, 1.1, strong)
-    assert terms_weak[2] != terms_strong[2]
-    assert terms_weak[2] == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, weak)
-    assert terms_strong[2] == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, strong)
-    assert terms_weak[:2] == (bessel_j(0, 1.1), abs(bessel_j(2, 1.1)))
+    res_weak = an.most_unstable_mode(Trajectory.LINEAR_X, 1.1, 40.0, weak)
+    res_strong = an.most_unstable_mode(Trajectory.LINEAR_X, 1.1, 40.0, strong)
+    assert res_weak.cusp != res_strong.cusp
+    assert res_weak.cusp == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, weak)
+    assert res_strong.cusp == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, strong)
+    want = 4.0 * weak.j * abs(bessel_j(2, 1.1)) * weak.g / 40.0
+    assert res_weak.gamma == want
 
 
 def test_effective_hopping():
@@ -376,3 +378,108 @@ def test_stable_condensate_momentum():
         )
     with pytest.raises(DomainError):
         an.stable_condensate_momentum(Trajectory.LINEAR_X, -0.2)
+
+
+# ------------------------------------------------------- array evaluation
+#
+# _loop_mode is the scalar formula chain the array code replaced: Python
+# floats and libm (math.asin, float **), so every element of a scan must
+# match it bit for bit.
+
+
+def _loop_mode(traj, k0, omega, p):
+    b0, b2 = bessel_j(0, k0), abs(bessel_j(2, k0))
+    cusp = an.cusp_frequency(traj, k0, p)
+    c = 8.0 if traj is Trajectory.DIAGONAL else 4.0
+    if omega >= cusp.omega_c:
+        gamma = c * p.j * b2 * p.g / omega
+        qx = math.pi
+    else:
+        eps_res = math.sqrt(p.g**2 + omega**2) - p.g
+        qx = 2.0 * math.asin(min(math.sqrt(eps_res / (c * p.j * b0)), 1.0))
+        gamma = eps_res * (b2 / b0) * (p.g / omega)
+    qy = qx if traj is Trajectory.DIAGONAL else 0.0
+    n_pairs = 1 if traj is Trajectory.LINEAR_X else 2
+    return (omega >= cusp.omega_c, qx, qy, gamma, 2.0 * gamma * n_pairs + p.gamma0,
+            cusp.omega_c, cusp.bandwidth, cusp.equals_bandwidth)
+
+
+FIELDS = ("high_freq", "qx", "qy", "gamma", "big_gamma", "omega_c", "bandwidth",
+          "cusp_at_bandwidth")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("traj", list(Trajectory))
+def test_omega_scan_bit_identical_to_scalar_formulas(traj):
+    omegas = np.geomspace(0.5 * REF.g / 7.0, 40.0 * REF.g, 600)
+    scan = an.ClosedFormScan(omegas, REF, REF_K0).modes(traj)
+    assert scan.n_pairs == (1 if traj is Trajectory.LINEAR_X else 2)
+    assert not scan.inverted.any()
+    assert scan.high_freq.any() and not scan.high_freq.all()  # crosses the cusp
+    want = np.array([_loop_mode(traj, REF_K0, float(w), REF) for w in omegas])
+    for i, name in enumerate(FIELDS):
+        assert np.array_equal(_bits(getattr(scan, name)), _bits(want[:, i])), name
+
+
+def test_k0_scan_marks_the_inverted_band():
+    zero = j0_first_zero()
+    k0s = np.concatenate([np.linspace(0.0, 2.4, 97), [zero, 2.5, 10.0, 50.0, 60.0]])
+    omega = TWO_PI * 500.0
+    for traj in Trajectory:
+        scan = an.ClosedFormScan(omega, REF, k0s).modes(traj)
+        ok = k0s < zero
+        assert np.array_equal(scan.inverted, ~ok)
+        for name in FIELDS:
+            values = getattr(scan, name)
+            if values.dtype == bool:
+                assert not values[~ok].any()
+            else:
+                assert np.isnan(values[~ok]).all()
+        want = np.array([_loop_mode(traj, float(k), omega, REF) for k in k0s[ok]])
+        for i, name in enumerate(FIELDS):
+            assert np.array_equal(_bits(getattr(scan, name)[ok]), _bits(want[:, i]))
+
+
+def test_scan_broadcasts_and_one_point_matches():
+    k0s = np.linspace(0.1, 2.3, 7)[:, None]
+    omegas = np.geomspace(1.0, 300.0, 11)
+    p = lat(j=1.0, g=8.0, gamma0=0.25)
+    table = an.ClosedFormScan(omegas, p, k0s)
+    assert table.k0_critical.shape == omegas.shape
+    for traj in Trajectory:
+        scan = table.modes(traj)
+        assert scan.gamma.shape == (7, 11)
+        for (i, j) in [(0, 0), (3, 5), (6, 10), (2, 9)]:
+            res = an.most_unstable_mode(traj, float(k0s[i, 0]), float(omegas[j]), p)
+            assert res.gamma == scan.gamma[i, j]
+            assert res.big_gamma == scan.big_gamma[i, j]
+            assert res.q_mum[0] == Momentum(scan.qx[i, j], scan.qy[i, j])
+            assert res.regime is (Regime.HIGH_FREQ if scan.high_freq[i, j]
+                                  else Regime.LOW_FREQ)
+
+
+def test_scan_threshold_matches_one_point_calls():
+    p = lat(j=1.0, g=3.0)
+    omegas = np.array([0.5, 2.9, 3.0, 3.1, 10.0, 1e3, 1e9])
+    k0c = an.ClosedFormScan(omegas, p).k0_critical
+    for omega, value in zip(omegas, k0c):
+        if omega < p.g:
+            assert math.isnan(value)
+            with pytest.raises(NoCriticalAmplitudeError):
+                an.critical_drive_amplitude(float(omega), p)
+        else:
+            assert _bits(value) == _bits(an.critical_drive_amplitude(float(omega), p))
+    free = an.ClosedFormScan(omegas, lat(g=0.0)).k0_critical
+    assert (free == j0_first_zero()).all()
+
+
+@pytest.mark.parametrize("omega, k0, message", [
+    (np.array([1.0, 0.0, -1.0]), 1.0, "drive frequency must be positive, got 0.0"),
+    (2.0, np.array([0.5, -0.25, -1.0]), "drive amplitude must be >= 0, got -0.25"),
+])
+def test_scan_names_the_first_bad_input(omega, k0, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        an.ClosedFormScan(omega, lat(), k0)

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from shakenbec import twa
+from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
 from shakenbec.bdg import NORM_DRIFT_TOL
 from shakenbec.cli import main
 from shakenbec.config import (
@@ -25,9 +27,15 @@ from shakenbec.config import (
     scan_from_config,
     twa_from_config,
 )
-from shakenbec.errors import BlowUpError, ConfigError
+from shakenbec.errors import (
+    BlowUpError,
+    ConfigError,
+    InvertedBandError,
+    NoCriticalAmplitudeError,
+)
 from shakenbec.model import Trajectory
 from shakenbec.output import format_value, write_csv
+from shakenbec.specialmath import j0_first_zero
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -325,6 +333,35 @@ def test_write_csv_contract(tmp_path):
         write_csv(path, ["a", "b"], [[1]])
 
 
+def test_write_csv_mixed_types_exact_bytes(tmp_path):
+    path = tmp_path / "m.csv"
+    rows = [
+        [1.0, np.float64(0.1), None, True, np.True_, 7, "s", np.float32(0.1)],
+        (math.nan, -math.inf, -0.0, False, np.False_, np.int64(-3), "",
+         np.float64(1e-300)),
+        [np.float64(math.pi), 1e22, 123456789012345.0, None, None, 0, "x y",
+         np.float64(-math.nan)],
+        np.array([2.5, math.inf, -1.0, 0.0, 1e-7, 3.0, 4.0, 5.0]),
+    ]
+    assert write_csv(path, list("abcdefgh"), rows) == 4
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f,g,h\n"
+        b"1,0.1,,1,1,7,s,0.1\n"
+        b"nan,-inf,-0,0,0,-3,,1e-300\n"
+        b"3.14159265359,1e+22,1.23456789012e+14,,,0,x y,nan\n"
+        b"2.5,inf,-1,0,1e-07,3,4,5\n"
+    )
+    # one cell formats as write_csv formats it
+    for value in (*rows[0], *rows[1], *rows[2]):
+        assert format_value(value) == write_csv_cell(tmp_path, value)
+
+
+def write_csv_cell(tmp_path, value):
+    path = tmp_path / "one.csv"
+    write_csv(path, ["v"], [[value]])
+    return path.read_text(encoding="utf-8").split("\n")[1]
+
+
 # ------------------------------------------------------------- cli: rates
 
 
@@ -356,6 +393,119 @@ def test_cli_rates_outputs(tmp_path):
     diag = [r for r in rows if r["trajectory"] == "diagonal"][0]
     assert diag["cusp_at_bandwidth"] == "1"
     assert diag["n_pairs"] == "2"
+
+
+def _per_point_rates(cp, stride):
+    """rates.csv rows of every stride-th scan point, one scalar call per cell
+    group and format_value per cell, in the CLI's row order."""
+    p, drive = lattice_from_config(cp), drive_from_config(cp)
+    scan = scan_from_config(cp, allowed=("omega", "k0"))
+    for value in scan.values[::stride]:
+        d = dataclasses.replace(drive, **{scan.variable: float(value)})
+        try:
+            k0c = critical_drive_amplitude(d.omega, p)
+        except NoCriticalAmplitudeError:
+            k0c = None
+        for traj in Trajectory:
+            try:
+                res = most_unstable_mode(traj, d.k0, d.omega, p)
+                q, cusp = res.q_mum[0], res.cusp
+                row = [traj.value, d.k0, d.omega, d.omega / TWO_PI,
+                       res.regime.value, q.qx, q.qy, len(res.q_mum), res.gamma,
+                       res.big_gamma, cusp.omega_c, cusp.omega_c / TWO_PI,
+                       cusp.bandwidth, cusp.equals_bandwidth, k0c, 0]
+            except InvertedBandError:
+                row = [traj.value, d.k0, d.omega, d.omega / TWO_PI,
+                       *[None] * 10, k0c, 1]
+            yield ",".join(format_value(v) for v in row)
+
+
+K0_VALUES = [0.0, 0.5, 2.4, 2.4048255576957724, 2.41, 10.0, 50.0, 50.5, 60.0]
+K0_ACROSS_ZERO = BASE + (
+    "\n[scan]\nvariable = k0\nvalues = " + ", ".join(map(repr, K0_VALUES)) + "\n"
+)
+
+
+@pytest.mark.parametrize("source, stride", [
+    ("rates-scan", 20), ("paper-11er", 1), ("k0-across-zero", 1),
+])
+def test_cli_rates_matches_per_point_calls(tmp_path, source, stride):
+    # the array path writes, byte for byte, what one scalar call per
+    # point formats (rates-scan: every 20th of its 6000 points)
+    if source == "paper-11er":
+        args, cp = ["--preset", source], load_config(preset=source)
+    else:
+        cfg = (str(ROOT / "perfbench" / "workloads" / "rates-scan.cfg")
+               if source == "rates-scan" else write_cfg(tmp_path, K0_ACROSS_ZERO))
+        args, cp = ["--config", cfg], load_config(cfg)
+    out = tmp_path / "o"
+    assert main(["rates", *args, "--out", str(out)]) == 0
+    lines = (out / "rates.csv").read_text(encoding="utf-8").splitlines()[1:]
+    n_traj = len(Trajectory)
+    assert len(lines) == n_traj * scan_from_config(cp, ("omega", "k0")).values.size
+    picked = [line for i, line in enumerate(lines) if (i // n_traj) % stride == 0]
+    assert picked == list(_per_point_rates(cp, stride))
+
+
+def test_cli_k0c_matches_per_point_calls(tmp_path):
+    out = tmp_path / "o"
+    assert main(["k0c", "--preset", "paper-11er", "--out", str(out)]) == 0
+    cp = load_config(preset="paper-11er")
+    p = lattice_from_config(cp)
+    want = []
+    for omega in scan_from_config(cp, ("omega",)).values.tolist():
+        try:
+            k0c, none = critical_drive_amplitude(omega, p), 0
+        except NoCriticalAmplitudeError:
+            k0c, none = None, 1
+        row = [omega, omega / TWO_PI, p.g / omega, k0c, j0_first_zero(), none]
+        want.append(",".join(format_value(v) for v in row))
+    assert (out / "k0c.csv").read_text(encoding="utf-8").splitlines()[1:] == want
+
+
+def test_cli_rates_k0_scan_past_the_first_zero(tmp_path):
+    cfg = write_cfg(tmp_path, K0_ACROSS_ZERO)
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "rates.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9 * 3
+    mode_cells = ["regime", "qx_mum", "qy_mum", "n_pairs", "gamma_rad_s",
+                  "big_gamma_rad_s", "omega_c_rad_s", "omega_c_hz",
+                  "bandwidth_rad_s", "cusp_at_bandwidth"]
+    for i, row in enumerate(rows):
+        inverted = K0_VALUES[i // 3] >= j0_first_zero()
+        assert row["inverted_band"] == ("1" if inverted else "0")
+        assert all((row[c] == "") == inverted for c in mode_cells), row
+        assert row["k0_critical"] == ""  # g = 12 > omega = 9: no threshold
+    assert sum(r["inverted_band"] == "1" for r in rows) >= 3 * 5  # 2.41 and up
+
+
+def test_cli_rates_omega_scan_across_g_leaves_k0c_empty(tmp_path):
+    # g = 12: below it there is no critical amplitude, and the cell is
+    # empty, never "nan"
+    body = BASE + "\n[scan]\nvariable = omega\nvalues = 3, 11.9, 12, 12.1, 40\n"
+    out = tmp_path / "o"
+    assert main(["rates", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    text = (out / "rates.csv").read_text(encoding="utf-8")
+    assert "nan" not in text
+    rows = list(csv.DictReader(text.splitlines()))
+    for row in rows:
+        assert (row["k0_critical"] == "") == (float(row["omega_rad_s"]) < 12.0)
+    assert rows[6]["k0_critical"] == "0"  # omega = g: J0(k0c) = 1
+
+
+@pytest.mark.parametrize("variable, values, message", [
+    ("omega", "-3, 6, 9", "drive frequency must be positive, got -3.0"),
+    ("omega", "9, 6, 0, -1", "drive frequency must be positive, got 0.0"),
+    ("k0", "-0.5, 0.5, 1.0", "drive amplitude must be >= 0, got -0.5"),
+])
+def test_cli_rates_bad_scan_value_exits_2(tmp_path, capsys, variable, values, message):
+    body = BASE + f"\n[scan]\nvariable = {variable}\nvalues = {values}\n"
+    out = tmp_path / "o"
+    assert main(["rates", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"shakenbec: invalid parameter: {message}\n"
+    assert not (out / "rates.csv").exists()
 
 
 def test_cli_manifest_and_reproducibility(tmp_path):

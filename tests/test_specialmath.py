@@ -1,6 +1,7 @@
 """Bessel evaluations and lattice band structure against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,18 +117,21 @@ def test_j0_inverse_roundtrip_and_frozen():
     assert bessel_j0_inverse(1.0) == 0.0
 
 
+ORACLE_YS = np.concatenate([
+    np.linspace(1e-6, 1.0, 20001),
+    1.0 - np.logspace(-16, -1, 300),
+    np.logspace(-300, -1, 300),
+    [1e-300, 1e-12, 1.0 - 1e-12, 1.0],
+])
+
+
 def test_j0_inverse_against_scipy_oracle():
+    # one array call; every element meets the bound on its own
     zero = j0_first_zero()
-    ys = np.concatenate([
-        np.linspace(1e-6, 1.0, 20001),
-        1.0 - np.logspace(-16, -1, 300),
-        np.logspace(-300, -1, 300),
-        [1e-300, 1e-12, 1.0 - 1e-12, 1.0],
-    ])
-    for y in ys:
-        x = bessel_j0_inverse(float(y))
-        assert 0.0 <= x <= zero
-        assert abs(scipy.special.j0(x) - y) <= 1e-15, (y, x)
+    xs = bessel_j0_inverse(ORACLE_YS)
+    assert np.all((0.0 <= xs) & (xs <= zero))
+    err = np.abs(scipy.special.j0(xs) - ORACLE_YS)
+    assert np.all(err <= 1e-15), (ORACLE_YS[err.argmax()], xs[err.argmax()])
 
 
 def test_j0_inverse_raises_when_newton_stalls(monkeypatch):
@@ -232,3 +236,138 @@ def test_band_monotone_in_q():
     qs = np.linspace(0.0, math.pi, 21)
     es = [band_energy(prob, float(q)) for q in qs]
     assert all(b > a for a, b in zip(es, es[1:]))
+
+
+# --------------------------------------- array kernels vs the scalar loops
+#
+# The loops below are the term-by-term scalar code that the masked array
+# kernels replaced, kept as the bit-level reference: every element of an
+# array call must reproduce them exactly.
+
+
+def _loop_series(n, x):
+    h = 0.5 * x
+    term = 1.0
+    for k in range(1, n + 1):
+        term *= h / k
+        if term == 0.0:
+            return 0.0
+    total = term
+    hh = h * h
+    for k in range(1, 200):
+        term *= -hh / (k * (n + k))
+        total += term
+        if abs(term) <= 1e-17 * abs(total) + 1e-300:
+            return total
+    raise AssertionError("reference series stalled")
+
+
+def _loop_miller(n, x):
+    m = (max(n, int(x)) + 44) // 2 * 2
+    jp, j = 0.0, 1e-30
+    norm = 0.0
+    result = 0.0
+    for k in range(m, 0, -1):
+        jm = (2.0 * k / x) * j - jp
+        jp, j = j, jm
+        if abs(j) > 1e250:
+            j *= 1e-250
+            jp *= 1e-250
+            norm *= 1e-250
+            result *= 1e-250
+        if k - 1 == n:
+            result = j
+        if (k - 1) % 2 == 0 and k - 1 > 0:
+            norm += 2.0 * j
+    norm += j
+    return result / norm
+
+
+def _loop_bessel(n, x):
+    ax = abs(x)
+    if ax == 0.0:
+        return 1.0 if n == 0 else 0.0
+    val = _loop_series(n, ax) if ax <= 12.0 else _loop_miller(n, ax)
+    return -val if x < 0.0 and n % 2 == 1 else val
+
+
+def _loop_j0_inverse(y):
+    zero = j0_first_zero()
+    x = min(2.0 * math.sqrt(1.0 - y), zero)
+    for _ in range(30):
+        residual = _loop_bessel(0, x) - y
+        if abs(residual) <= math.ulp(1.0):
+            break
+        step = residual / _loop_bessel(1, x)
+        x += step
+        if abs(step) < 1e-15 * x:
+            break
+    else:
+        raise AssertionError("reference Newton stalled")
+    return min(max(x, 0.0), zero)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+SWITCH = 12.0
+BESSEL_XS = np.concatenate([
+    np.linspace(-MAX_ARGUMENT, MAX_ARGUMENT, 401),
+    np.random.default_rng(5).uniform(-13.0, 13.0, 100),
+    [0.0, -0.0, 5e-324, 1e-300, -1e-12, SWITCH, -SWITCH,
+     np.nextafter(SWITCH, 0.0), np.nextafter(SWITCH, 20.0),
+     -np.nextafter(SWITCH, 20.0), MAX_ARGUMENT, -MAX_ARGUMENT],
+])
+
+
+@pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+def test_array_bessel_bit_identical_to_scalar_loop(n):
+    want = [_loop_bessel(n, float(x)) for x in BESSEL_XS]
+    got = bessel_j(n, BESSEL_XS)
+    assert got.shape == BESSEL_XS.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    if n % 2 == 1:  # odd orders are odd in x
+        neg = BESSEL_XS < 0.0
+        assert np.array_equal(got[neg], -bessel_j(n, -BESSEL_XS[neg]))
+
+
+def test_array_bessel_keeps_shape_and_one_point_agrees():
+    grid = BESSEL_XS[:400].reshape(10, 40)
+    for n in (0, 1, 2, 7, 64):
+        got = bessel_j(n, grid)
+        assert got.shape == grid.shape
+        for x, value in zip(grid.ravel()[::37], got.ravel()[::37]):
+            one = bessel_j(n, float(x))
+            assert isinstance(one, float) and _bits(one) == _bits(value)
+    assert bessel_j(3, np.array([])).shape == (0,)
+
+
+def test_array_j0_inverse_bit_identical_to_scalar_loop():
+    want = [_loop_j0_inverse(float(y)) for y in ORACLE_YS]
+    got = bessel_j0_inverse(ORACLE_YS)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert bessel_j0_inverse(np.array([])).shape == (0,)
+    for y in (1.0, 1e-300, 1.0 - 1e-12, 0.28):
+        one = bessel_j0_inverse(y)
+        assert isinstance(one, float) and _bits(one) == _bits(_loop_j0_inverse(y))
+    # a one-point call is the same array code
+    picks = ORACLE_YS[::997]
+    assert np.array_equal(
+        _bits([bessel_j0_inverse(float(y)) for y in picks]),
+        _bits(bessel_j0_inverse(picks)),
+    )
+
+
+@pytest.mark.parametrize("bad", [MAX_ARGUMENT + 1.0, -51.5, math.nan, math.inf])
+def test_array_bessel_names_the_bad_element(bad):
+    xs = np.array([0.5, 20.0, bad, 3.0])
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        bessel_j(2, xs)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, -0.25, math.nan])
+def test_array_j0_inverse_names_the_bad_element(bad):
+    ys = np.array([0.3, 0.9, bad, 0.5])
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        bessel_j0_inverse(ys)
