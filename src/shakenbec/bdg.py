@@ -12,7 +12,19 @@ over modes, and propagates (u, v) stroboscopically, one map product per
 period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
 constant drive reuses one map; an envelope needs one per period, and
 the RK4 step holding an abrupt stop is split at the cut, which keeps
-the scheme fourth order across the kink in the drive.  The drive is
+the scheme fourth order across the kink in the drive.
+
+Two exact symmetries save work.  The conjugation (u, v) -> (v*, u*)
+carries the equations of q onto those with eps(q) and eps(-q)
+swapped, which are the equations of -q.  At constant amplitude the
+drive obeys A(t + T/2) = -A(t), which makes the same swap, so a period
+map is sigma_x N* sigma_x N with N the map over the first half period,
+from any start time: a constant drive with an even steps_per_period
+integrates only half a period (an envelope, an abrupt stop or an odd
+step count takes the full-period loop).  And at every instant the map
+of -q is sigma_x M(q)* sigma_x, so q and -q share |v|^2: a grid scan,
+envelopes included, integrates one mode of each pair and copies its
+occupations to the partner, so their rates tie exactly.  The drive is
 evaluated at absolute time, so a restarted state continues its
 protocol.  The guards run on the propagated state every period: the
 amplitudes must stay finite and below OCCUPATION_CEILING, and the exact
@@ -28,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +131,7 @@ class GridScanResult:
     times: np.ndarray
     occupation_sum: np.ndarray  # sum_q |v_q|^2 / volume at each boundary
     norm_drift: float
+    mode_steps: int  # RK4 steps actually integrated, summed over modes
     occupations: np.ndarray | None = None  # [n_samples, nx, ny, nz] if kept
 
 
@@ -136,6 +150,16 @@ def _batch_rhs(u, v, ep, em, g):
     return du, dv
 
 
+class _BatchRun(NamedTuple):
+    times: np.ndarray
+    occupations: np.ndarray  # [n_cycles + 1, n_modes]
+    u: np.ndarray
+    v: np.ndarray
+    norm_drift: float
+    norm_drift_abs: float
+    mode_steps: int  # RK4 steps integrated, summed over modes
+
+
 def _evolve_batch(
     qx: np.ndarray,
     qy: np.ndarray,
@@ -146,11 +170,8 @@ def _evolve_batch(
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Evolve many modes from time t0; returns times, |v|^2 samples, u, v, drift.
-
-    The occupied-band sample array has shape [n_cycles + 1, n_modes].
-    """
+) -> _BatchRun:
+    """Evolve many modes from time t0, sampling |v|^2 at every period."""
     ez = axis_energies(qx, qy, qz, p)[2]
     sqx, cqx = np.sin(0.5 * qx), np.cos(0.5 * qx)
     sqy, cqy = np.sin(0.5 * qy), np.cos(0.5 * qy)
@@ -160,18 +181,26 @@ def _evolve_batch(
     period = drive.period
     n_steps = cfg.steps_per_period
     dt = period / n_steps
+    # A(t + T/2) = -A(t) makes the second half period's map sigma_x N* sigma_x
+    # (module docstring); an envelope breaks that symmetry, and an odd step
+    # count puts no step boundary at T/2
+    half_period = drive.envelope is None and n_steps % 2 == 0
+    map_steps = n_steps // 2 if half_period else n_steps
+    rk4_steps = 0
 
     def period_map(t_start: float) -> np.ndarray:
         """m[i, j, mode]: one period from t_start takes (u, v) to m @ (u, v)."""
-        # the drive at each of the 2 * n_steps + 1 half-step times, once;
+        nonlocal rk4_steps
+        # the drive at each of the 2 * map_steps + 1 half-step times, once;
         # an abrupt stop strictly inside step `cut` splits that step at
         # the cut, whose kink would otherwise cost the scheme its order
-        times = [t_start + 0.5 * dt * k for k in range(2 * n_steps + 1)]
+        times = [t_start + 0.5 * dt * k for k in range(2 * map_steps + 1)]
         ts = drive.stop_time()
         cut = math.floor((ts - t_start) / dt) if ts is not None else -1
-        if 0 <= cut < n_steps and times[2 * cut] < ts < times[2 * cut + 2]:
+        if 0 <= cut < map_steps and times[2 * cut] < ts < times[2 * cut + 2]:
             h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
             times += [ts - 0.5 * h1, ts, ts + 0.5 * h2]
+            rk4_steps += 1
         else:
             cut = -1
         shifts = np.array([drive_shift(t, drive) for t in times])
@@ -195,15 +224,20 @@ def _evolve_batch(
         # row j of (u, v) is the solution starting from column j of the identity
         u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, qx.size))
         e4 = eps_pair(0)
-        for step in range(n_steps):
+        for step in range(map_steps):
             e1, e4 = e4, eps_pair(2 * step + 2)
             if step == cut:
-                e_cut = eps_pair(2 * n_steps + 2)
-                u, v = rk4(u, v, h1, e1, eps_pair(2 * n_steps + 1), e_cut)
-                u, v = rk4(u, v, h2, e_cut, eps_pair(2 * n_steps + 3), e4)
+                e_cut = eps_pair(2 * map_steps + 2)
+                u, v = rk4(u, v, h1, e1, eps_pair(2 * map_steps + 1), e_cut)
+                u, v = rk4(u, v, h2, e_cut, eps_pair(2 * map_steps + 3), e4)
             else:
                 u, v = rk4(u, v, dt, e1, eps_pair(2 * step + 1), e4)
-        return np.stack((u, v))
+        rk4_steps += map_steps
+        m = np.stack((u, v))
+        if not half_period:
+            return m
+        s = m[::-1, ::-1].conj()  # sigma_x N* sigma_x
+        return s[:, :1] * m[:1] + s[:, 1:] * m[1:]
 
     u = u0.astype(np.complex128)
     v = v0.astype(np.complex128)
@@ -241,7 +275,7 @@ def _evolve_batch(
                 f"|u|^2 - |v|^2 drifted by {drift:.3e} (relative) after cycle "
                 f"{cycle + 1}; increase steps_per_period"
             )
-    return times, occ, u, v, drift, drift_abs
+    return _BatchRun(times, occ, u, v, drift, drift_abs, rk4_steps * qx.size)
 
 
 def evolve_modes(
@@ -265,19 +299,17 @@ def evolve_modes(
     qz = np.array([s.q.qz for s in states])
     u0 = np.array([s.u for s in states], dtype=np.complex128)
     v0 = np.array([s.v for s in states], dtype=np.complex128)
-    times, occ, u, v, drift, drift_abs = _evolve_batch(
-        qx, qy, qz, u0, v0, t0, drive, p, cfg
-    )
+    run = _evolve_batch(qx, qy, qz, u0, v0, t0, drive, p, cfg)
     finals = tuple(
-        ModePairState(q=s.q, u=complex(u[i]), v=complex(v[i]), t=times[-1])
+        ModePairState(q=s.q, u=complex(run.u[i]), v=complex(run.v[i]), t=run.times[-1])
         for i, s in enumerate(states)
     )
     return ModeBatchTrajectory(
-        times=times,
-        occupations=occ,
+        times=run.times,
+        occupations=run.occupations,
         final_states=finals,
-        norm_drift=drift,
-        norm_drift_abs=drift_abs,
+        norm_drift=run.norm_drift,
+        norm_drift_abs=run.norm_drift_abs,
     )
 
 
@@ -313,41 +345,45 @@ def grid_instability_scan(
     The grid is taken from cfg.  The condensate mode q = 0 is excluded
     (its linearization is singular); its entries in the rate and
     occupation arrays are zero.  Rate ties are broken towards
-    lexicographically smallest (qx, qy, qz).  The summed occupation
+    lexicographically smallest (qx, qy, qz); q and -q always tie, as
+    one mode of each pair is integrated and copied to the other (its
+    grid index is (-i) mod n on each axis).  The summed occupation
     divided by the grid volume is directly comparable to the excited
     density of a truncated-Wigner run on the same grid.
     """
     grid = cfg.momentum_grid
-    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*grid.mesh))
-    keep = ~((qx == 0.0) & (qy == 0.0) & (qz == 0.0))
-    qx, qy, qz = qx[keep], qy[keep], qz[keep]
-    _, u0, v0 = bogoliubov_transform(sum(axis_energies(qx, qy, qz, p)), p.g)
-    times, occ, _, _, drift, _ = _evolve_batch(
-        qx, qy, qz, u0, v0, 0.0, drive, p, cfg
-    )
-    rates_flat = occupation_rate(times, occ, cfg.fit_window_cycles)
-    best = rates_flat.max()
-    tie = np.flatnonzero(rates_flat == best)
-    order = np.lexsort((qz[tie], qy[tie], qx[tie]))
-    i_best = tie[order[0]]
-    q_max = Momentum(qx[i_best], qy[i_best], qz[i_best])
-
     shape = (grid.nx, grid.ny, grid.nz)
+    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*grid.mesh))
+    # each (q, -q) pair is integrated once, at its lower flat index
+    index = np.arange(grid.n_modes).reshape(shape)
+    rep = np.minimum(index, index[np.ix_(*(-np.arange(n) % n for n in shape))]).ravel()
+    own = np.flatnonzero(rep == index.ravel())  # own[0] = 0 is the condensate
+    slot = np.empty(grid.n_modes, dtype=int)
+    slot[own] = np.arange(-1, own.size - 1)
+    own, column = own[1:], slot[rep[1:]]  # column: each mode's place in own
+    _, u0, v0 = bogoliubov_transform(
+        sum(axis_energies(qx[own], qy[own], qz[own], p)), p.g
+    )
+    run = _evolve_batch(qx[own], qy[own], qz[own], u0, v0, 0.0, drive, p, cfg)
     rates = np.zeros(grid.n_modes)
-    rates[keep] = rates_flat
-    occ_sum = occ.sum(axis=1) / grid.volume
+    rates[1:] = occupation_rate(run.times, run.occupations, cfg.fit_window_cycles)[column]
+    best = rates[1:].max()
+    tie = 1 + np.flatnonzero(rates[1:] == best)
+    i_best = tie[np.lexsort((qz[tie], qy[tie], qx[tie]))[0]]
+
     occupations = None
     if keep_occupations:
-        occupations = np.zeros((times.size, grid.n_modes))
-        occupations[:, keep] = occ
-        occupations = occupations.reshape((times.size, *shape))
+        occupations = np.zeros((run.times.size, grid.n_modes))
+        occupations[:, 1:] = run.occupations[:, column]
+        occupations = occupations.reshape((run.times.size, *shape))
     return GridScanResult(
         grid=grid,
-        q_max=q_max,
+        q_max=Momentum(qx[i_best], qy[i_best], qz[i_best]),
         rate=float(best),
         rates=rates.reshape(shape),
-        times=times,
-        occupation_sum=occ_sum,
-        norm_drift=drift,
+        times=run.times,
+        occupation_sum=run.occupations[:, column].sum(axis=1) / grid.volume,
+        norm_drift=run.norm_drift,
+        mode_steps=run.mode_steps,
         occupations=occupations,
     )

@@ -184,6 +184,7 @@ def cmd_bdg(args) -> int:
         "qx_max", "qy_max", "qz_max", "norm_drift", "status",
     ]
     rows, drifts, failures = [], [], []
+    mode_steps = 0
     single = scan is None
     for variable, value in points:
         d = _drive_variant(drive, variable, value)
@@ -202,6 +203,7 @@ def cmd_bdg(args) -> int:
                 result.norm_drift, "ok",
             ])
             drifts.append(float(result.norm_drift))
+            mode_steps += result.mode_steps
         except NumericalError as exc:
             if single:
                 raise
@@ -214,6 +216,7 @@ def cmd_bdg(args) -> int:
     write_csv(outdir / "bdg.csv", header, rows)
     return _finish(args, cp, outdir, "bdg", ["bdg.csv"], {
         "norm_drift_max": max(drifts, default=None), "failed_points": failures,
+        "mode_steps": mode_steps,
     })
 
 

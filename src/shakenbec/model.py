@@ -272,10 +272,11 @@ def bogoliubov_transform(eps, g: float):
     (cosh theta, -sinh theta), cosh(2 theta) = (eps + g) / E: the
     positive-energy amplitudes in the convention where the anomalous
     coupling enters with +g.  Where eps <= 0 there is no Bogoliubov
-    mode; there E = 0 and (u, v) = (1, 0), bare vacuum.
+    mode; there E = 0 and (u, v) = (1, 0), bare vacuum.  A NaN eps gives
+    NaN for E, u and v.
     """
     eps = np.asarray(eps, dtype=float)
-    ok = eps > 0.0
+    ok = ~(eps <= 0.0)  # NaN takes the formula branch and stays NaN
     e = np.where(ok, eps, 1.0)
     energy = np.sqrt(e * (e + 2.0 * g))
     cosh2 = (e + g) / energy

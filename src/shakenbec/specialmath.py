@@ -6,7 +6,7 @@ dependency surface at numpy only.  `bessel_j` and `bessel_j0_inverse`
 take a float (and return a float) or an array of any shape (and return
 an array of that shape); a float is the one-point case of the array
 code.  Each element takes the path a scalar loop would: the ascending
-series at |x| <= 12, Miller's backward recurrence beyond, and for the
+series at |x| <= 8, Miller's backward recurrence beyond, and for the
 J_0 inverse plain Newton steps from the small-argument estimate
 x = 2 sqrt(1 - y), which lies below the root.  Masks drop an element
 from the work once it has converged, so it stops taking series terms
@@ -39,7 +39,9 @@ RB87_MASS_U = 86.909180527  # atomic mass units
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 50.0
-_SERIES_SWITCH = 12.0  # ascending series below, Miller recurrence above
+# ascending series below, Miller recurrence above; the series loses
+# digits to cancellation as |x| grows (1.7e-12 near 12), Miller does not
+_SERIES_SWITCH = 8.0
 _SERIES_TERMS = 200  # the series stalls if term 199 has not converged
 _NEWTON_STEPS = 30  # bessel_j0_inverse takes at most 5 steps on (0, 1]
 _EPS = math.ulp(1.0)  # machine epsilon
@@ -52,7 +54,7 @@ def _require(bad: np.ndarray, values: np.ndarray, message: str) -> None:
 
 
 def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
-    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 12]: the
+    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 8]: the
     # term ratios of a block of k are multiplied and summed as running
     # products and sums, and each element keeps the sum at its own first
     # term below 1e-17 of the total, where a term-by-term loop stops.
@@ -91,11 +93,11 @@ def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_miller(n: int, x: np.ndarray) -> np.ndarray:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} at each x > 12,
+    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} at each x > 8,
     # normalized with J_0 + 2 sum_k J_{2k} = 1, started at
     # k = m = (max(n, int(x)) + 44) // 2 * 2, well above order and
     # argument.  Sorted by m, the elements already started at k are a
-    # trailing slice.  From 1e-30 the recurrence stays below 1e61 over the
+    # trailing slice.  From 1e-30 the recurrence stays below 1e79 over the
     # whole supported range, so it never needs rescaling.
     m = (np.maximum(n, x.astype(int)) + 44) // 2 * 2
     perm = np.argsort(m, kind="stable")

@@ -189,6 +189,108 @@ def test_period_map_is_symplectic():
     assert m[1, 0] != 0.0  # the drive mixes u and v
 
 
+def _engine_maps(qs, drive, c, t0, p=P):
+    """m[mode] = the engine's map over one period from t0, column by column."""
+    columns = [
+        evolve_modes(
+            [ModePairState(q=q, u=u0, v=1.0 - u0, t=t0) for q in qs],
+            drive, p, dataclasses.replace(c, n_cycles=1, fit_window_cycles=1),
+        ).final_states
+        for u0 in (1.0, 0.0)
+    ]
+    return np.array([[[a.u, b.u], [a.v, b.v]] for a, b in zip(*columns)])
+
+
+def _reference_full_period_maps(qs, drive, n_steps, t0):
+    """m[mode] from n_steps classical RK4 steps over the whole period."""
+    dt = drive.period / n_steps
+
+    def rhs_matrix(t):
+        return -1j * np.array([
+            [[dispersion(q, t, drive, P) + P.g, P.g],
+             [-P.g, -dispersion(-q, t, drive, P) - P.g]]
+            for q in qs
+        ])
+
+    m = np.broadcast_to(np.eye(2, dtype=complex), (len(qs), 2, 2))
+    a4 = rhs_matrix(t0)
+    for k in range(n_steps):
+        a1, a2, a4 = a4, rhs_matrix(t0 + (k + 0.5) * dt), rhs_matrix(t0 + (k + 1) * dt)
+        k1 = a1 @ m
+        k2 = a2 @ (m + 0.5 * dt * k1)
+        k3 = a2 @ (m + 0.5 * dt * k2)
+        k4 = a4 @ (m + dt * k3)
+        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return m
+
+
+@pytest.mark.parametrize("trajectory", list(Trajectory))
+def test_half_period_map_equals_full_period_rk4(trajectory):
+    # a constant drive has A(t + T/2) = -A(t), so the engine integrates
+    # half a period and mirrors it; that must be the full-period RK4 map
+    # to rounding, from a period boundary and from a quarter period
+    d = DriveSpec(trajectory, 1.25, 6.0)
+    qs = [Momentum(1.667, 0.0, 0.0), Momentum(0.9, -0.6, 0.0), Momentum(-2.8, 1.9, 0.0)]
+    for t0 in (0.0, 0.25 * d.period):
+        got = _engine_maps(qs, d, cfg(steps_per_period=512), t0)
+        want = _reference_full_period_maps(qs, d, 512, t0)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) < 1e-11 * scale)
+        assert np.abs(want[:, 1, 0]).min() > 1e-3  # the drive mixes u and v
+
+
+def test_odd_steps_and_envelopes_take_the_full_period_loop():
+    # mode_steps counts the RK4 steps integrated: one half-period map for
+    # an even step count at constant amplitude, a whole period for an odd
+    # one, and a whole period every cycle under an envelope.  A 4x4 grid
+    # has 15 modes, 9 of them representing a (q, -q) pair.
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
+    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=(4, 4, 1))
+    even = grid_instability_scan(d, P, c)
+    odd = grid_instability_scan(d, P, dataclasses.replace(c, steps_per_period=513))
+    assert even.mode_steps == 9 * 256
+    assert odd.mode_steps == 9 * 513
+    np.testing.assert_allclose(odd.rates, even.rates, rtol=1e-4, atol=1e-6)
+    ramped = dataclasses.replace(d, envelope=Envelope(ramp_up=2, hold=6))
+    assert grid_instability_scan(ramped, P, c).mode_steps == 9 * 512 * 8
+
+
+def _mirror(a):
+    """a at grid index (-i) mod n on each of the last three axes."""
+    return np.roll(a[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
+
+
+@pytest.mark.parametrize("envelope", [None, Envelope(ramp_up=2, hold=8)])
+def test_grid_scan_mirrors_each_pair(envelope):
+    # q and -q obey each other's equations under (u, v) -> (v*, u*): the
+    # map of -q is sigma_x M(q)* sigma_x, so |v|^2 and the rate are shared,
+    # and the scan integrates one mode per pair and copies it to the other
+    pz = LatticeParams(j=1.0, g=12.0, m_z=0.5)
+    d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, envelope=envelope)
+    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=(6, 4, 3), lz=4.0)
+    scan = grid_instability_scan(d, pz, c, keep_occupations=True)
+    # 71 modes: 3 are their own partners (qx, qy in {0, -pi}, qz = 0), 34 pairs
+    assert scan.mode_steps == 37 * (256 if envelope is None else 512 * 8)
+    assert np.array_equal(scan.rates, _mirror(scan.rates))
+    assert np.array_equal(scan.occupations, _mirror(scan.occupations))
+    # the tie goes to the lexicographically smaller momentum of the pair
+    assert scan.q_max.as_tuple() <= (-scan.q_max).as_tuple()
+    assert scan.rate > 0.0
+
+    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*scan.grid.mesh))
+    qs = [Momentum(*q) for q in zip(qx, qy, qz)][1:]
+    for t0 in (0.0, 0.25 * d.period):
+        maps = _engine_maps(qs + [-q for q in qs], d, c, t0, pz)
+        m_q, m_mq = maps[: len(qs)], maps[len(qs):]
+        mirrored = m_q[:, ::-1, ::-1].conj()  # sigma_x M* sigma_x
+        scale = np.abs(m_q).max(axis=(1, 2))
+        assert np.all(np.abs(m_mq - mirrored).max(axis=(1, 2)) < 1e-12 * scale)
+    # the copied partners agree with integrating them in their own right
+    i = scan.grid.index_of(scan.q_max)
+    direct = evolve_modes([init_mode(-scan.q_max, pz)], d, pz, c).occupations[:, 0]
+    np.testing.assert_allclose(_mirror(scan.occupations)[(slice(None), *i)], direct, rtol=1e-9)
+
+
 # ------------------------------------------------------- rates vs formulas
 
 

@@ -598,6 +598,20 @@ def test_cli_bdg_scan_marks_failed_points(tmp_path):
     assert point["error"] == "IntegratorToleranceError"
     assert point["message"]
     assert 0.0 <= diag["norm_drift_max"] <= NORM_DRIFT_TOL
+    # only the finished point counts: 9 modes of the 4x4 grid (one per
+    # (q, -q) pair) over a 32-step half period
+    assert diag["mode_steps"] == 9 * 32
+
+
+def test_cli_bdg_counts_mode_steps(tmp_path):
+    # the benchmark's bdg-scan: 4 constant-drive points, one 256-step half
+    # period map for each of the 289 modes that represent the 575 grid
+    # modes of the 24x24 grid at 512 steps per period
+    cfg = str(ROOT / "perfbench" / "workloads" / "bdg-scan.cfg")
+    out = tmp_path / "o"
+    assert main(["bdg", "--preset", "paper-11er", "--config", cfg, "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["mode_steps"] == 4 * 289 * 256 == 295_936
 
 
 def test_cli_bdg_workers_byte_identical(tmp_path):

@@ -115,6 +115,20 @@ def test_bogoliubov_transform_on_arrays():
     assert np.all(u0 == 1.0) and np.all(v0 == 0.0)
 
 
+def test_bogoliubov_transform_propagates_nan():
+    # a NaN energy must not turn into the bare vacuum (E, u, v) = (0, 1, 0);
+    # the finite elements next to it keep the bits of their own calls
+    eps = np.array([np.nan, -1.0, 0.0, 0.5, 40.0])
+    out = bogoliubov_transform(eps, 3.0)
+    for arr in out:
+        assert np.isnan(arr[0])
+        assert not np.isnan(arr[1:]).any()
+    for i in range(1, eps.size):
+        for arr, one in zip(out, bogoliubov_transform(eps[i], 3.0)):
+            assert arr[i].tobytes() == one.tobytes()
+    assert all(np.isnan(x) for x in bogoliubov_transform(math.nan, 1.0))
+
+
 def test_dispersion_matches_defining_formula():
     rng = np.random.default_rng(7)
     p = lat(j=1.3, g=2.0, m_z=0.07)
