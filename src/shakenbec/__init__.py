@@ -18,7 +18,6 @@ from .analytics import (
     CuspData,
     InstabilityResult,
     ModeScan,
-    bogoliubov_bandwidth,
     calibrate_g_from_cusp,
     critical_drive_amplitude,
     cusp_frequency,

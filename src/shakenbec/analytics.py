@@ -89,11 +89,6 @@ def _cusp_terms(trajectory: Trajectory, b0, p: LatticeParams):
     return omega_c, bandwidth, np.abs(omega_c - bandwidth) <= 1e-12 * bandwidth
 
 
-def bogoliubov_bandwidth(trajectory: Trajectory, k0: float, p: LatticeParams) -> float:
-    """Maximum Bogoliubov energy over the effective Brillouin zone."""
-    return float(_cusp_terms(trajectory, bessel_j(0, k0), p)[1])
-
-
 def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
     """Frequency of the rate cusp separating the two instability regimes.
 

@@ -356,7 +356,7 @@ def grid_instability_scan(
     qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*grid.mesh))
     # each (q, -q) pair is integrated once, at its lower flat index
     index = np.arange(grid.n_modes).reshape(shape)
-    rep = np.minimum(index, index[np.ix_(*(-np.arange(n) % n for n in shape))]).ravel()
+    rep = np.minimum(index, index[np.ix_(*grid.partner_axes())]).ravel()
     own = np.flatnonzero(rep == index.ravel())  # own[0] = 0 is the condensate
     slot = np.empty(grid.n_modes, dtype=int)
     slot[own] = np.arange(-1, own.size - 1)

@@ -226,6 +226,13 @@ def _early_slice(trace: fitting.DecayTrace, n_keep: int) -> fitting.DecayTrace:
     )
 
 
+def _growth_traces(result: twa.EnsembleResult) -> list[fitting.DecayTrace]:
+    """Each realization's excited density, clipped at zero, as a growth trace."""
+    kind = fitting.TraceKind.MODE_OCCUPATION
+    return [fitting.DecayTrace(tr.times, np.maximum(tr.n_ex, 0.0), kind)
+            for tr in result.traces]
+
+
 def _rate_with_error(traces, window, period, seed, resamples):
     fitter = lambda tr: fitting.windowed_log_slope(tr, window, period)
     mean = fitting.DecayTrace(
@@ -258,13 +265,8 @@ def cmd_twa(args) -> int:
                 result = twa.ensemble_run(
                     grid, drive, p_g, run_cfg, ens_cfg, workers=args.workers
                 )
-                traces = [
-                    fitting.DecayTrace(tr.times, np.maximum(tr.n_ex, 0.0),
-                                       fitting.TraceKind.MODE_OCCUPATION)
-                    for tr in result.traces
-                ]
                 fit, boot = _rate_with_error(
-                    traces, window, period, ens_cfg.master_seed,
+                    _growth_traces(result), window, period, ens_cfg.master_seed,
                     ens_cfg.bootstrap_resamples,
                 )
                 rows.append([float(g), float(g) / p.j, fit.rate, boot.std,
@@ -294,11 +296,7 @@ def cmd_twa(args) -> int:
         trace_rows,
     )
 
-    traces = [
-        fitting.DecayTrace(tr.times, np.maximum(tr.n_ex, 0.0),
-                           fitting.TraceKind.MODE_OCCUPATION)
-        for tr in result.traces
-    ]
+    traces = _growth_traces(result)
     n_samples = traces[0].times.size
     rate_rows = []
     for label, subset in (

@@ -286,10 +286,9 @@ def twa_from_config(cp, seed_override: int | None = None):
     if not cp.has_section("twa"):
         raise ConfigError("missing required section [twa]")
     grid = grid_from_config(cp, "twa", default_nz=1)
-    n_cycles = _get(cp, "twa", "n_cycles", int, 0)
     run_cfg = TwaRunConfig(
         steps_per_period=_get(cp, "twa", "steps_per_period", int, 128),
-        n_cycles=n_cycles if n_cycles > 0 else None,
+        n_cycles=_get(cp, "twa", "n_cycles", int, None),
         post_hold_periods=_get(cp, "twa", "post_hold_periods", int, 0),
     )
     master_seed = _get(cp, "twa", "master_seed", int, 0)

@@ -99,10 +99,6 @@ def _half_window(trace: DecayTrace) -> np.ndarray:
     return trace.values >= 0.5 * y0
 
 
-def _signed_rate(slope: float, kind: TraceKind) -> float:
-    return -slope if kind is TraceKind.CONDENSED_FRACTION else slope
-
-
 def _lsq_line(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares line fit returning slope, intercept, slope stderr, R^2."""
     n = t.size
@@ -121,6 +117,36 @@ def _lsq_line(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
     return slope, intercept, stderr, r2
 
 
+def _fit(trace: DecayTrace, mask: np.ndarray, method: FitMethod, min_points: int,
+         too_few: str) -> FitResult:
+    """The least-squares fit behind every method: a line through log y, or
+    through y with the slope over y(0) for LINEAR_FALLBACK, over the
+    samples in mask, its rate in the trace's sign convention.  Fewer than
+    min_points samples raise InsufficientDataError(too_few.format(count)).
+    """
+    t, y = trace.times[mask], trace.values[mask]
+    if t.size < min_points:
+        raise InsufficientDataError(too_few.format(t.size))
+    window, n_points = (float(t[0]), float(t[-1])), int(t.size)
+    if method is FitMethod.WINDOWED_LOG_SLOPE and np.any(y <= 0.0):
+        return FitResult(0.0, 0.0, 0.0, method, 0.0, window, n_points,
+                         "non-positive samples in window; rate set to zero")
+    linear = method is FitMethod.LINEAR_FALLBACK
+    slope, intercept, stderr, r2 = _lsq_line(t, y if linear else np.log(y))
+    scale = trace.values[0] if linear else 1.0  # x / 1.0 is exact
+    decays = trace.kind is TraceKind.CONDENSED_FRACTION
+    rate = (-slope if decays else slope) / scale
+    amplitude = intercept + slope * t[0]
+    warning = None
+    if linear:
+        warning = "rate from linear fallback" + (
+            "" if rate >= 0.0 else "; trace runs against its sign convention")
+    elif method is FitMethod.EXPONENTIAL and rate < 0.0:
+        warning = f"trace {'grows' if decays else 'decays'} against its sign convention"
+    return FitResult(amplitude if linear else math.exp(amplitude), rate,
+                     stderr / scale, method, r2, window, n_points, warning)
+
+
 def fit_exponential(trace: DecayTrace) -> FitResult:
     """Log-space least squares over the window y >= y(0)/2.
 
@@ -128,30 +154,9 @@ def fit_exponential(trace: DecayTrace) -> FitResult:
     the unexpected sign (e.g. a growing condensed fraction) is returned
     with a warning rather than raised.
     """
-    mask = _half_window(trace) & (trace.values > 0.0)
-    t, y = trace.times[mask], trace.values[mask]
-    if t.size < 4:
-        raise InsufficientDataError(
-            f"need >= 4 samples above half the initial value, got {t.size}"
-        )
-    slope, intercept, stderr, r2 = _lsq_line(t, np.log(y))
-    rate = _signed_rate(slope, trace.kind)
-    warning = None
-    if rate < 0.0:
-        direction = (
-            "grows" if trace.kind is TraceKind.CONDENSED_FRACTION else "decays"
-        )
-        warning = f"trace {direction} against its sign convention"
-    return FitResult(
-        amplitude=math.exp(intercept + slope * t[0]),
-        rate=rate,
-        stderr=stderr,
-        method=FitMethod.EXPONENTIAL,
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-        n_points=int(t.size),
-        warning=warning,
-    )
+    return _fit(trace, _half_window(trace) & (trace.values > 0.0),
+                FitMethod.EXPONENTIAL, 4,
+                "need >= 4 samples above half the initial value, got {}")
 
 
 def fit_linear_fallback(trace: DecayTrace) -> FitResult:
@@ -161,28 +166,8 @@ def fit_linear_fallback(trace: DecayTrace) -> FitResult:
     mean anything; the reported rate matches the exponential convention
     at early times.
     """
-    mask = _half_window(trace)
-    t, y = trace.times[mask], trace.values[mask]
-    if t.size < 2:
-        raise InsufficientDataError(
-            f"need >= 2 samples above half the initial value, got {t.size}"
-        )
-    slope, intercept, stderr, r2 = _lsq_line(t, y)
-    y0 = trace.values[0]
-    rate = _signed_rate(slope, trace.kind) / y0
-    warning = "rate from linear fallback" if rate >= 0.0 else (
-        "rate from linear fallback; trace runs against its sign convention"
-    )
-    return FitResult(
-        amplitude=intercept + slope * t[0],
-        rate=rate,
-        stderr=stderr / y0,
-        method=FitMethod.LINEAR_FALLBACK,
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-        n_points=int(t.size),
-        warning=warning,
-    )
+    return _fit(trace, _half_window(trace), FitMethod.LINEAR_FALLBACK, 2,
+                "need >= 2 samples above half the initial value, got {}")
 
 
 def fit_decay_rate(trace: DecayTrace, r2_threshold: float = 0.9) -> FitResult:
@@ -211,32 +196,21 @@ def windowed_log_slope(
         raise DomainError("period must be positive")
     t_end = trace.times[-1]
     mask = trace.times >= t_end - window_cycles * period - 1e-9 * period
-    t, y = trace.times[mask], trace.values[mask]
-    if t.size < 2:
-        raise InsufficientDataError(
-            f"window of {window_cycles} cycles holds {t.size} samples"
-        )
-    if np.any(y <= 0.0):
-        return FitResult(
-            amplitude=0.0,
-            rate=0.0,
-            stderr=0.0,
-            method=FitMethod.WINDOWED_LOG_SLOPE,
-            r_squared=0.0,
-            window=(float(t[0]), float(t[-1])),
-            n_points=int(t.size),
-            warning="non-positive samples in window; rate set to zero",
-        )
-    slope, intercept, stderr, r2 = _lsq_line(t, np.log(y))
-    return FitResult(
-        amplitude=math.exp(intercept + slope * t[0]),
-        rate=_signed_rate(slope, trace.kind),
-        stderr=stderr,
-        method=FitMethod.WINDOWED_LOG_SLOPE,
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-        n_points=int(t.size),
-    )
+    return _fit(trace, mask, FitMethod.WINDOWED_LOG_SLOPE, 2,
+                f"window of {window_cycles} cycles holds {{}} samples")
+
+
+def bootstrap_means(
+    values: np.ndarray, n_resamples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Means of n_resamples bootstrap redraws of the rows of values
+    ([rows, samples]): row b of the result averages len(values) rows
+    drawn with replacement by the b-th rng.integers call."""
+    n_rows = len(values)
+    means = np.empty((n_resamples, values.shape[1]))
+    for b in range(n_resamples):
+        means[b] = values[rng.integers(0, n_rows, size=n_rows)].mean(axis=0)
+    return means
 
 
 def bootstrap_rate(
@@ -263,16 +237,14 @@ def bootstrap_rate(
         if tr.kind is not kind:
             raise DomainError("all traces must share the same kind")
     values = np.stack([tr.values for tr in traces])
-    n_traces = values.shape[0]
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rates = []
     n_failed = 0
-    for _ in range(n_resamples):
-        pick = rng.integers(0, n_traces, size=n_traces)
-        mean = DecayTrace(times, values[pick].mean(axis=0), kind)
+    for mean in bootstrap_means(values, n_resamples, rng):
+        trace = DecayTrace(times, mean, kind)
         try:
-            rates.append(fitter(mean).rate)
+            rates.append(fitter(trace).rate)
         except (InsufficientDataError, DomainError):
             n_failed += 1
     if n_failed > 0.2 * n_resamples:
@@ -284,5 +256,5 @@ def bootstrap_rate(
         mean=float(arr.mean()),
         std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
         n_failed=n_failed,
-        degenerate=(n_traces < 2 or n_resamples < 2),
+        degenerate=(len(traces) < 2 or n_resamples < 2),
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvertedBandError, SingularModeError
-from .specialmath import HBAR, bessel_j
+from .specialmath import HBAR, _require_finite, bessel_j
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,13 +81,6 @@ class Momentum:
 
     def __neg__(self) -> "Momentum":
         return Momentum(-self.qx, -self.qy, -self.qz)
-
-
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _wrap_bz(q: float) -> float:
@@ -435,6 +428,15 @@ class Grid:
     @property
     def n_modes(self) -> int:
         return self.nx * self.ny * self.nz
+
+    def partner_axes(
+        self, about: tuple[int, int, int] = (0, 0, 0)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, the pairing partner (2 about - i) mod n of index i:
+        q0 + k pairs with q0 - k about the momentum q0 at index about."""
+        return tuple(
+            (2 * c - np.arange(n)) % n for c, n in zip(about, (self.nx, self.ny, self.nz))
+        )
 
     def index_of(self, q: Momentum) -> tuple[int, int, int]:
         """Grid index of a momentum that lies on the grid (1e-9 tolerance)."""

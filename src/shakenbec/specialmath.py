@@ -53,6 +53,13 @@ def _require(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise DomainError(f"{message}, got {float(values.flat[bad.argmax()])}")
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
     # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 8]: the
     # term ratios of a block of k are multiplied and summed as running
@@ -236,6 +243,7 @@ class BandProblem:
     cutoff: int = 21
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("depth_er", "recoil_hz"))
         if self.depth_er < 0.0:
             raise DomainError(f"lattice depth must be >= 0, got {self.depth_er}")
         if self.recoil_hz <= 0.0:

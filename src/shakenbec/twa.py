@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, DomainError
+from .fitting import bootstrap_means
 from .model import (
     DriveSpec,
     Grid,
@@ -259,11 +260,7 @@ def sample_initial(
     gamma = noise_scale * (
         rng.normal(0.0, 0.5, shape) + 1j * rng.normal(0.0, 0.5, shape)
     )
-    # pairing partner of grid index i is (2*i0 - i) mod n on each axis
-    ix = (2 * i0[0] - np.arange(grid.nx)) % grid.nx
-    iy = (2 * i0[1] - np.arange(grid.ny)) % grid.ny
-    iz = (2 * i0[2] - np.arange(grid.nz)) % grid.nz
-    gamma_pair = np.conj(gamma[np.ix_(ix, iy, iz)])
+    gamma_pair = np.conj(gamma[np.ix_(*grid.partner_axes(i0))])
 
     amps_q = uu * gamma + vv * gamma_pair
     amps_q[i0] = math.sqrt(p.n0 * grid.volume)
@@ -501,21 +498,15 @@ def ensemble_run(
 
 def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> EnsembleResult:
     """Ensemble means and bootstrap bands of one drive's realizations."""
-    n_real = len(traces)
     raw = np.stack([tr.n_ex_raw for tr in traces])
     cf = np.stack([tr.condensed_fraction for tr in traces])
     mean_raw = raw.mean(axis=0)
     half_quantum = traces[0].half_quantum
     mean_sub = mean_raw - half_quantum
 
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((ens_cfg.master_seed, 0xB00757)))
-    )
-    resampled = np.empty((ens_cfg.bootstrap_resamples, raw.shape[1]))
-    for b in range(ens_cfg.bootstrap_resamples):
-        pick = rng.integers(0, n_real, size=n_real)
-        resampled[b] = raw[pick].mean(axis=0)
-    band = resampled.std(axis=0)
+    # the bands draw from their own stream, (master_seed, 0xB00757)
+    rng = realization_rng(ens_cfg.master_seed, 0xB00757)
+    band = bootstrap_means(raw, ens_cfg.bootstrap_resamples, rng).std(axis=0)
     return EnsembleResult(
         times=traces[0].times,
         n_ex_raw=mean_raw,
@@ -526,7 +517,7 @@ def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> Ensemb
         traces=tuple(traces),
         half_quantum=half_quantum,
         atom_drift=max(tr.atom_drift for tr in traces),
-        bands_degenerate=n_real < 2,
+        bands_degenerate=len(traces) < 2,
     )
 
 

@@ -541,6 +541,9 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     ("k0 = 1.25", "k0 = nan"),
     ("omega = 9.0", "omega = inf"),
     ("j = 1.0", "j = nan"),
+    ("j = 1.0", "recoil = 30\ndepth_er = nan"),
+    ("j = 1.0", "recoil = 30\ndepth_er = inf"),
+    ("j = 1.0", "depth_er = 5\nrecoil = nan"),
     pytest.param("lz = 1", "lz = nan", id="twa-lz-nan"),
     pytest.param("lz = 1", "lz = 1\nnoise_scale = nan", id="twa-noise_scale-nan"),
 ])
@@ -551,7 +554,19 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     field = new.split("\n")[-1].split(" = ")[0]
+    field = {"recoil": "recoil_hz"}.get(field, field)  # BandProblem's name for it
     assert f"invalid parameter: {field} must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("n_cycles", ["0", "-3"])
+def test_cli_twa_rejects_non_positive_n_cycles(tmp_path, capsys, n_cycles):
+    # the envelope's schedule is there to fall back on, and must not be
+    body = TWA_BODY.replace("omega = 9.0", "omega = 9.0\nramp_up = 2\nhold = 2")
+    cfg = write_cfg(tmp_path, body.replace("n_cycles = 6", f"n_cycles = {n_cycles}"))
+    out = tmp_path / "o"
+    assert main(["twa", "--config", cfg, "--out", str(out)]) == 2
+    assert "invalid parameter: n_cycles must be >= 1" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

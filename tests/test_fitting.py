@@ -16,6 +16,7 @@ from shakenbec.fitting import (
     BootstrapRate,
     DecayTrace,
     FitMethod,
+    FitResult,
     TraceKind,
     bootstrap_rate,
     fit_decay_rate,
@@ -302,3 +303,83 @@ def test_bootstrap_result_type():
                           n_resamples=10, seed=1)
     assert isinstance(boot, BootstrapRate)
     assert boot.std >= 0.0
+
+
+# -------------------------------------------------- rate path, bit for bit
+
+# Every field of every estimator, pinned to the last bit on traces that
+# exercise each branch: the half window, both sign conventions, each
+# warning text, the zero-rate window, the fallback and failed resamples.
+T = np.linspace(0.0, 2.0, 21)
+WIGGLE = 1.0 + 0.05 * np.sin(7.0 * T)
+DECAY = DecayTrace(T, 0.8 * np.exp(-0.9 * T) * WIGGLE)
+LINEAR_DOWN = DecayTrace(T, 1.0 - 0.3 * T * WIGGLE)
+PINNED_EXP = FitResult(0.8352561819220221, 1.0139179026009035, 0.04309520237525898,
+                       FitMethod.EXPONENTIAL, 0.9892768748715735, (0.0, 0.7000000000000001), 8)
+PINNED_LIN = FitResult(0.9958883128942976, 0.29272421263758047, 0.004841823762658686,
+                       FitMethod.LINEAR_FALLBACK, 0.9956416340438382, (0.0, 1.7000000000000002), 18,
+                       "rate from linear fallback")
+
+
+def test_fits_pinned_bit_for_bit():
+    grows = DecayTrace(T, 0.8 * np.exp(0.3 * T) * WIGGLE)
+    assert fit_exponential(DECAY) == PINNED_EXP
+    assert fit_exponential(grows) == FitResult(
+        0.8072184340077179, -0.294394378414475, 0.013184151891499544,
+        FitMethod.EXPONENTIAL, 0.9632923092646408, (0.0, 2.0), 21,
+        "trace grows against its sign convention",
+    )
+    assert fit_linear_fallback(LINEAR_DOWN) == PINNED_LIN
+    assert fit_linear_fallback(DecayTrace(T, 1.0 + 0.4 * T * WIGGLE)) == FitResult(
+        0.9976766044948832, -0.4031106718496277, 0.006380315730285446,
+        FitMethod.LINEAR_FALLBACK, 0.9952627413620634, (0.0, 2.0), 21,
+        "rate from linear fallback; trace runs against its sign convention",
+    )
+    assert fit_decay_rate(DECAY) == PINNED_EXP
+    assert fit_decay_rate(LINEAR_DOWN, r2_threshold=0.999) == PINNED_LIN
+
+
+def test_windowed_slope_pinned_bit_for_bit():
+    kind = TraceKind.MODE_OCCUPATION
+    window = (1.4000000000000001, 2.0)
+    growth = DecayTrace(T, 0.01 * np.exp(1.3 * T) * WIGGLE, kind)
+    assert windowed_log_slope(growth, 3, 0.2) == FitResult(
+        0.058555474040299864, 1.44578976772639, 0.044662028571851344,
+        FitMethod.WINDOWED_LOG_SLOPE, 0.9952513585404104, window, 7,
+    )
+    fading = DecayTrace(T, 0.5 * np.exp(-0.7 * T) * WIGGLE, kind)
+    assert windowed_log_slope(fading, 3, 0.2) == FitResult(
+        0.17803810217199786, -0.5542102322736099, 0.04466202857185142,
+        FitMethod.WINDOWED_LOG_SLOPE, 0.9685500553741628, window, 7,
+    )
+    assert fit_exponential(fading) == FitResult(
+        0.5115643531986439, -0.7407972406382133, 0.03239839738995933,
+        FitMethod.EXPONENTIAL, 0.9830769603671781, (0.0, 1.0), 11,
+        "trace decays against its sign convention",
+    )
+    unseeded = DecayTrace(T, np.where(T > 1.5, 0.0, 0.01 * WIGGLE), kind)
+    assert windowed_log_slope(unseeded, 3, 0.2) == FitResult(
+        0.0, 0.0, 0.0, FitMethod.WINDOWED_LOG_SLOPE, 0.0, window, 7,
+        "non-positive samples in window; rate set to zero",
+    )
+
+
+def test_bootstrap_pinned_bit_for_bit():
+    # the 30/s member leaves too few samples in the half window of
+    # resamples that draw it three or more times: 17 of 200 fail
+    traces = [
+        DecayTrace(T, np.exp(-r * T) * (1.0 + 0.05 * np.sin(w * T)))
+        for r, w in ((0.5, 3.0), (0.6, 5.0), (0.45, 7.0), (0.55, 4.0), (30.0, 2.0))
+    ]
+    assert bootstrap_rate(traces, fit_exponential, n_resamples=200, seed=4) == (
+        BootstrapRate(0.8430526436264296, 0.39476407966515775, 17, False)
+    )
+    growth = [
+        DecayTrace(T, 0.01 * np.exp(r * T) * (1.0 + 0.05 * np.sin(w * T)),
+                   TraceKind.MODE_OCCUPATION)
+        for r, w in ((1.2, 3.0), (1.4, 5.0), (1.3, 6.0))
+    ]
+    fitter = lambda tr: windowed_log_slope(tr, 3, 0.2)
+    assert bootstrap_rate(growth, fitter, n_resamples=50, seed=9) == (
+        BootstrapRate(1.238404027349856, 0.0350296592583559, 0, False)
+    )

@@ -427,6 +427,19 @@ def test_grid_index_of():
         g.index_of(Momentum(0.0, 0.0, 4.0 * TWO_PI / 10.0))
 
 
+@pytest.mark.parametrize("about", [(0, 0, 0), (4, 0, 0), (3, 5, 1)])
+def test_grid_partner_axes(about):
+    # q0 + k pairs with q0 - k: the momenta of an index and of its partner
+    # sum to twice the momentum at about, modulo the period of the FFT axis
+    g = Grid(8, 6, 4, lz=10.0)
+    axes = (g.qx_axis, g.qy_axis, g.qz_axis)
+    periods = (TWO_PI, TWO_PI, TWO_PI * g.nz / g.lz)
+    for axis, period, c, partner in zip(axes, periods, about, g.partner_axes(about)):
+        assert sorted(partner) == list(range(axis.size))
+        gap = np.remainder(axis + axis[partner] - 2.0 * axis[c] + period / 2, period)
+        np.testing.assert_allclose(gap - period / 2, 0.0, atol=1e-12)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         Grid(0, 4)

@@ -227,6 +227,17 @@ def test_band_domain_guards():
         BandProblem(11.0, 1.0, cutoff=3)
 
 
+@pytest.mark.parametrize("depth, recoil, name", [
+    (math.nan, 1.0, "depth_er"),
+    (math.inf, 1.0, "depth_er"),
+    (11.0, math.nan, "recoil_hz"),
+    (11.0, math.inf, "recoil_hz"),
+])
+def test_band_problem_rejects_non_finite(depth, recoil, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        BandProblem(depth, recoil)
+
+
 def test_hopping_from_published_depth():
     # 11 recoil lattice at 814 nm, rubidium-87: J very close to 50 Hz
     mass = RB87_MASS_U * ATOMIC_MASS_KG

@@ -465,6 +465,20 @@ def test_ensemble_blow_up_names_realization():
         )
 
 
+def test_ensemble_bands_pinned_bit_for_bit():
+    # seed, draw order and arithmetic of the bootstrap bands, to the last bit
+    res = ensemble_run(Grid(4, 4, 1), DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),
+                       LatticeParams(j=1.0, g=5.0, n0=2.0),
+                       TwaRunConfig(steps_per_period=16, n_cycles=2),
+                       ens(n=3, seed=5), workers=1)
+    assert res.band_lo.tolist() == [
+        0.06577447252690788, 0.5806436177909525, 0.6910172505276788,
+    ]
+    assert res.band_hi.tolist() == [
+        0.3196012891484394, 0.9161114395309377, 1.0840169197451093,
+    ]
+
+
 def test_ensemble_config_validation():
     with pytest.raises(DomainError):
         EnsembleConfig(n_realizations=0)
