@@ -13,6 +13,7 @@ import time
 from shakenbec import (
     BdgRunConfig,
     DriveSpec,
+    Grid,
     LatticeParams,
     Trajectory,
     grid_instability_scan,
@@ -43,7 +44,7 @@ def main() -> None:
     cfg = BdgRunConfig(
         steps_per_period=args.steps_per_period,
         n_cycles=args.n_cycles,
-        grid=(args.n, args.n, 1),
+        grid=Grid(args.n, args.n, 1),
         fit_window_cycles=max(2, args.n_cycles // 3),
     )
 
@@ -56,7 +57,7 @@ def main() -> None:
     print(f"fastest mode  ({scan.q_max.qx:+.3f}, {scan.q_max.qy:+.3f}) "
           f"rate {scan.rate:.4f}")
     print(f"prediction    ({ana.q_mum[0].qx:+.3f}, {ana.q_mum[0].qy:+.3f}) "
-          f"rate {ana.big_gamma - p.gamma0:.4f}")
+          f"rate {2.0 * ana.gamma:.4f}")
 
     rows = []
     grid = scan.grid

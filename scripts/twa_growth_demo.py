@@ -74,7 +74,7 @@ def main() -> None:
             flat, p,
             BdgRunConfig(
                 steps_per_period=1024, n_cycles=10,
-                grid=(args.nx, args.nx, args.nz), lz=args.lz,
+                grid=grid,
                 fit_window_cycles=4,
             ),
         )

@@ -6,13 +6,16 @@ equations of motion in the co-moving frame,
     i d/dt (u, v) = [[eps(q, t) + g, g], [-g, -eps(-q, t) - g]] (u, v),
 
 which are linear, so each drive period acts on (u, v) as a 2x2 map per
-mode.  The engine builds that map by integrating the columns (1, 0) and
+mode.  _period_map builds that map by integrating the columns (1, 0) and
 (0, 1) over one period with fixed-step classical Runge-Kutta, vectorized
-over modes, and propagates (u, v) stroboscopically, one map product per
-period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
-constant drive reuses one map; an envelope needs one per period, and
-the RK4 step holding an abrupt stop is split at the cut, which keeps
-the scheme fourth order across the kink in the drive.
+over modes; _evolve_batch propagates (u, v) stroboscopically, one map
+product per period (Floquet theory; Lellouch et al., PRX 7, 021015
+(2017)).  A constant drive reuses one map; an envelope needs one per
+period, and the RK4 step holding an abrupt stop is split at the cut,
+which keeps the scheme fourth order across the kink in the drive.  The
+energies eps(+-q, t) = eps0(+-q - A(t)) - eps0(-A(t)) come from
+model.axis_energies, tabulated at every RK4 node time on the distinct
+values of each momentum axis and gathered per mode.
 
 Two exact symmetries save work.  The conjugation (u, v) -> (v*, u*)
 carries the equations of q onto those with eps(q) and eps(-q)
@@ -39,8 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,15 +69,13 @@ class BdgRunConfig:
 
     steps_per_period: fixed RK4 steps per drive period
     n_cycles: total drive periods to integrate
-    grid: momentum-grid dimensions (nx, ny, nz) for scans
-    lz: transverse box length (sets the qz spacing 2*pi/lz)
+    grid: momentum grid for scans (its lz sets the qz spacing 2*pi/lz)
     fit_window_cycles: trailing periods used for log-slope rate fits
     """
 
     steps_per_period: int = 256
     n_cycles: int = 32
-    grid: tuple[int, int, int] = (24, 24, 1)
-    lz: float = 1.0
+    grid: Grid = Grid(24, 24)
     fit_window_cycles: int = 8
 
     def __post_init__(self) -> None:
@@ -85,10 +85,6 @@ class BdgRunConfig:
             raise DomainError("n_cycles must be >= 1")
         if not (1 <= self.fit_window_cycles <= self.n_cycles):
             raise DomainError("fit_window_cycles must be in 1..n_cycles")
-
-    @property
-    def momentum_grid(self) -> Grid:
-        return Grid(*self.grid, lz=self.lz)
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,12 @@ class ModeBatchTrajectory:
 
     times: np.ndarray
     occupations: np.ndarray  # [n_samples, n_modes]
-    final_states: tuple[ModePairState, ...]
+    u: np.ndarray  # [n_modes] amplitudes at times[-1]
+    v: np.ndarray
     norm_drift: float  # worst over the batch
     norm_drift_abs: float
+    mode_steps: int  # RK4 steps integrated, summed over modes
+    final_states: tuple[ModePairState, ...] = ()  # filled by evolve_modes
 
 
 @dataclass(frozen=True)
@@ -144,114 +143,103 @@ def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
     return ModePairState(q=q, u=complex(frame.cosh), v=complex(-frame.sinh), t=0.0)
 
 
-def _batch_rhs(u, v, ep, em, g):
-    du = -1j * ((ep + g) * u + g * v)
-    dv = -1j * (-g * u - (em + g) * v)
-    return du, dv
+def _batch_rhs(u, v, eps, g):
+    return -1j * ((eps[0] + g) * u + g * v), -1j * (-g * u - (eps[1] + g) * v)
 
 
-class _BatchRun(NamedTuple):
-    times: np.ndarray
-    occupations: np.ndarray  # [n_cycles + 1, n_modes]
-    u: np.ndarray
-    v: np.ndarray
-    norm_drift: float
-    norm_drift_abs: float
-    mode_steps: int  # RK4 steps integrated, summed over modes
+def _rk4(u, v, h, e1, e2, e4, g):
+    """One classical RK4 step; e1, e2, e4 are the (eps(+q), eps(-q)) rows
+    at its start, midpoint and end."""
+    k1u, k1v = _batch_rhs(u, v, e1, g)
+    k2u, k2v = _batch_rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v, e2, g)
+    k3u, k3v = _batch_rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v, e2, g)
+    k4u, k4v = _batch_rhs(u + h * k3u, v + h * k3v, e4, g)
+    return (
+        u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+        v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
+def _period_map(
+    q: np.ndarray, t_start: float, drive: DriveSpec, p: LatticeParams, steps_per_period: int
+) -> tuple[np.ndarray, int]:
+    """(m, steps): for the modes q[:, mode] = (qx, qy, qz), one period from
+    t_start takes (u, v) to m @ (u, v), m[i, j, mode], in `steps` RK4 steps."""
+    dt = drive.period / steps_per_period
+    # A(t + T/2) = -A(t) makes the second half period's map sigma_x N* sigma_x
+    # (module docstring); an envelope breaks that symmetry, and an odd step
+    # count puts no step boundary at T/2
+    half_period = drive.envelope is None and steps_per_period % 2 == 0
+    map_steps = steps_per_period // 2 if half_period else steps_per_period
+    # the drive at each of the 2 * map_steps + 1 half-step times, once;
+    # an abrupt stop strictly inside step `cut` splits that step at the
+    # cut, whose kink would otherwise cost the scheme its order
+    times = [t_start + 0.5 * dt * k for k in range(2 * map_steps + 1)]
+    ts = drive.stop_time()
+    cut = math.floor((ts - t_start) / dt) if ts is not None else -1
+    if 0 <= cut < map_steps and times[2 * cut] < ts < times[2 * cut + 2]:
+        h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
+        times += [ts - 0.5 * h1, ts, ts + 0.5 * h2]
+    else:
+        cut = -1
+    shifts = np.array([drive_shift(t, drive) for t in times])
+    ax, ay = shifts[:, :1, None], shifts[:, 1:, None]
+    # eps(+-q, t) = eps0(+-q - A) - eps0(-A): per-axis tables [time, sign,
+    # axis value] on the distinct values of each axis, gathered per mode
+    (ux, ix), (uy, iy) = (np.unique(axis, return_inverse=True) for axis in q[:2])
+    sign = np.array([[1.0], [-1.0]])
+    ex, ey, ez = axis_energies(sign * ux, sign * uy, q[2], p, ax, ay)
+    ex -= sum(axis_energies(0.0, 0.0, 0.0, p, ax, ay))
+
+    def eps(k: int) -> np.ndarray:
+        return ex[k].take(ix, axis=1) + ey[k].take(iy, axis=1) + ez  # eps(+-q, t_k)
+
+    g = p.g
+    # row j of (u, v) is the solution starting from column j of the identity
+    u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, q.shape[1]))
+    e4 = eps(0)
+    for step in range(map_steps):
+        e1, e4 = e4, eps(2 * step + 2)
+        if step == cut:
+            e_cut = eps(2 * map_steps + 2)
+            u, v = _rk4(u, v, h1, e1, eps(2 * map_steps + 1), e_cut, g)
+            u, v = _rk4(u, v, h2, e_cut, eps(2 * map_steps + 3), e4, g)
+        else:
+            u, v = _rk4(u, v, dt, e1, eps(2 * step + 1), e4, g)
+    m = np.stack((u, v))
+    steps = map_steps + (cut >= 0)
+    if not half_period:
+        return m, steps
+    s = m[::-1, ::-1].conj()  # sigma_x N* sigma_x
+    return s[:, :1] * m[:1] + s[:, 1:] * m[1:], steps
 
 
 def _evolve_batch(
-    qx: np.ndarray,
-    qy: np.ndarray,
-    qz: np.ndarray,
+    q: np.ndarray,
     u0: np.ndarray,
     v0: np.ndarray,
     t0: float,
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
-) -> _BatchRun:
-    """Evolve many modes from time t0, sampling |v|^2 at every period."""
-    ez = axis_energies(qx, qy, qz, p)[2]
-    sqx, cqx = np.sin(0.5 * qx), np.cos(0.5 * qx)
-    sqy, cqy = np.sin(0.5 * qy), np.cos(0.5 * qy)
-    sxx, syy, sxc, syc = sqx * sqx, sqy * sqy, sqx * cqx, sqy * cqy
-    g = p.g
-    fourj = 4.0 * p.j
-    period = drive.period
-    n_steps = cfg.steps_per_period
-    dt = period / n_steps
-    # A(t + T/2) = -A(t) makes the second half period's map sigma_x N* sigma_x
-    # (module docstring); an envelope breaks that symmetry, and an odd step
-    # count puts no step boundary at T/2
-    half_period = drive.envelope is None and n_steps % 2 == 0
-    map_steps = n_steps // 2 if half_period else n_steps
-    rk4_steps = 0
-
-    def period_map(t_start: float) -> np.ndarray:
-        """m[i, j, mode]: one period from t_start takes (u, v) to m @ (u, v)."""
-        nonlocal rk4_steps
-        # the drive at each of the 2 * map_steps + 1 half-step times, once;
-        # an abrupt stop strictly inside step `cut` splits that step at
-        # the cut, whose kink would otherwise cost the scheme its order
-        times = [t_start + 0.5 * dt * k for k in range(2 * map_steps + 1)]
-        ts = drive.stop_time()
-        cut = math.floor((ts - t_start) / dt) if ts is not None else -1
-        if 0 <= cut < map_steps and times[2 * cut] < ts < times[2 * cut + 2]:
-            h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
-            times += [ts - 0.5 * h1, ts, ts + 0.5 * h2]
-            rk4_steps += 1
-        else:
-            cut = -1
-        shifts = np.array([drive_shift(t, drive) for t in times])
-        sin_a, cos_a = np.sin(shifts), np.cos(shifts)
-
-        def eps_pair(k: int):
-            even = fourj * (sxx * cos_a[k, 0] + syy * cos_a[k, 1]) + ez
-            odd = fourj * (sxc * sin_a[k, 0] + syc * sin_a[k, 1])
-            return even - odd, even + odd  # eps(+q, t), eps(-q, t)
-
-        def rk4(u, v, h, e1, e2, e4):
-            k1u, k1v = _batch_rhs(u, v, *e1, g)
-            k2u, k2v = _batch_rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v, *e2, g)
-            k3u, k3v = _batch_rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v, *e2, g)
-            k4u, k4v = _batch_rhs(u + h * k3u, v + h * k3v, *e4, g)
-            return (
-                u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-                v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-            )
-
-        # row j of (u, v) is the solution starting from column j of the identity
-        u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, qx.size))
-        e4 = eps_pair(0)
-        for step in range(map_steps):
-            e1, e4 = e4, eps_pair(2 * step + 2)
-            if step == cut:
-                e_cut = eps_pair(2 * map_steps + 2)
-                u, v = rk4(u, v, h1, e1, eps_pair(2 * map_steps + 1), e_cut)
-                u, v = rk4(u, v, h2, e_cut, eps_pair(2 * map_steps + 3), e4)
-            else:
-                u, v = rk4(u, v, dt, e1, eps_pair(2 * step + 1), e4)
-        rk4_steps += map_steps
-        m = np.stack((u, v))
-        if not half_period:
-            return m
-        s = m[::-1, ::-1].conj()  # sigma_x N* sigma_x
-        return s[:, :1] * m[:1] + s[:, 1:] * m[1:]
-
+) -> ModeBatchTrajectory:
+    """Evolve the modes q[:, mode] from time t0, sampling |v|^2 at every
+    period; final_states is left empty."""
     u = u0.astype(np.complex128)
     v = v0.astype(np.complex128)
     n_samples = cfg.n_cycles + 1
     occ = np.empty((n_samples, u.size))
     occ[0] = np.abs(v) ** 2
-    times = t0 + np.arange(n_samples) * period
+    times = t0 + np.arange(n_samples) * drive.period
     drift = 0.0
     drift_abs = 0.0
     norm0 = np.abs(u) ** 2 - np.abs(v) ** 2
     m = None
+    rk4_steps = 0
     for cycle in range(cfg.n_cycles):
         if m is None or drive.envelope is not None:
-            m = period_map(times[cycle])
+            m, steps = _period_map(q, times[cycle], drive, p, cfg.steps_per_period)
+            rk4_steps += steps
         u, v = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
         nu = np.abs(u) ** 2
         nv = np.abs(v) ** 2
@@ -275,7 +263,7 @@ def _evolve_batch(
                 f"|u|^2 - |v|^2 drifted by {drift:.3e} (relative) after cycle "
                 f"{cycle + 1}; increase steps_per_period"
             )
-    return _BatchRun(times, occ, u, v, drift, drift_abs, rk4_steps * qx.size)
+    return ModeBatchTrajectory(times, occ, u, v, drift, drift_abs, rk4_steps * u.size)
 
 
 def evolve_modes(
@@ -294,23 +282,15 @@ def evolve_modes(
     t0 = states[0].t
     if any(s.t != t0 for s in states):
         raise DomainError("all modes in a batch must share the same start time")
-    qx = np.array([s.q.qx for s in states])
-    qy = np.array([s.q.qy for s in states])
-    qz = np.array([s.q.qz for s in states])
+    q = np.array([s.q.as_tuple() for s in states]).T
     u0 = np.array([s.u for s in states], dtype=np.complex128)
     v0 = np.array([s.v for s in states], dtype=np.complex128)
-    run = _evolve_batch(qx, qy, qz, u0, v0, t0, drive, p, cfg)
+    run = _evolve_batch(q, u0, v0, t0, drive, p, cfg)
     finals = tuple(
         ModePairState(q=s.q, u=complex(run.u[i]), v=complex(run.v[i]), t=run.times[-1])
         for i, s in enumerate(states)
     )
-    return ModeBatchTrajectory(
-        times=run.times,
-        occupations=run.occupations,
-        final_states=finals,
-        norm_drift=run.norm_drift,
-        norm_drift_abs=run.norm_drift_abs,
-    )
+    return replace(run, final_states=finals)
 
 
 def occupation_rate(
@@ -351,9 +331,9 @@ def grid_instability_scan(
     divided by the grid volume is directly comparable to the excited
     density of a truncated-Wigner run on the same grid.
     """
-    grid = cfg.momentum_grid
+    grid = cfg.grid
     shape = (grid.nx, grid.ny, grid.nz)
-    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*grid.mesh))
+    q = np.stack(np.broadcast_arrays(*grid.mesh)).reshape(3, -1)
     # each (q, -q) pair is integrated once, at its lower flat index
     index = np.arange(grid.n_modes).reshape(shape)
     rep = np.minimum(index, index[np.ix_(*grid.partner_axes())]).ravel()
@@ -361,15 +341,13 @@ def grid_instability_scan(
     slot = np.empty(grid.n_modes, dtype=int)
     slot[own] = np.arange(-1, own.size - 1)
     own, column = own[1:], slot[rep[1:]]  # column: each mode's place in own
-    _, u0, v0 = bogoliubov_transform(
-        sum(axis_energies(qx[own], qy[own], qz[own], p)), p.g
-    )
-    run = _evolve_batch(qx[own], qy[own], qz[own], u0, v0, 0.0, drive, p, cfg)
+    _, u0, v0 = bogoliubov_transform(sum(axis_energies(*q[:, own], p)), p.g)
+    run = _evolve_batch(q[:, own], u0, v0, 0.0, drive, p, cfg)
     rates = np.zeros(grid.n_modes)
     rates[1:] = occupation_rate(run.times, run.occupations, cfg.fit_window_cycles)[column]
     best = rates[1:].max()
     tie = 1 + np.flatnonzero(rates[1:] == best)
-    i_best = tie[np.lexsort((qz[tie], qy[tie], qx[tie]))[0]]
+    i_best = tie[np.lexsort(q[::-1, tie])[0]]
 
     occupations = None
     if keep_occupations:
@@ -378,7 +356,7 @@ def grid_instability_scan(
         occupations = occupations.reshape((run.times.size, *shape))
     return GridScanResult(
         grid=grid,
-        q_max=Momentum(qx[i_best], qy[i_best], qz[i_best]),
+        q_max=Momentum(*q[:, i_best]),
         rate=float(best),
         rates=rates.reshape(shape),
         times=run.times,

@@ -329,6 +329,10 @@ def cmd_endphase(args) -> int:
     env = drive.envelope
     if env is None:
         raise ConfigError("endphase needs [drive] envelope keys (ramp_up, hold)")
+    for key in ("n_cycles", "post_hold_periods"):
+        if cp.has_option("twa", key):
+            raise ConfigError(f"[twa] {key} is not read by endphase, which runs ramp_up + "
+                              "hold + [endphase] post_hold_periods + 1 periods")
 
     default_phases = "0, 0.7853981633974483, 1.5707963267948966"
     raw = _get(cp, "endphase", "phases", str, default_phases)

@@ -256,12 +256,13 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
     return ScanSpec(variable=variable, values=values)
 
 
-def grid_from_config(cp, section: str, default_nz: int = 1) -> Grid:
+def grid_from_config(cp, section: str, default: Grid) -> Grid:
+    """The grid keys nx, ny, nz and lz of [section]; absent ones keep default's."""
     return Grid(
-        nx=_get(cp, section, "nx", int, 16),
-        ny=_get(cp, section, "ny", int, 16),
-        nz=_get(cp, section, "nz", int, default_nz),
-        lz=_get(cp, section, "lz", float, 1.0),
+        nx=_get(cp, section, "nx", int, default.nx),
+        ny=_get(cp, section, "ny", int, default.ny),
+        nz=_get(cp, section, "nz", int, default.nz),
+        lz=_get(cp, section, "lz", float, default.lz),
     )
 
 
@@ -271,12 +272,7 @@ def bdg_from_config(cp) -> BdgRunConfig:
     return BdgRunConfig(
         steps_per_period=_get(cp, "bdg", "steps_per_period", int, 256),
         n_cycles=_get(cp, "bdg", "n_cycles", int, 32),
-        grid=(
-            _get(cp, "bdg", "nx", int, 24),
-            _get(cp, "bdg", "ny", int, 24),
-            _get(cp, "bdg", "nz", int, 1),
-        ),
-        lz=_get(cp, "bdg", "lz", float, 1.0),
+        grid=grid_from_config(cp, "bdg", Grid(24, 24)),
         fit_window_cycles=_get(cp, "bdg", "fit_window_cycles", int, 8),
     )
 
@@ -285,7 +281,7 @@ def twa_from_config(cp, seed_override: int | None = None):
     """Returns (Grid, TwaRunConfig, EnsembleConfig, rate_window_cycles)."""
     if not cp.has_section("twa"):
         raise ConfigError("missing required section [twa]")
-    grid = grid_from_config(cp, "twa", default_nz=1)
+    grid = grid_from_config(cp, "twa", Grid(16, 16))
     run_cfg = TwaRunConfig(
         steps_per_period=_get(cp, "twa", "steps_per_period", int, 128),
         n_cycles=_get(cp, "twa", "n_cycles", int, None),

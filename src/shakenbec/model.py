@@ -8,7 +8,8 @@ Conventions used throughout the package:
   with a third, continuous transverse direction of effective mass m_z,
   so single-particle energies read
   eps0(q) = 4 J [sin^2(qx/2) + sin^2(qy/2)] + qz^2 / (2 m_z).
-  axis_energies is the only place this dispersion is written, and
+  axis_energies is the only place this dispersion is written (bdg and
+  twa tabulate it per momentum axis over a batch of drive shifts), and
   bogoliubov_transform the only place of the static Bogoliubov energy
   E = sqrt(eps (eps + 2 g)) and amplitudes (u, v); the scalar API here
   and the bdg, twa and analytics engines all call these two kernels.

@@ -84,7 +84,7 @@ def test_04_high_frequency_rate_formula():
     # bandwidth (14.19 J) at the strongly interacting benchmark point
     p = LatticeParams(j=1.0, g=12.0, n0=1.0)
     cfg = BdgRunConfig(
-        steps_per_period=512, n_cycles=24, grid=(24, 24, 1), fit_window_cycles=8
+        steps_per_period=512, n_cycles=24, grid=Grid(24, 24, 1), fit_window_cycles=8
     )
     ratios = []
     for om in (9.5, 11.0, 13.0):
@@ -101,7 +101,7 @@ def test_04_high_frequency_rate_formula():
 def test_05_most_unstable_mode_location():
     p = LatticeParams(j=1.0, g=12.0, n0=1.0)
     cfg = BdgRunConfig(
-        steps_per_period=512, n_cycles=24, grid=(24, 24, 1), fit_window_cycles=8
+        steps_per_period=512, n_cycles=24, grid=Grid(24, 24, 1), fit_window_cycles=8
     )
     spacing = TWO_PI / 24
 
@@ -219,7 +219,7 @@ def test_08_twa_conservation_and_growth():
     bdg = grid_instability_scan(
         flat, p,
         BdgRunConfig(
-            steps_per_period=1024, n_cycles=10, grid=(16, 16, 8), lz=12.9,
+            steps_per_period=1024, n_cycles=10, grid=Grid(16, 16, 8, lz=12.9),
             fit_window_cycles=4,
         ),
     )

@@ -21,6 +21,7 @@ from shakenbec.errors import BlowUpError, DomainError, IntegratorToleranceError
 from shakenbec.model import (
     DriveSpec,
     Envelope,
+    Grid,
     LatticeParams,
     Momentum,
     Trajectory,
@@ -239,13 +240,30 @@ def test_half_period_map_equals_full_period_rk4(trajectory):
         assert np.abs(want[:, 1, 0]).min() > 1e-3  # the drive mixes u and v
 
 
+@pytest.mark.parametrize("trajectory", list(Trajectory))
+def test_envelope_period_map_equals_reference_rk4(trajectory):
+    # under a smooth envelope every period takes the full-period loop on
+    # the engine's per-axis energy tables; they must give the map that
+    # RK4 on model.dispersion gives, in the ramp-up and the ramp-down,
+    # for momenta that share axis values and have a transverse part
+    d = DriveSpec(trajectory, 1.25, 6.0, envelope=Envelope(ramp_up=2, hold=2, ramp_down=2))
+    qs = [Momentum(1.667, 0.0, 0.4), Momentum(1.667, -0.6, 0.0),
+          Momentum(0.9, -0.6, 0.4), Momentum(-2.8, 0.0, -0.7)]
+    for t0 in (0.25 * d.period, 4.5 * d.period):
+        got = _engine_maps(qs, d, cfg(steps_per_period=512), t0)
+        want = _reference_full_period_maps(qs, d, 512, t0)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) < 1e-11 * scale)
+        assert np.abs(want[:, 1, 0]).min() > 1e-3  # the drive mixes u and v
+
+
 def test_odd_steps_and_envelopes_take_the_full_period_loop():
     # mode_steps counts the RK4 steps integrated: one half-period map for
     # an even step count at constant amplitude, a whole period for an odd
     # one, and a whole period every cycle under an envelope.  A 4x4 grid
     # has 15 modes, 9 of them representing a (q, -q) pair.
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
-    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=(4, 4, 1))
+    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=Grid(4, 4, 1))
     even = grid_instability_scan(d, P, c)
     odd = grid_instability_scan(d, P, dataclasses.replace(c, steps_per_period=513))
     assert even.mode_steps == 9 * 256
@@ -267,7 +285,7 @@ def test_grid_scan_mirrors_each_pair(envelope):
     # and the scan integrates one mode per pair and copies it to the other
     pz = LatticeParams(j=1.0, g=12.0, m_z=0.5)
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, envelope=envelope)
-    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=(6, 4, 3), lz=4.0)
+    c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=Grid(6, 4, 3, lz=4.0))
     scan = grid_instability_scan(d, pz, c, keep_occupations=True)
     # 71 modes: 3 are their own partners (qx, qy in {0, -pi}, qz = 0), 34 pairs
     assert scan.mode_steps == 37 * (256 if envelope is None else 512 * 8)
@@ -361,7 +379,7 @@ def test_config_validation():
         BdgRunConfig(n_cycles=0)
     with pytest.raises(DomainError):
         BdgRunConfig(n_cycles=4, fit_window_cycles=8)
-    assert BdgRunConfig(steps_per_period=64).momentum_grid.nx == 24
+    assert BdgRunConfig(steps_per_period=64).grid.nx == 24
 
 
 def test_blow_up_on_unstable_step():
@@ -396,7 +414,7 @@ def test_integrator_tolerance_guard():
 
 def test_grid_scan_undriven_all_flat():
     c = cfg(
-        steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=(4, 4, 1)
+        steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=Grid(4, 4, 1)
     )
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 8.0)
     scan = grid_instability_scan(d, P, c)
@@ -414,7 +432,7 @@ def test_grid_scan_zero_interaction_ties():
     # smallest momentum
     p0 = LatticeParams(j=1.0, g=0.0)
     c = cfg(
-        steps_per_period=256, n_cycles=8, fit_window_cycles=4, grid=(4, 4, 1)
+        steps_per_period=256, n_cycles=8, fit_window_cycles=4, grid=Grid(4, 4, 1)
     )
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 8.0)
     scan = grid_instability_scan(d, p0, c)
@@ -426,7 +444,7 @@ def test_grid_scan_zero_interaction_ties():
 def test_grid_scan_finds_resonant_mode():
     omega = 6.0
     res = most_unstable_mode(Trajectory.LINEAR_X, 1.25, omega, P)
-    c = cfg(steps_per_period=512, n_cycles=24, grid=(12, 12, 1))
+    c = cfg(steps_per_period=512, n_cycles=24, grid=Grid(12, 12, 1))
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, omega)
     scan = grid_instability_scan(d, P, c, keep_occupations=True)
     # the 12-point axis sits within one spacing of the predicted mode
@@ -449,7 +467,7 @@ def test_grid_scan_transverse_axis():
     pz = LatticeParams(j=1.0, g=2.0, m_z=0.5)
     c = cfg(
         steps_per_period=512, n_cycles=8, fit_window_cycles=4,
-        grid=(4, 4, 4), lz=8.0,
+        grid=Grid(4, 4, 4, lz=8.0),
     )
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 8.0)
     scan = grid_instability_scan(d, pz, c)

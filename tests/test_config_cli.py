@@ -33,7 +33,7 @@ from shakenbec.errors import (
     InvertedBandError,
     NoCriticalAmplitudeError,
 )
-from shakenbec.model import Trajectory
+from shakenbec.model import Grid, Trajectory
 from shakenbec.output import format_value, write_csv
 from shakenbec.specialmath import j0_first_zero
 
@@ -237,10 +237,8 @@ def test_scan_validation():
 def test_bdg_section():
     cp = parse(BASE + "\n[bdg]\nnx = 8\nny = 6\nnz = 2\nlz = 4.0\nsteps_per_period = 128\n")
     cfg = bdg_from_config(cp)
-    assert cfg.grid == (8, 6, 2)
-    assert cfg.lz == 4.0
+    assert cfg.grid == Grid(8, 6, 2, lz=4.0)
     assert cfg.steps_per_period == 128
-    assert cfg.momentum_grid.nz == 2
     with pytest.raises(ConfigError, match=r"\[bdg\]"):
         bdg_from_config(parse(BASE))
 
@@ -803,6 +801,13 @@ def test_cli_endphase_workers_byte_identical(tmp_path):
      "ramp_down exceeds post_hold_periods + 1"),
     ("phases = 0, 1.5707963267948966\n", "phases = ,\ninclude_ramped = false\n",
      "nothing to run"),
+    # the endphase schedule sets the run length; these [twa] keys would be ignored
+    ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\nn_cycles = 3\n",
+     "[twa] n_cycles is not read by endphase, which runs ramp_up + hold + "
+     "[endphase] post_hold_periods + 1 periods"),
+    ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\npost_hold_periods = 50\n",
+     "[twa] post_hold_periods is not read by endphase, which runs ramp_up + hold + "
+     "[endphase] post_hold_periods + 1 periods"),
 ])
 def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
                                              old, new, message):

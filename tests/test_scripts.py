@@ -54,3 +54,20 @@ def test_script_failure_is_one_line_and_exit_code(tmp_path, script, args, code, 
     [line] = proc.stderr.strip().splitlines()
     assert line.startswith(f"{script[:-3]}: {label}: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_bdg_rate_map_predicts_the_occupation_rate(tmp_path):
+    # the scan reports occupation rates, 2 gamma per mode, whatever the
+    # number of resonant pairs; the printed prediction must be the same
+    from shakenbec import LatticeParams, Trajectory, most_unstable_mode
+
+    proc = run_script("bdg_rate_map.py", [
+        "--trajectory", "circular", "--n", "4", "--n-cycles", "4",
+        "--steps-per-period", "128", "--out", str(tmp_path),
+    ])
+    assert proc.returncode == 0, proc.stderr
+    [line] = [ln for ln in proc.stdout.splitlines() if ln.startswith("prediction")]
+    printed = float(line.split("rate")[-1])
+    ana = most_unstable_mode(Trajectory.CIRCULAR, 1.25, 11.0, LatticeParams(j=1.0, g=12.0))
+    assert len(ana.q_mum) > 1  # where big_gamma - gamma0 would double count
+    assert printed == pytest.approx(2.0 * ana.gamma, abs=5e-5)
