@@ -22,12 +22,9 @@ from .analytics import (
     critical_drive_amplitude,
     cusp_frequency,
     effective_hopping,
-    interaction_from_cusp,
     k0_critical,
-    mode_growth_rate,
     most_unstable_mode,
     omega_c,
-    stable_condensate_momentum,
 )
 from .bdg import (
     BdgRunConfig,
@@ -66,7 +63,6 @@ from .fitting import (
     windowed_log_slope,
 )
 from .model import (
-    BogoliubovFrame,
     DriveSpec,
     Envelope,
     Grid,
@@ -75,14 +71,9 @@ from .model import (
     Regime,
     Trajectory,
     axis_energies,
-    bogoliubov_frame,
     bogoliubov_transform,
-    dispersion,
-    drive_harmonics,
     drive_shift,
-    effective_dispersion,
     envelope_value,
-    shake_displacement,
 )
 from .specialmath import (
     BandProblem,
@@ -99,10 +90,7 @@ from .twa import (
     FieldState,
     ObservableTrace,
     TwaRunConfig,
-    atom_number,
     ensemble_run,
-    field_energy,
-    gpe_step,
     load_field,
     run_trajectory,
     sample_initial,

@@ -39,17 +39,24 @@ from .model import (
     Momentum,
     Regime,
     Trajectory,
-    bogoliubov_frame,
     bogoliubov_transform,
-    drive_harmonics,
 )
 from .specialmath import _require, bessel_j, bessel_j0_inverse, j0_first_zero
 
 
+def _checked_k0(k0) -> np.ndarray:
+    """k0 as a float array, each value checked as DriveSpec checks it."""
+    k0 = np.asarray(k0, dtype=float)
+    _require(~np.isfinite(k0), k0, "k0 must be finite")
+    _require(k0 < 0.0, k0, "drive amplitude must be >= 0")
+    return k0
+
+
 def effective_hopping(j: float, k0: float) -> float:
     """Time-averaged tunneling J_eff = J * J0(k0) (may be negative)."""
-    if j <= 0.0:
-        raise DomainError(f"hopping must be positive, got {j}")
+    if not 0.0 < j < math.inf:  # NaN fails too
+        raise DomainError(f"hopping must be positive and finite, got {j}")
+    _checked_k0(k0)
     return j * bessel_j(0, k0)
 
 
@@ -92,8 +99,10 @@ def _cusp_terms(trajectory: Trajectory, b0, p: LatticeParams):
 def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
     """Frequency of the rate cusp separating the two instability regimes.
 
-    Raises InvertedBandError when J_eff <= 0.
+    Raises DomainError for a k0 that DriveSpec rejects and
+    InvertedBandError when J_eff <= 0.
     """
+    _checked_k0(k0)
     b0 = bessel_j(0, k0)
     j_eff = p.j * b0  # effective_hopping(p.j, k0)
     if j_eff <= 0.0:
@@ -139,10 +148,10 @@ class ModeScan:
 
 def _scan_arrays(omega, k0) -> tuple[np.ndarray, np.ndarray]:
     """omega and k0 as float arrays, each value checked as DriveSpec does."""
-    omega, k0 = np.asarray(omega, dtype=float), np.asarray(k0, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    _require(~np.isfinite(omega), omega, "omega must be finite")
     _require(omega <= 0.0, omega, "drive frequency must be positive")
-    _require(k0 < 0.0, k0, "drive amplitude must be >= 0")
-    return omega, k0
+    return omega, _checked_k0(k0)
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -161,8 +170,8 @@ class ClosedFormScan:
     of the rate and threshold formulas: most_unstable_mode and
     critical_drive_amplitude evaluate it at a single point, and element
     by element it gives their bits.  Raises DomainError naming the first
-    omega <= 0 or k0 < 0; k0 at or past the first zero of J0 is marked
-    inverted, not raised.
+    omega or k0 that DriveSpec rejects (not finite, omega <= 0, k0 < 0);
+    k0 at or past the first zero of J0 is marked inverted, not raised.
     """
 
     omega: np.ndarray
@@ -244,26 +253,6 @@ class ClosedFormScan:
         )
 
 
-def mode_growth_rate(
-    q: Momentum,
-    trajectory: Trajectory,
-    k0: float,
-    omega: float,
-    p: LatticeParams,
-) -> float:
-    """Parametric amplitude growth rate of the (q, -q) pair, first harmonic.
-
-    s(q) = |c_1(q)| sinh(2 theta_q) / 2, the rate the pair acquires when
-    the drive is tuned to its l = 1 resonance E(q) = omega.  Returns the
-    raw per-mode rate with no multiplicity or background added.
-    """
-    if omega <= 0.0:
-        raise DomainError(f"drive frequency must be positive, got {omega}")
-    frame = bogoliubov_frame(q, k0, trajectory, p)
-    c1 = drive_harmonics(q, k0, trajectory, p, l_max=1)[0]
-    return 0.5 * abs(c1) * frame.sinh2
-
-
 def most_unstable_mode(
     trajectory: Trajectory,
     k0: float,
@@ -278,7 +267,7 @@ def most_unstable_mode(
     pairs) + gamma0.  The one-point case of ClosedFormScan.modes.
     """
     zero = j0_first_zero()
-    if not (0.0 <= k0 < zero):
+    if math.isfinite(k0) and not 0.0 <= k0 < zero:  # ClosedFormScan rejects the rest
         raise InvertedBandError(
             f"most_unstable_mode needs 0 <= k0 < {zero:.6f}, got {k0}"
         )
@@ -319,22 +308,6 @@ def critical_drive_amplitude(omega: float, p: LatticeParams) -> float:
     return k0c
 
 
-def interaction_from_cusp(omega_c: float, j_eff: float) -> float:
-    """Interaction energy g from a measured linear-drive cusp frequency.
-
-    Inverts omega_c = sqrt(4 J_eff (4 J_eff + 2 g)).  Raises
-    CalibrationError unless omega_c > 4 J_eff > 0.
-    """
-    if j_eff <= 0.0:
-        raise CalibrationError(f"effective hopping must be positive, got {j_eff}")
-    corner = 4.0 * j_eff
-    if omega_c <= corner:
-        raise CalibrationError(
-            f"cusp frequency {omega_c} must exceed the band corner {corner}"
-        )
-    return (omega_c**2 - corner**2) / (2.0 * corner)
-
-
 def omega_c(drive: DriveSpec, p: LatticeParams) -> CuspData:
     """Cusp data for a drive's trajectory and amplitude (drive.omega unused)."""
     return cusp_frequency(drive.trajectory, drive.k0, p)
@@ -346,22 +319,19 @@ def k0_critical(omega: float, g: float) -> float:
 
 
 def calibrate_g_from_cusp(measured_omega_c: float, j: float, k0: float) -> float:
-    """Interaction energy from a measured linear-drive cusp, J, and K0."""
-    return interaction_from_cusp(measured_omega_c, effective_hopping(j, k0))
+    """Interaction energy g from a measured linear-drive cusp, J, and K0.
 
-
-def stable_condensate_momentum(trajectory: Trajectory, k0: float) -> Momentum:
-    """Momentum minimizing the effective dispersion at drive amplitude k0.
-
-    Below the first zero of J0 the condensate stays at q = 0; beyond it
-    the effective tunneling changes sign and the minimum jumps to the
-    band corner: (pi, 0) for linear shaking (only x inverts), (pi, pi)
-    for diagonal and circular.
+    Inverts omega_c = sqrt(4 J_eff (4 J_eff + 2 g)), J_eff = J J0(k0).
+    Raises DomainError for a J or k0 that cannot describe a drive, and
+    CalibrationError unless infinity > omega_c > 4 J_eff > 0.
     """
-    if k0 < 0.0:
-        raise DomainError(f"drive amplitude must be >= 0, got {k0}")
-    if k0 <= j0_first_zero():
-        return Momentum(0.0, 0.0)
-    if trajectory is Trajectory.LINEAR_X:
-        return Momentum(math.pi, 0.0)
-    return Momentum(math.pi, math.pi)
+    j_eff = effective_hopping(j, k0)
+    if j_eff <= 0.0:
+        raise CalibrationError(f"effective hopping must be positive, got {j_eff}")
+    corner = 4.0 * j_eff
+    if not corner < measured_omega_c < math.inf:  # NaN fails too
+        raise CalibrationError(
+            f"cusp frequency {measured_omega_c} must be finite and exceed the "
+            f"band corner {corner}"
+        )
+    return (measured_omega_c**2 - corner**2) / (2.0 * corner)

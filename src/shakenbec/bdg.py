@@ -46,15 +46,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, IntegratorToleranceError
+from .errors import BlowUpError, DomainError, IntegratorToleranceError, SingularModeError
 from .model import (
     DriveSpec,
     Grid,
     LatticeParams,
     Momentum,
-    Trajectory,
     axis_energies,
-    bogoliubov_frame,
     bogoliubov_transform,
     drive_shift,
 )
@@ -136,11 +134,15 @@ class GridScanResult:
 
 def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
     """Ground-state (u, v) = (cosh theta, -sinh theta) of the undriven
-    lattice at momentum q; the relative sign is what makes |v|^2 silent
-    until the drive is switched on.
+    lattice at momentum q, the static frame grid_instability_scan starts
+    from; the relative sign is what makes |v|^2 silent until the drive is
+    switched on.  Raises SingularModeError at the gapless q = 0.
     """
-    frame = bogoliubov_frame(q, 0.0, Trajectory.LINEAR_X, p)
-    return ModePairState(q=q, u=complex(frame.cosh), v=complex(-frame.sinh), t=0.0)
+    eps = sum(axis_energies(*q.as_tuple(), p))
+    if eps == 0.0:
+        raise SingularModeError(f"no Bogoliubov mode at gapless momentum {q.as_tuple()}")
+    _, u, v = bogoliubov_transform(eps, p.g)
+    return ModePairState(q=q, u=complex(u), v=complex(v), t=0.0)
 
 
 def _batch_rhs(u, v, eps, g):

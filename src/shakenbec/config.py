@@ -267,14 +267,15 @@ def grid_from_config(cp, section: str, default: Grid) -> Grid:
 
 
 def bdg_from_config(cp) -> BdgRunConfig:
+    """[bdg] as a BdgRunConfig; absent keys keep the dataclass defaults."""
     if not cp.has_section("bdg"):
         raise ConfigError("missing required section [bdg]")
-    return BdgRunConfig(
-        steps_per_period=_get(cp, "bdg", "steps_per_period", int, 256),
-        n_cycles=_get(cp, "bdg", "n_cycles", int, 32),
-        grid=grid_from_config(cp, "bdg", Grid(24, 24)),
-        fit_window_cycles=_get(cp, "bdg", "fit_window_cycles", int, 8),
-    )
+    given = {
+        key: _get(cp, "bdg", key, int)
+        for key in ("steps_per_period", "n_cycles", "fit_window_cycles")
+        if cp.has_option("bdg", key)
+    }
+    return BdgRunConfig(grid=grid_from_config(cp, "bdg", BdgRunConfig.grid), **given)
 
 
 def twa_from_config(cp, seed_override: int | None = None):

@@ -11,8 +11,8 @@ Conventions used throughout the package:
   axis_energies is the only place this dispersion is written (bdg and
   twa tabulate it per momentum axis over a batch of drive shifts), and
   bogoliubov_transform the only place of the static Bogoliubov energy
-  E = sqrt(eps (eps + 2 g)) and amplitudes (u, v); the scalar API here
-  and the bdg, twa and analytics engines all call these two kernels.
+  E = sqrt(eps (eps + 2 g)) and amplitudes (u, v); the bdg, twa and
+  analytics engines all call these two kernels.
 * Shaking enters as a time-dependent quasimomentum shift A(t): the
   simulation frame is the co-moving (kinetic) frame where the dispersion
   is evaluated at q - A(t).  The sine-phased components (x always, y for
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvertedBandError, SingularModeError
-from .specialmath import HBAR, _require_finite, bessel_j
+from .errors import DomainError
+from .specialmath import _require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -279,105 +279,6 @@ def bogoliubov_transform(eps, g: float):
     return np.where(ok, energy, 0.0), u, v
 
 
-def dispersion(q: Momentum, t: float, drive: DriveSpec, p: LatticeParams) -> float:
-    """Instantaneous single-particle energy in the co-moving frame.
-
-    eps(q, t) = eps0(q - A(t)) - eps0(-A(t)); the subtraction removes the
-    condensate's own micromotion energy so eps(0, t) = 0 at all times.
-    """
-    ax, ay = drive_shift(t, drive)
-    shifted = sum(axis_energies(q.qx, q.qy, q.qz, p, ax, ay))
-    return float(shifted - sum(axis_energies(0.0, 0.0, 0.0, p, ax, ay)))
-
-
-def effective_dispersion(
-    q: Momentum, k0: float, trajectory: Trajectory, p: LatticeParams
-) -> float:
-    """Period-averaged dispersion of the driven lattice.
-
-    Linear shaking renormalizes only the x tunneling by J0(k0); diagonal
-    and circular trajectories renormalize both directions by the same
-    factor.  Raises InvertedBandError if the result is negative at q,
-    i.e. the zero momentum state is no longer the band minimum along the
-    probed direction.
-    """
-    b0 = bessel_j(0, k0)
-    ex, ey, ez = axis_energies(q.qx, q.qy, q.qz, p)
-    planar = b0 * ex + ey if trajectory is Trajectory.LINEAR_X else b0 * (ex + ey)
-    eps = float(planar + ez)
-    if eps < 0.0:
-        raise InvertedBandError(
-            f"effective dispersion is negative at q = {q.as_tuple()} for "
-            f"k0 = {k0} (J0 = {b0:.6f}); the condensate momentum is unstable"
-        )
-    return eps
-
-
-@dataclass(frozen=True)
-class BogoliubovFrame:
-    """Hyperbolic rotation diagonalizing the static pairing problem at q."""
-
-    eps_eff: float
-    energy: float  # Bogoliubov energy E(q)
-    cosh: float  # u = cosh(theta)
-    sinh: float  # -v = sinh(theta)
-
-    @property
-    def cosh2(self) -> float:
-        """cosh(2 theta) = (eps_eff + g) / E."""
-        return self.cosh**2 + self.sinh**2
-
-    @property
-    def sinh2(self) -> float:
-        """sinh(2 theta) = g / E."""
-        return 2.0 * self.cosh * self.sinh
-
-
-def bogoliubov_frame(
-    q: Momentum, k0: float, trajectory: Trajectory, p: LatticeParams
-) -> BogoliubovFrame:
-    """Bogoliubov frame of the period-averaged problem at momentum q.
-
-    With k0 = 0 this is the frame of the undriven lattice, used to seed
-    time evolution.  Raises SingularModeError at gapless points where
-    the effective dispersion vanishes (the condensate mode itself).
-    """
-    eps = effective_dispersion(q, k0, trajectory, p)
-    if eps == 0.0:
-        raise SingularModeError(
-            f"Bogoliubov frame undefined at gapless momentum {q.as_tuple()}"
-        )
-    energy, u, v = bogoliubov_transform(eps, p.g)
-    return BogoliubovFrame(eps, float(energy), float(u), -float(v))
-
-
-def drive_harmonics(
-    q: Momentum, k0: float, trajectory: Trajectory, p: LatticeParams, l_max: int = 4
-) -> list[float]:
-    """Even-frequency Fourier weights of the modulated dispersion.
-
-    Returns [c_1, ..., c_l_max] where the momentum-even part of
-    eps(q, t) - eps_eff(q) is sum_l c_l cos(2 l omega t).  The l = 1
-    entry controls the dominant two-quantum parametric channel.  For the
-    circular trajectory the y contribution alternates sign with l (its
-    shift component follows cos(omega t), shifting the harmonic phase).
-    """
-    if l_max < 1:
-        raise DomainError(f"l_max must be >= 1, got {l_max}")
-    ex, ey, _ = axis_energies(q.qx, q.qy, 0.0, p)
-    out = []
-    for l in range(1, l_max + 1):
-        b = bessel_j(2 * l, k0)
-        if trajectory is Trajectory.LINEAR_X:
-            geom = ex
-        elif trajectory is Trajectory.DIAGONAL:
-            geom = ex + ey
-        else:
-            geom = ex + ((-1.0) ** l) * ey
-        out.append(float(2.0 * b * geom))
-    return out
-
-
 @dataclass(frozen=True)
 class Grid:
     """Discrete momentum grid used by the simulation engines.
@@ -456,17 +357,3 @@ class Grid:
                 raise DomainError(f"momentum {q.as_tuple()} does not lie on the grid")
             out.append(i)
         return tuple(out)
-
-
-def shake_displacement(
-    k0: float, omega: float, site_spacing_m: float, mass_kg: float
-) -> float:
-    """Peak real-space displacement (meters) of the lattice shaking.
-
-    A drive of dimensionless amplitude k0 at angular frequency omega on a
-    lattice of spacing d for atoms of the given mass corresponds to a
-    position modulation of amplitude hbar k0 / (d omega m).
-    """
-    if site_spacing_m <= 0.0 or mass_kg <= 0.0 or omega <= 0.0:
-        raise DomainError("spacing, mass and frequency must be positive")
-    return HBAR * k0 / (site_spacing_m * omega * mass_kg)

@@ -33,7 +33,6 @@ from .errors import ConvergenceError, DomainError
 
 # CODATA 2018 exact / recommended values.
 PLANCK_H = 6.62607015e-34  # J s
-HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS_KG = 1.66053906660e-27  # kg
 RB87_MASS_U = 86.909180527  # atomic mass units
 

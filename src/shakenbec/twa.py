@@ -16,12 +16,12 @@ second-order Strang splitting of the Gross-Pitaevskii equation in the
 co-moving frame: half-step kinetic (diagonal in momentum, drive shift
 evaluated at the substep midpoint), full-step contact interaction
 (diagonal in position, exact phase rotation), half-step kinetic.
-gpe_step takes one such step in position space.  run_trajectory keeps
-the field in momentum space and fuses the trailing half-kinetic phase
-of each step with the leading one of the next, which is the same
-splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487 (2002)) at
-one FFT pair per step; observables read |A_q|^2, which the kinetic
-phase leaves unchanged, so no closing half step is taken.  A FieldState
+run_trajectory keeps the field in momentum space and fuses the trailing
+half-kinetic phase of each step with the leading one of the next, which
+is the same splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487
+(2002)) at one FFT pair per step instead of a position-space step's
+two; observables read |A_q|^2, which the kinetic phase leaves
+unchanged, so no closing half step is taken.  A FieldState
 may carry a leading realization axis: ensembles run as contiguous
 batches of realizations, one array per batch, with one process per
 batch when there is more than one.  A run may also take a tuple of
@@ -164,8 +164,8 @@ class FieldState:
     transverse slice iz; |a|^2 integrates to the atom number with the
     transverse measure dz.  A stacked state carries a leading
     realization axis, amplitudes[r, ix, iy, iz], whose rows share every
-    other attribute; run_trajectory and gpe_step evolve the rows
-    independently, save_field stores unstacked states only.
+    other attribute; run_trajectory evolves the rows independently,
+    save_field stores unstacked states only.
     """
 
     amplitudes: np.ndarray
@@ -308,28 +308,6 @@ def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
 def _fft_axes(a: np.ndarray) -> tuple[int, ...]:
     """The grid axes longer than one point (a length-1 FFT is the identity)."""
     return tuple(ax for ax in GRID_AXES if a.shape[ax] > 1)
-
-
-def gpe_step(
-    state: FieldState, drive: DriveSpec, p: LatticeParams, dt: float
-) -> FieldState:
-    """Advance the field by one Strang split step of length dt.
-
-    Position space in and out, two FFT pairs: half kinetic, contact,
-    half kinetic.  A stacked state advances row by row.
-    """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    shifts = np.array([drive_shift(state.t + f * dt, drive) for f in (0.25, 0.75)])
-    factors = _kinetic_factors(state.grid, p, 0.5 * dt, shifts)
-    a = state.amplitudes
-    axes = _fft_axes(a)
-    for k in (0, 1):
-        if k:
-            a = _contact(a, dt * p.u)
-        amps = np.fft.fftn(a, axes=axes, norm="ortho") * _phase(*(f[k] for f in factors))
-        a = np.fft.ifftn(amps, axes=axes, norm="ortho")
-    return replace(state, amplitudes=a, t=state.t + dt)
 
 
 def run_trajectory(
@@ -519,30 +497,6 @@ def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> Ensemb
         atom_drift=max(tr.atom_drift for tr in traces),
         bands_degenerate=len(traces) < 2,
     )
-
-
-def atom_number(state: FieldState) -> float | np.ndarray:
-    """Total atom number sum_q |A_q|^2 (conserved by the evolution), per
-    realization for a stacked state."""
-    return np.sum(np.abs(state.amplitudes) ** 2, axis=GRID_AXES) * state.grid.dz
-
-
-def field_energy(
-    state: FieldState, p: LatticeParams, drive: DriveSpec | None = None
-) -> float | np.ndarray:
-    """Mean-field energy of the state; conserved when the drive is off.
-
-    Kinetic part evaluated with the co-moving shift at state.t when a
-    drive is given, static dispersion otherwise.  Per realization for a
-    stacked state.
-    """
-    grid = state.grid
-    shift = drive_shift(state.t, drive) if drive is not None else (0.0, 0.0)
-    eps = sum(axis_energies(*grid.mesh, p, *shift))
-    amps_q = np.fft.fftn(state.amplitudes, axes=GRID_AXES, norm="ortho")
-    kinetic = np.sum(eps * np.abs(amps_q) ** 2, axis=GRID_AXES) * grid.dz
-    interaction = np.sum(np.abs(state.amplitudes) ** 4, axis=GRID_AXES) * grid.dz
-    return kinetic + 0.5 * p.u * interaction
 
 
 def save_field(path, state: FieldState) -> None:

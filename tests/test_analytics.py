@@ -23,13 +23,7 @@ from shakenbec.errors import (
     InvertedBandError,
     NoCriticalAmplitudeError,
 )
-from shakenbec.model import (
-    LatticeParams,
-    Momentum,
-    Regime,
-    Trajectory,
-    effective_dispersion,
-)
+from shakenbec.model import LatticeParams, Momentum, Regime, Trajectory
 from shakenbec.specialmath import bessel_j, j0_first_zero
 
 TWO_PI = 2.0 * math.pi
@@ -182,6 +176,36 @@ def test_rate_cusp_shape_in_omega():
         assert r.big_gamma * w == pytest.approx(r0.big_gamma * 1.1 * wc, rel=1e-12)
 
 
+# ----------------------------------------------- brute-force shell argmax
+
+
+def _pair_terms(traj, k0, p, sx2, sy2):
+    """(eps_eff, c_1) elementwise at sx2 = sin^2(qx/2), sy2 = sin^2(qy/2).
+
+    eps_eff is the period-averaged dispersion and c_1 the weight of
+    cos(2 omega t) in the momentum-even part of eps(q, t); on its l = 1
+    resonance E(q) = omega the pair grows at |c_1| sinh(2 theta) / 2 =
+    |c_1| g / (2 omega).  Built only from scipy Bessel functions.
+    """
+    b0 = scipy.special.j0(k0)
+    b2 = scipy.special.jn(2, k0)
+    if traj is Trajectory.LINEAR_X:
+        return 4.0 * p.j * (b0 * sx2 + sy2), 8.0 * p.j * b2 * sx2
+    # both 2d drives renormalize x and y alike; the circular y component
+    # is cosine-phased, which flips the sign of its first harmonic
+    sign = 1.0 if traj is Trajectory.DIAGONAL else -1.0
+    return 4.0 * p.j * b0 * (sx2 + sy2), 8.0 * p.j * b2 * (sx2 + sign * sy2)
+
+
+def _mode_rate(q, traj, k0, p):
+    """(rate, E): the pair rate |c_1| g / (2 E) at momentum q, tuned to its
+    own l = 1 resonance, and its Bogoliubov energy E."""
+    sx2, sy2 = math.sin(0.5 * q.qx) ** 2, math.sin(0.5 * q.qy) ** 2
+    eps, c1 = _pair_terms(traj, k0, p, sx2, sy2)
+    energy = math.sqrt(eps * (eps + 2.0 * p.g))
+    return 0.5 * abs(c1) * p.g / energy, energy
+
+
 def test_low_frequency_gamma_matches_mode_rate_at_qmum():
     # the closed form equals the per-mode rate evaluated at its own momentum
     rng = np.random.default_rng(8)
@@ -192,11 +216,8 @@ def test_low_frequency_gamma_matches_mode_rate_at_qmum():
         wc = an.cusp_frequency(traj, k0, p).omega_c
         omega = float(rng.uniform(0.3, 0.95)) * wc
         res = an.most_unstable_mode(traj, k0, omega, p)
-        s = an.mode_growth_rate(res.q_mum[0], traj, k0, omega, p)
+        s, _ = _mode_rate(res.q_mum[0], traj, k0, p)
         assert s == pytest.approx(res.gamma, rel=1e-10)
-
-
-# ----------------------------------------------- brute-force shell argmax
 
 
 def _shell_argmax(traj, k0, omega, p, n=200001):
@@ -208,20 +229,14 @@ def _shell_argmax(traj, k0, omega, p, n=200001):
     Bessel functions and the defining dispersion formulas.
     """
     b0 = scipy.special.j0(k0)
-    b2 = scipy.special.jn(2, k0)
     eps_res = math.sqrt(p.g**2 + omega**2) - p.g
     qx = np.linspace(0.0, math.pi, n)
     sx2 = np.sin(0.5 * qx) ** 2
     if traj is Trajectory.LINEAR_X:
         sy2 = eps_res / (4.0 * p.j) - b0 * sx2
-        c1 = 8.0 * p.j * b2 * sx2
     else:
-        # both 2d drives renormalize x and y alike
         sy2 = eps_res / (4.0 * p.j * b0) - sx2
-        if traj is Trajectory.DIAGONAL:
-            c1 = 8.0 * p.j * b2 * (sx2 + sy2)
-        else:
-            c1 = 8.0 * p.j * b2 * (sx2 - sy2)
+    _, c1 = _pair_terms(traj, k0, p, sx2, sy2)
     feasible = (sy2 >= 0.0) & (sy2 <= 1.0)
     assert feasible.any()
     s = np.where(feasible, 0.5 * np.abs(c1) * p.g / omega, -1.0)
@@ -244,9 +259,7 @@ def test_most_unstable_mode_against_shell_scan():
         assert s_max == pytest.approx(res.gamma, rel=1e-3)
         want = res.q_mum[0]
         # the representative must itself sit exactly on the shell
-        eps = effective_dispersion(want, k0, traj, p)
-        energy = math.sqrt(eps * (eps + 2.0 * p.g))
-        assert energy == pytest.approx(omega, rel=1e-9)
+        assert _mode_rate(want, traj, k0, p)[1] == pytest.approx(omega, rel=1e-9)
         if traj is not Trajectory.DIAGONAL:
             # location is sharp for linear and circular; the diagonal
             # shell is rate-degenerate so any point maximizes.  The shell
@@ -346,38 +359,30 @@ def test_critical_amplitude_no_solution():
 
 
 @given(
-    j_eff=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
+    j=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
+    k0=st.floats(min_value=0.0, max_value=2.3, allow_nan=False),
     g=st.floats(min_value=1e-6, max_value=50.0, allow_nan=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_interaction_from_cusp_roundtrip(j_eff, g):
-    corner = 4.0 * j_eff
+def test_interaction_from_cusp_roundtrip(j, k0, g):
+    # calibrate_g_from_cusp inverts the linear-drive cusp frequency
+    corner = 4.0 * an.effective_hopping(j, k0)
     omega_c = math.sqrt(corner * (corner + 2.0 * g))
-    assert an.interaction_from_cusp(omega_c, j_eff) == pytest.approx(
+    assert an.calibrate_g_from_cusp(omega_c, j, k0) == pytest.approx(
         g, rel=1e-9, abs=1e-12
     )
 
 
 def test_interaction_from_cusp_guards():
-    with pytest.raises(CalibrationError):
-        an.interaction_from_cusp(1.0, -0.5)
-    with pytest.raises(CalibrationError):
-        an.interaction_from_cusp(3.9, 1.0)  # below the non-interacting corner
-
-
-def test_stable_condensate_momentum():
-    zero = j0_first_zero()
-    for traj in Trajectory:
-        assert an.stable_condensate_momentum(traj, 0.5 * zero) == Momentum(0, 0)
-    assert an.stable_condensate_momentum(Trajectory.LINEAR_X, 3.0) == Momentum(
-        math.pi, 0.0
-    )
-    for traj in (Trajectory.DIAGONAL, Trajectory.CIRCULAR):
-        assert an.stable_condensate_momentum(traj, 3.0) == Momentum(
-            math.pi, math.pi
-        )
-    with pytest.raises(DomainError):
-        an.stable_condensate_momentum(Trajectory.LINEAR_X, -0.2)
+    with pytest.raises(CalibrationError, match="effective hopping"):
+        an.calibrate_g_from_cusp(1.0, 1.0, 3.0)  # past the first zero of J0
+    with pytest.raises(CalibrationError, match="band corner"):
+        an.calibrate_g_from_cusp(3.9, 1.0, 0.0)  # below the non-interacting corner
+    for bad in (math.nan, math.inf):  # no g to return, not a nan or inf one
+        with pytest.raises(CalibrationError, match="must be finite"):
+            an.calibrate_g_from_cusp(bad, 1.0, 1.0)
+        with pytest.raises(DomainError, match="hopping must be positive and finite"):
+            an.calibrate_g_from_cusp(20.0, bad, 1.0)
 
 
 # ------------------------------------------------------- array evaluation
@@ -479,7 +484,33 @@ def test_scan_threshold_matches_one_point_calls():
 @pytest.mark.parametrize("omega, k0, message", [
     (np.array([1.0, 0.0, -1.0]), 1.0, "drive frequency must be positive, got 0.0"),
     (2.0, np.array([0.5, -0.25, -1.0]), "drive amplitude must be >= 0, got -0.25"),
+    (np.array([1.0, math.nan]), 1.0, "omega must be finite, got nan"),
+    (np.array([math.inf, 1.0]), 1.0, "omega must be finite, got inf"),
+    (1.0, np.array([0.5, math.nan]), "k0 must be finite, got nan"),
+    (1.0, -math.inf, "k0 must be finite, got -inf"),
 ])
 def test_scan_names_the_first_bad_input(omega, k0, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         an.ClosedFormScan(omega, lat(), k0)
+
+
+LIN = Trajectory.LINEAR_X
+NEGATIVE_K0 = "drive amplitude must be >= 0, got -1.0"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: an.most_unstable_mode(LIN, 1.25, math.inf, p), "omega must be finite, got inf"),
+    (lambda p: an.most_unstable_mode(LIN, 1.25, math.nan, p), "omega must be finite, got nan"),
+    (lambda p: an.most_unstable_mode(LIN, math.nan, 1.0, p), "k0 must be finite, got nan"),
+    (lambda p: an.critical_drive_amplitude(math.nan, p), "omega must be finite, got nan"),
+    (lambda p: an.critical_drive_amplitude(math.inf, p), "omega must be finite, got inf"),
+    (lambda p: an.cusp_frequency(LIN, math.nan, p), "k0 must be finite, got nan"),
+    (lambda p: an.cusp_frequency(LIN, -1.0, p), NEGATIVE_K0),
+    (lambda p: an.calibrate_g_from_cusp(20.0, 1.0, -1.0), NEGATIVE_K0),
+    (lambda p: an.effective_hopping(1.0, -1.0), NEGATIVE_K0),
+], ids=["mum-omega-inf", "mum-omega-nan", "mum-k0-nan", "k0c-omega-nan", "k0c-omega-inf",
+        "cusp-k0-nan", "cusp-k0-negative", "calibrate-k0-negative", "hopping-k0-negative"])
+def test_one_point_entries_check_drive_inputs(call, message):
+    # each closed-form entry point rejects the omega and k0 that DriveSpec does
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(lat())

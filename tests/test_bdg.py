@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dispersion
 from scipy.integrate import solve_ivp
 
 from shakenbec.analytics import most_unstable_mode
@@ -17,17 +18,13 @@ from shakenbec.bdg import (
     init_mode,
     occupation_rate,
 )
-from shakenbec.errors import BlowUpError, DomainError, IntegratorToleranceError
-from shakenbec.model import (
-    DriveSpec,
-    Envelope,
-    Grid,
-    LatticeParams,
-    Momentum,
-    Trajectory,
-    bogoliubov_frame,
-    dispersion,
+from shakenbec.errors import (
+    BlowUpError,
+    DomainError,
+    IntegratorToleranceError,
+    SingularModeError,
 )
+from shakenbec.model import DriveSpec, Envelope, Grid, LatticeParams, Momentum, Trajectory
 from shakenbec.specialmath import bessel_j
 
 P = LatticeParams(j=1.0, g=12.0, gamma0=0.0)
@@ -46,11 +43,19 @@ def cfg(**kw):
 def test_init_mode_ground_state():
     q = Momentum(1.3, -0.4, 0.0)
     st = init_mode(q, P)
-    frame = bogoliubov_frame(q, 0.0, Trajectory.LINEAR_X, P)
+    eps = 4.0 * P.j * (math.sin(0.5 * q.qx) ** 2 + math.sin(0.5 * q.qy) ** 2)
+    cosh2 = (eps + P.g) / math.sqrt(eps * (eps + 2.0 * P.g))  # cosh(2 theta)
     assert st.norm == pytest.approx(1.0, abs=1e-12)
     assert st.u.real > 0.0 and st.v.real < 0.0  # relative sign convention
-    assert st.occupation == pytest.approx(0.5 * (frame.cosh2 - 1.0), rel=1e-12)
+    assert st.occupation == pytest.approx(0.5 * (cosh2 - 1.0), rel=1e-12)
     assert st.u.imag == 0.0 and st.v.imag == 0.0
+
+
+def test_init_mode_rejects_the_condensate():
+    # q = 0 is gapless: it has no Bogoliubov mode to start from
+    for p in (P, LatticeParams(j=1.0, g=0.0)):
+        with pytest.raises(SingularModeError, match="gapless"):
+            init_mode(Momentum(0.0, 0.0, 0.0), p)
 
 
 def test_init_mode_noninteracting():

@@ -16,7 +16,7 @@ import pytest
 
 from shakenbec import twa
 from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
-from shakenbec.bdg import NORM_DRIFT_TOL
+from shakenbec.bdg import NORM_DRIFT_TOL, BdgRunConfig
 from shakenbec.cli import main
 from shakenbec.config import (
     available_presets,
@@ -241,6 +241,10 @@ def test_bdg_section():
     assert cfg.steps_per_period == 128
     with pytest.raises(ConfigError, match=r"\[bdg\]"):
         bdg_from_config(parse(BASE))
+
+
+def test_empty_bdg_section_takes_the_dataclass_defaults():
+    assert bdg_from_config(parse(BASE + "\n[bdg]\n")) == BdgRunConfig()
 
 
 def test_twa_section_and_seed_override():

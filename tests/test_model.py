@@ -1,4 +1,5 @@
-"""Drive kinematics, dispersions and Bogoliubov frames against quadrature oracles."""
+"""Drive kinematics, dispersions and the Bogoliubov transform against
+quadrature oracles."""
 
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dispersion
 
-from shakenbec.errors import DomainError, InvertedBandError, SingularModeError
+from shakenbec.analytics import ClosedFormScan, cusp_frequency, most_unstable_mode
+from shakenbec.errors import DomainError, InvertedBandError
 from shakenbec.model import (
     DriveSpec,
     Envelope,
@@ -16,16 +19,11 @@ from shakenbec.model import (
     Momentum,
     Trajectory,
     axis_energies,
-    bogoliubov_frame,
     bogoliubov_transform,
-    dispersion,
-    drive_harmonics,
     drive_shift,
-    effective_dispersion,
     envelope_value,
-    shake_displacement,
 )
-from shakenbec.specialmath import ATOMIC_MASS_KG, RB87_MASS_U, bessel_j
+from shakenbec.specialmath import bessel_j
 
 TWO_PI = 2.0 * math.pi
 ALL_TRAJECTORIES = list(Trajectory)
@@ -150,155 +148,114 @@ def test_dispersion_vanishes_at_condensate():
         assert dispersion(Momentum(0.0, 0.0), float(t), drive, p) == 0.0
 
 
+def period_average(q, k0, traj, p, n=256):
+    """Mean of eps(q, t) over n equally spaced times of one drive period."""
+    drive = DriveSpec(traj, k0=k0, omega=1.0)
+    ts = np.arange(n) * drive.period / n
+    return float(np.mean([dispersion(q, t, drive, p) for t in ts]))
+
+
+def corner(traj):
+    """The most unstable band corner: (pi, pi) for diagonal, else (pi, 0)."""
+    return Momentum(math.pi, math.pi if traj is Trajectory.DIAGONAL else 0.0)
+
+
 def test_effective_dispersion_is_period_average():
+    # averaged over a period, eps(q, t) at the trajectory's most unstable
+    # band corner has the static Bogoliubov energy of the rate cusp
     rng = np.random.default_rng(21)
-    p = lat(j=0.8, g=1.0, m_z=0.3)
-    ts = np.arange(2048) / 2048.0
-    for _ in range(100):
-        traj = ALL_TRAJECTORIES[rng.integers(3)]
-        k0 = float(rng.uniform(0, 2.3))
-        omega = float(rng.uniform(0.5, 25))
-        drive = DriveSpec(traj, k0=k0, omega=omega)
-        q = Momentum(*rng.uniform(-math.pi, math.pi, 2), float(rng.uniform(-1, 1)))
-        avg = np.mean(
-            [dispersion(q, float(t) * drive.period, drive, p) for t in ts]
-        )
-        try:
-            val = effective_dispersion(q, k0, traj, p)
-        except InvertedBandError:
-            assert avg < 1e-8  # only inverted points may be rejected
-            continue
-        assert val == pytest.approx(avg, abs=1e-8)
+    for _ in range(10):
+        p = lat(j=float(rng.uniform(0.5, 2.0)), g=float(rng.uniform(0.0, 10.0)))
+        k0 = float(rng.uniform(0.0, 2.3))
+        for traj in ALL_TRAJECTORIES:
+            eps = period_average(corner(traj), k0, traj, p)
+            want = cusp_frequency(traj, k0, p).omega_c
+            assert bogoliubov_transform(eps, p.g)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_effective_dispersion_inverted_band():
+    # past the first zero of J0 the shaken corner averages to a negative
+    # energy, which the analytics reject as an inverted band; linear
+    # shaking leaves the y direction bare
     p = lat()
+    assert period_average(Momentum(math.pi, 0.0), 2.5, Trajectory.LINEAR_X, p) < 0.0
+    bare = period_average(Momentum(0.0, math.pi), 2.5, Trajectory.LINEAR_X, p)
+    assert bare == pytest.approx(4.0 * p.j, abs=1e-12)
     with pytest.raises(InvertedBandError):
-        effective_dispersion(Momentum(math.pi, 0.0), 2.5, Trajectory.LINEAR_X, p)
-    # y direction stays bare under linear shaking
-    val = effective_dispersion(Momentum(0.0, math.pi), 2.5, Trajectory.LINEAR_X, p)
-    assert val == pytest.approx(4.0 * p.j, abs=1e-12)
+        cusp_frequency(Trajectory.LINEAR_X, 2.5, p)
+    assert ClosedFormScan(1.0, p, 2.5).modes(Trajectory.LINEAR_X).inverted
 
 
 def test_effective_dispersion_renormalization_pattern():
+    # averaging scales the hopping along each shaken axis by J0(k0): only
+    # x under linear shaking, x and y under the diagonal and circular drives
     p = lat(j=2.0)
     k0 = 1.25
     b0 = bessel_j(0, k0)
-    qx = Momentum(math.pi, 0.0)
-    qy = Momentum(0.0, math.pi)
-    assert effective_dispersion(qx, k0, Trajectory.LINEAR_X, p) == pytest.approx(
-        4.0 * p.j * b0, rel=1e-12
-    )
-    assert effective_dispersion(qy, k0, Trajectory.LINEAR_X, p) == pytest.approx(
-        4.0 * p.j, rel=1e-12
-    )
-    for traj in (Trajectory.DIAGONAL, Trajectory.CIRCULAR):
-        assert effective_dispersion(qy, k0, traj, p) == pytest.approx(
-            4.0 * p.j * b0, rel=1e-12
+    for traj in ALL_TRAJECTORIES:
+        along_y = 1.0 if traj is Trajectory.LINEAR_X else b0
+        along_x = period_average(Momentum(math.pi, 0.0), k0, traj, p)
+        assert along_x == pytest.approx(4.0 * p.j * b0, rel=1e-12)
+        assert period_average(Momentum(0.0, math.pi), k0, traj, p) == pytest.approx(
+            4.0 * p.j * along_y, rel=1e-12
         )
 
 
 # --------------------------------------------------------- drive harmonics
 
 
-def measured_harmonics(q, drive, p, l_max=4, n=1024):
-    ts = np.arange(n) * drive.period / n
-    even = np.array(
-        [
-            0.5 * (dispersion(q, t, drive, p) + dispersion(-q, t, drive, p))
-            for t in ts
-        ]
-    )
-    spec = np.fft.rfft(even) / n
-    return [2.0 * float(spec[2 * l].real) for l in range(1, l_max + 1)], spec
+def measured_harmonics(q, drive, p, n=256):
+    """rfft / n of the momentum-even part of eps(q, t) over one period."""
+    even = [
+        0.5 * (dispersion(q, t, drive, p) + dispersion(-q, t, drive, p))
+        for t in np.arange(n) * drive.period / n
+    ]
+    return np.fft.rfft(even) / n
 
 
-def test_drive_harmonics_match_fourier_analysis():
-    rng = np.random.default_rng(3)
-    p = lat(j=1.1, g=0.7)
-    for _ in range(30):
-        traj = ALL_TRAJECTORIES[rng.integers(3)]
-        drive = DriveSpec(traj, k0=float(rng.uniform(0.1, 2.3)),
-                          omega=float(rng.uniform(1, 20)))
-        q = Momentum(*rng.uniform(-math.pi, math.pi, 2))
-        got = drive_harmonics(q, drive.k0, traj, p, l_max=4)
-        want, spec = measured_harmonics(q, drive, p)
-        for a, b in zip(got, want):
-            assert a == pytest.approx(b, abs=1e-8)
-        # the momentum-even part has no odd harmonics and no sine content
-        assert abs(spec[1]) < 1e-10
-        assert abs(spec[3]) < 1e-10
-        assert np.max(np.abs(spec.imag)) < 1e-9
+def first_harmonic(q, drive, p):
+    """c_1, where the momentum-even part of eps(q, t) holds c_1 cos(2 omega t)."""
+    return 2.0 * float(measured_harmonics(q, drive, p)[2].real)
 
 
 def test_first_harmonic_closed_forms():
-    p = lat(j=1.6)
-    k0 = 1.25
-    b2 = bessel_j(2, k0)
-    q = Momentum(0.9, -1.7)
-    sx2 = math.sin(0.45) ** 2
-    sy2 = math.sin(0.85) ** 2
-    lin = drive_harmonics(q, k0, Trajectory.LINEAR_X, p, l_max=1)[0]
-    dia = drive_harmonics(q, k0, Trajectory.DIAGONAL, p, l_max=1)[0]
-    cir = drive_harmonics(q, k0, Trajectory.CIRCULAR, p, l_max=1)[0]
-    assert lin == pytest.approx(8.0 * p.j * b2 * sx2, rel=1e-12)
-    assert dia == pytest.approx(8.0 * p.j * b2 * (sx2 + sy2), rel=1e-12)
-    assert cir == pytest.approx(8.0 * p.j * b2 * (sx2 - sy2), rel=1e-12)
+    # on resonance at the band corner the pair grows at |c_1| g / (2 omega),
+    # which with c_1 from a Fourier analysis of eps(q, t) is the closed-form
+    # high-frequency gamma; the momentum-even part of eps has no odd
+    # harmonics and no sine content
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        p = lat(j=float(rng.uniform(0.5, 2.0)), g=float(rng.uniform(0.5, 10.0)))
+        k0 = float(rng.uniform(0.1, 2.3))
+        for traj in ALL_TRAJECTORIES:
+            omega = float(rng.uniform(1.0, 3.0)) * cusp_frequency(traj, k0, p).omega_c
+            spec = measured_harmonics(corner(traj), DriveSpec(traj, k0, omega), p)
+            want = most_unstable_mode(traj, k0, omega, p).gamma
+            assert abs(spec[2].real) * p.g / omega == pytest.approx(want, rel=1e-12)
+            assert np.abs(spec[1::2]).max() < 1e-10
+            assert np.abs(spec.imag).max() < 1e-9
 
 
 def test_circular_first_harmonic_antisymmetry():
+    # under circular shaking c_1 changes sign when qx and qy swap, so it
+    # vanishes at (pi, pi): the circular cusp sits at the (pi, 0) corner
     p = lat()
+    drive = DriveSpec(Trajectory.CIRCULAR, 1.0, 1.0)
     rng = np.random.default_rng(11)
-    for _ in range(20):
+    for _ in range(10):
         qx, qy = rng.uniform(-math.pi, math.pi, 2)
-        a = drive_harmonics(Momentum(qx, qy), 1.0, Trajectory.CIRCULAR, p, 1)[0]
-        b = drive_harmonics(Momentum(qy, qx), 1.0, Trajectory.CIRCULAR, p, 1)[0]
+        a = first_harmonic(Momentum(qx, qy), drive, p)
+        b = first_harmonic(Momentum(qy, qx), drive, p)
         assert a == pytest.approx(-b, abs=1e-12)
-    corner = drive_harmonics(Momentum(math.pi, math.pi), 1.0,
-                             Trajectory.CIRCULAR, p, 1)[0]
-    assert corner == pytest.approx(0.0, abs=1e-12)
+    assert abs(first_harmonic(Momentum(math.pi, math.pi), drive, p)) < 1e-12
 
 
 def test_diagonal_harmonics_symmetric():
     p = lat()
-    a = drive_harmonics(Momentum(0.4, 1.9), 1.5, Trajectory.DIAGONAL, p, 3)
-    b = drive_harmonics(Momentum(1.9, 0.4), 1.5, Trajectory.DIAGONAL, p, 3)
-    assert a == pytest.approx(b, abs=1e-14)
-
-
-# ------------------------------------------------------- Bogoliubov frames
-
-
-def test_frame_is_eigenvector_of_pairing_matrix():
-    rng = np.random.default_rng(5)
-    p = lat(j=1.0, g=3.0)
-    for _ in range(40):
-        q = Momentum(*rng.uniform(0.2, math.pi, 2))
-        traj = ALL_TRAJECTORIES[rng.integers(3)]
-        k0 = float(rng.uniform(0, 2.0))
-        fr = bogoliubov_frame(q, k0, traj, p)
-        assert fr.cosh**2 - fr.sinh**2 == pytest.approx(1.0, abs=1e-12)
-        eps = fr.eps_eff
-        m = np.array([[eps + p.g, p.g], [-p.g, -eps - p.g]])
-        vec = np.array([fr.cosh, -fr.sinh])
-        resid = m @ vec - fr.energy * vec
-        assert np.max(np.abs(resid)) < 1e-10
-        assert fr.energy == pytest.approx(math.sqrt(eps * (eps + 2 * p.g)), rel=1e-12)
-
-
-def test_frame_special_points():
-    p = lat(j=1.0, g=1.0)
-    # eps = 2 g makes cosh(2 theta) = 3 / (2 sqrt(2))
-    qx = 2.0 * math.asin(math.sqrt(2.0 * p.g / (4.0 * p.j)))
-    fr = bogoliubov_frame(Momentum(qx, 0.0), 0.0, Trajectory.LINEAR_X, p)
-    assert fr.eps_eff == pytest.approx(2.0 * p.g, rel=1e-12)
-    assert fr.cosh2 == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
-    # free particles: no mixing
-    free = bogoliubov_frame(Momentum(1.0, 0.0), 0.0, Trajectory.LINEAR_X, lat(g=0.0))
-    assert free.cosh2 == 1.0
-    assert free.sinh2 == 0.0
-    with pytest.raises(SingularModeError):
-        bogoliubov_frame(Momentum(0.0, 0.0), 0.0, Trajectory.LINEAR_X, p)
+    drive = DriveSpec(Trajectory.DIAGONAL, 1.5, 1.0)
+    a = measured_harmonics(Momentum(0.4, 1.9), drive, p)
+    b = measured_harmonics(Momentum(1.9, 0.4), drive, p)
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
 
 
 # -------------------------------------------------------- envelopes, stops
@@ -448,14 +405,3 @@ def test_grid_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="lz must be finite"):
             Grid(4, 4, 1, lz=bad)
-
-
-def test_shake_displacement_magnitude():
-    mass = RB87_MASS_U * ATOMIC_MASS_KG
-    dx = shake_displacement(1.25, TWO_PI * 2500.0, 407e-9, mass)
-    hbar = 1.054571817e-34
-    assert dx == pytest.approx(hbar * 1.25 / (407e-9 * TWO_PI * 2500.0 * mass),
-                               rel=1e-12)
-    assert 1.3e-7 < dx < 1.6e-7  # about 140 nm
-    with pytest.raises(DomainError):
-        shake_displacement(1.0, -1.0, 1e-9, mass)
