@@ -22,9 +22,7 @@ from .analytics import (
     critical_drive_amplitude,
     cusp_frequency,
     effective_hopping,
-    k0_critical,
     most_unstable_mode,
-    omega_c,
 )
 from .bdg import (
     BdgRunConfig,
@@ -91,10 +89,8 @@ from .twa import (
     ObservableTrace,
     TwaRunConfig,
     ensemble_run,
-    load_field,
     run_trajectory,
     sample_initial,
-    save_field,
 )
 
 __version__ = "0.1.0"

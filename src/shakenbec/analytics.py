@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, InvertedBandError, NoCriticalAmplitudeError
 from .model import (
-    DriveSpec,
     LatticeParams,
     Momentum,
     Regime,
@@ -264,14 +263,15 @@ def most_unstable_mode(
     Requires 0 <= k0 < first zero of J0 (non-inverted band).  The
     returned q_mum contains one representative momentum per inequivalent
     (q, -q) pair; the total rate is big_gamma = 2 * gamma * (number of
-    pairs) + gamma0.  The one-point case of ClosedFormScan.modes.
+    pairs) + gamma0.  The one-point case of ClosedFormScan.modes: a k0
+    that DriveSpec rejects raises its DomainError, and a k0 at or past
+    the first zero of J0 raises InvertedBandError.
     """
-    zero = j0_first_zero()
-    if math.isfinite(k0) and not 0.0 <= k0 < zero:  # ClosedFormScan rejects the rest
-        raise InvertedBandError(
-            f"most_unstable_mode needs 0 <= k0 < {zero:.6f}, got {k0}"
-        )
     m = ClosedFormScan(omega, p, k0).modes(trajectory)
+    if m.inverted:
+        raise InvertedBandError(
+            f"most_unstable_mode needs 0 <= k0 < {j0_first_zero():.6f}, got {k0}"
+        )
     qx, qy = float(m.qx), float(m.qy)
     if trajectory is Trajectory.LINEAR_X:
         q_set = (Momentum(qx, qy),)
@@ -306,16 +306,6 @@ def critical_drive_amplitude(omega: float, p: LatticeParams) -> float:
             f"no critical amplitude: g/omega = {p.g / omega:.4f} > 1"
         )
     return k0c
-
-
-def omega_c(drive: DriveSpec, p: LatticeParams) -> CuspData:
-    """Cusp data for a drive's trajectory and amplitude (drive.omega unused)."""
-    return cusp_frequency(drive.trajectory, drive.k0, p)
-
-
-def k0_critical(omega: float, g: float) -> float:
-    """Runaway-heating threshold amplitude from bare omega and g."""
-    return critical_drive_amplitude(omega, LatticeParams(j=1.0, g=g, n0=1.0))
 
 
 def calibrate_g_from_cusp(measured_omega_c: float, j: float, k0: float) -> float:

@@ -174,9 +174,11 @@ def cmd_bdg(args) -> int:
     cfg = bdg_from_config(cp)
     scan = scan_from_config(cp, allowed=("omega", "k0"))
     if scan is None:
-        points = [("omega", drive.omega)]
+        points = [("omega", drive.omega, drive)]
     else:
-        points = [(scan.variable, float(v)) for v in scan.values]
+        # every point's drive is built, so checked, before any point runs
+        points = [(scan.variable, float(v), _drive_variant(drive, scan.variable, float(v)))
+                  for v in scan.values]
 
     header = [
         "trajectory", "k0", "omega_rad_s", "omega_hz",
@@ -186,8 +188,7 @@ def cmd_bdg(args) -> int:
     rows, drifts, failures = [], [], []
     mode_steps = 0
     single = scan is None
-    for variable, value in points:
-        d = _drive_variant(drive, variable, value)
+    for variable, value, d in points:
         try:
             analytic = 2.0 * analytics.most_unstable_mode(
                 d.trajectory, d.k0, d.omega, p
@@ -259,8 +260,9 @@ def cmd_twa(args) -> int:
             "n_realizations", "status",
         ]
         rows, drifts, failures = [], [], []
-        for g in scan.values:
-            p_g = dataclasses.replace(p, g=float(g))
+        # every point's lattice is built, so checked, before any point runs
+        for p_g in [dataclasses.replace(p, g=float(g)) for g in scan.values]:
+            g = p_g.g
             try:
                 result = twa.ensemble_run(
                     grid, drive, p_g, run_cfg, ens_cfg, workers=args.workers
@@ -269,12 +271,12 @@ def cmd_twa(args) -> int:
                     _growth_traces(result), window, period, ens_cfg.master_seed,
                     ens_cfg.bootstrap_resamples,
                 )
-                rows.append([float(g), float(g) / p.j, fit.rate, boot.std,
+                rows.append([g, g / p.j, fit.rate, boot.std,
                              ens_cfg.n_realizations, "ok"])
                 drifts.append(result.atom_drift)
             except NumericalError as exc:
-                failures.append(_failed_point("twa", "g", float(g), exc))
-                rows.append([float(g), float(g) / p.j, None, None,
+                failures.append(_failed_point("twa", "g", g, exc))
+                rows.append([g, g / p.j, None, None,
                              ens_cfg.n_realizations, type(exc).__name__])
         write_csv(outdir / "twa_g_scan.csv", header, rows)
         return _finish(args, cp, outdir, "twa", ["twa_g_scan.csv"], {

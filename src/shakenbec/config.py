@@ -266,37 +266,37 @@ def grid_from_config(cp, section: str, default: Grid) -> Grid:
     )
 
 
+def _given(cp, section: str, convs: dict) -> dict:
+    """The keys of convs present in section, each converted by its conv."""
+    return {key: _get(cp, section, key, conv)
+            for key, conv in convs.items() if cp.has_option(section, key)}
+
+
 def bdg_from_config(cp) -> BdgRunConfig:
     """[bdg] as a BdgRunConfig; absent keys keep the dataclass defaults."""
     if not cp.has_section("bdg"):
         raise ConfigError("missing required section [bdg]")
-    given = {
-        key: _get(cp, "bdg", key, int)
-        for key in ("steps_per_period", "n_cycles", "fit_window_cycles")
-        if cp.has_option("bdg", key)
-    }
+    given = _given(cp, "bdg", dict.fromkeys(
+        ("steps_per_period", "n_cycles", "fit_window_cycles"), int))
     return BdgRunConfig(grid=grid_from_config(cp, "bdg", BdgRunConfig.grid), **given)
 
 
 def twa_from_config(cp, seed_override: int | None = None):
-    """Returns (Grid, TwaRunConfig, EnsembleConfig, rate_window_cycles)."""
+    """Returns (Grid, TwaRunConfig, EnsembleConfig, rate_window_cycles).
+
+    Absent [twa] keys keep the dataclass defaults; seed_override, when
+    given, replaces master_seed.
+    """
     if not cp.has_section("twa"):
         raise ConfigError("missing required section [twa]")
     grid = grid_from_config(cp, "twa", Grid(16, 16))
-    run_cfg = TwaRunConfig(
-        steps_per_period=_get(cp, "twa", "steps_per_period", int, 128),
-        n_cycles=_get(cp, "twa", "n_cycles", int, None),
-        post_hold_periods=_get(cp, "twa", "post_hold_periods", int, 0),
-    )
-    master_seed = _get(cp, "twa", "master_seed", int, 0)
+    run_cfg = TwaRunConfig(**_given(cp, "twa", dict.fromkeys(
+        ("steps_per_period", "n_cycles", "post_hold_periods"), int)))
+    given = _given(cp, "twa", {"n_realizations": int, "master_seed": int,
+                               "bootstrap_resamples": int, "noise_scale": float})
     if seed_override is not None:
-        master_seed = seed_override
-    ens_cfg = EnsembleConfig(
-        n_realizations=_get(cp, "twa", "n_realizations", int, 16),
-        master_seed=master_seed,
-        bootstrap_resamples=_get(cp, "twa", "bootstrap_resamples", int, 200),
-        noise_scale=_get(cp, "twa", "noise_scale", float, 1.0),
-    )
+        given["master_seed"] = seed_override
+    ens_cfg = EnsembleConfig(**given)
     window = _get(cp, "twa", "rate_window_cycles", int, 8)
     if window < 1:
         raise ConfigError("[twa] rate_window_cycles must be >= 1")

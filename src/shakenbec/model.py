@@ -331,29 +331,7 @@ class Grid:
     def n_modes(self) -> int:
         return self.nx * self.ny * self.nz
 
-    def partner_axes(
-        self, about: tuple[int, int, int] = (0, 0, 0)
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per axis, the pairing partner (2 about - i) mod n of index i:
-        q0 + k pairs with q0 - k about the momentum q0 at index about."""
-        return tuple(
-            (2 * c - np.arange(n)) % n for c, n in zip(about, (self.nx, self.ny, self.nz))
-        )
-
-    def index_of(self, q: Momentum) -> tuple[int, int, int]:
-        """Grid index of a momentum that lies on the grid (1e-9 tolerance)."""
-        out = []
-        # in-plane axes are Brillouin-zone periodic, the transverse one is not
-        for val, axis, periodic in (
-            (q.qx, self.qx_axis, True),
-            (q.qy, self.qy_axis, True),
-            (q.qz, self.qz_axis, False),
-        ):
-            diff = np.abs(axis - val)
-            if periodic:
-                diff = np.minimum(diff, np.abs(diff - TWO_PI))
-            i = int(np.argmin(diff))
-            if diff[i] > 1e-9:
-                raise DomainError(f"momentum {q.as_tuple()} does not lie on the grid")
-            out.append(i)
-        return tuple(out)
+    def partner_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per axis, the index (-i) mod n of the pairing partner -q of the
+        momentum q at index i."""
+        return tuple((-np.arange(n)) % n for n in (self.nx, self.ny, self.nz))

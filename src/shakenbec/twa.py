@@ -7,11 +7,12 @@ amplitudes use the unitary FFT convention scaled so that
     N = sum_q |A_q|^2,   A = fftn(a, norm="ortho") * sqrt(dz),
 
 which makes |A_q|^2 directly comparable to Bogoliubov pair occupations
-(per mode) and n_ex = sum_{q != q0} |A_q|^2 / volume an excited density.
+(per mode) and n_ex = sum_{q != 0} |A_q|^2 / volume an excited density.
 
-Initial states sample the Wigner distribution of the Bogoliubov vacuum:
-half a quantum of noise per mode, rotated by the static (u, v)
-amplitudes, on top of the coherent condensate.  Evolution is a
+A run starts at t = 0 from a sample of the Wigner distribution of the
+Bogoliubov vacuum: half a quantum of noise per mode, rotated by the
+static (u, v) amplitudes, on top of a coherent condensate at q = 0
+(grid index (0, 0, 0)).  Evolution is a
 second-order Strang splitting of the Gross-Pitaevskii equation in the
 co-moving frame: half-step kinetic (diagonal in momentum, drive shift
 evaluated at the substep midpoint), full-step contact interaction
@@ -21,10 +22,10 @@ half-kinetic phase of each step with the leading one of the next, which
 is the same splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487
 (2002)) at one FFT pair per step instead of a position-space step's
 two; observables read |A_q|^2, which the kinetic phase leaves
-unchanged, so no closing half step is taken.  A FieldState
-may carry a leading realization axis: ensembles run as contiguous
-batches of realizations, one array per batch, with one process per
-batch when there is more than one.  A run may also take a tuple of
+unchanged, so no closing half step is taken.  A FieldState may carry
+a leading realization axis: ensembles run as contiguous batches of
+realizations, one array per batch, with one process per batch when
+there is more than one.  A run may also take a tuple of
 drives that share omega and run length, such as the stopping protocols
 of an end-phase study: every drive evolves the same samples, the P x R
 rows stack protocol-major in one array, each step applies each drive's
@@ -38,7 +39,6 @@ mode to estimate the physical excited density.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -51,15 +51,11 @@ from .model import (
     DriveSpec,
     Grid,
     LatticeParams,
-    Momentum,
     axis_energies,
     bogoliubov_transform,
     drive_shift,
 )
 
-FIELD_FORMAT = "shakenbec-field"
-FIELD_VERSION = 1
-GAUGE_TAG = "comoving-shift-v1"  # kinetic frame, dispersion at q - A(t)
 ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
 GRID_AXES = (-3, -2, -1)  # amplitudes[..., ix, iy, iz], after any realization axis
 STEP_CHUNK = 32  # steps whose kinetic factor tables are built at once
@@ -74,7 +70,7 @@ class TwaRunConfig:
     Observables are recorded at every period boundary.
     """
 
-    steps_per_period: int = 256
+    steps_per_period: int = 128
     n_cycles: int | None = None
     post_hold_periods: int = 0
 
@@ -135,11 +131,10 @@ class EnsembleConfig:
     scheduling order.
     """
 
-    n_realizations: int = 50
+    n_realizations: int = 16
     master_seed: int = 0
     bootstrap_resamples: int = 200
     noise_scale: float = 1.0
-    q0: Momentum = Momentum(0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
@@ -158,23 +153,18 @@ def _check_noise_scale(noise_scale: float) -> None:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Classical field in position space at one instant.
+    """Classical field in position space at t = 0.
 
     amplitudes[ix, iy, iz] is the field on lattice site (ix, iy) and
     transverse slice iz; |a|^2 integrates to the atom number with the
     transverse measure dz.  A stacked state carries a leading
     realization axis, amplitudes[r, ix, iy, iz], whose rows share every
-    other attribute; run_trajectory evolves the rows independently,
-    save_field stores unstacked states only.
+    other attribute; run_trajectory evolves the rows independently.
     """
 
     amplitudes: np.ndarray
     grid: Grid
-    t: float = 0.0
-    condensate_index: tuple[int, int, int] = (0, 0, 0)
     noise_scale: float = 1.0
-    gauge: str = GAUGE_TAG
-    seed: int | None = None  # scalar sampling seed, when one was used
 
 
 @dataclass(frozen=True)
@@ -231,48 +221,28 @@ def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
 def sample_initial(
     grid: Grid,
     p: LatticeParams,
-    q0: Momentum = Momentum(0.0, 0.0, 0.0),
-    seed: int | np.random.Generator = 0,
+    rng: np.random.Generator,
     noise_scale: float = 1.0,
 ) -> FieldState:
     """Draw one Wigner sample of the Bogoliubov vacuum around a condensate.
 
-    The condensate of |A|^2 = n0 * volume sits at q0 (which must be a
-    grid momentum); every other mode receives u_q gamma_q +
-    v_q gamma_-q^* with complex Gaussian gamma of mean square
-    noise_scale^2 / 2.  Modes whose dispersion relative to the
-    condensate is not positive (only possible for q0 != 0) fall back to
-    bare vacuum noise (u, v) = (1, 0).  seed may be a scalar (stream 0
-    of that seed) or a prepared generator for ensemble use.
+    The condensate of |A|^2 = n0 * volume sits at q = 0; every other
+    mode receives u_q gamma_q + v_q gamma_-q^* with complex Gaussian
+    gamma of mean square noise_scale^2 / 2, drawn from rng.
     """
-    scalar_seed: int | None = None
-    if isinstance(seed, (int, np.integer)):
-        scalar_seed = int(seed)
-        rng = realization_rng(scalar_seed, 0)
-    else:
-        rng = seed
     _check_noise_scale(noise_scale)
-    i0 = grid.index_of(q0)
-    eps0 = sum(axis_energies(*grid.mesh, p))
-    _, uu, vv = bogoliubov_transform(eps0 - eps0[i0], p.g)
+    _, uu, vv = bogoliubov_transform(sum(axis_energies(*grid.mesh, p)), p.g)
 
     shape = (grid.nx, grid.ny, grid.nz)
     gamma = noise_scale * (
         rng.normal(0.0, 0.5, shape) + 1j * rng.normal(0.0, 0.5, shape)
     )
-    gamma_pair = np.conj(gamma[np.ix_(*grid.partner_axes(i0))])
+    gamma_pair = np.conj(gamma[np.ix_(*grid.partner_axes())])
 
     amps_q = uu * gamma + vv * gamma_pair
-    amps_q[i0] = math.sqrt(p.n0 * grid.volume)
+    amps_q[0, 0, 0] = math.sqrt(p.n0 * grid.volume)
     a = np.fft.ifftn(amps_q, norm="ortho") / math.sqrt(grid.dz)
-    return FieldState(
-        amplitudes=a,
-        grid=grid,
-        t=0.0,
-        condensate_index=i0,
-        noise_scale=noise_scale,
-        seed=scalar_seed,
-    )
+    return FieldState(amplitudes=a, grid=grid, noise_scale=noise_scale)
 
 
 def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
@@ -348,8 +318,7 @@ def run_trajectory(
     n_real = len(rows) // n_prot
     a = rows.reshape(n_prot, n_real, *rows.shape[1:])
     axes = _fft_axes(a)
-    i0 = np.ravel_multi_index(state.condensate_index, a.shape[2:])
-    times = state.t + np.arange(n_cycles + 1) * period
+    times = np.arange(n_cycles + 1) * period
     total = np.empty((len(rows), n_cycles + 1))
     cond = np.empty_like(total)
     drift = np.zeros(len(rows))
@@ -380,7 +349,7 @@ def run_trajectory(
                     amps = np.fft.fftn(a, axes=axes, norm="ortho")
         occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
         total[:, cycle] = occ.sum(axis=1) * grid.dz
-        cond[:, cycle] = occ[:, i0] * grid.dz
+        cond[:, cycle] = occ[:, 0] * grid.dz
         dev = np.abs(total[:, cycle] - total[:, 0]) / np.maximum(total[:, 0], 1e-300)
         drift = np.maximum(drift, dev)
         bad = ~np.isfinite(total[:, cycle]) | (dev > ATOM_DRIFT_TOL)
@@ -416,7 +385,7 @@ def _run_batch(payload) -> tuple[list[ObservableTrace], ...]:
     drive, one trace per realization."""
     grid, drives, p, run_cfg, ens_cfg, ks = payload
     states = [
-        sample_initial(grid, p, ens_cfg.q0, realization_rng(ens_cfg.master_seed, k),
+        sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k),
                        ens_cfg.noise_scale)
         for k in ks
     ]
@@ -498,65 +467,3 @@ def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> Ensemb
         bands_degenerate=len(traces) < 2,
     )
 
-
-def save_field(path, state: FieldState) -> None:
-    """Write a field checkpoint: one JSON header line + raw amplitudes.
-
-    Amplitudes are stored as little-endian complex128 in C order.  A
-    stacked state is rejected: the format holds one field.
-    """
-    if state.amplitudes.ndim != 3:
-        raise DomainError(
-            f"save_field stores one field, got amplitudes of shape "
-            f"{state.amplitudes.shape}; save each realization separately"
-        )
-    header = {
-        "format": FIELD_FORMAT,
-        "version": FIELD_VERSION,
-        "nx": state.grid.nx,
-        "ny": state.grid.ny,
-        "nz": state.grid.nz,
-        "lz": state.grid.lz,
-        "t": state.t,
-        "condensate_index": list(state.condensate_index),
-        "noise_scale": state.noise_scale,
-        "gauge": state.gauge,
-        "seed": state.seed,
-    }
-    data = np.ascontiguousarray(state.amplitudes, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(data.tobytes())
-
-
-def load_field(path) -> FieldState:
-    """Read a checkpoint written by save_field; validates format/version."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"not a field checkpoint: {path}") from exc
-    if header.get("format") != FIELD_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format in {path}")
-    if header.get("version") != FIELD_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {header.get('version')} in {path}"
-        )
-    grid = Grid(header["nx"], header["ny"], header["nz"], header["lz"])
-    expected = grid.n_modes * 16
-    if len(blob) != expected:
-        raise ConfigError(
-            f"checkpoint payload has {len(blob)} bytes, expected {expected}"
-        )
-    a = np.frombuffer(blob, dtype="<c16").reshape(grid.nx, grid.ny, grid.nz).copy()
-    return FieldState(
-        amplitudes=a,
-        grid=grid,
-        t=header["t"],
-        condensate_index=tuple(header["condensate_index"]),
-        noise_scale=header["noise_scale"],
-        gauge=header.get("gauge", GAUGE_TAG),
-        seed=header.get("seed"),
-    )

@@ -24,14 +24,14 @@ from shakenbec import (
     Trajectory,
     TwaRunConfig,
     calibrate_g_from_cusp,
+    critical_drive_amplitude,
+    cusp_frequency,
     ensemble_run,
     evolve_modes,
     grid_instability_scan,
     hopping_from_depth,
     init_mode,
-    k0_critical,
     most_unstable_mode,
-    omega_c,
 )
 from shakenbec.cli import main
 from shakenbec.fitting import DecayTrace, TraceKind, bootstrap_rate, fit_exponential
@@ -55,8 +55,8 @@ def ok(n: int, label: str) -> None:
 
 
 def test_01_cusp_values():
-    lin = omega_c(DriveSpec(Trajectory.LINEAR_X, 1.25, TWO_PI * 300.0), REF)
-    dia = omega_c(DriveSpec(Trajectory.DIAGONAL, 1.25, TWO_PI * 300.0), REF)
+    lin = cusp_frequency(Trajectory.LINEAR_X, 1.25, REF)
+    dia = cusp_frequency(Trajectory.DIAGONAL, 1.25, REF)
     lin_hz = lin.omega_c / TWO_PI
     dia_hz = dia.omega_c / TWO_PI
     assert abs(lin_hz - 444.5) < 1.0
@@ -106,7 +106,7 @@ def test_05_most_unstable_mode_location():
     spacing = TWO_PI / 24
 
     def scan_at(traj):
-        om = 1.01 * omega_c(DriveSpec(traj, 1.25, 1.0), p).omega_c
+        om = 1.01 * cusp_frequency(traj, 1.25, p).omega_c
         return grid_instability_scan(DriveSpec(traj, 1.25, om), p, cfg)
 
     res = scan_at(Trajectory.LINEAR_X)
@@ -151,13 +151,13 @@ def test_06_exact_branch_ratios():
         2.0 * hi[Trajectory.LINEAR_X], rel=1e-12
     )
 
-    om_lo = 0.5 * omega_c(DriveSpec(Trajectory.LINEAR_X, k0, 1.0), REF).omega_c
+    om_lo = 0.5 * cusp_frequency(Trajectory.LINEAR_X, k0, REF).omega_c
     lo = [most_unstable_mode(t, k0, om_lo, REF).gamma for t in Trajectory]
     assert lo[0] == pytest.approx(lo[1], rel=1e-12)
     assert lo[0] == pytest.approx(lo[2], rel=1e-12)
 
     for traj in Trajectory:
-        oc = omega_c(DriveSpec(traj, k0, 1.0), REF).omega_c
+        oc = cusp_frequency(traj, k0, REF).omega_c
         below = most_unstable_mode(traj, k0, oc * (1.0 - 1e-9), REF).gamma
         above = most_unstable_mode(traj, k0, oc * (1.0 + 1e-9), REF).gamma
         assert above == pytest.approx(below, rel=1e-6)
@@ -336,15 +336,16 @@ def test_11_fit_calibration_and_coverage():
 
 def test_12_critical_amplitude_curve():
     g = TWO_PI * 700.0
+    p = LatticeParams(j=1.0, g=g)
     omegas = np.geomspace(1.001 * g, 1e6 * g, 60)
-    vals = [k0_critical(om, g) for om in omegas]
+    vals = [critical_drive_amplitude(om, p) for om in omegas]
     assert np.all(np.diff(vals) > 0.0)
 
-    assert k0_critical(1e9 * g, g) == pytest.approx(2.404826, abs=1e-5)
+    assert critical_drive_amplitude(1e9 * g, p) == pytest.approx(2.404826, abs=1e-5)
 
     for ratio in np.linspace(1e-6, 0.999, 25):
         oracle = scipy.optimize.brentq(
             lambda x: scipy.special.j0(x) - ratio, 0.0, 2.404825557, xtol=1e-13
         )
-        assert abs(k0_critical(g / ratio, g) - oracle) < 1e-8
+        assert abs(critical_drive_amplitude(g / ratio, p) - oracle) < 1e-8
     ok(12, "critical amplitude monotone, correct limit, matches series inverse")

@@ -278,9 +278,16 @@ def test_most_unstable_mode_guards():
     p = lat()
     zero = j0_first_zero()
     an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 1.0, p)  # a valid point first
-    for bad in (-0.1, zero, zero + 0.2, 2.404826):
+    for bad in (zero, zero + 0.2, 2.404826):
         with pytest.raises(InvertedBandError):
             an.most_unstable_mode(Trajectory.LINEAR_X, bad, 1.0, p)
+    # a k0 that DriveSpec rejects is a bad input, not an inverted band
+    for bad, message in ((-0.1, "drive amplitude must be >= 0, got -0.1"),
+                         (math.nan, "k0 must be finite, got nan"),
+                         (math.inf, "k0 must be finite, got inf")):
+        with pytest.raises(DomainError, match=re.escape(message)) as err:
+            an.most_unstable_mode(Trajectory.LINEAR_X, bad, 1.0, p)
+        assert not isinstance(err.value, InvertedBandError)
     with pytest.raises(DomainError):
         an.most_unstable_mode(Trajectory.LINEAR_X, 1.0, 0.0, p)
     with pytest.raises(InvertedBandError):

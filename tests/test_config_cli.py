@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shakenbec import twa
+from shakenbec import bdg, twa
 from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
 from shakenbec.bdg import NORM_DRIFT_TOL, BdgRunConfig
 from shakenbec.cli import main
@@ -34,6 +34,7 @@ from shakenbec.errors import (
     NoCriticalAmplitudeError,
 )
 from shakenbec.model import Grid, Trajectory
+from shakenbec.twa import EnsembleConfig, TwaRunConfig
 from shakenbec.output import format_value, write_csv
 from shakenbec.specialmath import j0_first_zero
 
@@ -245,6 +246,12 @@ def test_bdg_section():
 
 def test_empty_bdg_section_takes_the_dataclass_defaults():
     assert bdg_from_config(parse(BASE + "\n[bdg]\n")) == BdgRunConfig()
+
+
+def test_empty_twa_section_takes_the_dataclass_defaults():
+    grid, run_cfg, ens_cfg, window = twa_from_config(parse(BASE + "\n[twa]\n"))
+    assert (run_cfg, ens_cfg) == (TwaRunConfig(), EnsembleConfig())
+    assert (grid, window) == (Grid(16, 16), 8)
 
 
 def test_twa_section_and_seed_override():
@@ -824,6 +831,29 @@ def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
     assert main(["endphase", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, preset, engine, scan, message", [
+    ("bdg", "paper-11er", (bdg, "grid_instability_scan"),
+     "[bdg]\nnx = 8\nny = 8\n\n[scan]\nvariable = k0\nvalues = 1.0, 0.5, -0.5\n",
+     "drive amplitude must be >= 0, got -0.5"),
+    ("twa", "endphase-12x12", (twa, "ensemble_run"),
+     "[scan]\nvariable = g\nvalues = 5, 0, -1\n",
+     "interaction energy must be >= 0, got -1.0"),
+], ids=["bdg-k0", "twa-g"])
+def test_cli_scan_checks_every_point_before_running(tmp_path, capsys, monkeypatch,
+                                                    command, preset, engine, scan,
+                                                    message):
+    # a bad last point fails the whole scan before the first point runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scan point ran before every point was checked")
+
+    monkeypatch.setattr(*engine, no_run)
+    cfg = write_cfg(tmp_path, scan)
+    out = tmp_path / "o"
+    assert main([command, "--preset", preset, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

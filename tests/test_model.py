@@ -369,31 +369,15 @@ def test_grid_axes_and_measures():
     assert g.n_modes == 8 * 6 * 4
 
 
-def test_grid_index_of():
-    g = Grid(8, 8, 4, lz=10.0)
-    assert g.index_of(Momentum(0.0, 0.0, 0.0)) == (0, 0, 0)
-    # pi and -pi are the same in-plane mode on an even grid
-    i_pi = g.index_of(Momentum(math.pi, 0.0, 0.0))
-    i_mpi = g.index_of(Momentum(-math.pi, 0.0, 0.0))
-    assert i_pi == i_mpi == (4, 0, 0)
-    assert g.index_of(Momentum(0.0, 0.0, TWO_PI / 10.0)) == (0, 0, 1)
-    with pytest.raises(DomainError):
-        g.index_of(Momentum(0.1234, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        # the transverse axis is not periodic: aliased qz must be rejected
-        g.index_of(Momentum(0.0, 0.0, 4.0 * TWO_PI / 10.0))
-
-
-@pytest.mark.parametrize("about", [(0, 0, 0), (4, 0, 0), (3, 5, 1)])
-def test_grid_partner_axes(about):
-    # q0 + k pairs with q0 - k: the momenta of an index and of its partner
-    # sum to twice the momentum at about, modulo the period of the FFT axis
+def test_grid_partner_axes():
+    # q pairs with -q: the momenta of an index and of its partner sum to
+    # zero, modulo the period of the FFT axis
     g = Grid(8, 6, 4, lz=10.0)
     axes = (g.qx_axis, g.qy_axis, g.qz_axis)
     periods = (TWO_PI, TWO_PI, TWO_PI * g.nz / g.lz)
-    for axis, period, c, partner in zip(axes, periods, about, g.partner_axes(about)):
+    for axis, period, partner in zip(axes, periods, g.partner_axes()):
         assert sorted(partner) == list(range(axis.size))
-        gap = np.remainder(axis + axis[partner] - 2.0 * axis[c] + period / 2, period)
+        gap = np.remainder(axis + axis[partner] + period / 2, period)
         np.testing.assert_allclose(gap - period / 2, 0.0, atol=1e-12)
 
 

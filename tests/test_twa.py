@@ -1,4 +1,4 @@
-"""Classical-field sampling, evolution invariants, ensembles, checkpoints."""
+"""Classical-field sampling, evolution invariants and ensembles."""
 
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -14,22 +14,18 @@ from shakenbec.model import (
     Envelope,
     Grid,
     LatticeParams,
-    Momentum,
     Trajectory,
     axis_energies,
     drive_shift,
 )
 from shakenbec.twa import (
-    GAUGE_TAG,
     EnsembleConfig,
     FieldState,
     TwaRunConfig,
     ensemble_run,
-    load_field,
     realization_rng,
     run_trajectory,
     sample_initial,
-    save_field,
 )
 
 GRID = Grid(6, 6, 2, lz=4.0)
@@ -44,7 +40,7 @@ def momentum_amps(state):
 def observables_of(state):
     amps = momentum_amps(state)
     total = float(np.sum(np.abs(amps) ** 2))
-    cond = float(np.abs(amps[state.condensate_index]) ** 2)
+    cond = float(np.abs(amps[0, 0, 0]) ** 2)
     return (total - cond) / state.grid.volume, cond / total
 
 
@@ -61,8 +57,8 @@ def field_energy(state, p):
     return float(kinetic + 0.5 * p.u * interaction)
 
 
-def gpe_step(state, drive, p, dt):
-    """One Strang step of length dt in position space, two FFT pairs.
+def gpe_step(state, drive, p, t, dt):
+    """One Strang step from time t to t + dt in position space, two FFT pairs.
 
     Half kinetic, contact, half kinetic, each kinetic half at the drive
     shift of its own midpoint: the splitting that run_trajectory fuses
@@ -72,48 +68,45 @@ def gpe_step(state, drive, p, dt):
     for k, frac in enumerate((0.25, 0.75)):
         if k:
             a = a * np.exp(-1j * dt * p.u * np.abs(a) ** 2)
-        shift = drive_shift(state.t + frac * dt, drive)
+        shift = drive_shift(t + frac * dt, drive)
         eps = sum(axis_energies(*state.grid.mesh, p, *shift))
         amps = np.fft.fftn(a, norm="ortho") * np.exp(-0.5j * dt * eps)
         a = np.fft.ifftn(amps, norm="ortho")
-    return replace(state, amplitudes=a, t=state.t + dt)
+    return replace(state, amplitudes=a)
+
+
+def sample(k, grid=GRID, **kw):
+    """The Wigner sample of stream (k, 0) on lattice P."""
+    return sample_initial(grid, P, realization_rng(k, 0), **kw)
 
 
 # ---------------------------------------------------------------- sampling
 
 
 def test_noiseless_sample_is_uniform_condensate():
-    st = sample_initial(GRID, P, seed=0, noise_scale=0.0)
+    st = sample(0, noise_scale=0.0)
     assert np.allclose(np.abs(st.amplitudes) ** 2, P.n0, rtol=1e-12)
     assert atom_number(st) == pytest.approx(P.n0 * GRID.volume, rel=1e-12)
     n_ex, cf = observables_of(st)
     assert n_ex == pytest.approx(0.0, abs=1e-12)
     assert cf == pytest.approx(1.0, abs=1e-12)
-    assert st.gauge == GAUGE_TAG
-    assert st.seed == 0
 
 
-def test_sample_seed_forms():
-    a = sample_initial(GRID, P, seed=7)
-    b = sample_initial(GRID, P, seed=realization_rng(7, 0))
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-    assert a.seed == 7
-    assert b.seed is None  # generator-fed samples carry no scalar seed
-    c = sample_initial(GRID, P, seed=8)
-    assert not np.array_equal(a.amplitudes, c.amplitudes)
+def test_sample_streams_and_noise_scale():
+    # a sample is a function of its generator's stream
+    np.testing.assert_array_equal(sample(7).amplitudes, sample(7).amplitudes)
+    assert not np.array_equal(sample(7).amplitudes, sample(8).amplitudes)
     with pytest.raises(DomainError):
-        sample_initial(GRID, P, seed=0, noise_scale=-0.1)
+        sample(0, noise_scale=-0.1)
     with pytest.raises(DomainError, match="noise_scale must be finite"):
-        sample_initial(GRID, P, seed=0, noise_scale=float("nan"))
-    with pytest.raises(DomainError):
-        sample_initial(GRID, P, Momentum(0.123, 0.0, 0.0), seed=0)  # off grid
+        sample(0, noise_scale=float("nan"))
 
 
 def test_sampling_mean_noninteracting():
     # mean raw excited density = half a noise quantum per mode
     rng = realization_rng(42, 0)
     vals = np.array(
-        [observables_of(sample_initial(GRID, P0, seed=rng))[0] for _ in range(2500)]
+        [observables_of(sample_initial(GRID, P0, rng))[0] for _ in range(2500)]
     )
     hq = (GRID.n_modes - 1) / (2.0 * GRID.volume)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -134,49 +127,35 @@ def test_sampling_mean_interacting():
     )
     rng = realization_rng(43, 0)
     vals = np.array(
-        [observables_of(sample_initial(GRID, P, seed=rng))[0] for _ in range(2500)]
+        [observables_of(sample_initial(GRID, P, rng))[0] for _ in range(2500)]
     )
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - want) < 4.0 * se
-
-
-def test_sample_at_band_corner_condensate():
-    q0 = Momentum(math.pi, math.pi, 0.0)
-    st = sample_initial(GRID, P, q0, seed=0, noise_scale=0.0)
-    i0 = GRID.index_of(q0)
-    assert st.condensate_index == i0
-    amps = momentum_amps(st)
-    assert np.abs(amps[i0]) ** 2 == pytest.approx(P.n0 * GRID.volume, rel=1e-12)
-    # every other mode sits below the condensate energy: vacuum noise
-    noisy = sample_initial(GRID, P, q0, seed=1)
-    n_ex, _ = observables_of(noisy)
-    assert n_ex > 0.0
 
 
 # ------------------------------------------------------------- invariants
 
 
 def test_atom_number_conserved():
-    st = sample_initial(GRID, P, seed=3)
+    st = sample(3)
     n_start = atom_number(st)
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0)
     s = st
     dt = d.period / 64
-    for _ in range(64):
-        s = gpe_step(s, d, P, dt)
+    for step in range(64):
+        s = gpe_step(s, d, P, step * dt, dt)
         assert atom_number(s) == pytest.approx(n_start, rel=1e-12)
 
 
 def test_energy_conserved_without_drive():
-    st = sample_initial(GRID, P, seed=3)
+    st = sample(3)
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 2.0 * math.pi)
     e0 = field_energy(st, P)
     s = st
     dt = d.period / 128
-    for _ in range(128 * 20):
-        s = gpe_step(s, d, P, dt)
+    for step in range(128 * 20):
+        s = gpe_step(s, d, P, step * dt, dt)
     assert field_energy(s, P) == pytest.approx(e0, rel=1e-4)
-    assert s.t == pytest.approx(20.0 * d.period, rel=1e-9)
 
 
 def test_free_modes_rotate_exactly():
@@ -192,8 +171,8 @@ def test_free_modes_rotate_exactly():
     st = FieldState(amplitudes=a, grid=grid)
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 2.0 * math.pi)
     s = st
-    for _ in range(37):
-        s = gpe_step(s, d, pfree, 0.01)
+    for step in range(37):
+        s = gpe_step(s, d, pfree, 0.01 * step, 0.01)
     eps = (
         (4.0 * pfree.j * np.sin(0.5 * grid.qx_axis) ** 2)[:, None, None]
         + (4.0 * pfree.j * np.sin(0.5 * grid.qy_axis) ** 2)[None, :, None]
@@ -204,7 +183,7 @@ def test_free_modes_rotate_exactly():
 
 
 def test_trace_identities():
-    st = sample_initial(GRID, P, seed=9)
+    st = sample(9)
     n_total = atom_number(st)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     tr = run_trajectory(st, d, P, TwaRunConfig(steps_per_period=64, n_cycles=10))
@@ -235,16 +214,17 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     # two FFT pairs per step, up to rounding
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0, envelope)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=5)
-    st = replace(sample_initial(GRID, P, seed=4), t=0.1)
+    st = sample(4)
     tr = run_trajectory(st, d, P, cfg)
     s = st
     want = [observables_of(s)]
-    for _ in range(cfg.n_cycles):
-        for _ in range(cfg.steps_per_period):
-            s = gpe_step(s, d, P, d.period / cfg.steps_per_period)
+    dt = d.period / cfg.steps_per_period
+    for cycle in range(cfg.n_cycles):
+        for step in range(cfg.steps_per_period):
+            s = gpe_step(s, d, P, cycle * d.period + step * dt, dt)
         want.append(observables_of(s))
     want = np.array(want)
-    np.testing.assert_allclose(tr.times, st.t + d.period * np.arange(6), rtol=1e-12)
+    np.testing.assert_allclose(tr.times, d.period * np.arange(6), rtol=1e-12)
     np.testing.assert_allclose(tr.n_ex_raw, want[:, 0], rtol=1e-10)
     np.testing.assert_allclose(tr.condensed_fraction, want[:, 1], rtol=1e-10)
 
@@ -254,7 +234,7 @@ def test_step_chunks_do_not_change_results(monkeypatch):
     # half step carries across chunk boundaries, uneven last chunk included
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
-    st = sample_initial(GRID, P, seed=2)
+    st = sample(2)
     whole = run_trajectory(st, d, P, cfg)
     monkeypatch.setattr(twa, "STEP_CHUNK", 5)
     chunked = run_trajectory(st, d, P, cfg)
@@ -266,7 +246,7 @@ def test_stacked_rows_bit_identical_to_single_runs():
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
     grid = Grid(5, 3, 3, lz=2.0)  # odd sizes: no row aligns with a SIMD width
-    states = [sample_initial(grid, P, seed=k) for k in range(5)]
+    states = [sample(k, grid) for k in range(5)]
     batch = run_trajectory(stacked(states), d, P, cfg)
     assert batch.n_ex_raw.shape == batch.condensed_fraction.shape == (5, 5)
     assert batch.atom_drift.shape == (5,)
@@ -281,7 +261,7 @@ def test_stacked_rows_bit_identical_to_single_runs():
 def test_invariants_of_stacked_state():
     # each row of a stacked run keeps its own sample's atom number
     d = DriveSpec(Trajectory.DIAGONAL, 1.0, 7.0)
-    states = [sample_initial(GRID, P, seed=k) for k in range(3)]
+    states = [sample(k) for k in range(3)]
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=3)
     tr = run_trajectory(stacked(states), d, P, cfg)
     totals = tr.n_ex_raw * GRID.volume / (1.0 - tr.condensed_fraction)
@@ -303,7 +283,7 @@ def test_atom_drift_matches_atom_number(monkeypatch):
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 1.0)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=3)
-    tr = run_trajectory(sample_initial(GRID, P, seed=6), d, P, cfg)
+    tr = run_trajectory(sample(6), d, P, cfg)
     assert tr.atom_drift == pytest.approx(1.0 - math.exp(-2e-4 * 96), rel=1e-9)
 
 
@@ -351,7 +331,7 @@ def test_stacked_drives_bit_identical_to_single_runs():
 
 def test_stacked_drives_must_share_omega_and_run_length():
     drives = end_phase_drives()
-    st = stacked([sample_initial(GRID, P, seed=k) for k in range(3)])
+    st = stacked([sample(k) for k in range(3)])
     mixed = drives[:2] + (replace(drives[2], omega=10.0),)
     with pytest.raises(DomainError, match="share omega"):
         ensemble_run(GRID, mixed, P, quick_run(), ens(n=1))
@@ -365,7 +345,7 @@ def test_stacked_drives_must_share_omega_and_run_length():
     with pytest.raises(DomainError, match="different run lengths"):
         run_trajectory(st, drives, P, by_schedule)
     with pytest.raises(DomainError, match="split evenly"):
-        run_trajectory(stacked([sample_initial(GRID, P, seed=k) for k in range(2)]),
+        run_trajectory(stacked([sample(k) for k in range(2)]),
                        drives, P, quick_run())
 
 
@@ -468,7 +448,7 @@ def test_ensemble_structure():
     assert np.all(res.band_hi >= res.band_lo)
     assert np.all((res.n_ex >= res.band_lo) & (res.n_ex <= res.band_hi))
     # member traces are exactly the matching single-seed runs
-    st = sample_initial(GRID, P, seed=realization_rng(0, 2))
+    st = sample_initial(GRID, P, realization_rng(0, 2))
     solo = run_trajectory(st, d, P, quick_run())
     np.testing.assert_array_equal(res.traces[2].n_ex_raw, solo.n_ex_raw)
 
@@ -513,77 +493,3 @@ def test_ensemble_config_validation():
         EnsembleConfig(noise_scale=-1.0)
     with pytest.raises(DomainError, match="noise_scale must be finite"):
         EnsembleConfig(noise_scale=float("nan"))
-
-
-# -------------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    st = sample_initial(GRID, P, seed=11)
-    d = DriveSpec(Trajectory.DIAGONAL, 1.0, 7.0)
-    s = gpe_step(st, d, P, 0.01)
-    path = tmp_path / "field.bin"
-    save_field(path, s)
-    back = load_field(path)
-    np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
-    assert back.grid == s.grid
-    assert back.t == s.t
-    assert back.condensate_index == s.condensate_index
-    assert back.noise_scale == s.noise_scale
-    assert back.gauge == GAUGE_TAG
-    assert back.seed == 11
-    # restart equivalence: evolving the loaded state matches continuing
-    cont = gpe_step(s, d, P, 0.01)
-    reload_cont = gpe_step(back, d, P, 0.01)
-    np.testing.assert_array_equal(cont.amplitudes, reload_cont.amplitudes)
-
-
-def test_checkpoint_rejects_stacked_state(tmp_path):
-    states = [sample_initial(GRID, P, seed=k) for k in range(2)]
-    path = tmp_path / "field.bin"
-    with pytest.raises(DomainError, match="one field"):
-        save_field(path, stacked(states))
-    assert not path.exists()
-
-
-def test_checkpoint_seed_none_round_trip(tmp_path):
-    st = sample_initial(GRID, P, seed=realization_rng(5, 3))
-    path = tmp_path / "field.bin"
-    save_field(path, st)
-    assert load_field(path).seed is None
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"\x00\x01\x02 not json\n" + b"\x00" * 64)
-    with pytest.raises(ConfigError, match="not a field checkpoint"):
-        load_field(path)
-
-
-def test_checkpoint_rejects_wrong_format(tmp_path):
-    path = tmp_path / "wrong.bin"
-    path.write_bytes(b'{"format": "something-else", "version": 1}\n')
-    with pytest.raises(ConfigError, match="format"):
-        load_field(path)
-
-
-def test_checkpoint_rejects_wrong_version(tmp_path):
-    st = sample_initial(GRID, P, seed=0)
-    path = tmp_path / "v2.bin"
-    save_field(path, st)
-    raw = path.read_bytes()
-    header, blob = raw.split(b"\n", 1)
-    patched = header.replace(b'"version": 1', b'"version": 2')
-    path.write_bytes(patched + b"\n" + blob)
-    with pytest.raises(ConfigError, match="version"):
-        load_field(path)
-
-
-def test_checkpoint_rejects_truncated_payload(tmp_path):
-    st = sample_initial(GRID, P, seed=0)
-    path = tmp_path / "trunc.bin"
-    save_field(path, st)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(ConfigError, match="bytes"):
-        load_field(path)
