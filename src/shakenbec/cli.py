@@ -3,7 +3,11 @@
 Subcommands: rates, k0c, bdg, twa, endphase, fit.  Every command reads
 a layered configuration (--preset under --config), writes plot-ready
 CSV files plus a manifest.json into --out, and returns exit code 0 on
-success, 2 for configuration problems, 3 for numerical failures.
+success, 2 for configuration problems, 3 for numerical failures.  Each
+study is one command: bdg writes each scan point's fastest mode
+(bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a heating
+curve or a g scan.  A [scan] point that fails numerically fails alone;
+endphase and fit run no scan and reject a [scan] section.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import dataclasses
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .errors import (
     NumericalError,
     ShakenBecError,
 )
-from .model import DriveSpec, Envelope, Regime, Trajectory
+from .model import DriveSpec, Envelope, LatticeParams, Regime, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
 from .specialmath import j0_first_zero
 
@@ -47,39 +52,70 @@ TWO_PI = 2.0 * math.pi
 def _setup(args):
     args._started = utc_stamp()
     cp = load_config(args.config, args.preset)
+    if args.command in ("endphase", "fit") and cp.has_section("scan"):
+        raise ConfigError(f"{args.command} runs no scan; remove the [scan] section")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     return cp, outdir
 
 
-def _finish(args, cp, outdir, command, outputs, diagnostics=None) -> int:
-    write_manifest(
-        outdir,
-        command,
-        config_as_dict(cp),
-        getattr(args, "seed", None),
-        getattr(args, "workers", 1),
-        outputs,
-        started=getattr(args, "_started", None),
-        diagnostics=diagnostics,
-    )
+def _finish(args, cp, outdir, outputs, diagnostics=None) -> int:
+    write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,
+                   outputs, started=args._started, diagnostics=diagnostics)
     return 0
 
 
-def _failed_point(command: str, variable: str, value: float, exc: Exception) -> dict:
-    """Report a failed scan point on stderr; return its manifest record."""
-    print(f"shakenbec {command}: point {variable}={value} failed: {exc}",
-          file=sys.stderr)
-    return {"variable": variable, "value": value,
-            "error": type(exc).__name__, "message": str(exc)}
+class _Point(NamedTuple):
+    """A scan point: the scanned variable's value, and the drive and lattice it sets."""
+
+    variable: str
+    value: float
+    drive: DriveSpec
+    lattice: LatticeParams
 
 
-def _drive_variant(drive: DriveSpec, variable: str, value: float) -> DriveSpec:
-    if variable == "omega":
-        return dataclasses.replace(drive, omega=value)
-    if variable == "k0":
-        return dataclasses.replace(drive, k0=value)
-    raise ConfigError(f"cannot scan drive variable '{variable}'")
+def _scan_points(cp, allowed: tuple[str, ...], drive: DriveSpec,
+                 p: LatticeParams) -> list[_Point] | None:
+    """[scan] as one Point per value, or None without a [scan] section.
+
+    Every point's drive and lattice are built, so checked, here, before
+    any point runs.
+    """
+    scan = scan_from_config(cp, allowed)
+    if scan is None:
+        return None
+    points = []
+    for value in scan.values.tolist():
+        change = {scan.variable: value}
+        if scan.variable == "g":
+            points.append(_Point("g", value, drive, dataclasses.replace(p, **change)))
+        else:
+            points.append(_Point(scan.variable, value, dataclasses.replace(drive, **change), p))
+    return points
+
+
+def _run_points(command: str, points: list[_Point], run, drift: str, drift_of,
+                strict: bool = False):
+    """Run each point in turn: ([(point, result or None, status)], diagnostics).
+
+    A NumericalError fails only its own point (strict re-raises it): its
+    status is the error class, stderr and diagnostics' failed_points get
+    its message.  diagnostics[drift] is the worst drift_of(result).
+    """
+    outcomes, failures = [], []
+    for point in points:
+        try:
+            outcomes.append((point, run(point), "ok"))
+        except NumericalError as exc:
+            if strict:
+                raise
+            print(f"shakenbec {command}: point {point.variable}={point.value} failed: {exc}",
+                  file=sys.stderr)
+            failures.append({"variable": point.variable, "value": point.value,
+                             "error": type(exc).__name__, "message": str(exc)})
+            outcomes.append((point, None, type(exc).__name__))
+    drifts = [drift_of(result) for _, result, _ in outcomes if result is not None]
+    return outcomes, {drift: max(drifts, default=None), "failed_points": failures}
 
 
 def _cells(values: np.ndarray, missing: np.ndarray) -> list:
@@ -142,7 +178,7 @@ def cmd_rates(args) -> int:
         "cusp_at_bandwidth", "k0_critical", "inverted_band",
     ]
     write_csv(outdir / "rates.csv", header, _rate_rows(k0, omega, k0c, modes))
-    return _finish(args, cp, outdir, "rates", ["rates.csv"])
+    return _finish(args, cp, outdir, ["rates.csv"])
 
 
 def cmd_k0c(args) -> int:
@@ -164,7 +200,7 @@ def cmd_k0c(args) -> int:
     rows = zip(omega.tolist(), (omega / TWO_PI).tolist(), (p.g / omega).tolist(),
                _cells(k0c, none), repeat(asymptote), none.astype(int).tolist())
     write_csv(outdir / "k0c.csv", header, rows)
-    return _finish(args, cp, outdir, "k0c", ["k0c.csv"])
+    return _finish(args, cp, outdir, ["k0c.csv"])
 
 
 def cmd_bdg(args) -> int:
@@ -172,53 +208,41 @@ def cmd_bdg(args) -> int:
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     cfg = bdg_from_config(cp)
-    scan = scan_from_config(cp, allowed=("omega", "k0"))
-    if scan is None:
-        points = [("omega", drive.omega, drive)]
-    else:
-        # every point's drive is built, so checked, before any point runs
-        points = [(scan.variable, float(v), _drive_variant(drive, scan.variable, float(v)))
-                  for v in scan.values]
-
-    header = [
-        "trajectory", "k0", "omega_rad_s", "omega_hz",
-        "extracted_rate_rad_s", "analytic_rate_rad_s",
-        "qx_max", "qy_max", "qz_max", "norm_drift", "status",
-    ]
-    rows, drifts, failures = [], [], []
-    mode_steps = 0
-    single = scan is None
-    for variable, value, d in points:
+    points = _scan_points(cp, ("omega", "k0"), drive, p)
+    outcomes, diagnostics = _run_points(
+        "bdg", points or [_Point("omega", drive.omega, drive, p)],
+        lambda point: bdg.grid_instability_scan(point.drive, point.lattice, cfg),
+        "norm_drift_max", lambda result: result.norm_drift, strict=points is None,
+    )
+    head = ["trajectory", "k0", "omega_rad_s", "omega_hz"]
+    rows, mode_rows = [], []
+    for point, result, status in outcomes:
+        d = point.drive
+        cells = [d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI]
         try:
             analytic = 2.0 * analytics.most_unstable_mode(
-                d.trajectory, d.k0, d.omega, p
+                d.trajectory, d.k0, d.omega, point.lattice
             ).gamma
         except InvertedBandError:
             analytic = None
-        try:
-            result = bdg.grid_instability_scan(d, p, cfg)
-            q = result.q_max
-            rows.append([
-                d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI,
-                result.rate, analytic, q.qx, q.qy, q.qz,
-                result.norm_drift, "ok",
-            ])
-            drifts.append(float(result.norm_drift))
-            mode_steps += result.mode_steps
-        except NumericalError as exc:
-            if single:
-                raise
-            failures.append(_failed_point("bdg", variable, value, exc))
-            rows.append([
-                d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI,
-                None, analytic, None, None, None, None,
-                type(exc).__name__,
-            ])
-    write_csv(outdir / "bdg.csv", header, rows)
-    return _finish(args, cp, outdir, "bdg", ["bdg.csv"], {
-        "norm_drift_max": max(drifts, default=None), "failed_points": failures,
-        "mode_steps": mode_steps,
-    })
+        if result is None:
+            rows.append([*cells, None, analytic, None, None, None, None, status])
+            continue
+        q = result.q_max
+        rows.append([*cells, result.rate, analytic, q.qx, q.qy, q.qz,
+                     result.norm_drift, status])
+        # every grid mode's momentum and rate, in [nx, ny, nz] index order
+        modes = [a.ravel().tolist()
+                 for a in (*np.broadcast_arrays(*result.grid.mesh), result.rates)]
+        mode_rows.append(zip(*map(repeat, cells), *modes))
+    write_csv(outdir / "bdg.csv", [
+        *head, "extracted_rate_rad_s", "analytic_rate_rad_s",
+        "qx_max", "qy_max", "qz_max", "norm_drift", "status",
+    ], rows)
+    write_csv(outdir / "bdg_modes.csv", [*head, "qx", "qy", "qz", "rate_rad_s"],
+              chain.from_iterable(mode_rows))
+    diagnostics["mode_steps"] = sum(r.mode_steps for _, r, _ in outcomes if r is not None)
+    return _finish(args, cp, outdir, ["bdg.csv", "bdg_modes.csv"], diagnostics)
 
 
 def _early_slice(trace: fitting.DecayTrace, n_keep: int) -> fitting.DecayTrace:
@@ -251,51 +275,38 @@ def cmd_twa(args) -> int:
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     grid, run_cfg, ens_cfg, window = twa_from_config(cp, args.seed)
-    scan = scan_from_config(cp, allowed=("g",))
+    points = _scan_points(cp, ("g",), drive, p)
     period = drive.period
 
-    if scan is not None:
-        header = [
+    if points is not None:
+        def run(point):
+            result = twa.ensemble_run(grid, drive, point.lattice, run_cfg, ens_cfg,
+                                      workers=args.workers)
+            fit, boot = _rate_with_error(_growth_traces(result), window, period,
+                                         ens_cfg.master_seed, ens_cfg.bootstrap_resamples)
+            return result.atom_drift, fit.rate, boot.std
+
+        outcomes, diagnostics = _run_points(
+            "twa", points, run, "atom_drift_max", lambda done: done[0]
+        )
+        rows = [
+            [point.value, point.value / p.j, *(done[1:] if done else (None, None)),
+             ens_cfg.n_realizations, status]
+            for point, done, status in outcomes
+        ]
+        write_csv(outdir / "twa_g_scan.csv", [
             "g_rad_s", "g_over_j", "rate_rad_s", "rate_err_rad_s",
             "n_realizations", "status",
-        ]
-        rows, drifts, failures = [], [], []
-        # every point's lattice is built, so checked, before any point runs
-        for p_g in [dataclasses.replace(p, g=float(g)) for g in scan.values]:
-            g = p_g.g
-            try:
-                result = twa.ensemble_run(
-                    grid, drive, p_g, run_cfg, ens_cfg, workers=args.workers
-                )
-                fit, boot = _rate_with_error(
-                    _growth_traces(result), window, period, ens_cfg.master_seed,
-                    ens_cfg.bootstrap_resamples,
-                )
-                rows.append([g, g / p.j, fit.rate, boot.std,
-                             ens_cfg.n_realizations, "ok"])
-                drifts.append(result.atom_drift)
-            except NumericalError as exc:
-                failures.append(_failed_point("twa", "g", g, exc))
-                rows.append([g, g / p.j, None, None,
-                             ens_cfg.n_realizations, type(exc).__name__])
-        write_csv(outdir / "twa_g_scan.csv", header, rows)
-        return _finish(args, cp, outdir, "twa", ["twa_g_scan.csv"], {
-            "atom_drift_max": max(drifts, default=None), "failed_points": failures,
-        })
+        ], rows)
+        return _finish(args, cp, outdir, ["twa_g_scan.csv"], diagnostics)
 
     result = twa.ensemble_run(grid, drive, p, run_cfg, ens_cfg, workers=args.workers)
-    trace_rows = [
-        [t, cycle, raw, sub, lo, hi, cf]
-        for cycle, (t, raw, sub, lo, hi, cf) in enumerate(
-            zip(result.times, result.n_ex_raw, result.n_ex,
-                result.band_lo, result.band_hi, result.condensed_fraction)
-        )
-    ]
     write_csv(
         outdir / "twa_trace.csv",
         ["time_s", "cycle", "n_ex_raw", "n_ex", "band_lo", "band_hi",
          "condensed_fraction"],
-        trace_rows,
+        zip(result.times, count(), result.n_ex_raw, result.n_ex,
+            result.band_lo, result.band_hi, result.condensed_fraction),
     )
 
     traces = _growth_traces(result)
@@ -319,7 +330,7 @@ def cmd_twa(args) -> int:
          "window_start_s", "window_end_s", "n_points", "warning"],
         rate_rows,
     )
-    return _finish(args, cp, outdir, "twa", ["twa_trace.csv", "twa_rates.csv"],
+    return _finish(args, cp, outdir, ["twa_trace.csv", "twa_rates.csv"],
                    {"atom_drift_max": result.atom_drift})
 
 
@@ -331,10 +342,9 @@ def cmd_endphase(args) -> int:
     env = drive.envelope
     if env is None:
         raise ConfigError("endphase needs [drive] envelope keys (ramp_up, hold)")
-    for key in ("n_cycles", "post_hold_periods"):
-        if cp.has_option("twa", key):
-            raise ConfigError(f"[twa] {key} is not read by endphase, which runs ramp_up + "
-                              "hold + [endphase] post_hold_periods + 1 periods")
+    if cp.has_option("twa", "n_cycles"):
+        raise ConfigError("[twa] n_cycles is not read by endphase, which runs ramp_up + "
+                          "hold + [endphase] post_hold_periods + 1 periods")
 
     default_phases = "0, 0.7853981633974483, 1.5707963267948966"
     raw = _get(cp, "endphase", "phases", str, default_phases)
@@ -381,7 +391,7 @@ def cmd_endphase(args) -> int:
         ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"],
         rows,
     )
-    return _finish(args, cp, outdir, "endphase", ["endphase.csv"],
+    return _finish(args, cp, outdir, ["endphase.csv"],
                    {"atom_drift_max": max(res.atom_drift for res in results)})
 
 
@@ -438,7 +448,7 @@ def cmd_fit(args) -> int:
           result.r_squared, result.window[0], result.window[1],
           result.n_points, result.warning]],
     )
-    return _finish(args, cp, outdir, "fit", ["fit.csv"])
+    return _finish(args, cp, outdir, ["fit.csv"])
 
 
 def _worker_count(text: str) -> int:
@@ -486,22 +496,19 @@ _EXIT_CODES = (
 )
 
 
-def report_failure(prog: str, exc: ShakenBecError) -> int:
-    """Print exc as one stderr line; return the exit code of its family:
-    2 for configuration and parameter errors, 3 for numerical failures."""
-    for family, label, code in _EXIT_CODES:
-        if isinstance(exc, family):
-            print(f"{prog}: {label}: {exc}", file=sys.stderr)
-            return code
-    raise exc
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a ShakenBecError becomes one stderr line and the
+    exit code of its family: 2 for configuration and parameter errors,
+    3 for numerical failures."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ShakenBecError as exc:
-        return report_failure("shakenbec", exc)
+        for family, label, code in _EXIT_CODES:
+            if isinstance(exc, family):
+                print(f"shakenbec: {label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

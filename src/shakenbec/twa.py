@@ -65,22 +65,19 @@ STEP_CHUNK = 32  # steps whose kinetic factor tables are built at once
 class TwaRunConfig:
     """Controls for a single classical-field trajectory.
 
-    n_cycles = None runs for the drive envelope's scheduled periods plus
-    post_hold_periods of free evolution; an explicit value overrides.
-    Observables are recorded at every period boundary.
+    n_cycles = None runs for the drive envelope's scheduled periods; an
+    explicit value overrides.  Observables are recorded at every period
+    boundary.
     """
 
     steps_per_period: int = 128
     n_cycles: int | None = None
-    post_hold_periods: int = 0
 
     def __post_init__(self) -> None:
         if self.steps_per_period < 16:
             raise DomainError("steps_per_period must be >= 16")
         if self.n_cycles is not None and self.n_cycles < 1:
             raise DomainError("n_cycles must be >= 1 when given")
-        if self.post_hold_periods < 0:
-            raise DomainError("post_hold_periods must be >= 0")
 
     def resolve_cycles(self, drive: DriveSpec | tuple[DriveSpec, ...]) -> int:
         """Periods to run for one drive, or for a tuple of stacked drives.
@@ -99,14 +96,9 @@ class TwaRunConfig:
     def _cycles_of(self, drive: DriveSpec) -> int:
         if self.n_cycles is not None:
             return self.n_cycles
-        env = drive.envelope
-        scheduled = env.total_periods if env is not None else 0
-        total = scheduled + self.post_hold_periods
-        if total < 1:
-            raise ConfigError(
-                "run length is zero: give n_cycles, an envelope, or post_hold_periods"
-            )
-        return total
+        if drive.envelope is None:
+            raise ConfigError("run length is zero: give n_cycles or an envelope")
+        return drive.envelope.total_periods
 
 
 def _protocols(drive: DriveSpec | tuple[DriveSpec, ...]) -> tuple[DriveSpec, ...]:

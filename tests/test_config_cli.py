@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shakenbec import bdg, twa
+from shakenbec import bdg, fitting, twa
 from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
 from shakenbec.bdg import NORM_DRIFT_TOL, BdgRunConfig
 from shakenbec.cli import main
@@ -33,7 +33,7 @@ from shakenbec.errors import (
     InvertedBandError,
     NoCriticalAmplitudeError,
 )
-from shakenbec.model import Grid, Trajectory
+from shakenbec.model import DriveSpec, Envelope, Grid, LatticeParams, Trajectory
 from shakenbec.twa import EnsembleConfig, TwaRunConfig
 from shakenbec.output import format_value, write_csv
 from shakenbec.specialmath import j0_first_zero
@@ -291,9 +291,50 @@ def test_shipped_configs_load(path, preset):
     assert load_config(path and str(ROOT / path), preset).sections()
 
 
+HEATING_TINY = (
+    "[drive]\nhold = 1\n"
+    "\n[bdg]\nnx = 4\nny = 4\nnz = 2\nn_cycles = 2\nfit_window_cycles = 1\n"
+    "\n[twa]\nnx = 4\nny = 4\nnz = 2\nsteps_per_period = 32\nn_realizations = 2\n"
+)
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("rates", ["rates.csv"]),
+    ("k0c", ["k0c.csv"]),
+    ("bdg", ["bdg.csv", "bdg_modes.csv"]),
+    ("twa", ["twa_trace.csv", "twa_rates.csv"]),
+    ("endphase", ["endphase.csv"]),
+])
+def test_cli_heating_preset_runs_every_command(tmp_path, command, outputs):
+    out = tmp_path / "o"
+    argv = [command, "--preset", "heating-16x16x8",
+            "--config", write_cfg(tmp_path, HEATING_TINY), "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [entry["name"] for entry in manifest["outputs"]] == outputs
+    if command == "bdg":
+        assert (out / "bdg.csv").read_text(encoding="utf-8").endswith(",ok\n")
+        assert len((out / "bdg_modes.csv").read_text(encoding="utf-8").splitlines()) == 1 + 32
+
+
+def test_heating_preset_is_acceptance_08_system():
+    cp = load_config(preset="heating-16x16x8")
+    grid = Grid(16, 16, 8, lz=12.9)
+    assert lattice_from_config(cp) == LatticeParams(j=1.0, g=12.0, n0=50.0, m_z=0.0712)
+    assert drive_from_config(cp) == DriveSpec(
+        Trajectory.LINEAR_X, 2.1, 20.0, envelope=Envelope(ramp_up=2, hold=22))
+    assert bdg_from_config(cp) == BdgRunConfig(
+        steps_per_period=1024, n_cycles=10, grid=grid, fit_window_cycles=4)
+    assert twa_from_config(cp) == (
+        grid, TwaRunConfig(steps_per_period=128),
+        EnsembleConfig(n_realizations=8, master_seed=3), 8)
+
+
 @pytest.mark.parametrize("overlay, name", [
     ("[bdg]\nsteps_per_perod = 64\n", "unknown key 'steps_per_perod' in section [bdg]"),
     ("[lattic]\nj = 2\n", "unknown section [lattic]"),
+    # n_cycles sets a TWA run's length; there is no second key for it
+    ("[twa]\npost_hold_periods = 4\n", "unknown key 'post_hold_periods' in section [twa]"),
 ])
 def test_unknown_names_rejected(tmp_path, capsys, overlay, name):
     cfg = write_cfg(tmp_path, overlay)
@@ -596,7 +637,9 @@ def test_cli_bdg_single_point_failure_is_exit_3(tmp_path, capsys):
     )
     cfg = write_cfg(tmp_path, body)
     assert main(["bdg", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("shakenbec: numerical failure: ")
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_cli_bdg_scan_marks_failed_points(tmp_path):
@@ -616,6 +659,9 @@ def test_cli_bdg_scan_marks_failed_points(tmp_path):
     assert status["100"] == "ok"
     failed = [r for r in rows if r["status"] != "ok"][0]
     assert failed["extracted_rate_rad_s"] == ""
+    with open(out / "bdg_modes.csv", encoding="utf-8", newline="") as fh:
+        modes = list(csv.DictReader(fh))
+    assert [r["omega_rad_s"] for r in modes] == ["100"] * 16  # the finished point only
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     [point] = diag["failed_points"]
     assert (point["variable"], point["value"]) == ("omega", 20.0)
@@ -636,6 +682,59 @@ def test_cli_bdg_counts_mode_steps(tmp_path):
     assert main(["bdg", "--preset", "paper-11er", "--config", cfg, "--out", str(out)]) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["mode_steps"] == 4 * 289 * 256 == 295_936
+
+
+def test_cli_bdg_modes_match_the_grid_scan(tmp_path):
+    body = BASE + (
+        "\n[bdg]\nnx = 4\nny = 6\nnz = 2\nlz = 4.0\nsteps_per_period = 512\n"
+        "n_cycles = 12\nfit_window_cycles = 4\n"
+        "\n[scan]\nvariable = k0\nvalues = 1.25, 2.0\n"
+    )
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    assert main(["bdg", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "bdg.csv", encoding="utf-8", newline="") as fh:
+        points = list(csv.DictReader(fh))
+    with open(out / "bdg_modes.csv", encoding="utf-8", newline="") as fh:
+        modes = list(csv.DictReader(fh))
+    cp = load_config(cfg)
+    p, drive, run_cfg = lattice_from_config(cp), drive_from_config(cp), bdg_from_config(cp)
+    grid = run_cfg.grid
+    assert len(modes) == len(points) * grid.n_modes
+    for i, (point, k0) in enumerate(zip(points, [1.25, 2.0])):
+        rates = bdg.grid_instability_scan(dataclasses.replace(drive, k0=k0), p, run_cfg).rates
+        rows = modes[i * grid.n_modes:(i + 1) * grid.n_modes]
+        head = [point[c] for c in ("trajectory", "k0", "omega_rad_s", "omega_hz")]
+        want = [
+            [*head, *map(format_value, (grid.qx_axis[ix], grid.qy_axis[iy],
+                                        grid.qz_axis[iz], rates[ix, iy, iz]))]
+            for ix, iy, iz in np.ndindex(rates.shape)
+        ]
+        assert [list(r.values()) for r in rows] == want
+        # the fastest mode is the one bdg.csv reports, up to q -> -q
+        top = max(rows, key=lambda r: float(r["rate_rad_s"]))
+        assert top["rate_rad_s"] == point["extracted_rate_rad_s"]
+        q_top = np.hypot.reduce([float(top[c]) for c in ("qx", "qy", "qz")])
+        q_max = np.hypot.reduce([float(point[c]) for c in ("qx_max", "qy_max", "qz_max")])
+        assert q_top == pytest.approx(q_max, rel=1e-11)
+
+
+def test_cli_bdg_analytic_rate_is_twice_gamma(tmp_path):
+    # the scan reports occupation rates, 2 gamma per mode, whatever the
+    # number of resonant pairs; the analytic column is the same quantity
+    body = BASE.replace("linear_x", "circular").replace("omega = 9.0", "omega = 11.0") + (
+        "\n[bdg]\nnx = 4\nny = 4\nsteps_per_period = 128\nn_cycles = 4\n"
+        "fit_window_cycles = 2\n"
+    )
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    assert main(["bdg", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "bdg.csv", encoding="utf-8", newline="") as fh:
+        [row] = csv.DictReader(fh)
+    ana = most_unstable_mode(Trajectory.CIRCULAR, 1.25, 11.0, lattice_from_config(load_config(cfg)))
+    assert len(ana.q_mum) > 1  # where big_gamma - gamma0 would double count
+    assert row["analytic_rate_rad_s"] == format_value(2.0 * ana.gamma)
+    assert row["analytic_rate_rad_s"] != format_value(ana.big_gamma)
 
 
 def test_cli_bdg_workers_byte_identical(tmp_path):
@@ -816,9 +915,6 @@ def test_cli_endphase_workers_byte_identical(tmp_path):
     ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\nn_cycles = 3\n",
      "[twa] n_cycles is not read by endphase, which runs ramp_up + hold + "
      "[endphase] post_hold_periods + 1 periods"),
-    ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\npost_hold_periods = 50\n",
-     "[twa] post_hold_periods is not read by endphase, which runs ramp_up + hold + "
-     "[endphase] post_hold_periods + 1 periods"),
 ])
 def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
                                              old, new, message):
@@ -854,6 +950,27 @@ def test_cli_scan_checks_every_point_before_running(tmp_path, capsys, monkeypatc
     assert main([command, "--preset", preset, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command, args", [
+    ("endphase", ["--preset", "endphase-12x12"]),
+    ("fit", ["trace.csv"]),
+])
+def test_cli_commands_that_run_no_scan_reject_one(tmp_path, capsys, monkeypatch,
+                                                  command, args):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr(twa, "ensemble_run", no_run)
+    monkeypatch.setattr(fitting, "fit_decay_rate", no_run)
+    monkeypatch.chdir(tmp_path)
+    Path("trace.csv").write_text("t,y\n0,1\n1,0.5\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "[scan]\nvariable = g\nvalues = 4, 5\n")
+    out = tmp_path / "o"
+    assert main([command, *args, "--config", cfg, "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"shakenbec: config error: {command} runs no scan; remove the [scan] section\n")
+    assert not out.exists()
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

@@ -370,8 +370,6 @@ def test_run_config_validation():
         TwaRunConfig(steps_per_period=8)
     with pytest.raises(DomainError):
         TwaRunConfig(n_cycles=0)
-    with pytest.raises(DomainError):
-        TwaRunConfig(post_hold_periods=-1)
 
 
 def test_resolve_cycles():
@@ -383,7 +381,6 @@ def test_resolve_cycles():
     )
     assert TwaRunConfig(n_cycles=7).resolve_cycles(bare) == 7
     assert TwaRunConfig(n_cycles=7).resolve_cycles(ramped) == 7
-    assert TwaRunConfig(post_hold_periods=5).resolve_cycles(ramped) == 14
     assert TwaRunConfig().resolve_cycles(ramped) == 9
     with pytest.raises(ConfigError):
         TwaRunConfig().resolve_cycles(bare)
