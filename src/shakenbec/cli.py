@@ -284,13 +284,14 @@ def cmd_twa(args) -> int:
                                       workers=args.workers)
             fit, boot = _rate_with_error(_growth_traces(result), window, period,
                                          ens_cfg.master_seed, ens_cfg.bootstrap_resamples)
-            return result.atom_drift, fit.rate, boot.std
+            return result.atom_drift, result.site_steps, fit.rate, boot.std
 
         outcomes, diagnostics = _run_points(
             "twa", points, run, "atom_drift_max", lambda done: done[0]
         )
+        diagnostics["site_steps"] = sum(done[1] for _, done, _ in outcomes if done)
         rows = [
-            [point.value, point.value / p.j, *(done[1:] if done else (None, None)),
+            [point.value, point.value / p.j, *(done[2:] if done else (None, None)),
              ens_cfg.n_realizations, status]
             for point, done, status in outcomes
         ]
@@ -331,7 +332,7 @@ def cmd_twa(args) -> int:
         rate_rows,
     )
     return _finish(args, cp, outdir, ["twa_trace.csv", "twa_rates.csv"],
-                   {"atom_drift_max": result.atom_drift})
+                   {"atom_drift_max": result.atom_drift, "site_steps": result.site_steps})
 
 
 def cmd_endphase(args) -> int:
@@ -392,7 +393,8 @@ def cmd_endphase(args) -> int:
         rows,
     )
     return _finish(args, cp, outdir, ["endphase.csv"],
-                   {"atom_drift_max": max(res.atom_drift for res in results)})
+                   {"atom_drift_max": max(res.atom_drift for res in results),
+                    "site_steps": sum(res.site_steps for res in results)})
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -22,15 +22,19 @@ half-kinetic phase of each step with the leading one of the next, which
 is the same splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487
 (2002)) at one FFT pair per step instead of a position-space step's
 two; observables read |A_q|^2, which the kinetic phase leaves
-unchanged, so no closing half step is taken.  A FieldState may carry
-a leading realization axis: ensembles run as contiguous batches of
-realizations, one array per batch, with one process per batch when
-there is more than one.  A run may also take a tuple of
-drives that share omega and run length, such as the stopping protocols
-of an end-phase study: every drive evolves the same samples, the P x R
-rows stack protocol-major in one array, each step applies each drive's
-kinetic phase to its own rows and one FFT pair serves the whole stack,
-and one result per drive comes back.  Rows of a stack evolve
+unchanged, so no closing half step is taken.  Each transform is a
+sequence of one-axis np.fft passes, last grid axis first as in fftn
+(so the same bits), written in place into one of two buffers, momentum
+and position, that a run allocates once; the contact phase comes from
+one half-angle tangent, within 1e-15 of libm's cos and sin.  A
+FieldState may carry a leading realization axis: ensembles run as
+contiguous batches of realizations, one array per batch, with one
+process per batch when there is more than one.  A run may also take a
+tuple of drives that share omega and run length, such as the stopping
+protocols of an end-phase study: every drive evolves the same samples,
+the P x R rows stack protocol-major in one array, each step applies
+each drive's kinetic phase to its own rows and one FFT pair serves the
+whole stack, and one result per drive comes back.  Rows of a stack evolve
 bit-identically to single runs.  Every period the run checks that the
 field is finite and that each realization keeps its atom number to
 ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
@@ -57,7 +61,6 @@ from .model import (
 )
 
 ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
-GRID_AXES = (-3, -2, -1)  # amplitudes[..., ix, iy, iz], after any realization axis
 STEP_CHUNK = 32  # steps whose kinetic factor tables are built at once
 
 
@@ -188,7 +191,8 @@ class EnsembleResult:
     bands_degenerate marks ensembles too small for the bootstrap to say
     anything (a single realization); the bands are then zero width and
     should not be quoted.  atom_drift is the worst atom_drift over the
-    realizations' traces.
+    realizations' traces.  site_steps is the work integrated for this
+    drive: grid sites x realizations x time steps.
     """
 
     times: np.ndarray
@@ -200,6 +204,7 @@ class EnsembleResult:
     traces: tuple[ObservableTrace, ...]
     half_quantum: float
     atom_drift: float
+    site_steps: int
     bands_degenerate: bool = False
 
 
@@ -247,29 +252,42 @@ def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray)
     return tuple(np.exp(-1j * h * e) for e in (ex, ey, ez))
 
 
-def _phase(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
-    """Outer product of one row of each axis' factor table; leading axes
-    (one per stacked drive) carry through."""
-    return fx[..., :, None, None] * (fy[..., None, :, None] * fz[..., None, None, :])
-
-
 def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
-    """Exact contact phase exp(-i dt U |a|^2), applied in place.
+    """Exact contact phase exp(i theta), theta = -dt U |a|^2, applied in place.
 
-    cos and sin written into one complex buffer give the same bits as a
-    complex exp in about half the time."""
-    theta = a.real**2 + a.imag**2
-    theta *= -dt_u
+    The phase comes from one half-angle tangent t = tan(theta / 2):
+    cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2 t / (1 + t^2),
+    one transcendental pass where cos and sin take two.  Against libm's
+    cos and sin it is within 1e-15 absolute for |theta| <= 1e8, and
+    | |phase|^2 - 1 | <= 1e-15; a non-finite a stays non-finite.  Its
+    two scratch arrays are all it allocates.
+    """
+    t = np.empty(a.shape)
     phase = np.empty_like(a)
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
+    c, s = phase.real, phase.imag
+    np.multiply(a.real, a.real, out=t)
+    np.multiply(a.imag, a.imag, out=c)
+    t += c
+    t *= -0.5 * dt_u
+    np.tan(t, out=t)
+    np.multiply(t, t, out=s)
+    np.subtract(1.0, s, out=c)
+    s += 1.0
+    t += t
+    c /= s
+    np.divide(t, s, out=s)
     a *= phase
     return a
 
 
-def _fft_axes(a: np.ndarray) -> tuple[int, ...]:
-    """The grid axes longer than one point (a length-1 FFT is the identity)."""
-    return tuple(ax for ax in GRID_AXES if a.shape[ax] > 1)
+def _passes(transform, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """transform (np.fft.fft or ifft, norm="ortho") along every axis of out
+    but the first, last axis first, writing into out: fftn's own passes,
+    so the same bits as fftn or ifftn over those axes."""
+    for axis in range(out.ndim - 1, 0, -1):
+        transform(src, axis=axis, norm="ortho", out=out)
+        src = out
+    return out
 
 
 def run_trajectory(
@@ -308,8 +326,17 @@ def run_trajectory(
             f"{len(rows)} field rows do not split evenly over {n_prot} drives"
         )
     n_real = len(rows) // n_prot
-    a = rows.reshape(n_prot, n_real, *rows.shape[1:])
-    axes = _fft_axes(a)
+    # the field in momentum and in position space, each as (rows, grid
+    # axes longer than one point): a length-1 FFT is the identity, and a
+    # 1 x 1 x 1 grid keeps one axis so that a pass still copies
+    shape = (grid.nx, grid.ny, grid.nz)
+    flat = (len(rows), *([n for n in shape if n > 1] or [1]))
+    amps = np.empty(flat, dtype=complex)
+    pos = np.empty_like(amps)
+    amps_pr = amps.reshape(n_prot, n_real, *shape)  # views of the same buffer
+    yz = np.empty((n_prot, 1, grid.ny, grid.nz), dtype=complex)
+    kin = np.empty((n_prot, 1, *shape), dtype=complex)
+    dt_u = dt * p.u
     times = np.arange(n_cycles + 1) * period
     total = np.empty((len(rows), n_cycles + 1))
     cond = np.empty_like(total)
@@ -317,7 +344,7 @@ def run_trajectory(
     # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
     offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
     trail = [np.ones((n_prot, n)) for n in (grid.nx, grid.ny, grid.nz)]
-    amps = np.fft.fftn(a, axes=axes, norm="ortho")
+    _passes(np.fft.fft, rows.reshape(flat), amps)
     for cycle in range(n_cycles + 1):
         if cycle:
             t0 = times[cycle - 1]
@@ -335,10 +362,13 @@ def run_trajectory(
                     lead[1:] *= f[1:-1:2]
                     lead[0] *= tr
                 trail = [f[-1] for f in factors]
-                for step in zip(*fused):
-                    amps *= _phase(*step)[:, None]
-                    a = _contact(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
-                    amps = np.fft.fftn(a, axes=axes, norm="ortho")
+                for fx, fy, fz in zip(*fused):
+                    # the outer product of one row of each table, per drive
+                    np.multiply(fy[:, None, :, None], fz[:, None, None, :], out=yz)
+                    np.multiply(fx[:, None, :, None, None], yz[:, :, None], out=kin)
+                    amps_pr *= kin
+                    a = _contact(_passes(np.fft.ifft, amps, pos), dt_u)
+                    _passes(np.fft.fft, a, amps)
         occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
         total[:, cycle] = occ.sum(axis=1) * grid.dz
         cond[:, cycle] = occ[:, 0] * grid.dz
@@ -428,14 +458,17 @@ def ensemble_run(
             batches = list(pool.map(_run_batch, payloads))
     else:
         batches = [_run_batch(payloads[0])]
+    steps = run_cfg.steps_per_period * run_cfg.resolve_cycles(drives)
+    site_steps = grid.n_modes * n_real * steps
     results = tuple(
-        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg)
+        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg, site_steps)
         for k in range(len(drives))
     )
     return results[0] if isinstance(drive, DriveSpec) else results
 
 
-def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> EnsembleResult:
+def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig,
+               site_steps: int) -> EnsembleResult:
     """Ensemble means and bootstrap bands of one drive's realizations."""
     raw = np.stack([tr.n_ex_raw for tr in traces])
     cf = np.stack([tr.condensed_fraction for tr in traces])
@@ -456,6 +489,7 @@ def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig) -> Ensemb
         traces=tuple(traces),
         half_quantum=half_quantum,
         atom_drift=max(tr.atom_drift for tr in traces),
+        site_steps=site_steps,
         bands_degenerate=len(traces) < 2,
     )
 

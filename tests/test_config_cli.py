@@ -858,6 +858,37 @@ def test_cli_twa_g_scan_records_failed_point(tmp_path, monkeypatch):
     assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
+def test_cli_twa_g_scan_counts_site_steps_of_finished_points(tmp_path, monkeypatch):
+    real_run = twa.ensemble_run
+
+    def run_failing_at_g12(grid, drive, p, *rest, **kw):
+        if p.g == 12.0:
+            raise BlowUpError("atom number drifted")
+        return real_run(grid, drive, p, *rest, **kw)
+
+    monkeypatch.setattr(twa, "ensemble_run", run_failing_at_g12)
+    cfg = write_cfg(tmp_path, TWA_BODY + "\n[scan]\nvariable = g\nvalues = 6, 8, 12\n")
+    out = tmp_path / "o"
+    assert main(["twa", "--config", cfg, "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    # g = 6 and 8 finished: 6 x 6 x 1 sites, 3 realizations, 16 x 6 steps each
+    assert diag["site_steps"] == 2 * 36 * 3 * 16 * 6
+
+
+@pytest.mark.parametrize("command, workload, workers, site_steps", [
+    ("twa", "twa-3d", "2", 31_457_280),  # 16 x 16 x 8 sites, 12 realizations, 128 x 10 steps
+    # 12 x 12 x 1 sites, 6 realizations x 3 protocols, 128 x 15 steps
+    ("endphase", "endphase-2d", "1", 4_976_640),
+])
+def test_cli_twa_counts_site_steps(tmp_path, command, workload, workers, site_steps):
+    # the benchmark's twa-3d and endphase-2d, whose sizes perfbench/workloads.py states
+    cfg = str(ROOT / "perfbench" / "workloads" / f"{workload}.cfg")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"][
+        "site_steps"] == site_steps
+
+
 ENDPHASE_BODY = (
     BASE.replace("omega = 9.0", "omega = 9.0\nramp_up = 2\nhold = 2")
     + "\n[twa]\nnx = 6\nny = 6\nnz = 1\nlz = 1\nsteps_per_period = 16\n"

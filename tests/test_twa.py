@@ -75,6 +75,53 @@ def gpe_step(state, drive, p, t, dt):
     return replace(state, amplitudes=a)
 
 
+def contact_cos_sin(a, dt_u):
+    """The contact phase from libm's cos and sin of theta = -dt U |a|^2."""
+    theta = a.real**2 + a.imag**2
+    theta *= -dt_u
+    phase = np.empty_like(a)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    a *= phase
+    return a
+
+
+def fftn_loop(state, drives, p, cfg):
+    """run_trajectory's step loop written with fftn/ifftn over the grid
+    axes longer than one point and contact_cos_sin: the momentum field of
+    the stacked rows (protocol-major) at every period boundary."""
+    n_steps, grid, period = cfg.steps_per_period, state.grid, drives[0].period
+    dt = period / n_steps
+    rows = state.amplitudes
+    a = rows.reshape(len(drives), -1, *rows.shape[1:])
+    axes = tuple(ax for ax in (-3, -2, -1) if a.shape[ax] > 1)
+    times = np.arange(cfg.n_cycles + 1) * period
+    offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
+    trail = [np.ones((len(drives), n)) for n in (grid.nx, grid.ny, grid.nz)]
+    amps = np.fft.fftn(a, axes=axes, norm="ortho")
+    fields = []
+    for t0 in times[:-1]:
+        fields.append(amps.copy())
+        for first in range(0, 2 * n_steps, 2 * twa.STEP_CHUNK):
+            shifts = np.array([[drive_shift(t0 + off, d) for d in drives]
+                               for off in offsets[first:first + 2 * twa.STEP_CHUNK]])
+            factors = [
+                f.reshape(len(shifts), len(drives), -1)
+                for f in twa._kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
+            ]
+            fused = [f[0::2] for f in factors]
+            for lead, f, tr in zip(fused, factors, trail):
+                lead[1:] *= f[1:-1:2]
+                lead[0] *= tr
+            trail = [f[-1] for f in factors]
+            for fx, fy, fz in zip(*fused):
+                amps *= (fx[..., :, None, None]
+                         * (fy[..., None, :, None] * fz[..., None, None, :]))[:, None]
+                a = contact_cos_sin(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
+                amps = np.fft.fftn(a, axes=axes, norm="ortho")
+    return fields + [amps]
+
+
 def sample(k, grid=GRID, **kw):
     """The Wigner sample of stream (k, 0) on lattice P."""
     return sample_initial(grid, P, realization_rng(k, 0), **kw)
@@ -227,6 +274,82 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     np.testing.assert_allclose(tr.times, d.period * np.arange(6), rtol=1e-12)
     np.testing.assert_allclose(tr.n_ex_raw, want[:, 0], rtol=1e-10)
     np.testing.assert_allclose(tr.condensed_fraction, want[:, 1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("grid, n_drives", [
+    (Grid(5, 3, 3, lz=2.0), 1),  # odd sizes: no row aligns with a SIMD width
+    (Grid(6, 6, 1), 1),  # nz = 1: the length-1 axis takes no pass
+    (GRID, 2),  # two stacked drives, each on its own rows
+], ids=["odd-3d", "2d", "two-drives"])
+def test_run_trajectory_bit_identical_to_fftn_loop(monkeypatch, grid, n_drives):
+    # the per-axis passes are fftn's own, so with the cos/sin contact every
+    # observable equals that of the fftn/ifftn loop to the last bit
+    monkeypatch.setattr(twa, "_contact", contact_cos_sin)
+    drives = end_phase_drives()[:n_drives]
+    cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
+    st = stacked([sample(k, grid) for k in range(3)] * n_drives)
+    traces = run_trajectory(st, drives, P, cfg)
+    occ = [(f.real**2 + f.imag**2).reshape(len(st.amplitudes), -1)
+           for f in fftn_loop(st, drives, P, cfg)]
+    total = np.stack([o.sum(axis=1) * grid.dz for o in occ], axis=1)
+    cond = np.stack([o[:, 0] * grid.dz for o in occ], axis=1)
+    drift = (np.abs(total - total[:, :1]) / total[:, :1]).max(axis=1)
+    for k, tr in enumerate(traces):
+        rows = slice(3 * k, 3 * k + 3)
+        assert tr.n_ex_raw.tobytes() == ((total - cond) / grid.volume)[rows].tobytes()
+        assert tr.condensed_fraction.tobytes() == (cond / total)[rows].tobytes()
+        assert tr.atom_drift.tobytes() == drift[rows].tobytes()
+
+
+def test_contact_matches_exp_i_theta():
+    # the half-angle tangent against libm's cos and sin (through np.exp)
+    # for theta = -dt U |a|^2 over +-1e8
+    rng = np.random.default_rng(7)
+    rho = np.concatenate([[0.0, math.pi / 2, math.pi, 1e-300, 1e8],
+                          rng.uniform(0.0, 1e8, 3000), rng.uniform(0.0, 10.0, 3000),
+                          np.geomspace(1e-300, 1e8, 3000)])
+    a = np.sqrt(rho) * np.exp(2j * np.pi * rng.random(rho.size))
+    for dt_u in (1.0, -1.0):
+        theta = (a.real**2 + a.imag**2) * -dt_u
+        got = twa._contact(a.copy(), dt_u)
+        assert np.all(np.abs(got - a * np.exp(1j * theta)) <= 1e-15 * np.abs(a))
+    # the phase itself, on a = 1 where theta = -dt_u exactly
+    angles = [0.0, math.pi / 2, math.pi, 1e-300, 1e8,
+              *rng.uniform(0.0, 1e8, 300), *rng.uniform(0.0, 10.0, 300)]
+    for theta in angles + [-x for x in angles]:
+        [phase] = twa._contact(np.ones(1, dtype=complex), -theta)
+        assert abs(phase - complex(math.cos(theta), math.sin(theta))) <= 1e-15
+        assert abs(phase.real**2 + phase.imag**2 - 1.0) <= 1e-15
+
+
+def test_non_finite_field_raises_blow_up(monkeypatch):
+    # tan of a NaN or infinite angle is NaN: the tangent never turns a
+    # non-finite field finite, so the run's guard still sees it
+    bad = np.array([np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(1.0, np.nan)])
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(twa._contact(bad, 0.5)).any()
+    contact = twa._contact
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
+    for value in (np.nan, np.inf):
+        def poisoned(a, dt_u, value=value):
+            a.flat[7] = value
+            return contact(a, dt_u)
+
+        monkeypatch.setattr(twa, "_contact", poisoned)
+        with np.errstate(all="ignore"), pytest.raises(
+            BlowUpError, match="field left the finite range in cycle 1"
+        ):
+            run_trajectory(sample(1), d, P, quick_run())
+
+
+def test_run_trajectory_leaves_its_state_unchanged():
+    # a 1 x 1 x 1 grid has no axis longer than one point; its transform
+    # must still copy the field, not evolve the caller's array in place
+    grid = Grid(1, 1, 1)
+    for st in (sample(3, grid), stacked([sample(k, grid) for k in range(2)])):
+        before = st.amplitudes.copy()
+        run_trajectory(st, DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0), P, quick_run())
+        assert st.amplitudes.tobytes() == before.tobytes()
 
 
 def test_step_chunks_do_not_change_results(monkeypatch):
@@ -467,18 +590,27 @@ def test_ensemble_blow_up_names_realization():
         )
 
 
-def test_ensemble_bands_pinned_bit_for_bit():
-    # seed, draw order and arithmetic of the bootstrap bands, to the last bit
-    res = ensemble_run(Grid(4, 4, 1), DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),
-                       LatticeParams(j=1.0, g=5.0, n0=2.0),
-                       TwaRunConfig(steps_per_period=16, n_cycles=2),
-                       ens(n=3, seed=5), workers=1)
+def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
+    # FFT passes, seed, draw order and arithmetic of the bootstrap bands,
+    # to the last bit, with the libm cos/sin contact the numbers were
+    # recorded with (the tangent's last bits follow the CPU's tan)
+    def run():
+        return ensemble_run(Grid(4, 4, 1), DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),
+                            LatticeParams(j=1.0, g=5.0, n0=2.0),
+                            TwaRunConfig(steps_per_period=16, n_cycles=2),
+                            ens(n=3, seed=5), workers=1)
+
+    shipped = run()
+    monkeypatch.setattr(twa, "_contact", contact_cos_sin)
+    res = run()
     assert res.band_lo.tolist() == [
         0.06577447252690788, 0.5806436177909525, 0.6910172505276788,
     ]
     assert res.band_hi.tolist() == [
         0.3196012891484394, 0.9161114395309377, 1.0840169197451093,
     ]
+    np.testing.assert_allclose(shipped.band_lo, res.band_lo, rtol=1e-12)
+    np.testing.assert_allclose(shipped.band_hi, res.band_hi, rtol=1e-12)
 
 
 def test_ensemble_config_validation():
