@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import logging
 import math
 import os
 import sys
@@ -47,6 +48,14 @@ from .output import config_as_dict, utc_stamp, write_csv, write_manifest
 from .specialmath import j0_first_zero
 
 TWO_PI = 2.0 * math.pi
+log = logging.getLogger("shakenbec")
+
+
+class _StderrLines(logging.Handler):
+    """Each record's bare message as one line on the sys.stderr of the moment."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(self.format(record), file=sys.stderr)
 
 
 def _setup(args):
@@ -99,8 +108,9 @@ def _run_points(command: str, points: list[_Point], run, drift: str, drift_of,
     """Run each point in turn: ([(point, result or None, status)], diagnostics).
 
     A NumericalError fails only its own point (strict re-raises it): its
-    status is the error class, stderr and diagnostics' failed_points get
-    its message.  diagnostics[drift] is the worst drift_of(result).
+    status is the error class, and the shakenbec logger (stderr) and
+    diagnostics' failed_points get its message.  diagnostics[drift] is
+    the worst drift_of(result).
     """
     outcomes, failures = [], []
     for point in points:
@@ -109,8 +119,8 @@ def _run_points(command: str, points: list[_Point], run, drift: str, drift_of,
         except NumericalError as exc:
             if strict:
                 raise
-            print(f"shakenbec {command}: point {point.variable}={point.value} failed: {exc}",
-                  file=sys.stderr)
+            log.warning(f"shakenbec {command}: point {point.variable}={point.value} "
+                        f"failed: {exc}")
             failures.append({"variable": point.variable, "value": point.value,
                              "error": type(exc).__name__, "message": str(exc)})
             outcomes.append((point, None, type(exc).__name__))
@@ -270,6 +280,13 @@ def _rate_with_error(traces, window, period, seed, resamples):
     return fit, boot
 
 
+def _twa_counters(results) -> dict[str, int]:
+    """The engine counters of TWA ensembles, summed over them for the manifest."""
+    return {"realizations": sum(len(res.traces) for res in results),
+            "transforms": sum(res.transforms for res in results),
+            "site_steps": sum(res.site_steps for res in results)}
+
+
 def cmd_twa(args) -> int:
     cp, outdir = _setup(args)
     p = lattice_from_config(cp)
@@ -284,12 +301,12 @@ def cmd_twa(args) -> int:
                                       workers=args.workers)
             fit, boot = _rate_with_error(_growth_traces(result), window, period,
                                          ens_cfg.master_seed, ens_cfg.bootstrap_resamples)
-            return result.atom_drift, result.site_steps, fit.rate, boot.std
+            return result.atom_drift, result, fit.rate, boot.std
 
         outcomes, diagnostics = _run_points(
             "twa", points, run, "atom_drift_max", lambda done: done[0]
         )
-        diagnostics["site_steps"] = sum(done[1] for _, done, _ in outcomes if done)
+        diagnostics.update(_twa_counters([done[1] for _, done, _ in outcomes if done]))
         rows = [
             [point.value, point.value / p.j, *(done[2:] if done else (None, None)),
              ens_cfg.n_realizations, status]
@@ -332,7 +349,7 @@ def cmd_twa(args) -> int:
         rate_rows,
     )
     return _finish(args, cp, outdir, ["twa_trace.csv", "twa_rates.csv"],
-                   {"atom_drift_max": result.atom_drift, "site_steps": result.site_steps})
+                   {"atom_drift_max": result.atom_drift, **_twa_counters([result])})
 
 
 def cmd_endphase(args) -> int:
@@ -394,7 +411,7 @@ def cmd_endphase(args) -> int:
     )
     return _finish(args, cp, outdir, ["endphase.csv"],
                    {"atom_drift_max": max(res.atom_drift for res in results),
-                    "site_steps": sum(res.site_steps for res in results)})
+                    **_twa_counters(results)})
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -499,16 +516,18 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a ShakenBecError becomes one stderr line and the
-    exit code of its family: 2 for configuration and parameter errors,
-    3 for numerical failures."""
+    """Run one command; a ShakenBecError becomes one stderr line, through
+    the shakenbec logger, and the exit code of its family: 2 for
+    configuration and parameter errors, 3 for numerical failures."""
     args = build_parser().parse_args(argv)
+    if not log.handlers:
+        log.addHandler(_StderrLines())
     try:
         return args.func(args)
     except ShakenBecError as exc:
         for family, label, code in _EXIT_CODES:
             if isinstance(exc, family):
-                print(f"shakenbec: {label}: {exc}", file=sys.stderr)
+                log.error(f"shakenbec: {label}: {exc}")
                 return code
         raise
 

@@ -12,33 +12,33 @@ which makes |A_q|^2 directly comparable to Bogoliubov pair occupations
 A run starts at t = 0 from a sample of the Wigner distribution of the
 Bogoliubov vacuum: half a quantum of noise per mode, rotated by the
 static (u, v) amplitudes, on top of a coherent condensate at q = 0
-(grid index (0, 0, 0)).  Evolution is a
-second-order Strang splitting of the Gross-Pitaevskii equation in the
-co-moving frame: half-step kinetic (diagonal in momentum, drive shift
-evaluated at the substep midpoint), full-step contact interaction
-(diagonal in position, exact phase rotation), half-step kinetic.
-run_trajectory keeps the field in momentum space and fuses the trailing
-half-kinetic phase of each step with the leading one of the next, which
-is the same splitting (Bao, Jin & Markowich, J. Comput. Phys. 175, 487
-(2002)) at one FFT pair per step instead of a position-space step's
-two; observables read |A_q|^2, which the kinetic phase leaves
-unchanged, so no closing half step is taken.  Each transform is a
-sequence of one-axis np.fft passes, last grid axis first as in fftn
-(so the same bits), written in place into one of two buffers, momentum
-and position, that a run allocates once; the contact phase comes from
-one half-angle tangent, within 1e-15 of libm's cos and sin.  A
-FieldState may carry a leading realization axis: ensembles run as
-contiguous batches of realizations, one array per batch, with one
-process per batch when there is more than one.  A run may also take a
-tuple of drives that share omega and run length, such as the stopping
-protocols of an end-phase study: every drive evolves the same samples,
-the P x R rows stack protocol-major in one array, each step applies
-each drive's kinetic phase to its own rows and one FFT pair serves the
-whole stack, and one result per drive comes back.  Rows of a stack evolve
-bit-identically to single runs.  Every period the run checks that the
-field is finite and that each realization keeps its atom number to
-ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
-mode to estimate the physical excited density.
+(grid index (0, 0, 0)).  Evolution is a second-order Strang splitting
+of the Gross-Pitaevskii equation in the co-moving frame: half-step
+kinetic (diagonal in momentum, drive shift evaluated at the substep
+midpoint), full-step contact interaction (diagonal in position, exact
+phase rotation), half-step kinetic.  run_trajectory keeps the field in
+momentum space and fuses the trailing half-kinetic phase of each step
+with the leading one of the next: the same splitting (Bao, Jin &
+Markowich, J. Comput. Phys. 175, 487 (2002)) at one transform pair per
+step instead of two; observables read |A_q|^2, which the kinetic phase
+leaves unchanged, so no closing half step is taken.  A transform
+multiplies each grid axis longer than one point by its unitary DFT
+matrix, one matrix product per row, and agrees with fftn to rounding;
+the fused kinetic phase is separable, so it scales the columns of each
+axis's inverse matrix.  The contact phase comes from one half-angle
+tangent, within 1e-15 of libm's cos and sin.  A FieldState may carry a
+leading realization axis: ensembles run as contiguous batches of
+realizations, one array per batch, with one process per batch when
+there is more than one.  A run may also take a tuple of drives that
+share omega and run length, such as the stopping protocols of an
+end-phase study: every drive evolves the same samples, the P x R rows
+stack protocol-major in one array, each drive's kinetic phase enters
+its own rows' inverse matrices, and one result per drive comes back.  A
+row's matrix products do not depend on the stack, so rows of a stack
+evolve bit-identically to single runs.  Every period the run checks
+that the field is finite and that each realization keeps its atom
+number to ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half
+quantum per mode to estimate the physical excited density.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ class EnsembleResult:
     anything (a single realization); the bands are then zero width and
     should not be quoted.  atom_drift is the worst atom_drift over the
     realizations' traces.  site_steps is the work integrated for this
-    drive: grid sites x realizations x time steps.
+    drive: grid sites x realizations x time steps; transforms counts its
+    whole-grid transforms, one per realization before the first step and
+    two per step.
     """
 
     times: np.ndarray
@@ -205,6 +207,7 @@ class EnsembleResult:
     half_quantum: float
     atom_drift: float
     site_steps: int
+    transforms: int
     bands_degenerate: bool = False
 
 
@@ -280,14 +283,23 @@ def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
     return a
 
 
-def _passes(transform, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """transform (np.fft.fft or ifft, norm="ortho") along every axis of out
-    but the first, last axis first, writing into out: fftn's own passes,
-    so the same bits as fftn or ifftn over those axes."""
-    for axis in range(out.ndim - 1, 0, -1):
-        transform(src, axis=axis, norm="ortho", out=out)
-        src = out
-    return out
+def _dft_matrix(n: int, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i ((j k) mod n) / n) / sqrt(n): np.fft.fft's (sign -1)
+    or ifft's unitary n-point DFT matrix, as with norm="ortho"."""
+    k = np.arange(n)
+    return np.exp(sign * 2j * np.pi / n * (np.outer(k, k) % n)) / math.sqrt(n)
+
+
+def _transform(mats, src: np.ndarray, out: np.ndarray):
+    """mats[i] (n x n, or P x 1 x n x n: one per drive) along kept grid axis
+    i of the (P, R, sites) field src, last axis first: (result, spare).
+    Each pass writes its axis first and alternates between src and out."""
+    for m in reversed(mats):
+        n = m.shape[-1]
+        np.matmul(m, src.reshape(*src.shape[:2], -1, n).swapaxes(-1, -2),
+                  out=out.reshape(*out.shape[:2], n, -1))
+        src, out = out, src
+    return src, out
 
 
 def run_trajectory(
@@ -300,19 +312,17 @@ def run_trajectory(
 ) -> ObservableTrace | tuple[ObservableTrace, ...]:
     """Evolve a field sample, recording observables each drive period.
 
-    The field stays in momentum space: each step applies one fused
-    kinetic phase and one FFT pair around the contact phase.  A stacked
-    state evolves its rows in one array and the trace arrays gain its
-    leading axis.  drive may be a tuple of P drives sharing omega and
-    resolving to one run length: the state then holds P x R rows,
-    protocol-major (row k R + j runs drive k), every step applies each
-    drive's kinetic phase to its R rows and takes one FFT pair over the
-    whole stack, and one trace per drive is returned, each as for a
-    stacked state of R rows.  Row j of a drive's block is named
-    realization first_realization + j in errors, and the drive's index
-    as the protocol when P > 1.  Raises BlowUpError when the field
-    leaves the finite range or an atom number drifts by more than
-    ATOM_DRIFT_TOL.
+    The field stays in momentum space: each step takes one transform pair,
+    the fused kinetic phase folded into the inverse, around the contact
+    phase.  A stacked state evolves its rows in one array and the trace
+    arrays gain its leading axis.  drive may be a tuple of P drives
+    sharing omega and resolving to one run length: the state then holds
+    P x R rows, protocol-major (row k R + j runs drive k), and one trace
+    per drive is returned, each as for a stacked state of R rows.  Row j
+    of a drive's block is named realization first_realization + j in
+    errors, and the drive's index as the protocol when P > 1.  Raises
+    BlowUpError when the field leaves the finite range or an atom number
+    drifts by more than ATOM_DRIFT_TOL.
     """
     drives = _protocols(drive)
     n_cycles = cfg.resolve_cycles(drives)
@@ -326,49 +336,41 @@ def run_trajectory(
             f"{len(rows)} field rows do not split evenly over {n_prot} drives"
         )
     n_real = len(rows) // n_prot
-    # the field in momentum and in position space, each as (rows, grid
-    # axes longer than one point): a length-1 FFT is the identity, and a
-    # 1 x 1 x 1 grid keeps one axis so that a pass still copies
+    # axes longer than one point; on a length-1 axis the kinetic factor is a
+    # global phase.  A 1 x 1 x 1 grid keeps z (factor 1) to step its contact
     shape = (grid.nx, grid.ny, grid.nz)
-    flat = (len(rows), *([n for n in shape if n > 1] or [1]))
-    amps = np.empty(flat, dtype=complex)
-    pos = np.empty_like(amps)
-    amps_pr = amps.reshape(n_prot, n_real, *shape)  # views of the same buffer
-    yz = np.empty((n_prot, 1, grid.ny, grid.nz), dtype=complex)
-    kin = np.empty((n_prot, 1, *shape), dtype=complex)
-    dt_u = dt * p.u
+    kept = [i for i, n in enumerate(shape) if n > 1] or [2]
+    fwd = [_dft_matrix(shape[i], -1) for i in kept]
+    inv = [m.conj() for m in fwd]
+    field = rows.reshape(n_prot, n_real, -1).astype(complex)  # (P, R, sites), a copy
     times = np.arange(n_cycles + 1) * period
     total = np.empty((len(rows), n_cycles + 1))
     cond = np.empty_like(total)
     drift = np.zeros(len(rows))
     # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
     offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
-    trail = [np.ones((n_prot, n)) for n in (grid.nx, grid.ny, grid.nz)]
-    _passes(np.fft.fft, rows.reshape(flat), amps)
+    trail = [np.ones((n_prot, shape[i])) for i in kept]
+    amps, spare = _transform(fwd, field, np.empty_like(field))
     for cycle in range(n_cycles + 1):
         if cycle:
             t0 = times[cycle - 1]
             for first in range(0, 2 * n_steps, 2 * STEP_CHUNK):
                 shifts = np.array([[drive_shift(t0 + off, d) for d in drives]
                                    for off in offsets[first:first + 2 * STEP_CHUNK]])
-                # per axis, a (2 steps, P, n) table: every drive at every offset
-                factors = [
-                    f.reshape(len(shifts), n_prot, -1)
-                    for f in _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
-                ]
+                # per kept axis, a (2 steps, P, n) table: every drive at every offset
+                tables = _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
+                factors = [tables[i].reshape(len(shifts), n_prot, -1) for i in kept]
                 # step s: trailing half of step s - 1, then leading half of step s
                 fused = [f[0::2] for f in factors]
                 for lead, f, tr in zip(fused, factors, trail):
                     lead[1:] *= f[1:-1:2]
                     lead[0] *= tr
                 trail = [f[-1] for f in factors]
-                for fx, fy, fz in zip(*fused):
-                    # the outer product of one row of each table, per drive
-                    np.multiply(fy[:, None, :, None], fz[:, None, None, :], out=yz)
-                    np.multiply(fx[:, None, :, None, None], yz[:, :, None], out=kin)
-                    amps_pr *= kin
-                    a = _contact(_passes(np.fft.ifft, amps, pos), dt_u)
-                    _passes(np.fft.fft, a, amps)
+                for step in zip(*fused):
+                    # each axis's phases scale its inverse matrix's columns
+                    mats = [m * f[:, None, None, :] for m, f in zip(inv, step)]
+                    pos, spare = _transform(mats, amps, spare)
+                    amps, spare = _transform(fwd, _contact(pos, dt * p.u), spare)
         occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
         total[:, cycle] = occ.sum(axis=1) * grid.dz
         cond[:, cycle] = occ[:, 0] * grid.dz
@@ -459,17 +461,18 @@ def ensemble_run(
     else:
         batches = [_run_batch(payloads[0])]
     steps = run_cfg.steps_per_period * run_cfg.resolve_cycles(drives)
-    site_steps = grid.n_modes * n_real * steps
+    work = {"site_steps": grid.n_modes * n_real * steps,
+            "transforms": n_real * (1 + 2 * steps)}
     results = tuple(
-        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg, site_steps)
+        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg, work)
         for k in range(len(drives))
     )
     return results[0] if isinstance(drive, DriveSpec) else results
 
 
 def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig,
-               site_steps: int) -> EnsembleResult:
-    """Ensemble means and bootstrap bands of one drive's realizations."""
+               work: dict[str, int]) -> EnsembleResult:
+    """One drive's ensemble means, bootstrap bands and work counters."""
     raw = np.stack([tr.n_ex_raw for tr in traces])
     cf = np.stack([tr.condensed_fraction for tr in traces])
     mean_raw = raw.mean(axis=0)
@@ -489,7 +492,7 @@ def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig,
         traces=tuple(traces),
         half_quantum=half_quantum,
         atom_drift=max(tr.atom_drift for tr in traces),
-        site_steps=site_steps,
+        **work,
         bands_degenerate=len(traces) < 2,
     )
 

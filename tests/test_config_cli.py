@@ -1043,3 +1043,48 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("rates", "k0c", "bdg", "twa", "endphase", "fit"):
         assert sub in proc.stdout
+
+
+ENDPHASE_PROTOCOLS = 3  # ENDPHASE_BODY: two abrupt stops and the ramped control
+
+
+@pytest.mark.parametrize("command, body, ensembles, periods", [
+    ("twa", TWA_BODY, 1, 6),
+    ("twa", TWA_BODY + "\n[scan]\nvariable = g\nvalues = 6, 8\n", 2, 6),
+    # ramp_up 2 + hold 2 + post_hold_periods 4 + 1
+    ("endphase", ENDPHASE_BODY, ENDPHASE_PROTOCOLS, 9),
+], ids=["twa", "g-scan", "endphase"])
+def test_cli_twa_manifest_counts_realizations_and_transforms(tmp_path, command, body,
+                                                              ensembles, periods):
+    # every ensemble (scan point, end-phase protocol) of 2 or 3 realizations
+    # on 6 x 6 x 1 sites at 16 steps per period: one transform per
+    # realization before the first step, two per step
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    n_real = 3 if command == "twa" else 2
+    steps = 16 * periods
+    assert diag["realizations"] == ensembles * n_real
+    assert diag["transforms"] == ensembles * n_real * (1 + 2 * steps)
+    assert diag["site_steps"] == ensembles * n_real * 36 * steps
+
+
+def test_cli_twa_csv_independent_of_blas_threads(tmp_path):
+    # on a 64 x 64 lattice each transform pass is a 64 x 64 x 64 product,
+    # large enough for OpenBLAS to split it over threads; the split must
+    # not change a bit of the output
+    body = (BASE + "\n[twa]\nnx = 64\nny = 64\nnz = 1\nlz = 1\nsteps_per_period = 16\n"
+            "n_cycles = 2\nn_realizations = 2\nmaster_seed = 4\n"
+            "bootstrap_resamples = 20\nrate_window_cycles = 1\n")
+    cfg = write_cfg(tmp_path, body)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "shakenbec", "twa", "--config", cfg,
+                        "--out", str(out)], env=env, check=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("twa_trace.csv", "twa_rates.csv")])
+    assert outputs[0] == outputs[1]

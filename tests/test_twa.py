@@ -281,9 +281,11 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     (Grid(6, 6, 1), 1),  # nz = 1: the length-1 axis takes no pass
     (GRID, 2),  # two stacked drives, each on its own rows
 ], ids=["odd-3d", "2d", "two-drives"])
-def test_run_trajectory_bit_identical_to_fftn_loop(monkeypatch, grid, n_drives):
-    # the per-axis passes are fftn's own, so with the cos/sin contact every
-    # observable equals that of the fftn/ifftn loop to the last bit
+def test_run_trajectory_matches_fftn_loop(monkeypatch, grid, n_drives):
+    # the DFT-matrix passes with the kinetic phase folded into the inverse,
+    # against fftn/ifftn with a separate multiply, both with the cos/sin
+    # contact: every observable agrees to rounding.  atom_drift is itself
+    # rounding, about 1e-13, so it is compared in absolute terms
     monkeypatch.setattr(twa, "_contact", contact_cos_sin)
     drives = end_phase_drives()[:n_drives]
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
@@ -296,9 +298,10 @@ def test_run_trajectory_bit_identical_to_fftn_loop(monkeypatch, grid, n_drives):
     drift = (np.abs(total - total[:, :1]) / total[:, :1]).max(axis=1)
     for k, tr in enumerate(traces):
         rows = slice(3 * k, 3 * k + 3)
-        assert tr.n_ex_raw.tobytes() == ((total - cond) / grid.volume)[rows].tobytes()
-        assert tr.condensed_fraction.tobytes() == (cond / total)[rows].tobytes()
-        assert tr.atom_drift.tobytes() == drift[rows].tobytes()
+        np.testing.assert_allclose(tr.n_ex_raw, ((total - cond) / grid.volume)[rows],
+                                   rtol=1e-11)
+        np.testing.assert_allclose(tr.condensed_fraction, (cond / total)[rows], rtol=1e-11)
+        np.testing.assert_allclose(tr.atom_drift, drift[rows], rtol=0, atol=1e-13)
 
 
 def test_contact_matches_exp_i_theta():
@@ -350,6 +353,53 @@ def test_run_trajectory_leaves_its_state_unchanged():
         before = st.amplitudes.copy()
         run_trajectory(st, DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0), P, quick_run())
         assert st.amplitudes.tobytes() == before.tobytes()
+
+
+def random_rows(shape, n_prot=2, n_real=3, seed=3):
+    """A (P, R, nx, ny, nz) complex field of unit-variance entries."""
+    rng = np.random.default_rng(seed)
+    size = (n_prot, n_real, *shape)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def transform(mats, field):
+    """twa._transform of a (P, R, nx, ny, nz) field, shaped back to it."""
+    buffers = np.empty((2, *field.shape[:2], field[0, 0].size), dtype=complex)
+    buffers[0] = field.reshape(buffers[0].shape)
+    return twa._transform(mats, *buffers)[0].reshape(field.shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 6, 1), (1, 4, 1), (1, 1, 1)],
+                         ids=["odd-3d", "2d", "length-1-axes", "1x1x1"])
+def test_transform_matches_fftn(shape):
+    # the kept axes are those longer than one point, or the last one
+    field = random_rows(shape)
+    sizes = [n for n in shape if n > 1] or [1]
+    for sign, fftn in ((-1, np.fft.fftn), (1, np.fft.ifftn)):
+        got = transform([twa._dft_matrix(n, sign) for n in sizes], field)
+        want = fftn(field, axes=(-3, -2, -1), norm="ortho")
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_transform_with_folded_phase_matches_multiply_then_ifftn():
+    # per-drive phases scale the columns of each axis's inverse matrix; the
+    # transform then equals the separable phase multiply followed by ifftn
+    shape = (5, 3, 4)
+    field = random_rows(shape)
+    rng = np.random.default_rng(4)
+    phases = [np.exp(1j * rng.uniform(-np.pi, np.pi, (2, n))) for n in shape]
+    mats = [twa._dft_matrix(n, 1) * f[:, None, None, :] for n, f in zip(shape, phases)]
+    fx, fy, fz = phases
+    kin = fx[:, :, None, None] * fy[:, None, :, None] * fz[:, None, None, :]
+    want = np.fft.ifftn(field * kin[:, None], axes=(-3, -2, -1), norm="ortho")
+    assert np.abs(transform(mats, field) - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 32])
+def test_dft_matrices_are_unitary(n):
+    for sign in (-1, 1):
+        f = twa._dft_matrix(n, sign)
+        assert np.abs(f @ f.conj().T - np.eye(n)).max() <= 1e-15
 
 
 def test_step_chunks_do_not_change_results(monkeypatch):
@@ -591,9 +641,10 @@ def test_ensemble_blow_up_names_realization():
 
 
 def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
-    # FFT passes, seed, draw order and arithmetic of the bootstrap bands,
-    # to the last bit, with the libm cos/sin contact the numbers were
-    # recorded with (the tangent's last bits follow the CPU's tan)
+    # seed, draw order and arithmetic of the bootstrap bands, with the libm
+    # cos/sin contact the numbers were recorded with (the tangent's last
+    # bits follow the CPU's tan); recorded with fftn, so the DFT-matrix
+    # transforms reproduce them to rounding
     def run():
         return ensemble_run(Grid(4, 4, 1), DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),
                             LatticeParams(j=1.0, g=5.0, n0=2.0),
@@ -603,12 +654,12 @@ def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
     shipped = run()
     monkeypatch.setattr(twa, "_contact", contact_cos_sin)
     res = run()
-    assert res.band_lo.tolist() == [
+    np.testing.assert_allclose(res.band_lo, [
         0.06577447252690788, 0.5806436177909525, 0.6910172505276788,
-    ]
-    assert res.band_hi.tolist() == [
+    ], rtol=1e-12)
+    np.testing.assert_allclose(res.band_hi, [
         0.3196012891484394, 0.9161114395309377, 1.0840169197451093,
-    ]
+    ], rtol=1e-12)
     np.testing.assert_allclose(shipped.band_lo, res.band_lo, rtol=1e-12)
     np.testing.assert_allclose(shipped.band_hi, res.band_hi, rtol=1e-12)
 
