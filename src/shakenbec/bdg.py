@@ -27,13 +27,12 @@ integrates only half a period (an envelope, an abrupt stop or an odd
 step count takes the full-period loop).  And at every instant the map
 of -q is sigma_x M(q)* sigma_x, so q and -q share |v|^2: a grid scan,
 envelopes included, integrates one mode of each pair and copies its
-occupations to the partner, so their rates tie exactly.  The drive is
-evaluated at absolute time, so a restarted state continues its
-protocol.  The guards run on the propagated state every period: the
-amplitudes must stay finite and below OCCUPATION_CEILING, and the exact
-invariant |u|^2 - |v|^2 must not drift by more than NORM_DRIFT_TOL
-relative to the mode magnitude (so strongly amplified modes are held to
-the same standard as quiescent ones).  The pair occupation |v|^2 grows
+occupations to the partner, so their rates tie exactly.  Every run
+starts at t = 0.  The guards run on the propagated state every
+period: the amplitudes must stay finite and below OCCUPATION_CEILING,
+and the exact invariant |u|^2 - |v|^2 must not drift by more than
+NORM_DRIFT_TOL relative to the mode magnitude (so strongly amplified
+modes are held to the same standard as quiescent ones).  The pair occupation |v|^2 grows
 as exp(2 s t) on resonance; rates extracted here are occupation rates,
 i.e. twice the amplitude rate.  Grid scans run in one process.
 """
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +91,6 @@ class ModePairState:
     q: Momentum
     u: complex
     v: complex
-    t: float = 0.0
 
     @property
     def occupation(self) -> float:
@@ -109,12 +107,9 @@ class ModeBatchTrajectory:
 
     times: np.ndarray
     occupations: np.ndarray  # [n_samples, n_modes]
-    u: np.ndarray  # [n_modes] amplitudes at times[-1]
-    v: np.ndarray
     norm_drift: float  # worst over the batch
     norm_drift_abs: float
     mode_steps: int  # RK4 steps integrated, summed over modes
-    final_states: tuple[ModePairState, ...] = ()  # filled by evolve_modes
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,6 @@ class GridScanResult:
     occupation_sum: np.ndarray  # sum_q |v_q|^2 / volume at each boundary
     norm_drift: float
     mode_steps: int  # RK4 steps actually integrated, summed over modes
-    occupations: np.ndarray | None = None  # [n_samples, nx, ny, nz] if kept
 
 
 def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
@@ -142,7 +136,7 @@ def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
     if eps == 0.0:
         raise SingularModeError(f"no Bogoliubov mode at gapless momentum {q.as_tuple()}")
     _, u, v = bogoliubov_transform(eps, p.g)
-    return ModePairState(q=q, u=complex(u), v=complex(v), t=0.0)
+    return ModePairState(q=q, u=complex(u), v=complex(v))
 
 
 def _batch_rhs(u, v, eps, g):
@@ -220,19 +214,18 @@ def _evolve_batch(
     q: np.ndarray,
     u0: np.ndarray,
     v0: np.ndarray,
-    t0: float,
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
 ) -> ModeBatchTrajectory:
-    """Evolve the modes q[:, mode] from time t0, sampling |v|^2 at every
-    period; final_states is left empty."""
+    """Evolve the modes q[:, mode] from t = 0, sampling |v|^2 at every
+    period."""
     u = u0.astype(np.complex128)
     v = v0.astype(np.complex128)
     n_samples = cfg.n_cycles + 1
     occ = np.empty((n_samples, u.size))
     occ[0] = np.abs(v) ** 2
-    times = t0 + np.arange(n_samples) * drive.period
+    times = np.arange(n_samples) * drive.period
     drift = 0.0
     drift_abs = 0.0
     norm0 = np.abs(u) ** 2 - np.abs(v) ** 2
@@ -265,7 +258,7 @@ def _evolve_batch(
                 f"|u|^2 - |v|^2 drifted by {drift:.3e} (relative) after cycle "
                 f"{cycle + 1}; increase steps_per_period"
             )
-    return ModeBatchTrajectory(times, occ, u, v, drift, drift_abs, rk4_steps * u.size)
+    return ModeBatchTrajectory(times, occ, drift, drift_abs, rk4_steps * u.size)
 
 
 def evolve_modes(
@@ -274,25 +267,14 @@ def evolve_modes(
     p: LatticeParams,
     cfg: BdgRunConfig,
 ) -> ModeBatchTrajectory:
-    """Integrate many Bogoliubov pairs at once.
-
-    All states must share the same start time; the batch advances on a
-    common stroboscopic clock.
-    """
+    """Integrate many Bogoliubov pairs at once, from t = 0 on a common
+    stroboscopic clock."""
     if not states:
         raise DomainError("evolve_modes needs at least one mode")
-    t0 = states[0].t
-    if any(s.t != t0 for s in states):
-        raise DomainError("all modes in a batch must share the same start time")
     q = np.array([s.q.as_tuple() for s in states]).T
     u0 = np.array([s.u for s in states], dtype=np.complex128)
     v0 = np.array([s.v for s in states], dtype=np.complex128)
-    run = _evolve_batch(q, u0, v0, t0, drive, p, cfg)
-    finals = tuple(
-        ModePairState(q=s.q, u=complex(run.u[i]), v=complex(run.v[i]), t=run.times[-1])
-        for i, s in enumerate(states)
-    )
-    return replace(run, final_states=finals)
+    return _evolve_batch(q, u0, v0, drive, p, cfg)
 
 
 def occupation_rate(
@@ -320,16 +302,14 @@ def grid_instability_scan(
     drive: DriveSpec,
     p: LatticeParams,
     cfg: BdgRunConfig,
-    keep_occupations: bool = False,
 ) -> GridScanResult:
     """Evolve every mode of a momentum grid and locate the fastest growth.
 
     The grid is taken from cfg.  The condensate mode q = 0 is excluded
-    (its linearization is singular); its entries in the rate and
-    occupation arrays are zero.  Rate ties are broken towards
-    lexicographically smallest (qx, qy, qz); q and -q always tie, as
-    one mode of each pair is integrated and copied to the other (its
-    grid index is (-i) mod n on each axis).  The summed occupation
+    (its linearization is singular); its rate entry is zero.  Rate ties
+    are broken towards lexicographically smallest (qx, qy, qz); q and
+    -q always tie, as one mode of each pair is integrated and copied to
+    the other (its grid index is (-i) mod n on each axis).  The summed occupation
     divided by the grid volume is directly comparable to the excited
     density of a truncated-Wigner run on the same grid.
     """
@@ -344,18 +324,12 @@ def grid_instability_scan(
     slot[own] = np.arange(-1, own.size - 1)
     own, column = own[1:], slot[rep[1:]]  # column: each mode's place in own
     _, u0, v0 = bogoliubov_transform(sum(axis_energies(*q[:, own], p)), p.g)
-    run = _evolve_batch(q[:, own], u0, v0, 0.0, drive, p, cfg)
+    run = _evolve_batch(q[:, own], u0, v0, drive, p, cfg)
     rates = np.zeros(grid.n_modes)
     rates[1:] = occupation_rate(run.times, run.occupations, cfg.fit_window_cycles)[column]
     best = rates[1:].max()
     tie = 1 + np.flatnonzero(rates[1:] == best)
     i_best = tie[np.lexsort(q[::-1, tie])[0]]
-
-    occupations = None
-    if keep_occupations:
-        occupations = np.zeros((run.times.size, grid.n_modes))
-        occupations[:, 1:] = run.occupations[:, column]
-        occupations = occupations.reshape((run.times.size, *shape))
     return GridScanResult(
         grid=grid,
         q_max=Momentum(*q[:, i_best]),
@@ -365,5 +339,4 @@ def grid_instability_scan(
         occupation_sum=run.occupations[:, column].sum(axis=1) / grid.volume,
         norm_drift=run.norm_drift,
         mode_steps=run.mode_steps,
-        occupations=occupations,
     )

@@ -34,7 +34,6 @@ from .config import (
     scan_from_config,
     twa_from_config,
     _get,
-    _bool,
 )
 from .errors import (
     ConfigError,
@@ -354,6 +353,10 @@ def cmd_twa(args) -> int:
 
 def cmd_endphase(args) -> int:
     cp, outdir = _setup(args)
+    for key in ("ramp_down", "abrupt_stop", "end_phase"):
+        if cp.has_option("drive", key):
+            raise ConfigError(f"[drive] {key} is not read by endphase, which builds its own "
+                              "stops: set [endphase] ramp_down and phases instead")
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     grid, run_cfg, ens_cfg, _ = twa_from_config(cp, args.seed)
@@ -370,29 +373,24 @@ def cmd_endphase(args) -> int:
         phases = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad [endphase] phases list: {raw!r}") from exc
-    include_ramped = _get(cp, "endphase", "include_ramped", _bool, True)
     ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
     post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
 
     if post_hold < 0:
         raise ConfigError("[endphase] post_hold_periods must be >= 0")
+    if ramp_down > post_hold + 1:
+        raise ConfigError(
+            "[endphase] ramp_down exceeds post_hold_periods + 1; "
+            "the ramped control would outlast the comparison window"
+        )
     protocols = [
         ("abrupt", phase, Envelope(ramp_up=env.ramp_up, hold=env.hold, ramp_down=0,
                                    abrupt_stop=True, end_phase=phase))
         for phase in phases
     ]
-    if include_ramped:
-        if ramp_down > post_hold + 1:
-            raise ConfigError(
-                "[endphase] ramp_down exceeds post_hold_periods + 1; "
-                "the ramped control would outlast the comparison window"
-            )
-        protocols.append(("ramped", None, Envelope(
-            ramp_up=env.ramp_up, hold=env.hold, ramp_down=ramp_down, abrupt_stop=False,
-        )))
-    if not protocols:
-        raise ConfigError("[endphase] has nothing to run: no phases and "
-                          "include_ramped is off")
+    protocols.append(("ramped", None, Envelope(
+        ramp_up=env.ramp_up, hold=env.hold, ramp_down=ramp_down, abrupt_stop=False,
+    )))
 
     # the abrupt stops are over after ramp_up + hold + 1 periods, the
     # ramped control (ramp_down <= post_hold + 1) no later: one run length

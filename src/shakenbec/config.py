@@ -43,8 +43,8 @@ _KNOWN_KEYS = {
             "fit_window_cycles"),
     "twa": ("nx", "ny", "nz", "lz", "steps_per_period", "n_cycles",
             "n_realizations", "master_seed", "bootstrap_resamples",
-            "noise_scale", "rate_window_cycles"),
-    "endphase": ("phases", "include_ramped", "ramp_down", "post_hold_periods"),
+            "rate_window_cycles"),
+    "endphase": ("phases", "ramp_down", "post_hold_periods"),
     "fit": ("kind", "r2_threshold"),
 }
 
@@ -291,8 +291,8 @@ def twa_from_config(cp, seed_override: int | None = None):
         raise ConfigError("missing required section [twa]")
     grid = grid_from_config(cp, "twa", Grid(16, 16))
     run_cfg = TwaRunConfig(**_given(cp, "twa", {"steps_per_period": int, "n_cycles": int}))
-    given = _given(cp, "twa", {"n_realizations": int, "master_seed": int,
-                               "bootstrap_resamples": int, "noise_scale": float})
+    given = _given(cp, "twa", dict.fromkeys(
+        ("n_realizations", "master_seed", "bootstrap_resamples"), int))
     if seed_override is not None:
         given["master_seed"] = seed_override
     ens_cfg = EnsembleConfig(**given)

@@ -21,6 +21,8 @@ Conventions used throughout the package:
   starting value there.  Either way the frame shift is periodic, so
   stroboscopic mode populations are directly comparable across cycles
   (a uniform momentum shift permutes modes without mixing them).
+* Time counts from the start of a run: bdg and twa runs both start at
+  t = 0, where an envelope begins its ramp-up.
 * The envelope's end_phase is quoted on the lattice velocity waveform of
   the final drive cycle: end_phase = 0 cuts while the lattice moves at
   peak speed (the frozen frame momentum, and hence the kick to the
@@ -192,7 +194,8 @@ class DriveSpec:
         return TWO_PI / self.omega
 
     def stop_time(self) -> float | None:
-        """Absolute time of an abrupt cut, None for smooth protocols."""
+        """Time of an abrupt cut after the start at t = 0, None for smooth
+        protocols."""
         env = self.envelope
         if env is None or not env.abrupt_stop:
             return None

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,18 +159,10 @@ def bessel_j(order: int, x):
     return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 
 
-@lru_cache(maxsize=1)
 def j0_first_zero() -> float:
-    """First positive zero of J_0 (the band-inversion drive amplitude)."""
-    x = 2.4
-    for _ in range(60):
-        f = bessel_j(0, x)
-        fp = -bessel_j(1, x)
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-14:
-            break
-    return x
+    """First positive zero of J_0 (the band-inversion drive amplitude), the
+    double 0x1.33d152e971b40p+1 that Newton's method on bessel_j reaches."""
+    return 2.404825557695773
 
 
 def bessel_j0_inverse(y):

@@ -129,21 +129,12 @@ class EnsembleConfig:
     n_realizations: int = 16
     master_seed: int = 0
     bootstrap_resamples: int = 200
-    noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
             raise DomainError("n_realizations must be >= 1")
         if self.bootstrap_resamples < 1:
             raise DomainError("bootstrap_resamples must be >= 1")
-        _check_noise_scale(self.noise_scale)
-
-
-def _check_noise_scale(noise_scale: float) -> None:
-    if not math.isfinite(noise_scale):
-        raise DomainError(f"noise_scale must be finite, got {noise_scale}")
-    if noise_scale < 0.0:
-        raise DomainError("noise_scale must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,6 @@ class FieldState:
 
     amplitudes: np.ndarray
     grid: Grid
-    noise_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -168,8 +158,8 @@ class ObservableTrace:
 
     n_ex_raw is the Wigner-mean excited density including the sampled
     half quantum per mode; n_ex subtracts half_quantum, the constant
-    (n_modes - 1) noise_scale^2 / (2 volume).  atom_drift is the worst
-    relative change of the atom number over the run.  A trace of a
+    (n_modes - 1) / (2 volume).  atom_drift is the worst relative change
+    of the atom number over the run.  A trace of a
     stacked state has arrays with a leading realization axis: n_ex_raw,
     n_ex and condensed_fraction of shape (R, n_cycles + 1), atom_drift
     of shape (R,).
@@ -222,27 +212,23 @@ def sample_initial(
     grid: Grid,
     p: LatticeParams,
     rng: np.random.Generator,
-    noise_scale: float = 1.0,
 ) -> FieldState:
     """Draw one Wigner sample of the Bogoliubov vacuum around a condensate.
 
     The condensate of |A|^2 = n0 * volume sits at q = 0; every other
     mode receives u_q gamma_q + v_q gamma_-q^* with complex Gaussian
-    gamma of mean square noise_scale^2 / 2, drawn from rng.
+    gamma of mean square 1/2, drawn from rng.
     """
-    _check_noise_scale(noise_scale)
     _, uu, vv = bogoliubov_transform(sum(axis_energies(*grid.mesh, p)), p.g)
 
     shape = (grid.nx, grid.ny, grid.nz)
-    gamma = noise_scale * (
-        rng.normal(0.0, 0.5, shape) + 1j * rng.normal(0.0, 0.5, shape)
-    )
+    gamma = rng.normal(0.0, 0.5, shape) + 1j * rng.normal(0.0, 0.5, shape)
     gamma_pair = np.conj(gamma[np.ix_(*grid.partner_axes())])
 
     amps_q = uu * gamma + vv * gamma_pair
     amps_q[0, 0, 0] = math.sqrt(p.n0 * grid.volume)
     a = np.fft.ifftn(amps_q, norm="ortho") / math.sqrt(grid.dz)
-    return FieldState(amplitudes=a, grid=grid, noise_scale=noise_scale)
+    return FieldState(amplitudes=a, grid=grid)
 
 
 def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
@@ -392,7 +378,7 @@ def run_trajectory(
                               "reduce the time step or the drive strength")
     n_raw = (total - cond) / grid.volume
     cf = cond / np.where(total > 0.0, total, 1.0)
-    half_quantum = (grid.n_modes - 1) * state.noise_scale**2 / (2.0 * grid.volume)
+    half_quantum = (grid.n_modes - 1) / (2.0 * grid.volume)
     traces = []
     for block in range(0, len(rows), n_real):
         n_k, cf_k, drift_k = (x[block:block + n_real] for x in (n_raw, cf, drift))
@@ -408,11 +394,7 @@ def _run_batch(payload) -> tuple[list[ObservableTrace], ...]:
     """Evolve realizations ks under every drive as one stacked state; per
     drive, one trace per realization."""
     grid, drives, p, run_cfg, ens_cfg, ks = payload
-    states = [
-        sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k),
-                       ens_cfg.noise_scale)
-        for k in ks
-    ]
+    states = [sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k)) for k in ks]
     samples = np.stack([st.amplitudes for st in states])
     batch = replace(states[0], amplitudes=np.concatenate([samples] * len(drives)))
     return tuple(

@@ -335,6 +335,9 @@ def test_heating_preset_is_acceptance_08_system():
     ("[lattic]\nj = 2\n", "unknown section [lattic]"),
     # n_cycles sets a TWA run's length; there is no second key for it
     ("[twa]\npost_hold_periods = 4\n", "unknown key 'post_hold_periods' in section [twa]"),
+    # the vacuum's half quantum is the only noise, and the ramped control always runs
+    ("[twa]\nnoise_scale = 0.5\n", "unknown key 'noise_scale' in section [twa]"),
+    ("[endphase]\ninclude_ramped = no\n", "unknown key 'include_ramped' in section [endphase]"),
 ])
 def test_unknown_names_rejected(tmp_path, capsys, overlay, name):
     cfg = write_cfg(tmp_path, overlay)
@@ -595,7 +598,6 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     ("j = 1.0", "recoil = 30\ndepth_er = inf"),
     ("j = 1.0", "depth_er = 5\nrecoil = nan"),
     pytest.param("lz = 1", "lz = nan", id="twa-lz-nan"),
-    pytest.param("lz = 1", "lz = 1\nnoise_scale = nan", id="twa-noise_scale-nan"),
 ])
 def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
     # [twa] inputs are checked where they enter, before any field is evolved
@@ -940,12 +942,16 @@ def test_cli_endphase_workers_byte_identical(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("post_hold_periods = 4\n", "post_hold_periods = 4\nramp_down = 6\n",
      "ramp_down exceeds post_hold_periods + 1"),
-    ("phases = 0, 1.5707963267948966\n", "phases = ,\ninclude_ramped = false\n",
-     "nothing to run"),
     # the endphase schedule sets the run length; these [twa] keys would be ignored
     ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\nn_cycles = 3\n",
      "[twa] n_cycles is not read by endphase, which runs ramp_up + hold + "
      "[endphase] post_hold_periods + 1 periods"),
+    # endphase builds its own stops; these [drive] keys would be ignored
+    ("ramp_up = 2\n", "ramp_up = 2\nramp_down = 5\n",
+     "[drive] ramp_down is not read by endphase, which builds its own stops: "
+     "set [endphase] ramp_down and phases instead"),
+    ("ramp_up = 2\n", "ramp_up = 2\nabrupt_stop = yes\n", "[drive] abrupt_stop is not read"),
+    ("ramp_up = 2\n", "ramp_up = 2\nend_phase = 1.0\n", "[drive] end_phase is not read"),
 ])
 def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
                                              old, new, message):

@@ -142,7 +142,6 @@ def test_j0_inverse_against_scipy_oracle():
 def test_j0_inverse_raises_when_newton_stalls(monkeypatch):
     import shakenbec.specialmath as sm
 
-    j0_first_zero()  # cached before J0 is replaced
     monkeypatch.setattr(sm, "bessel_j", lambda order, x: 0.5)
     with pytest.raises(ConvergenceError, match="Newton"):
         sm.bessel_j0_inverse(0.3)

@@ -122,31 +122,18 @@ def fftn_loop(state, drives, p, cfg):
     return fields + [amps]
 
 
-def sample(k, grid=GRID, **kw):
+def sample(k, grid=GRID):
     """The Wigner sample of stream (k, 0) on lattice P."""
-    return sample_initial(grid, P, realization_rng(k, 0), **kw)
+    return sample_initial(grid, P, realization_rng(k, 0))
 
 
 # ---------------------------------------------------------------- sampling
 
 
-def test_noiseless_sample_is_uniform_condensate():
-    st = sample(0, noise_scale=0.0)
-    assert np.allclose(np.abs(st.amplitudes) ** 2, P.n0, rtol=1e-12)
-    assert atom_number(st) == pytest.approx(P.n0 * GRID.volume, rel=1e-12)
-    n_ex, cf = observables_of(st)
-    assert n_ex == pytest.approx(0.0, abs=1e-12)
-    assert cf == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sample_streams_and_noise_scale():
+def test_sample_streams():
     # a sample is a function of its generator's stream
     np.testing.assert_array_equal(sample(7).amplitudes, sample(7).amplitudes)
     assert not np.array_equal(sample(7).amplitudes, sample(8).amplitudes)
-    with pytest.raises(DomainError):
-        sample(0, noise_scale=-0.1)
-    with pytest.raises(DomainError, match="noise_scale must be finite"):
-        sample(0, noise_scale=float("nan"))
 
 
 def test_sampling_mean_noninteracting():
@@ -234,7 +221,7 @@ def test_trace_identities():
     n_total = atom_number(st)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     tr = run_trajectory(st, d, P, TwaRunConfig(steps_per_period=64, n_cycles=10))
-    hq = (GRID.n_modes - 1) * st.noise_scale**2 / (2.0 * GRID.volume)
+    hq = (GRID.n_modes - 1) / (2.0 * GRID.volume)
     assert tr.half_quantum == pytest.approx(hq, rel=1e-12)
     np.testing.assert_allclose(tr.n_ex, tr.n_ex_raw - hq, rtol=1e-12)
     # n_ex_raw and condensed fraction describe the same conserved total
@@ -669,7 +656,3 @@ def test_ensemble_config_validation():
         EnsembleConfig(n_realizations=0)
     with pytest.raises(DomainError):
         EnsembleConfig(bootstrap_resamples=0)
-    with pytest.raises(DomainError):
-        EnsembleConfig(noise_scale=-1.0)
-    with pytest.raises(DomainError, match="noise_scale must be finite"):
-        EnsembleConfig(noise_scale=float("nan"))
