@@ -21,7 +21,6 @@ from .analytics import (
     calibrate_g_from_cusp,
     critical_drive_amplitude,
     cusp_frequency,
-    effective_hopping,
     most_unstable_mode,
 )
 from .bdg import (

@@ -51,14 +51,6 @@ def _checked_k0(k0) -> np.ndarray:
     return k0
 
 
-def effective_hopping(j: float, k0: float) -> float:
-    """Time-averaged tunneling J_eff = J * J0(k0) (may be negative)."""
-    if not 0.0 < j < math.inf:  # NaN fails too
-        raise DomainError(f"hopping must be positive and finite, got {j}")
-    _checked_k0(k0)
-    return j * bessel_j(0, k0)
-
-
 def _corner_factor(trajectory: Trajectory) -> float:
     # band-corner energy prefactor: 4 J_eff for trajectories whose most
     # unstable corner is (pi, 0), 8 J_eff for the diagonal's (pi, pi)
@@ -93,23 +85,6 @@ def _cusp_terms(trajectory: Trajectory, b0, p: LatticeParams):
     omega_c = bogoliubov_transform(corner, p.g)[0]
     bandwidth = bogoliubov_transform(top, p.g)[0]
     return omega_c, bandwidth, np.abs(omega_c - bandwidth) <= 1e-12 * bandwidth
-
-
-def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
-    """Frequency of the rate cusp separating the two instability regimes.
-
-    Raises DomainError for a k0 that DriveSpec rejects and
-    InvertedBandError when J_eff <= 0.
-    """
-    _checked_k0(k0)
-    b0 = bessel_j(0, k0)
-    j_eff = p.j * b0  # effective_hopping(p.j, k0)
-    if j_eff <= 0.0:
-        raise InvertedBandError(
-            f"cusp undefined at k0 = {k0}: effective hopping {j_eff:.4e} <= 0"
-        )
-    omega_c, bandwidth, at_bandwidth = _cusp_terms(trajectory, b0, p)
-    return CuspData(float(omega_c), float(bandwidth), bool(at_bandwidth))
 
 
 @dataclass(frozen=True)
@@ -199,7 +174,7 @@ class ClosedFormScan:
     @cached_property
     def _bessel_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (inverted, J0(k0), |J2(k0)|) on k0's shape, nan where inverted;
-        # an inverted k0 never reaches bessel_j, so k0 > 50 is fine
+        # an inverted k0 never reaches bessel_j, so any finite k0 is fine
         inverted = ~(self.k0 < j0_first_zero())
         b0 = np.full(self.k0.shape, np.nan)
         b2 = np.full(self.k0.shape, np.nan)
@@ -270,7 +245,8 @@ def most_unstable_mode(
     m = ClosedFormScan(omega, p, k0).modes(trajectory)
     if m.inverted:
         raise InvertedBandError(
-            f"most_unstable_mode needs 0 <= k0 < {j0_first_zero():.6f}, got {k0}"
+            f"band inverted: the closed forms need 0 <= k0 < {j0_first_zero():.6f}, "
+            f"got {k0}"
         )
     qx, qy = float(m.qx), float(m.qy)
     if trajectory is Trajectory.LINEAR_X:
@@ -286,6 +262,17 @@ def most_unstable_mode(
         regime=Regime.HIGH_FREQ if m.high_freq else Regime.LOW_FREQ,
         cusp=CuspData(float(m.omega_c), float(m.bandwidth), bool(m.cusp_at_bandwidth)),
     )
+
+
+def cusp_frequency(trajectory: Trajectory, k0: float, p: LatticeParams) -> CuspData:
+    """Frequency of the rate cusp separating the two instability regimes.
+
+    The one-point case of ClosedFormScan.modes, as most_unstable_mode
+    is, at any omega (the cusp does not depend on it): a k0 that
+    DriveSpec rejects raises its DomainError, and a k0 at or past the
+    first zero of J0 raises InvertedBandError.
+    """
+    return most_unstable_mode(trajectory, k0, 1.0, p).cusp
 
 
 def critical_drive_amplitude(omega: float, p: LatticeParams) -> float:
@@ -313,12 +300,17 @@ def calibrate_g_from_cusp(measured_omega_c: float, j: float, k0: float) -> float
 
     Inverts omega_c = sqrt(4 J_eff (4 J_eff + 2 g)), J_eff = J J0(k0).
     Raises DomainError for a J or k0 that cannot describe a drive, and
-    CalibrationError unless infinity > omega_c > 4 J_eff > 0.
+    CalibrationError for a k0 at or past the first zero of J0 or unless
+    infinity > omega_c > 4 J_eff.
     """
-    j_eff = effective_hopping(j, k0)
-    if j_eff <= 0.0:
-        raise CalibrationError(f"effective hopping must be positive, got {j_eff}")
-    corner = 4.0 * j_eff
+    if not 0.0 < j < math.inf:  # NaN fails too
+        raise DomainError(f"hopping must be positive and finite, got {j}")
+    if not _checked_k0(k0) < j0_first_zero():
+        raise CalibrationError(
+            f"effective hopping J J0(k0) is positive only for "
+            f"0 <= k0 < {j0_first_zero():.6f}, got k0 = {k0}"
+        )
+    corner = 4.0 * (j * bessel_j(0, k0))  # 4 J_eff
     if not corner < measured_omega_c < math.inf:  # NaN fails too
         raise CalibrationError(
             f"cusp frequency {measured_omega_c} must be finite and exceed the "

@@ -176,7 +176,10 @@ def drive_from_config(cp) -> DriveSpec:
 
     An envelope is attached when any of ramp_up / hold / ramp_down /
     abrupt_stop / end_phase appears (otherwise the drive runs at
-    constant amplitude, the natural setting for rate extraction).
+    constant amplitude, the natural setting for rate extraction).  A key
+    the envelope would not read is a ConfigError naming it: end_phase
+    without abrupt_stop = true, ramp_down with it, and ramp_down,
+    abrupt_stop or end_phase without ramp_up or hold.
     """
     if not cp.has_section("drive"):
         raise ConfigError("missing required section [drive]")
@@ -188,14 +191,24 @@ def drive_from_config(cp) -> DriveSpec:
         )
     k0 = _get(cp, "drive", "k0", float)
     omega = scale * _get(cp, "drive", "omega", float)
-    env_keys = ("ramp_up", "hold", "ramp_down", "abrupt_stop", "end_phase")
+    given = [k for k in ("ramp_up", "hold", "ramp_down", "abrupt_stop", "end_phase")
+             if cp.has_option("drive", k)]
     envelope = None
-    if any(cp.has_option("drive", k) for k in env_keys):
+    if given:
+        abrupt = _get(cp, "drive", "abrupt_stop", _bool, False)
+        if "end_phase" in given and not abrupt:
+            raise ConfigError("[drive] end_phase is read only with abrupt_stop = true")
+        if "ramp_down" in given and abrupt:
+            raise ConfigError("[drive] ramp_down is not read with abrupt_stop = true, "
+                              "which cuts the drive instead")
+        if "ramp_up" not in given and "hold" not in given:
+            raise ConfigError(f"[drive] {given[0]} needs ramp_up or hold: the "
+                              "envelope ramps up and holds before it stops")
         envelope = Envelope(
             ramp_up=_get(cp, "drive", "ramp_up", int, 1),
             hold=_get(cp, "drive", "hold", int, 0),
             ramp_down=_get(cp, "drive", "ramp_down", int, 0),
-            abrupt_stop=_get(cp, "drive", "abrupt_stop", _bool, False),
+            abrupt_stop=abrupt,
             end_phase=_get(cp, "drive", "end_phase", float, 0.0),
         )
     return DriveSpec(

@@ -32,8 +32,8 @@ class ConvergenceError(NumericalError):
 class InvertedBandError(DomainError):
     """The effective band curvature is negative at the requested momentum.
 
-    Raised when the drive amplitude pushes the zero-order Bessel factor
-    negative, so the time-averaged dispersion dips below zero and the
+    Raised for a drive amplitude k0 at or past the first zero of J0,
+    where the time-averaged hopping J J0(k0) stops being positive and the
     q = 0 condensate is no longer the energy minimum.
     """
 

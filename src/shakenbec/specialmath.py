@@ -6,14 +6,15 @@ dependency surface at numpy only.  `bessel_j` and `bessel_j0_inverse`
 take a float (and return a float) or an array of any shape (and return
 an array of that shape); a float is the one-point case of the array
 code.  Each element takes the path a scalar loop would: the ascending
-series at |x| <= 8, Miller's backward recurrence beyond, and for the
-J_0 inverse plain Newton steps from the small-argument estimate
-x = 2 sqrt(1 - y), which lies below the root.  Masks drop an element
-from the work once it has converged, so it stops taking series terms
-or Newton steps exactly where the scalar loop would stop: every element
-gets the bits of a one-point call.  Accuracy is well below 1e-10
-absolute over the supported range (order <= 64, |x| <= 50); a handful
-of Newton steps reach the rounding floor.
+series for J_n, and for the J_0 inverse plain Newton steps from the
+small-argument estimate x = 2 sqrt(1 - y), which lies below the root.
+Masks drop an element from the work once it has converged, so it stops
+taking series terms or Newton steps exactly where the scalar loop would
+stop: every element gets the bits of a one-point call.  The supported
+range, order <= 64 and |x| <= 8, covers the closed forms, whose drive
+amplitudes all lie below the first zero of J_0 (2.405); on it the
+series is within 1e-13 of scipy, and a handful of Newton steps reach
+the rounding floor.
 
 The band-structure solver diagonalizes the lattice Hamiltonian in a
 plane-wave basis and is used to convert a lattice depth into a tunneling
@@ -36,10 +37,9 @@ ATOMIC_MASS_KG = 1.66053906660e-27  # kg
 RB87_MASS_U = 86.909180527  # atomic mass units
 
 MAX_ORDER = 64
-MAX_ARGUMENT = 50.0
-# ascending series below, Miller recurrence above; the series loses
-# digits to cancellation as |x| grows (1.7e-12 near 12), Miller does not
-_SERIES_SWITCH = 8.0
+# the ascending series loses digits to cancellation as |x| grows (1.7e-12
+# near 12); the closed forms need no more than J0's first zero, 2.405
+MAX_ARGUMENT = 8.0
 _SERIES_TERMS = 200  # the series stalls if term 199 has not converged
 _NEWTON_STEPS = 30  # bessel_j0_inverse takes at most 5 steps on (0, 1]
 _EPS = math.ulp(1.0)  # machine epsilon
@@ -97,46 +97,13 @@ def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"Bessel series stalled at order {n}, x = {x[rows[0]]}")
 
 
-def _bessel_miller(n: int, x: np.ndarray) -> np.ndarray:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} at each x > 8,
-    # normalized with J_0 + 2 sum_k J_{2k} = 1, started at
-    # k = m = (max(n, int(x)) + 44) // 2 * 2, well above order and
-    # argument.  Sorted by m, the elements already started at k are a
-    # trailing slice.  From 1e-30 the recurrence stays below 1e79 over the
-    # whole supported range, so it never needs rescaling.
-    m = (np.maximum(n, x.astype(int)) + 44) // 2 * 2
-    perm = np.argsort(m, kind="stable")
-    x, m = x[perm], m[perm]
-    ks = np.arange(m[-1], 0, -1)
-    starts = np.searchsorted(m, ks).tolist()
-    ratios = (2.0 * ks)[:, None] / x  # 2k / x, one row per k
-    jp, j = np.empty_like(x), np.empty_like(x)
-    norm = np.zeros_like(x)
-    begun = x.size
-    for k, s, ratio in zip(ks.tolist(), starts, ratios):
-        if s < begun:  # elements whose m is k start here
-            jp[s:begun], j[s:begun] = 0.0, 1e-30
-            begun = s
-        # J_{k-1} overwrites J_{k+1}, then the names swap
-        np.subtract(ratio[s:] * j[s:], jp[s:], out=jp[s:])
-        jp, j = j, jp
-        if k - 1 == n:
-            result = j.copy()  # every element starts above n + 1
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm[s:] += 2.0 * j[s:]
-    norm += j
-    out = np.empty_like(x)
-    out[perm] = result / norm
-    return out
-
-
 def bessel_j(order: int, x):
     """Bessel function of the first kind J_order(x), elementwise over x.
 
     x is a float (a float is returned) or an array (an array of its
-    shape is returned).  Supports integer orders 0..64 and |x| <= 50
-    with absolute error below 1e-10 (in practice close to machine
-    precision); an element outside raises DomainError naming it.
+    shape is returned).  Supports integer orders 0..64 and |x| <= 8
+    with absolute error below 1e-13, from the ascending series; an
+    element outside raises DomainError naming it.
     """
     if not isinstance(order, (int, np.integer)):
         raise DomainError(f"order must be an integer, got {order!r}")
@@ -147,13 +114,7 @@ def bessel_j(order: int, x):
     flat = xa.reshape(-1)
     ax = np.abs(flat)
     _require(~(ax <= MAX_ARGUMENT), flat, f"|x| must be <= {MAX_ARGUMENT}")
-    miller = ax > _SERIES_SWITCH
-    if miller.any():
-        val = np.empty(ax.shape)
-        val[~miller] = _bessel_series(n, ax[~miller])
-        val[miller] = _bessel_miller(n, ax[miller])
-    else:  # the series gives J_n(0) = 1 or 0 exactly
-        val = _bessel_series(n, ax)
+    val = _bessel_series(n, ax)  # J_n(0) = 1 or 0 exactly
     if n % 2 == 1:
         np.negative(val, out=val, where=flat < 0.0)
     return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)

@@ -294,6 +294,23 @@ def test_most_unstable_mode_guards():
         an.cusp_frequency(Trajectory.DIAGONAL, zero + 0.1, p)
 
 
+@pytest.mark.parametrize("k0", [6.0, 7.5, 12.0])
+def test_later_positive_lobes_of_j0_are_inverted_everywhere(k0):
+    # J0(k0) > 0 again past its second zero, but the closed forms hold
+    # only below the first: every entry point rejects these k0 alike
+    p = LatticeParams(j=1.0, g=5.0)
+    assert scipy.special.j0(k0) > 0.0
+    for traj in Trajectory:
+        with pytest.raises(InvertedBandError):
+            an.cusp_frequency(traj, k0, p)
+        with pytest.raises(InvertedBandError):
+            an.most_unstable_mode(traj, k0, 3.0, p)
+        m = an.ClosedFormScan(np.array([1.0, 3.0, 30.0]), p, k0).modes(traj)
+        assert m.inverted.all() and np.isnan(m.omega_c).all()
+    with pytest.raises(CalibrationError, match="effective hopping"):
+        an.calibrate_g_from_cusp(2.5276, 1.0, k0)
+
+
 # ------------------------------------------------------- cusp in results
 
 
@@ -313,16 +330,6 @@ def test_instability_cusp_keys_on_lattice():
     assert res_strong.cusp == an.cusp_frequency(Trajectory.LINEAR_X, 1.1, strong)
     want = 4.0 * weak.j * abs(bessel_j(2, 1.1)) * weak.g / 40.0
     assert res_weak.gamma == want
-
-
-def test_effective_hopping():
-    assert an.effective_hopping(2.0, 0.0) == 2.0
-    assert an.effective_hopping(2.0, 1.25) == pytest.approx(
-        2.0 * bessel_j(0, 1.25), rel=1e-14
-    )
-    assert an.effective_hopping(1.0, 3.0) < 0.0  # beyond the first zero
-    with pytest.raises(DomainError):
-        an.effective_hopping(0.0, 1.0)
 
 
 # ------------------------------------------------------ heating threshold
@@ -373,7 +380,7 @@ def test_critical_amplitude_no_solution():
 @settings(max_examples=60, deadline=None)
 def test_interaction_from_cusp_roundtrip(j, k0, g):
     # calibrate_g_from_cusp inverts the linear-drive cusp frequency
-    corner = 4.0 * an.effective_hopping(j, k0)
+    corner = 4.0 * (j * bessel_j(0, k0))
     omega_c = math.sqrt(corner * (corner + 2.0 * g))
     assert an.calibrate_g_from_cusp(omega_c, j, k0) == pytest.approx(
         g, rel=1e-9, abs=1e-12
@@ -514,9 +521,8 @@ NEGATIVE_K0 = "drive amplitude must be >= 0, got -1.0"
     (lambda p: an.cusp_frequency(LIN, math.nan, p), "k0 must be finite, got nan"),
     (lambda p: an.cusp_frequency(LIN, -1.0, p), NEGATIVE_K0),
     (lambda p: an.calibrate_g_from_cusp(20.0, 1.0, -1.0), NEGATIVE_K0),
-    (lambda p: an.effective_hopping(1.0, -1.0), NEGATIVE_K0),
 ], ids=["mum-omega-inf", "mum-omega-nan", "mum-k0-nan", "k0c-omega-nan", "k0c-omega-inf",
-        "cusp-k0-nan", "cusp-k0-negative", "calibrate-k0-negative", "hopping-k0-negative"])
+        "cusp-k0-nan", "cusp-k0-negative", "calibrate-k0-negative"])
 def test_one_point_entries_check_drive_inputs(call, message):
     # each closed-form entry point rejects the omega and k0 that DriveSpec does
     with pytest.raises(DomainError, match=re.escape(message)):

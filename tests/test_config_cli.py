@@ -19,6 +19,7 @@ from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
 from shakenbec.bdg import NORM_DRIFT_TOL, BdgRunConfig
 from shakenbec.cli import main
 from shakenbec.config import (
+    _preset_dir,
     available_presets,
     bdg_from_config,
     drive_from_config,
@@ -296,25 +297,55 @@ HEATING_TINY = (
     "\n[bdg]\nnx = 4\nny = 4\nnz = 2\nn_cycles = 2\nfit_window_cycles = 1\n"
     "\n[twa]\nnx = 4\nny = 4\nnz = 2\nsteps_per_period = 32\nn_realizations = 2\n"
 )
+# one overlay per preset that shrinks each of its runs to well under a second
+PRESET_TINY = {
+    "paper-11er": (
+        "[scan]\nvariable = omega\nvalues = 900, 2500\n"
+        "\n[bdg]\nnx = 4\nny = 4\nsteps_per_period = 64\nn_cycles = 2\nfit_window_cycles = 1\n"
+    ),
+    "heating-16x16x8": HEATING_TINY,
+    "endphase-12x12": (
+        "[twa]\nnx = 4\nny = 4\nsteps_per_period = 32\nn_realizations = 2\n"
+        "\n[endphase]\nphases = 0\n"
+    ),
+}
+COMMAND_OUTPUTS = {
+    "rates": ["rates.csv"],
+    "k0c": ["k0c.csv"],
+    "bdg": ["bdg.csv", "bdg_modes.csv"],
+    "twa": ["twa_trace.csv", "twa_rates.csv"],
+    "endphase": ["endphase.csv"],
+}
 
 
-@pytest.mark.parametrize("command, outputs", [
-    ("rates", ["rates.csv"]),
-    ("k0c", ["k0c.csv"]),
-    ("bdg", ["bdg.csv", "bdg_modes.csv"]),
-    ("twa", ["twa_trace.csv", "twa_rates.csv"]),
-    ("endphase", ["endphase.csv"]),
+def preset_commands(name):
+    """The commands a preset's header comment names: `shakenbec CMD --preset NAME`."""
+    header = _preset_dir().joinpath(f"{name}.cfg").read_text(encoding="utf-8").split("\n[")[0]
+    return re.findall(rf"shakenbec (\w+) --preset {re.escape(name)}\b", header)
+
+
+def test_every_preset_names_its_commands():
+    assert sorted(PRESET_TINY) == available_presets()
+    for name in available_presets():
+        commands = preset_commands(name)
+        assert commands and set(commands) <= set(COMMAND_OUTPUTS), (name, commands)
+
+
+@pytest.mark.parametrize("preset, command", [
+    (name, command) for name in available_presets() for command in preset_commands(name)
 ])
-def test_cli_heating_preset_runs_every_command(tmp_path, command, outputs):
+def test_cli_preset_runs_every_command_it_names(tmp_path, preset, command):
+    cfg = write_cfg(tmp_path, PRESET_TINY[preset])
     out = tmp_path / "o"
-    argv = [command, "--preset", "heating-16x16x8",
-            "--config", write_cfg(tmp_path, HEATING_TINY), "--out", str(out)]
-    assert main(argv) == 0
+    assert main([command, "--preset", preset, "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [entry["name"] for entry in manifest["outputs"]] == outputs
+    assert [entry["name"] for entry in manifest["outputs"]] == COMMAND_OUTPUTS[command]
     if command == "bdg":
-        assert (out / "bdg.csv").read_text(encoding="utf-8").endswith(",ok\n")
-        assert len((out / "bdg_modes.csv").read_text(encoding="utf-8").splitlines()) == 1 + 32
+        points = (out / "bdg.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert points and all(row.endswith(",ok") for row in points)
+        grid = bdg_from_config(load_config(cfg, preset)).grid
+        modes = (out / "bdg_modes.csv").read_text(encoding="utf-8").splitlines()
+        assert len(modes) == 1 + len(points) * grid.nx * grid.ny * grid.nz
 
 
 def test_heating_preset_is_acceptance_08_system():
@@ -787,6 +818,29 @@ TWA_BODY = (
     "n_cycles = 6\nn_realizations = 3\nmaster_seed = 2\n"
     "bootstrap_resamples = 20\nrate_window_cycles = 4\n"
 )
+
+
+@pytest.mark.parametrize("keys, message", [
+    # a constant drive would become a one-period ramp that stops at t = T
+    ("end_phase = 1.0\n", "[drive] end_phase is read only with abrupt_stop = true"),
+    ("ramp_up = 2\nend_phase = 1.0\n", "[drive] end_phase is read only with abrupt_stop"),
+    ("hold = 3\nabrupt_stop = yes\nramp_down = 2\n",
+     "[drive] ramp_down is not read with abrupt_stop = true"),
+    ("abrupt_stop = yes\n", "[drive] abrupt_stop needs ramp_up or hold"),
+    ("ramp_down = 2\n", "[drive] ramp_down needs ramp_up or hold"),
+], ids=["end-phase-alone", "end-phase-without-abrupt-stop", "ramp-down-with-abrupt-stop",
+        "abrupt-stop-without-ramp-up-or-hold", "ramp-down-without-ramp-up-or-hold"])
+def test_cli_rejects_envelope_keys_it_would_not_read(tmp_path, capsys, monkeypatch,
+                                                     keys, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the config was checked")
+
+    monkeypatch.setattr(twa, "ensemble_run", no_run)
+    cfg = write_cfg(tmp_path, TWA_BODY.replace("omega = 9.0\n", "omega = 9.0\n" + keys))
+    out = tmp_path / "o"
+    assert main(["twa", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_twa_trace_run(tmp_path):

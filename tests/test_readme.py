@@ -1,9 +1,20 @@
-"""README's library quickstart runs as written."""
+"""README's library quickstart runs and its config block loads as written."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
+
+from shakenbec.config import (
+    bdg_from_config,
+    drive_from_config,
+    lattice_from_config,
+    load_config,
+    scan_from_config,
+    twa_from_config,
+)
+from shakenbec.model import Envelope, Grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +26,17 @@ def test_readme_quickstart_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
     assert float(printed[0]) == pytest.approx(444.5, abs=0.05)  # "~444.5 Hz"
+
+
+def test_readme_config_block_loads(tmp_path):
+    # every key the block shows exists and builds through the config layer
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    cp = load_config(str(path))
+    assert lattice_from_config(cp).j == pytest.approx(2 * math.pi * 50.0)
+    assert drive_from_config(cp).envelope == Envelope(ramp_up=2, hold=20)
+    assert scan_from_config(cp, allowed=("omega",)).values.size == 3
+    assert bdg_from_config(cp).grid == Grid(24, 24, 1, lz=1.0)
+    assert twa_from_config(cp)[0] == Grid(16, 16, 8, lz=12.9)
