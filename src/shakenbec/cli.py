@@ -1,10 +1,13 @@
 """Command-line scan harness.
 
-Subcommands: rates, k0c, bdg, twa, endphase, fit.  Every command reads
-a layered configuration (--preset under --config), writes plot-ready
-CSV files plus a manifest.json into --out, and returns exit code 0 on
-success, 2 for configuration problems, 3 for numerical failures.  Each
-study is one command: bdg writes each scan point's fastest mode
+Subcommands: rates, k0c, bdg, twa, endphase, fit.  main is the one
+runner: it loads the layered configuration (--preset under --config)
+and creates --out.  Each cmd_* reads the keys it uses through config's
+builders, computes, and returns its plot-ready tables (file name ->
+(header, rows)) and diagnostics.  main writes them, through output,
+with a manifest.json listing exactly those files.  Exit code 0 on
+success, 2 for configuration problems, 3 for numerical failures.
+Each study is one command: bdg writes each scan point's fastest mode
 (bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a heating
 curve or a g scan.  A [scan] point that fails numerically fails alone;
 endphase and fit run no scan and reject a [scan] section.
@@ -29,11 +32,12 @@ from . import analytics, bdg, fitting, twa
 from .config import (
     bdg_from_config,
     drive_from_config,
+    endphase_from_config,
+    fit_from_config,
     lattice_from_config,
     load_config,
     scan_from_config,
     twa_from_config,
-    _get,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +46,7 @@ from .errors import (
     NumericalError,
     ShakenBecError,
 )
-from .model import DriveSpec, Envelope, LatticeParams, Regime, Trajectory
+from .model import DriveSpec, LatticeParams, Regime, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
 from .specialmath import j0_first_zero
 
@@ -55,22 +59,6 @@ class _StderrLines(logging.Handler):
 
     def emit(self, record: logging.LogRecord) -> None:
         print(self.format(record), file=sys.stderr)
-
-
-def _setup(args):
-    args._started = utc_stamp()
-    cp = load_config(args.config, args.preset)
-    if args.command in ("endphase", "fit") and cp.has_section("scan"):
-        raise ConfigError(f"{args.command} runs no scan; remove the [scan] section")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return cp, outdir
-
-
-def _finish(args, cp, outdir, outputs, diagnostics=None) -> int:
-    write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,
-                   outputs, started=args._started, diagnostics=diagnostics)
-    return 0
 
 
 class _Point(NamedTuple):
@@ -165,8 +153,7 @@ def _rate_rows(k0, omega, k0c, modes, chunk: int = 1024):
             yield from rows
 
 
-def cmd_rates(args) -> int:
-    cp, outdir = _setup(args)
+def cmd_rates(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     scan = scan_from_config(cp, allowed=("omega", "k0"))
@@ -179,26 +166,19 @@ def cmd_rates(args) -> int:
     k0, omega = np.broadcast_arrays(table.k0, table.omega)
     k0c = np.broadcast_to(table.k0_critical, omega.shape)
     modes = [table.modes(traj) for traj in Trajectory]
-
     header = [
         "trajectory", "k0", "omega_rad_s", "omega_hz", "regime",
         "qx_mum", "qy_mum", "n_pairs", "gamma_rad_s", "big_gamma_rad_s",
         "omega_c_rad_s", "omega_c_hz", "bandwidth_rad_s",
         "cusp_at_bandwidth", "k0_critical", "inverted_band",
     ]
-    write_csv(outdir / "rates.csv", header, _rate_rows(k0, omega, k0c, modes))
-    return _finish(args, cp, outdir, ["rates.csv"])
+    return {"rates.csv": (header, _rate_rows(k0, omega, k0c, modes))}, {}
 
 
-def cmd_k0c(args) -> int:
-    cp, outdir = _setup(args)
+def cmd_k0c(args, cp):
     p = lattice_from_config(cp)
     scan = scan_from_config(cp, allowed=("omega",))
-    if scan is None:
-        drive = drive_from_config(cp)
-        omega = np.array([drive.omega])
-    else:
-        omega = scan.values
+    omega = np.array([drive_from_config(cp).omega]) if scan is None else scan.values
     k0c = analytics.ClosedFormScan(omega, p).k0_critical
     asymptote = j0_first_zero()
     header = [
@@ -208,12 +188,10 @@ def cmd_k0c(args) -> int:
     none = np.isnan(k0c)
     rows = zip(omega.tolist(), (omega / TWO_PI).tolist(), (p.g / omega).tolist(),
                _cells(k0c, none), repeat(asymptote), none.astype(int).tolist())
-    write_csv(outdir / "k0c.csv", header, rows)
-    return _finish(args, cp, outdir, ["k0c.csv"])
+    return {"k0c.csv": (header, rows)}, {}
 
 
-def cmd_bdg(args) -> int:
-    cp, outdir = _setup(args)
+def cmd_bdg(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     cfg = bdg_from_config(cp)
@@ -244,20 +222,13 @@ def cmd_bdg(args) -> int:
         modes = [a.ravel().tolist()
                  for a in (*np.broadcast_arrays(*result.grid.mesh), result.rates)]
         mode_rows.append(zip(*map(repeat, cells), *modes))
-    write_csv(outdir / "bdg.csv", [
-        *head, "extracted_rate_rad_s", "analytic_rate_rad_s",
-        "qx_max", "qy_max", "qz_max", "norm_drift", "status",
-    ], rows)
-    write_csv(outdir / "bdg_modes.csv", [*head, "qx", "qy", "qz", "rate_rad_s"],
-              chain.from_iterable(mode_rows))
     diagnostics["mode_steps"] = sum(r.mode_steps for _, r, _ in outcomes if r is not None)
-    return _finish(args, cp, outdir, ["bdg.csv", "bdg_modes.csv"], diagnostics)
-
-
-def _early_slice(trace: fitting.DecayTrace, n_keep: int) -> fitting.DecayTrace:
-    return fitting.DecayTrace(
-        trace.times[: n_keep + 1], trace.values[: n_keep + 1], trace.kind
-    )
+    return {
+        "bdg.csv": ([*head, "extracted_rate_rad_s", "analytic_rate_rad_s",
+                     "qx_max", "qy_max", "qz_max", "norm_drift", "status"], rows),
+        "bdg_modes.csv": ([*head, "qx", "qy", "qz", "rate_rad_s"],
+                          chain.from_iterable(mode_rows)),
+    }, diagnostics
 
 
 def _growth_traces(result: twa.EnsembleResult) -> list[fitting.DecayTrace]:
@@ -286,8 +257,7 @@ def _twa_counters(results) -> dict[str, int]:
             "site_steps": sum(res.site_steps for res in results)}
 
 
-def cmd_twa(args) -> int:
-    cp, outdir = _setup(args)
+def cmd_twa(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
     grid, run_cfg, ens_cfg, window = twa_from_config(cp, args.seed)
@@ -311,111 +281,57 @@ def cmd_twa(args) -> int:
              ens_cfg.n_realizations, status]
             for point, done, status in outcomes
         ]
-        write_csv(outdir / "twa_g_scan.csv", [
-            "g_rad_s", "g_over_j", "rate_rad_s", "rate_err_rad_s",
-            "n_realizations", "status",
-        ], rows)
-        return _finish(args, cp, outdir, ["twa_g_scan.csv"], diagnostics)
+        header = ["g_rad_s", "g_over_j", "rate_rad_s", "rate_err_rad_s",
+                  "n_realizations", "status"]
+        return {"twa_g_scan.csv": (header, rows)}, diagnostics
 
     result = twa.ensemble_run(grid, drive, p, run_cfg, ens_cfg, workers=args.workers)
-    write_csv(
-        outdir / "twa_trace.csv",
-        ["time_s", "cycle", "n_ex_raw", "n_ex", "band_lo", "band_hi",
-         "condensed_fraction"],
-        zip(result.times, count(), result.n_ex_raw, result.n_ex,
-            result.band_lo, result.band_hi, result.condensed_fraction),
-    )
-
     traces = _growth_traces(result)
-    n_samples = traces[0].times.size
+    n = min(window, traces[0].times.size - 1)
+    early = [fitting.DecayTrace(tr.times[: n + 1], tr.values[: n + 1], tr.kind)
+             for tr in traces]
     rate_rows = []
-    for label, subset in (
-        ("early", [_early_slice(tr, min(window, n_samples - 1)) for tr in traces]),
-        ("late", traces),
-    ):
-        fit, boot = _rate_with_error(
-            subset, min(window, n_samples - 1), period,
-            ens_cfg.master_seed, ens_cfg.bootstrap_resamples,
-        )
+    for label, subset in (("early", early), ("late", traces)):
+        fit, boot = _rate_with_error(subset, n, period, ens_cfg.master_seed,
+                                     ens_cfg.bootstrap_resamples)
         rate_rows.append([
             label, fit.method.value, fit.rate, boot.std,
             fit.window[0], fit.window[1], fit.n_points, fit.warning,
         ])
-    write_csv(
-        outdir / "twa_rates.csv",
-        ["window", "method", "rate_rad_s", "rate_err_rad_s",
-         "window_start_s", "window_end_s", "n_points", "warning"],
-        rate_rows,
-    )
-    return _finish(args, cp, outdir, ["twa_trace.csv", "twa_rates.csv"],
-                   {"atom_drift_max": result.atom_drift, **_twa_counters([result])})
+    return {
+        "twa_trace.csv": (
+            ["time_s", "cycle", "n_ex_raw", "n_ex", "band_lo", "band_hi",
+             "condensed_fraction"],
+            zip(result.times, count(), result.n_ex_raw, result.n_ex,
+                result.band_lo, result.band_hi, result.condensed_fraction),
+        ),
+        "twa_rates.csv": (
+            ["window", "method", "rate_rad_s", "rate_err_rad_s",
+             "window_start_s", "window_end_s", "n_points", "warning"],
+            rate_rows,
+        ),
+    }, {"atom_drift_max": result.atom_drift, **_twa_counters([result])}
 
 
-def cmd_endphase(args) -> int:
-    cp, outdir = _setup(args)
-    for key in ("ramp_down", "abrupt_stop", "end_phase"):
-        if cp.has_option("drive", key):
-            raise ConfigError(f"[drive] {key} is not read by endphase, which builds its own "
-                              "stops: set [endphase] ramp_down and phases instead")
-    p = lattice_from_config(cp)
-    drive = drive_from_config(cp)
-    grid, run_cfg, ens_cfg, _ = twa_from_config(cp, args.seed)
-    env = drive.envelope
-    if env is None:
-        raise ConfigError("endphase needs [drive] envelope keys (ramp_up, hold)")
-    if cp.has_option("twa", "n_cycles"):
-        raise ConfigError("[twa] n_cycles is not read by endphase, which runs ramp_up + "
-                          "hold + [endphase] post_hold_periods + 1 periods")
-
-    default_phases = "0, 0.7853981633974483, 1.5707963267948966"
-    raw = _get(cp, "endphase", "phases", str, default_phases)
-    try:
-        phases = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad [endphase] phases list: {raw!r}") from exc
-    ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
-    post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
-
-    if post_hold < 0:
-        raise ConfigError("[endphase] post_hold_periods must be >= 0")
-    if ramp_down > post_hold + 1:
-        raise ConfigError(
-            "[endphase] ramp_down exceeds post_hold_periods + 1; "
-            "the ramped control would outlast the comparison window"
-        )
-    protocols = [
-        ("abrupt", phase, Envelope(ramp_up=env.ramp_up, hold=env.hold, ramp_down=0,
-                                   abrupt_stop=True, end_phase=phase))
-        for phase in phases
-    ]
-    protocols.append(("ramped", None, Envelope(
-        ramp_up=env.ramp_up, hold=env.hold, ramp_down=ramp_down, abrupt_stop=False,
-    )))
-
-    # the abrupt stops are over after ramp_up + hold + 1 periods, the
-    # ramped control (ramp_down <= post_hold + 1) no later: one run length
-    # serves every protocol, so they evolve the same samples as one stack
-    cfg = dataclasses.replace(run_cfg, n_cycles=env.ramp_up + env.hold + post_hold + 1)
-    drives = tuple(dataclasses.replace(drive, envelope=e) for _, _, e in protocols)
-    results = twa.ensemble_run(grid, drives, p, cfg, ens_cfg, workers=args.workers)
+def cmd_endphase(args, cp):
+    p, grid, cfg, ens_cfg, protocols = endphase_from_config(cp, args.seed)
+    # every protocol runs the same samples for the same length: one stack
+    results = twa.ensemble_run(grid, tuple(d for _, _, d in protocols), p, cfg, ens_cfg,
+                               workers=args.workers)
     rows = [
-        [name, phase, float(res.n_ex[e.total_periods]), float(res.n_ex[-1])]
-        for (name, phase, e), res in zip(protocols, results)
+        [name, phase, float(res.n_ex[d.envelope.total_periods]), float(res.n_ex[-1])]
+        for (name, phase, d), res in zip(protocols, results)
     ]
-    write_csv(
-        outdir / "endphase.csv",
-        ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"],
-        rows,
-    )
-    return _finish(args, cp, outdir, ["endphase.csv"],
-                   {"atom_drift_max": max(res.atom_drift for res in results),
-                    **_twa_counters(results)})
+    header = ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"]
+    return {"endphase.csv": (header, rows)}, {
+        "atom_drift_max": max(res.atom_drift for res in results), **_twa_counters(results)}
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     times, values = [], []
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        # utf-8-sig: a byte-order mark (Excel's "CSV UTF-8") is not data
+        fh = open(path, encoding="utf-8-sig", newline="")
     except FileNotFoundError as exc:
         raise ConfigError(f"trace file not found: {path}") from exc
     with fh:
@@ -424,9 +340,7 @@ def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if not row or not any(tok.strip() for tok in row):
                 continue
             if len(row) < 2:
-                raise ConfigError(
-                    f"{path}: line {line_no}: need at least two columns"
-                )
+                raise ConfigError(f"{path}: line {line_no}: need at least two columns")
             try:
                 t, y = float(row[0]), float(row[1])
             except ValueError:
@@ -442,30 +356,20 @@ def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(values)
 
 
-def cmd_fit(args) -> int:
-    cp, outdir = _setup(args)
+def cmd_fit(args, cp):
     times, values = _read_trace_csv(args.trace)
-    kind_name = _get(cp, "fit", "kind", str, "condensed_fraction").strip().lower()
-    kinds = {k.value: k for k in fitting.TraceKind}
-    if kind_name not in kinds:
-        raise ConfigError(
-            f"[fit] kind must be one of {', '.join(kinds)}, got '{kind_name}'"
-        )
-    threshold = _get(cp, "fit", "r2_threshold", float, 0.9)
     try:
-        trace = fitting.DecayTrace(times, values, kinds[kind_name])
+        trace = fitting.DecayTrace(times, values, fit_from_config(cp))
     except DomainError as exc:
         raise ConfigError(f"{args.trace}: {exc}") from exc
-    result = fitting.fit_decay_rate(trace, r2_threshold=threshold)
-    write_csv(
-        outdir / "fit.csv",
+    result = fitting.fit_decay_rate(trace)
+    return {"fit.csv": (
         ["method", "amplitude", "rate_rad_s", "stderr_rad_s", "r_squared",
          "window_start_s", "window_end_s", "n_points", "warning"],
         [[result.method.value, result.amplitude, result.rate, result.stderr,
           result.r_squared, result.window[0], result.window[1],
           result.n_points, result.warning]],
-    )
-    return _finish(args, cp, outdir, ["fit.csv"])
+    )}, {}
 
 
 def _worker_count(text: str) -> int:
@@ -514,14 +418,31 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a ShakenBecError becomes one stderr line, through
-    the shakenbec logger, and the exit code of its family: 2 for
-    configuration and parameter errors, 3 for numerical failures."""
+    """Run one command; write its tables and a manifest.json into --out.
+
+    A ShakenBecError becomes one stderr line, through the shakenbec
+    logger, and the exit code of its family: 2 for configuration and
+    parameter errors (an --out that cannot be a directory included), 3
+    for numerical failures."""
     args = build_parser().parse_args(argv)
     if not log.handlers:
         log.addHandler(_StderrLines())
     try:
-        return args.func(args)
+        started = utc_stamp()
+        cp = load_config(args.config, args.preset)
+        if args.command in ("endphase", "fit") and cp.has_section("scan"):
+            raise ConfigError(f"{args.command} runs no scan; remove the [scan] section")
+        outdir = Path(args.out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out}: {exc.strerror}") from exc
+        tables, diagnostics = args.func(args, cp)
+        for name, (header, rows) in tables.items():
+            write_csv(outdir / name, header, rows)
+        write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,
+                       list(tables), started=started, diagnostics=diagnostics)
+        return 0
     except ShakenBecError as exc:
         for family, label, code in _EXIT_CODES:
             if isinstance(exc, family):

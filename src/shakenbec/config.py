@@ -1,5 +1,7 @@
 """Run configuration: flat key = value files with [section] headers.
 
+Every key is read and checked here, by the *_from_config builders; the
+CLI computes from what they return, and output writes every file.
 Frequencies in config files are Hz by default ([units] frequency = hz)
 and are converted to angular frequencies internally; set
 frequency = rad_s to pass values straight through (handy for
@@ -11,12 +13,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
+from .fitting import TraceKind
 from .model import DriveSpec, Envelope, Grid, LatticeParams, Trajectory
 from .specialmath import (
     ATOMIC_MASS_KG,
@@ -34,8 +37,8 @@ _REQUIRED = object()
 # else is a typo that would otherwise fall back to a default unseen.
 _KNOWN_KEYS = {
     "units": ("frequency",),
-    "lattice": ("j", "depth_er", "cutoff", "recoil", "wavelength_nm", "mass_u",
-                "g", "n0", "gamma0", "transverse_recoil", "m_z"),
+    "lattice": ("j", "depth_er", "wavelength_nm", "mass_u", "g", "n0", "gamma0",
+                "transverse_recoil", "m_z"),
     "drive": ("trajectory", "k0", "omega", "ramp_up", "hold", "ramp_down",
               "abrupt_stop", "end_phase"),
     "scan": ("variable", "values", "start", "stop", "count", "spacing"),
@@ -45,7 +48,7 @@ _KNOWN_KEYS = {
             "n_realizations", "master_seed", "bootstrap_resamples",
             "rate_window_cycles"),
     "endphase": ("phases", "ramp_down", "post_hold_periods"),
-    "fit": ("kind", "r2_threshold"),
+    "fit": ("kind",),
 }
 
 
@@ -122,6 +125,15 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _floats(cp, section: str, key: str, default=_REQUIRED) -> list[float]:
+    """A comma-separated list of floats; empty entries are skipped."""
+    raw = _get(cp, section, key, str, default)
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section}] {key} list: {raw!r}") from exc
+
+
 def frequency_scale(cp) -> float:
     """Multiplier turning configured frequencies into rad/s."""
     unit = _get(cp, "units", "frequency", str, "hz").strip().lower()
@@ -135,9 +147,9 @@ def frequency_scale(cp) -> float:
 def lattice_from_config(cp) -> LatticeParams:
     """Build LatticeParams; hopping either direct (j) or from a depth.
 
-    With depth_er given instead of j, the recoil energy comes from an
-    explicit 'recoil' key (frequency units) or from wavelength_nm and
-    mass_u (default rubidium-87), and j is solved from the band width.
+    With depth_er given instead of j, the recoil energy comes from
+    wavelength_nm and mass_u (default rubidium-87), and j is solved from
+    the band width.
     """
     if not cp.has_section("lattice"):
         raise ConfigError("missing required section [lattice]")
@@ -146,15 +158,9 @@ def lattice_from_config(cp) -> LatticeParams:
         j = scale * _get(cp, "lattice", "j", float)
     elif cp.has_option("lattice", "depth_er"):
         depth = _get(cp, "lattice", "depth_er", float)
-        cutoff = _get(cp, "lattice", "cutoff", int, 21)
-        if cp.has_option("lattice", "recoil"):
-            recoil_hz = scale * _get(cp, "lattice", "recoil", float) / TWO_PI
-            problem = BandProblem(depth, recoil_hz, cutoff)
-        else:
-            wavelength = 1e-9 * _get(cp, "lattice", "wavelength_nm", float)
-            mass = ATOMIC_MASS_KG * _get(cp, "lattice", "mass_u", float, RB87_MASS_U)
-            problem = BandProblem.from_physical(depth, wavelength, mass, cutoff)
-        j = TWO_PI * hopping_from_depth(problem)
+        wavelength = 1e-9 * _get(cp, "lattice", "wavelength_nm", float)
+        mass = ATOMIC_MASS_KG * _get(cp, "lattice", "mass_u", float, RB87_MASS_U)
+        j = TWO_PI * hopping_from_depth(BandProblem.from_physical(depth, wavelength, mass))
     else:
         raise ConfigError("missing required key 'j' in section [lattice]")
     g = scale * _get(cp, "lattice", "g", float)
@@ -234,15 +240,12 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
             f"scan variable '{variable}' not supported here; allowed: {', '.join(allowed)}"
         )
     if cp.has_option("scan", "values"):
-        raw = _get(cp, "scan", "values", str)
-        try:
-            values = np.array([float(tok) for tok in raw.split(",") if tok.strip()])
-        except ValueError as exc:
-            raise ConfigError(f"bad [scan] values list: {raw!r}") from exc
+        values = np.array(_floats(cp, "scan", "values"))
         if values.size == 0:
             raise ConfigError("[scan] values list is empty")
         if not np.all(np.isfinite(values)):
-            raise ConfigError(f"[scan] values must be finite, got {raw!r}")
+            raise ConfigError("[scan] values must be finite, got "
+                              f"{cp.get('scan', 'values')!r}")
     else:
         start = _get(cp, "scan", "start", float)
         stop = _get(cp, "scan", "stop", float)
@@ -313,3 +316,57 @@ def twa_from_config(cp, seed_override: int | None = None):
     if window < 1:
         raise ConfigError("[twa] rate_window_cycles must be >= 1")
     return grid, run_cfg, ens_cfg, window
+
+
+def endphase_from_config(cp, seed_override: int | None = None):
+    """The end-phase study: (LatticeParams, Grid, TwaRunConfig,
+    EnsembleConfig, [(protocol, end phase or None, DriveSpec)]).
+
+    After the [drive] envelope's ramp_up and hold, each [endphase] phases
+    entry stops the drive abruptly at that phase, and the ramped control
+    ramps it down over [endphase] ramp_down periods (>= 1).  This
+    schedule overrides [drive] stop keys and [twa] n_cycles, so they are
+    ConfigErrors.
+    """
+    for key in ("ramp_down", "abrupt_stop", "end_phase"):
+        if cp.has_option("drive", key):
+            raise ConfigError(f"[drive] {key} is not read by endphase, which builds its own "
+                              "stops: set [endphase] ramp_down and phases instead")
+    p = lattice_from_config(cp)
+    drive = drive_from_config(cp)
+    grid, run_cfg, ens_cfg, _ = twa_from_config(cp, seed_override)
+    env = drive.envelope
+    if env is None:
+        raise ConfigError("endphase needs [drive] envelope keys (ramp_up, hold)")
+    if cp.has_option("twa", "n_cycles"):
+        raise ConfigError("[twa] n_cycles is not read by endphase, which runs ramp_up + "
+                          "hold + [endphase] post_hold_periods + 1 periods")
+    phases = _floats(cp, "endphase", "phases", "0, 0.7853981633974483, 1.5707963267948966")
+    ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
+    post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
+    if post_hold < 0:
+        raise ConfigError("[endphase] post_hold_periods must be >= 0")
+    if ramp_down < 1:
+        raise ConfigError("[endphase] ramp_down must be >= 1")
+    if ramp_down > post_hold + 1:
+        raise ConfigError(
+            "[endphase] ramp_down exceeds post_hold_periods + 1; "
+            "the ramped control would outlast the comparison window"
+        )
+    stops = [("abrupt", phase, replace(env, abrupt_stop=True, end_phase=phase))
+             for phase in phases] + [("ramped", None, replace(env, ramp_down=ramp_down))]
+    # the abrupt stops are over after ramp_up + hold + 1 periods, the
+    # ramped control (ramp_down <= post_hold + 1) no later: one run length
+    # serves every protocol
+    run_cfg = replace(run_cfg, n_cycles=env.ramp_up + env.hold + post_hold + 1)
+    return p, grid, run_cfg, ens_cfg, [
+        (name, phase, replace(drive, envelope=e)) for name, phase, e in stops]
+
+
+def fit_from_config(cp) -> TraceKind:
+    """[fit] kind: what the fitted trace measures, condensed_fraction by default."""
+    name = _get(cp, "fit", "kind", str, "condensed_fraction").strip().lower()
+    kinds = {k.value: k for k in TraceKind}
+    if name not in kinds:
+        raise ConfigError(f"[fit] kind must be one of {', '.join(kinds)}, got '{name}'")
+    return kinds[name]

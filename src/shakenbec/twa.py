@@ -135,6 +135,8 @@ class EnsembleConfig:
             raise DomainError("n_realizations must be >= 1")
         if self.bootstrap_resamples < 1:
             raise DomainError("bootstrap_resamples must be >= 1")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

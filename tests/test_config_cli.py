@@ -3,6 +3,7 @@
 import configparser
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -114,10 +115,11 @@ def test_bad_value_message():
 
 def test_hopping_from_depth():
     cp = parse(
-        "[lattice]\ndepth_er = 11\nrecoil = 3464.67475454\ng = 700\n"
+        "[lattice]\ndepth_er = 11\nwavelength_nm = 814\ng = 700\n"
     )
     p = lattice_from_config(cp)
-    # an 11-recoil lattice tunnels at about 53 Hz
+    # an 11-recoil lattice tunnels at about 53 Hz (Rb-87 recoil at 814 nm:
+    # 3464.67475454 Hz)
     assert p.j / TWO_PI == pytest.approx(52.96343431830591, rel=1e-8)
 
 
@@ -316,6 +318,10 @@ COMMAND_OUTPUTS = {
     "twa": ["twa_trace.csv", "twa_rates.csv"],
     "endphase": ["endphase.csv"],
 }
+# runs no preset header names: a g scan, and a fit of CI's sampled exp(-2 t)
+G_SCAN = ("[scan]\nvariable = g\nvalues = 4, 5\n", ["twa_g_scan.csv"])
+DECAY_CSV = ("t,y\n0,1\n0.1,0.818731\n0.2,0.670320\n0.3,0.548812\n0.4,0.449329\n"
+             "0.6,0.301194\n0.8,0.201897\n1,0.135335\n")
 
 
 def preset_commands(name):
@@ -331,15 +337,28 @@ def test_every_preset_names_its_commands():
         assert commands and set(commands) <= set(COMMAND_OUTPUTS), (name, commands)
 
 
-@pytest.mark.parametrize("preset, command", [
-    (name, command) for name in available_presets() for command in preset_commands(name)
+@pytest.mark.parametrize("preset, command, extra", [
+    *[pytest.param(name, command, ("", COMMAND_OUTPUTS[command]), id=f"{name}-{command}")
+      for name in available_presets() for command in preset_commands(name)],
+    pytest.param("endphase-12x12", "twa", G_SCAN, id="endphase-12x12-twa-g-scan"),
+    pytest.param("endphase-12x12", "fit", ("", ["fit.csv"]), id="endphase-12x12-fit"),
 ])
-def test_cli_preset_runs_every_command_it_names(tmp_path, preset, command):
-    cfg = write_cfg(tmp_path, PRESET_TINY[preset])
+def test_cli_preset_runs_every_command_it_names(tmp_path, preset, command, extra):
+    overlay, outputs = extra
+    cfg = write_cfg(tmp_path, PRESET_TINY[preset] + "\n" + overlay)
     out = tmp_path / "o"
-    assert main([command, "--preset", preset, "--config", cfg, "--out", str(out)]) == 0
+    trace = tmp_path / "decay.csv"
+    trace.write_text(DECAY_CSV, encoding="utf-8")
+    argv = [command, "--preset", preset, "--config", cfg, "--out", str(out)]
+    assert main(argv + [str(trace)] * (command == "fit")) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [entry["name"] for entry in manifest["outputs"]] == COMMAND_OUTPUTS[command]
+    # --out holds exactly the listed files, each as its entry pins it
+    assert [entry["name"] for entry in manifest["outputs"]] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    for entry in manifest["outputs"]:
+        data = (out / entry["name"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
     if command == "bdg":
         points = (out / "bdg.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert points and all(row.endswith(",ok") for row in points)
@@ -369,6 +388,11 @@ def test_heating_preset_is_acceptance_08_system():
     # the vacuum's half quantum is the only noise, and the ramped control always runs
     ("[twa]\nnoise_scale = 0.5\n", "unknown key 'noise_scale' in section [twa]"),
     ("[endphase]\ninclude_ramped = no\n", "unknown key 'include_ramped' in section [endphase]"),
+    # the recoil comes from wavelength_nm and mass_u, the band solver keeps its cutoff,
+    # and fit keeps fit_decay_rate's R^2 threshold
+    ("[lattice]\nrecoil = 3464.7\n", "unknown key 'recoil' in section [lattice]"),
+    ("[lattice]\ncutoff = 25\n", "unknown key 'cutoff' in section [lattice]"),
+    ("[fit]\nr2_threshold = 0.8\n", "unknown key 'r2_threshold' in section [fit]"),
 ])
 def test_unknown_names_rejected(tmp_path, capsys, overlay, name):
     cfg = write_cfg(tmp_path, overlay)
@@ -625,9 +649,9 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     ("k0 = 1.25", "k0 = nan"),
     ("omega = 9.0", "omega = inf"),
     ("j = 1.0", "j = nan"),
-    ("j = 1.0", "recoil = 30\ndepth_er = nan"),
-    ("j = 1.0", "recoil = 30\ndepth_er = inf"),
-    ("j = 1.0", "depth_er = 5\nrecoil = nan"),
+    ("j = 1.0", "wavelength_nm = 814\ndepth_er = nan"),
+    ("j = 1.0", "wavelength_nm = 814\ndepth_er = inf"),
+    ("j = 1.0", "depth_er = 5\nwavelength_nm = nan"),
     pytest.param("lz = 1", "lz = nan", id="twa-lz-nan"),
 ])
 def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
@@ -637,7 +661,8 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys, old, new):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     field = new.split("\n")[-1].split(" = ")[0]
-    field = {"recoil": "recoil_hz"}.get(field, field)  # BandProblem's name for it
+    # a NaN wavelength makes a NaN recoil energy, BandProblem's recoil_hz
+    field = {"wavelength_nm": "recoil_hz"}.get(field, field)
     assert f"invalid parameter: {field} must be finite" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
@@ -651,6 +676,17 @@ def test_cli_twa_rejects_non_positive_n_cycles(tmp_path, capsys, n_cycles):
     assert main(["twa", "--config", cfg, "--out", str(out)]) == 2
     assert "invalid parameter: n_cycles must be >= 1" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/o"], ids=["file", "under-a-file"])
+def test_cli_rejects_unusable_out(tmp_path, capsys, out):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, RATES_CFG)
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"shakenbec: config error: cannot create --out {tmp_path / out}: ")
+    assert taken.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -996,6 +1032,9 @@ def test_cli_endphase_workers_byte_identical(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("post_hold_periods = 4\n", "post_hold_periods = 4\nramp_down = 6\n",
      "ramp_down exceeds post_hold_periods + 1"),
+    # an instant switch-off at the end of the hold: a kick, not a ramp
+    ("post_hold_periods = 4\n", "post_hold_periods = 4\nramp_down = 0\n",
+     "[endphase] ramp_down must be >= 1"),
     # the endphase schedule sets the run length; these [twa] keys would be ignored
     ("bootstrap_resamples = 10\n", "bootstrap_resamples = 10\nn_cycles = 3\n",
      "[twa] n_cycles is not read by endphase, which runs ramp_up + hold + "
@@ -1064,6 +1103,23 @@ def test_cli_commands_that_run_no_scan_reject_one(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, body, seed", [
+    ("twa", TWA_BODY, ["--seed", "-1"]),
+    ("endphase", ENDPHASE_BODY.replace("master_seed = 1", "master_seed = -3"), []),
+], ids=["twa-seed-flag", "endphase-master-seed"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, monkeypatch, command, body, seed):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the seed was checked")
+
+    monkeypatch.setattr(twa, "ensemble_run", no_run)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out), *seed]) == 2
+    value = seed[1] if seed else "-3"
+    assert (capsys.readouterr().err
+            == f"shakenbec: invalid parameter: master_seed must be >= 0, got {value}\n")
+    assert not list(out.iterdir())
+
+
 def test_cli_endphase_requires_envelope(tmp_path):
     cfg = write_cfg(tmp_path, TWA_BODY)
     assert main(["endphase", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -1083,6 +1139,20 @@ def test_cli_fit(tmp_path):
     assert row["method"] == "exponential"
     assert float(row["rate_rad_s"]) == pytest.approx(2.0, rel=1e-9)
     assert row["warning"] == ""
+
+
+def test_cli_fit_reads_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8": a headerless trace behind a byte-order mark keeps row 1
+    trace = tmp_path / "trace.csv"
+    lines = [f"{t},{math.exp(-2.0 * t)}" for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    out = tmp_path / "o"
+    assert main(["fit", "--out", str(out), str(trace)]) == 0
+    with open(out / "fit.csv", encoding="utf-8", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert float(row["amplitude"]) == pytest.approx(1.0, rel=1e-9)
+    assert float(row["window_start_s"]) == 0.0
+    assert float(row["rate_rad_s"]) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_cli_fit_bad_trace(tmp_path, capsys):
