@@ -2,10 +2,11 @@
 
 Subcommands: rates, k0c, bdg, twa, endphase, fit.  main is the one
 runner: it loads the layered configuration (--preset under --config)
-and creates --out.  Each cmd_* reads the keys it uses through config's
+and runs a cmd_*, which reads the keys it uses through config's
 builders, computes, and returns its plot-ready tables (file name ->
-(header, rows)) and diagnostics.  main writes them, through output,
-with a manifest.json listing exactly those files.  Exit code 0 on
+(header, rows)) and diagnostics.  Only then does main create --out and
+write them, through output, with a manifest.json listing exactly those
+files, so a run that fails leaves no --out behind.  Exit code 0 on
 success, 2 for configuration problems, 3 for numerical failures.
 Each study is one command: bdg writes each scan point's fastest mode
 (bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a heating
@@ -38,6 +39,7 @@ from .config import (
     load_config,
     scan_from_config,
     twa_from_config,
+    unreadable,
 )
 from .errors import (
     ConfigError,
@@ -231,28 +233,23 @@ def cmd_bdg(args, cp):
     }, diagnostics
 
 
-def _growth_traces(result: twa.EnsembleResult) -> list[fitting.DecayTrace]:
-    """Each realization's excited density, clipped at zero, as a growth trace."""
-    kind = fitting.TraceKind.MODE_OCCUPATION
-    return [fitting.DecayTrace(tr.times, np.maximum(tr.n_ex, 0.0), kind)
-            for tr in result.traces]
-
-
-def _rate_with_error(traces, window, period, seed, resamples):
+def _rate_with_error(result, window, period, ens_cfg, stop=None):
+    """The windowed log slope of an ensemble's mean growth and its bootstrap
+    over realizations: each row of result.trace.n_ex, clipped at zero,
+    as a growth trace over samples [:stop]."""
+    times, values = result.times[:stop], np.maximum(result.trace.n_ex[:, :stop], 0.0)
     fitter = lambda tr: fitting.windowed_log_slope(tr, window, period)
-    mean = fitting.DecayTrace(
-        traces[0].times,
-        np.stack([tr.values for tr in traces]).mean(axis=0),
-        traces[0].kind,
-    )
-    fit = fitter(mean)
-    boot = fitting.bootstrap_rate(traces, fitter, n_resamples=resamples, seed=seed)
+    kind = fitting.TraceKind.MODE_OCCUPATION
+    fit = fitter(fitting.DecayTrace(times, values.mean(axis=0), kind))
+    boot = fitting.bootstrap_rate(times, values, kind, fitter,
+                                  n_resamples=ens_cfg.bootstrap_resamples,
+                                  seed=ens_cfg.master_seed)
     return fit, boot
 
 
 def _twa_counters(results) -> dict[str, int]:
     """The engine counters of TWA ensembles, summed over them for the manifest."""
-    return {"realizations": sum(len(res.traces) for res in results),
+    return {"realizations": sum(len(res.trace.n_ex) for res in results),
             "transforms": sum(res.transforms for res in results),
             "site_steps": sum(res.site_steps for res in results)}
 
@@ -266,10 +263,9 @@ def cmd_twa(args, cp):
 
     if points is not None:
         def run(point):
-            result = twa.ensemble_run(grid, drive, point.lattice, run_cfg, ens_cfg,
-                                      workers=args.workers)
-            fit, boot = _rate_with_error(_growth_traces(result), window, period,
-                                         ens_cfg.master_seed, ens_cfg.bootstrap_resamples)
+            [result] = twa.ensemble_run(grid, (drive,), point.lattice, run_cfg, ens_cfg,
+                                        workers=args.workers)
+            fit, boot = _rate_with_error(result, window, period, ens_cfg)
             return result.atom_drift, result, fit.rate, boot.std
 
         outcomes, diagnostics = _run_points(
@@ -285,15 +281,11 @@ def cmd_twa(args, cp):
                   "n_realizations", "status"]
         return {"twa_g_scan.csv": (header, rows)}, diagnostics
 
-    result = twa.ensemble_run(grid, drive, p, run_cfg, ens_cfg, workers=args.workers)
-    traces = _growth_traces(result)
-    n = min(window, traces[0].times.size - 1)
-    early = [fitting.DecayTrace(tr.times[: n + 1], tr.values[: n + 1], tr.kind)
-             for tr in traces]
+    [result] = twa.ensemble_run(grid, (drive,), p, run_cfg, ens_cfg, workers=args.workers)
+    n = min(window, result.times.size - 1)
     rate_rows = []
-    for label, subset in (("early", early), ("late", traces)):
-        fit, boot = _rate_with_error(subset, n, period, ens_cfg.master_seed,
-                                     ens_cfg.bootstrap_resamples)
+    for label, stop in (("early", n + 1), ("late", None)):
+        fit, boot = _rate_with_error(result, n, period, ens_cfg, stop)
         rate_rows.append([
             label, fit.method.value, fit.rate, boot.std,
             fit.window[0], fit.window[1], fit.n_points, fit.warning,
@@ -328,29 +320,28 @@ def cmd_endphase(args, cp):
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    times, values = [], []
     try:
         # utf-8-sig: a byte-order mark (Excel's "CSV UTF-8") is not data
-        fh = open(path, encoding="utf-8-sig", newline="")
-    except FileNotFoundError as exc:
-        raise ConfigError(f"trace file not found: {path}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or not any(tok.strip() for tok in row):
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"{path}: line {line_no}: need at least two columns")
-            try:
-                t, y = float(row[0]), float(row[1])
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise ConfigError(
-                    f"{path}: line {line_no}: non-numeric entry in {row[:2]}"
-                ) from None
-            times.append(t)
-            values.append(y)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable("trace file", path, exc) from exc
+    times, values = [], []
+    for line_no, row in enumerate(rows, start=1):
+        if not row or not any(tok.strip() for tok in row):
+            continue
+        if len(row) < 2:
+            raise ConfigError(f"{path}: line {line_no}: need at least two columns")
+        try:
+            t, y = float(row[0]), float(row[1])
+        except ValueError:
+            if line_no == 1:
+                continue  # header row
+            raise ConfigError(
+                f"{path}: line {line_no}: non-numeric entry in {row[:2]}"
+            ) from None
+        times.append(t)
+        values.append(y)
     if len(times) < 2:
         raise ConfigError(f"{path}: fewer than two data rows")
     return np.array(times), np.array(values)
@@ -432,12 +423,12 @@ def main(argv: list[str] | None = None) -> int:
         cp = load_config(args.config, args.preset)
         if args.command in ("endphase", "fit") and cp.has_section("scan"):
             raise ConfigError(f"{args.command} runs no scan; remove the [scan] section")
+        tables, diagnostics = args.func(args, cp)
         outdir = Path(args.out)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create --out {args.out}: {exc.strerror}") from exc
-        tables, diagnostics = args.func(args, cp)
         for name, (header, rows) in tables.items():
             write_csv(outdir / name, header, rows)
         write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,

@@ -64,6 +64,14 @@ def available_presets() -> list[str]:
     return sorted(names)
 
 
+def unreadable(what: str, path, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    """The ConfigError for a file that cannot be opened or is not UTF-8 text."""
+    if isinstance(exc, FileNotFoundError):
+        return ConfigError(f"{what} not found: {path}")
+    reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+    return ConfigError(f"cannot read {what} {path}: {reason or exc}")
+
+
 def load_config(
     path: str | None = None, preset: str | None = None
 ) -> configparser.ConfigParser:
@@ -84,8 +92,8 @@ def load_config(
         try:
             with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh, source=str(path))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable("config file", path, exc) from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
     for section in cp.sections():

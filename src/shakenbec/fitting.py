@@ -3,7 +3,7 @@
 The primary estimator fits log y against t by least squares over the
 early-time window y(t) >= y(0)/2, mirroring how condensed-fraction
 decay rates are extracted from experimental scans.  When the trace is
-not exponential enough (log-space R^2 below threshold) a linear
+not exponential enough (log-space R^2 below R2_THRESHOLD) a linear
 fallback reports the initial fractional slope instead.  Ensemble
 uncertainties come from bootstrap resampling of whole realizations.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
+
+R2_THRESHOLD = 0.9  # log-space R^2 below which fit_decay_rate falls back to linear
 
 
 class TraceKind(enum.Enum):
@@ -53,14 +55,20 @@ class DecayTrace:
         object.__setattr__(self, "values", y)
         if t.ndim != 1 or y.shape != t.shape:
             raise DomainError("times and values must be 1D arrays of equal length")
-        if t.size < 2:
-            raise DomainError("a trace needs at least two samples")
-        if np.any(np.diff(t) <= 0.0):
-            raise DomainError("times must be strictly increasing")
-        if not np.all(np.isfinite(y)):
-            raise DomainError("trace values must be finite")
-        if np.any(y < 0.0):
-            raise DomainError("trace values must be non-negative")
+        _check_samples(t, y)
+
+
+def _check_samples(t: np.ndarray, y: np.ndarray) -> None:
+    """DomainError unless times t rise strictly over two or more samples
+    and every value in y is finite and non-negative."""
+    if t.size < 2:
+        raise DomainError("a trace needs at least two samples")
+    if np.any(np.diff(t) <= 0.0):
+        raise DomainError("times must be strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("trace values must be finite")
+    if np.any(y < 0.0):
+        raise DomainError("trace values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -170,13 +178,11 @@ def fit_linear_fallback(trace: DecayTrace) -> FitResult:
                 "need >= 2 samples above half the initial value, got {}")
 
 
-def fit_decay_rate(trace: DecayTrace, r2_threshold: float = 0.9) -> FitResult:
+def fit_decay_rate(trace: DecayTrace) -> FitResult:
     """Exponential fit, falling back to the linear estimator when the
-    log-space R^2 drops below r2_threshold."""
-    if not (0.0 < r2_threshold <= 1.0):
-        raise DomainError(f"r2_threshold must be in (0, 1], got {r2_threshold}")
+    log-space R^2 drops below R2_THRESHOLD."""
     result = fit_exponential(trace)
-    if result.r_squared < r2_threshold:
+    if result.r_squared < R2_THRESHOLD:
         return fit_linear_fallback(trace)
     return result
 
@@ -214,29 +220,30 @@ def bootstrap_means(
 
 
 def bootstrap_rate(
-    traces: Sequence[DecayTrace],
+    times: np.ndarray,
+    values: np.ndarray,
+    kind: TraceKind,
     fitter: Callable[[DecayTrace], FitResult],
     n_resamples: int = 200,
     seed: int = 0,
 ) -> BootstrapRate:
     """Rate of the ensemble mean with a bootstrap-over-realizations error.
 
-    Each resample redraws whole traces with replacement, averages them,
-    and fits the average.  Resamples whose fit raises are dropped; more
-    than 20% failures aborts with BootstrapUnstableError.
+    values holds one trace of the given kind per row, sampled at times:
+    shape (R, len(times)).  Each resample redraws whole rows with
+    replacement, averages them, and fits the average.  Resamples whose
+    fit raises are dropped; more than 20% failures aborts with
+    BootstrapUnstableError.
     """
-    if not traces:
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
+        raise DomainError("values must be an array of shape (traces, len(times))")
+    if not len(values):
         raise InsufficientDataError("bootstrap needs at least one trace")
     if n_resamples < 1:
         raise DomainError("n_resamples must be >= 1")
-    times = traces[0].times
-    kind = traces[0].kind
-    for tr in traces[1:]:
-        if tr.times.shape != times.shape or np.any(tr.times != times):
-            raise DomainError("all traces must share the same time samples")
-        if tr.kind is not kind:
-            raise DomainError("all traces must share the same kind")
-    values = np.stack([tr.values for tr in traces])
+    _check_samples(times, values)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rates = []
@@ -256,5 +263,5 @@ def bootstrap_rate(
         mean=float(arr.mean()),
         std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
         n_failed=n_failed,
-        degenerate=(len(traces) < 2 or n_resamples < 2),
+        degenerate=(len(values) < 2 or n_resamples < 2),
     )

@@ -26,19 +26,19 @@ multiplies each grid axis longer than one point by its unitary DFT
 matrix, one matrix product per row, and agrees with fftn to rounding;
 the fused kinetic phase is separable, so it scales the columns of each
 axis's inverse matrix.  The contact phase comes from one half-angle
-tangent, within 1e-15 of libm's cos and sin.  A FieldState may carry a
-leading realization axis: ensembles run as contiguous batches of
-realizations, one array per batch, with one process per batch when
-there is more than one.  A run may also take a tuple of drives that
+tangent, within 1e-15 of libm's cos and sin.  A FieldState holds rows
+of fields on a leading axis, and a run takes a tuple of drives that
 share omega and run length, such as the stopping protocols of an
-end-phase study: every drive evolves the same samples, the P x R rows
+end-phase study: every drive evolves the same R samples, the P x R rows
 stack protocol-major in one array, each drive's kinetic phase enters
-its own rows' inverse matrices, and one result per drive comes back.  A
+its own rows' inverse matrices, and one trace of R rows per drive comes
+back.  Ensembles run as contiguous batches of realizations, one array
+per batch, with one process per batch when there is more than one.  A
 row's matrix products do not depend on the stack, so rows of a stack
 evolve bit-identically to single runs.  Every period the run checks
-that the field is finite and that each realization keeps its atom
-number to ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half
-quantum per mode to estimate the physical excited density.
+that the field is finite and that each row keeps its atom number to
+ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
+mode to estimate the physical excited density.
 """
 
 from __future__ import annotations
@@ -82,13 +82,21 @@ class TwaRunConfig:
         if self.n_cycles is not None and self.n_cycles < 1:
             raise DomainError("n_cycles must be >= 1 when given")
 
-    def resolve_cycles(self, drive: DriveSpec | tuple[DriveSpec, ...]) -> int:
-        """Periods to run for one drive, or for a tuple of stacked drives.
+    def resolve_cycles(self, drive: tuple[DriveSpec, ...]) -> int:
+        """Periods to run for a tuple of drives that evolve as one array.
 
-        Stacked drives run as one array, so they must resolve to the same
-        count; DomainError otherwise.
+        There must be at least one drive, and the drives must share omega
+        (one time step) and resolve to the same count; DomainError
+        otherwise.
         """
-        counts = {self._cycles_of(d) for d in _protocols(drive)}
+        if not drive:
+            raise DomainError("a run needs at least one drive")
+        omegas = {d.omega for d in drive}
+        if len(omegas) > 1:
+            raise DomainError(
+                f"stacked drives must share omega (one time step), got {sorted(omegas)}"
+            )
+        counts = {self._cycles_of(d) for d in drive}
         if len(counts) > 1:
             raise DomainError(
                 "stacked drives resolve to different run lengths "
@@ -102,19 +110,6 @@ class TwaRunConfig:
         if drive.envelope is None:
             raise ConfigError("run length is zero: give n_cycles or an envelope")
         return drive.envelope.total_periods
-
-
-def _protocols(drive: DriveSpec | tuple[DriveSpec, ...]) -> tuple[DriveSpec, ...]:
-    """The drives of a run as a tuple: one DriveSpec, or P that share omega."""
-    drives = (drive,) if isinstance(drive, DriveSpec) else tuple(drive)
-    if not drives:
-        raise DomainError("a run needs at least one drive")
-    omegas = {d.omega for d in drives}
-    if len(omegas) > 1:
-        raise DomainError(
-            f"stacked drives must share omega (one time step), got {sorted(omegas)}"
-        )
-    return drives
 
 
 @dataclass(frozen=True)
@@ -141,13 +136,12 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Classical field in position space at t = 0.
+    """Rows of classical fields in position space at t = 0.
 
-    amplitudes[ix, iy, iz] is the field on lattice site (ix, iy) and
-    transverse slice iz; |a|^2 integrates to the atom number with the
-    transverse measure dz.  A stacked state carries a leading
-    realization axis, amplitudes[r, ix, iy, iz], whose rows share every
-    other attribute; run_trajectory evolves the rows independently.
+    amplitudes[r, ix, iy, iz] is row r's field on lattice site (ix, iy)
+    and transverse slice iz; |a|^2 integrates to the atom number with the
+    transverse measure dz.  The rows share every other attribute, and
+    run_trajectory evolves them independently.
     """
 
     amplitudes: np.ndarray
@@ -156,15 +150,13 @@ class FieldState:
 
 @dataclass(frozen=True)
 class ObservableTrace:
-    """Stroboscopic observables of one trajectory.
+    """Stroboscopic observables of R trajectories, one row each.
 
     n_ex_raw is the Wigner-mean excited density including the sampled
     half quantum per mode; n_ex subtracts half_quantum, the constant
-    (n_modes - 1) / (2 volume).  atom_drift is the worst relative change
-    of the atom number over the run.  A trace of a
-    stacked state has arrays with a leading realization axis: n_ex_raw,
-    n_ex and condensed_fraction of shape (R, n_cycles + 1), atom_drift
-    of shape (R,).
+    (n_modes - 1) / (2 volume).  n_ex_raw, n_ex and condensed_fraction
+    have shape (R, n_cycles + 1); atom_drift, of shape (R,), is each
+    row's worst relative change of the atom number over the run.
     """
 
     times: np.ndarray
@@ -172,21 +164,19 @@ class ObservableTrace:
     n_ex: np.ndarray
     condensed_fraction: np.ndarray
     half_quantum: float
-    atom_drift: float | np.ndarray
-    realization: int | None = None
+    atom_drift: np.ndarray
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Ensemble-averaged observables with bootstrap uncertainty bands.
 
-    bands_degenerate marks ensembles too small for the bootstrap to say
-    anything (a single realization); the bands are then zero width and
-    should not be quoted.  atom_drift is the worst atom_drift over the
-    realizations' traces.  site_steps is the work integrated for this
-    drive: grid sites x realizations x time steps; transforms counts its
-    whole-grid transforms, one per realization before the first step and
-    two per step.
+    trace holds every realization's row, in realization order.  With a
+    single realization the bands are zero width and should not be
+    quoted.  atom_drift is the worst of trace.atom_drift.  site_steps is
+    the work integrated for this drive: grid sites x realizations x time
+    steps; transforms counts its whole-grid transforms, one per
+    realization before the first step and two per step.
     """
 
     times: np.ndarray
@@ -195,12 +185,11 @@ class EnsembleResult:
     condensed_fraction: np.ndarray
     band_lo: np.ndarray  # mean - bootstrap std of n_ex
     band_hi: np.ndarray
-    traces: tuple[ObservableTrace, ...]
+    trace: ObservableTrace
     half_quantum: float
     atom_drift: float
     site_steps: int
     transforms: int
-    bands_degenerate: bool = False
 
 
 def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
@@ -215,7 +204,8 @@ def sample_initial(
     p: LatticeParams,
     rng: np.random.Generator,
 ) -> FieldState:
-    """Draw one Wigner sample of the Bogoliubov vacuum around a condensate.
+    """Draw one Wigner sample of the Bogoliubov vacuum around a condensate,
+    as a FieldState of one row.
 
     The condensate of |A|^2 = n0 * volume sits at q = 0; every other
     mode receives u_q gamma_q + v_q gamma_-q^* with complex Gaussian
@@ -230,7 +220,7 @@ def sample_initial(
     amps_q = uu * gamma + vv * gamma_pair
     amps_q[0, 0, 0] = math.sqrt(p.n0 * grid.volume)
     a = np.fft.ifftn(amps_q, norm="ortho") / math.sqrt(grid.dz)
-    return FieldState(amplitudes=a, grid=grid)
+    return FieldState(amplitudes=a[None], grid=grid)
 
 
 def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
@@ -292,33 +282,30 @@ def _transform(mats, src: np.ndarray, out: np.ndarray):
 
 def run_trajectory(
     state: FieldState,
-    drive: DriveSpec | tuple[DriveSpec, ...],
+    drive: tuple[DriveSpec, ...],
     p: LatticeParams,
     cfg: TwaRunConfig,
     *,
     first_realization: int = 0,
-) -> ObservableTrace | tuple[ObservableTrace, ...]:
-    """Evolve a field sample, recording observables each drive period.
+) -> tuple[ObservableTrace, ...]:
+    """Evolve rows of field samples under P drives, recording observables
+    each drive period; one trace per drive.
 
     The field stays in momentum space: each step takes one transform pair,
     the fused kinetic phase folded into the inverse, around the contact
-    phase.  A stacked state evolves its rows in one array and the trace
-    arrays gain its leading axis.  drive may be a tuple of P drives
-    sharing omega and resolving to one run length: the state then holds
-    P x R rows, protocol-major (row k R + j runs drive k), and one trace
-    per drive is returned, each as for a stacked state of R rows.  Row j
-    of a drive's block is named realization first_realization + j in
-    errors, and the drive's index as the protocol when P > 1.  Raises
-    BlowUpError when the field leaves the finite range or an atom number
-    drifts by more than ATOM_DRIFT_TOL.
+    phase.  The drives share omega and resolve to one run length
+    (TwaRunConfig.resolve_cycles).  The state holds P x R rows,
+    protocol-major: row k R + j runs drive k, and is row j of drive k's
+    trace.  Row j of a drive's block is named realization
+    first_realization + j in errors, and the drive's index as the
+    protocol when P > 1.  Raises BlowUpError when the field leaves the
+    finite range or an atom number drifts by more than ATOM_DRIFT_TOL.
     """
-    drives = _protocols(drive)
-    n_cycles = cfg.resolve_cycles(drives)
-    n_steps, grid, period = cfg.steps_per_period, state.grid, drives[0].period
+    n_cycles = cfg.resolve_cycles(drive)
+    n_steps, grid, period = cfg.steps_per_period, state.grid, drive[0].period
     dt = period / n_steps
-    stacked = state.amplitudes.ndim == 4
-    rows = state.amplitudes if stacked else state.amplitudes[None]
-    n_prot = len(drives)
+    rows = state.amplitudes
+    n_prot = len(drive)
     if len(rows) % n_prot:
         raise DomainError(
             f"{len(rows)} field rows do not split evenly over {n_prot} drives"
@@ -343,7 +330,7 @@ def run_trajectory(
         if cycle:
             t0 = times[cycle - 1]
             for first in range(0, 2 * n_steps, 2 * STEP_CHUNK):
-                shifts = np.array([[drive_shift(t0 + off, d) for d in drives]
+                shifts = np.array([[drive_shift(t0 + off, d) for d in drive]
                                    for off in offsets[first:first + 2 * STEP_CHUNK]])
                 # per kept axis, a (2 steps, P, n) table: every drive at every offset
                 tables = _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
@@ -368,74 +355,62 @@ def run_trajectory(
         if bad.any():
             row = int(np.argmax(bad))
             prot, real = divmod(row, n_real)
-            names = [f"protocol {prot}"] if n_prot > 1 else []
-            if stacked:
-                names.append(f"realization {first_realization + real}")
-            where = ", ".join(names) + ": " if names else ""
+            where = f"protocol {prot}, " if n_prot > 1 else ""
             what = (
                 f"atom number drifted by {dev[row]:.3e} (relative)"
                 if np.isfinite(total[row, cycle]) else "field left the finite range"
             )
-            raise BlowUpError(f"{where}{what} in cycle {cycle}; "
-                              "reduce the time step or the drive strength")
+            raise BlowUpError(f"{where}realization {first_realization + real}: {what} "
+                              f"in cycle {cycle}; reduce the time step or the drive strength")
     n_raw = (total - cond) / grid.volume
     cf = cond / np.where(total > 0.0, total, 1.0)
     half_quantum = (grid.n_modes - 1) / (2.0 * grid.volume)
-    traces = []
-    for block in range(0, len(rows), n_real):
-        n_k, cf_k, drift_k = (x[block:block + n_real] for x in (n_raw, cf, drift))
-        if not stacked:
-            n_k, cf_k, drift_k = n_k[0], cf_k[0], float(drift_k[0])
-        traces.append(
-            ObservableTrace(times, n_k, n_k - half_quantum, cf_k, half_quantum, drift_k)
-        )
-    return traces[0] if isinstance(drive, DriveSpec) else tuple(traces)
-
-
-def _run_batch(payload) -> tuple[list[ObservableTrace], ...]:
-    """Evolve realizations ks under every drive as one stacked state; per
-    drive, one trace per realization."""
-    grid, drives, p, run_cfg, ens_cfg, ks = payload
-    states = [sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k)) for k in ks]
-    samples = np.stack([st.amplitudes for st in states])
-    batch = replace(states[0], amplitudes=np.concatenate([samples] * len(drives)))
+    blocks = [slice(k * n_real, (k + 1) * n_real) for k in range(n_prot)]
     return tuple(
-        [replace(tr, n_ex_raw=tr.n_ex_raw[j], n_ex=tr.n_ex[j],
-                 condensed_fraction=tr.condensed_fraction[j],
-                 atom_drift=float(tr.atom_drift[j]), realization=k)
-         for j, k in enumerate(ks)]
-        for tr in run_trajectory(batch, drives, p, run_cfg, first_realization=ks[0])
+        ObservableTrace(times, n_raw[b], n_raw[b] - half_quantum, cf[b], half_quantum, drift[b])
+        for b in blocks
     )
+
+
+def _run_batch(payload) -> tuple[ObservableTrace, ...]:
+    """Evolve realizations ks under every drive as one array; one trace
+    per drive, of one row per realization."""
+    grid, drive, p, run_cfg, ens_cfg, ks = payload
+    samples = np.concatenate([
+        sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k)).amplitudes
+        for k in ks
+    ])
+    batch = FieldState(np.concatenate([samples] * len(drive)), grid)
+    return run_trajectory(batch, drive, p, run_cfg, first_realization=ks[0])
 
 
 def ensemble_run(
     grid: Grid,
-    drive: DriveSpec | tuple[DriveSpec, ...],
+    drive: tuple[DriveSpec, ...],
     p: LatticeParams,
     run_cfg: TwaRunConfig,
     ens_cfg: EnsembleConfig,
     workers: int = 1,
-) -> EnsembleResult | tuple[EnsembleResult, ...]:
-    """Average an ensemble of Wigner samples; deterministic per seed.
+) -> tuple[EnsembleResult, ...]:
+    """Average an ensemble of Wigner samples under each drive of a tuple;
+    one EnsembleResult per drive, deterministic per seed.
 
-    The realizations are split into min(workers, n_realizations)
-    contiguous batches, each evolved as one stacked state, in a process
-    pool when there is more than one batch.  Realization k is sampled
-    from realization_rng(master_seed, k) whatever its batch, and rows of
-    a stacked state evolve bit-identically to single runs, so results do
-    not depend on workers.  drive may be a tuple of drives that share
-    omega and run length (see run_trajectory): every drive then evolves
-    the same samples, all drives in one stack per batch, and one
-    EnsembleResult per drive is returned, equal bit for bit to a
-    separate call with that drive.  Bootstrap bands resample whole
-    realizations (seeded from the master seed, afresh for each drive)
-    and report mean +/- std of the resampled ensemble means.
+    The drives share omega and run length (see run_trajectory) and every
+    drive evolves the same samples.  The realizations are split into
+    min(workers, n_realizations) contiguous batches, each evolved under
+    all drives as one array, in a process pool when there is more than
+    one batch.  Realization k is sampled from realization_rng(master_seed,
+    k) whatever its batch, and rows of a stack evolve bit-identically to
+    single runs, so results depend neither on workers nor on the other
+    drives of the tuple.  Bootstrap bands resample whole realizations
+    (seeded from the master seed, afresh for each drive) and report
+    mean +/- std of the resampled ensemble means.
     """
-    drives = _protocols(drive)
+    steps = run_cfg.steps_per_period * run_cfg.resolve_cycles(drive)
     n_real = ens_cfg.n_realizations
     n_batches = min(workers, n_real)
     payloads = [
-        (grid, drives, p, run_cfg, ens_cfg,
+        (grid, drive, p, run_cfg, ens_cfg,
          range(n_real * b // n_batches, n_real * (b + 1) // n_batches))
         for b in range(n_batches)
     ]
@@ -444,39 +419,34 @@ def ensemble_run(
             batches = list(pool.map(_run_batch, payloads))
     else:
         batches = [_run_batch(payloads[0])]
-    steps = run_cfg.steps_per_period * run_cfg.resolve_cycles(drives)
     work = {"site_steps": grid.n_modes * n_real * steps,
             "transforms": n_real * (1 + 2 * steps)}
-    results = tuple(
-        _summarize([tr for batch in batches for tr in batch[k]], ens_cfg, work)
-        for k in range(len(drives))
-    )
-    return results[0] if isinstance(drive, DriveSpec) else results
+    return tuple(_summarize(parts, ens_cfg, work) for parts in zip(*batches))
 
 
-def _summarize(traces: list[ObservableTrace], ens_cfg: EnsembleConfig,
+def _summarize(parts: tuple[ObservableTrace, ...], ens_cfg: EnsembleConfig,
                work: dict[str, int]) -> EnsembleResult:
-    """One drive's ensemble means, bootstrap bands and work counters."""
-    raw = np.stack([tr.n_ex_raw for tr in traces])
-    cf = np.stack([tr.condensed_fraction for tr in traces])
-    mean_raw = raw.mean(axis=0)
-    half_quantum = traces[0].half_quantum
-    mean_sub = mean_raw - half_quantum
+    """One drive's ensemble from its batches' traces: their rows joined in
+    realization order, means, bootstrap bands and work counters."""
+    trace = replace(parts[0], **{
+        name: np.concatenate([getattr(tr, name) for tr in parts])
+        for name in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift")
+    })
+    mean_raw = trace.n_ex_raw.mean(axis=0)
+    mean_sub = mean_raw - trace.half_quantum
 
     # the bands draw from their own stream, (master_seed, 0xB00757)
     rng = realization_rng(ens_cfg.master_seed, 0xB00757)
-    band = bootstrap_means(raw, ens_cfg.bootstrap_resamples, rng).std(axis=0)
+    band = bootstrap_means(trace.n_ex_raw, ens_cfg.bootstrap_resamples, rng).std(axis=0)
     return EnsembleResult(
-        times=traces[0].times,
+        times=trace.times,
         n_ex_raw=mean_raw,
         n_ex=mean_sub,
-        condensed_fraction=cf.mean(axis=0),
+        condensed_fraction=trace.condensed_fraction.mean(axis=0),
         band_lo=mean_sub - band,
         band_hi=mean_sub + band,
-        traces=tuple(traces),
-        half_quantum=half_quantum,
-        atom_drift=max(tr.atom_drift for tr in traces),
+        trace=trace,
+        half_quantum=trace.half_quantum,
+        atom_drift=float(trace.atom_drift.max()),
         **work,
-        bands_degenerate=len(traces) < 2,
     )
-

@@ -192,14 +192,14 @@ def test_08_twa_conservation_and_growth():
     ramped = DriveSpec(
         Trajectory.LINEAR_X, k0, om, envelope=Envelope(ramp_up=2, hold=22)
     )
-    res = ensemble_run(
-        grid, ramped, p,
+    [res] = ensemble_run(
+        grid, (ramped,), p,
         TwaRunConfig(steps_per_period=128),
         EnsembleConfig(n_realizations=8, master_seed=3, bootstrap_resamples=50),
     )
     worst = 0.0
-    for tr in res.traces:
-        total = tr.n_ex_raw * grid.volume / (1.0 - tr.condensed_fraction)
+    for n_ex_raw, cf in zip(res.trace.n_ex_raw, res.trace.condensed_fraction):
+        total = n_ex_raw * grid.volume / (1.0 - cf)
         worst = max(worst, float(np.abs(total - total[0]).max() / total[0]))
     assert worst < 1e-6
 
@@ -211,8 +211,8 @@ def test_08_twa_conservation_and_growth():
     # short-time growth against the mode-summed linear prediction, under
     # a constant drive so both engines see the same schedule
     flat = DriveSpec(Trajectory.LINEAR_X, k0, om)
-    twa = ensemble_run(
-        grid, flat, p,
+    [twa] = ensemble_run(
+        grid, (flat,), p,
         TwaRunConfig(steps_per_period=128, n_cycles=10),
         EnsembleConfig(n_realizations=12, master_seed=3, bootstrap_resamples=50),
     )
@@ -237,8 +237,8 @@ def test_09_twa_g_scaling():
     rates = []
     for g, n_cycles in cases:
         p = LatticeParams(j=1.0, g=g, n0=50.0, m_z=0.0712)
-        res = ensemble_run(
-            grid, drive, p,
+        [res] = ensemble_run(
+            grid, (drive,), p,
             TwaRunConfig(steps_per_period=128, n_cycles=n_cycles),
             EnsembleConfig(n_realizations=10, master_seed=5, bootstrap_resamples=50),
         )
@@ -320,11 +320,9 @@ def test_11_fit_calibration_and_coverage():
         traces = []
         for _ in range(8):
             y = np.exp(-2.0 * t) * (1.0 + 0.05 * rng.standard_normal(t.size))
-            traces.append(
-                DecayTrace(times=t, values=np.abs(y), kind=TraceKind.CONDENSED_FRACTION)
-            )
+            traces.append(np.abs(y))
         bs = bootstrap_rate(
-            traces, fit_exponential, n_resamples=100,
+            t, np.stack(traces), TraceKind.CONDENSED_FRACTION, fit_exponential, n_resamples=100,
             seed=int(rng.integers(0, 2**31)),
         )
         if abs(bs.mean - 2.0) <= 2.0 * bs.std:

@@ -1079,7 +1079,7 @@ def test_cli_scan_checks_every_point_before_running(tmp_path, capsys, monkeypatc
     out = tmp_path / "o"
     assert main([command, "--preset", preset, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, args", [
@@ -1105,19 +1105,21 @@ def test_cli_commands_that_run_no_scan_reject_one(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command, body, seed", [
     ("twa", TWA_BODY, ["--seed", "-1"]),
+    ("twa", None, ["--preset", "endphase-12x12", "--seed", "-1"]),
     ("endphase", ENDPHASE_BODY.replace("master_seed = 1", "master_seed = -3"), []),
-], ids=["twa-seed-flag", "endphase-master-seed"])
+], ids=["twa-seed-flag", "twa-preset-seed-flag", "endphase-master-seed"])
 def test_cli_rejects_negative_seed(tmp_path, capsys, monkeypatch, command, body, seed):
     def no_run(*args, **kwargs):
         raise AssertionError("the ensemble ran before the seed was checked")
 
     monkeypatch.setattr(twa, "ensemble_run", no_run)
     out = tmp_path / "o"
-    assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out), *seed]) == 2
-    value = seed[1] if seed else "-3"
+    config = ["--config", write_cfg(tmp_path, body)] if body else []
+    assert main([command, *config, "--out", str(out), *seed]) == 2
+    value = seed[-1] if seed else "-3"
     assert (capsys.readouterr().err
             == f"shakenbec: invalid parameter: master_seed must be >= 0, got {value}\n")
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_endphase_requires_envelope(tmp_path):
@@ -1163,6 +1165,26 @@ def test_cli_fit_bad_trace(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
     missing = str(tmp_path / "nope.csv")
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o"), missing]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["fit-trace", "config"])
+def test_cli_unreadable_input_is_a_config_error(tmp_path, capsys, kind, command):
+    # a trace or config that exists but cannot be read as text exits 2 with
+    # one stderr line naming it, not with a traceback.  A file without read
+    # permission takes the same path, but root reads it anyway, so no case
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"t,y\n0,1\n\xff\xfe,0.5\n")
+    argv = ["fit", str(bad)] if command == "fit-trace" else ["rates", "--config", str(bad)]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    what = "trace file" if command == "fit-trace" else "config file"
+    assert line.startswith(f"shakenbec: config error: cannot read {what} {bad}: ")
+    assert not out.exists()
 
 
 def test_module_entry_point():

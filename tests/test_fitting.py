@@ -26,6 +26,9 @@ from shakenbec.fitting import (
 )
 
 
+DECAYS = TraceKind.CONDENSED_FRACTION
+
+
 def exp_trace(rate=2.0, amp=1.0, t_max=1.0, n=50, kind=TraceKind.CONDENSED_FRACTION):
     t = np.linspace(0.0, t_max, n)
     sign = -1.0 if kind is TraceKind.CONDENSED_FRACTION else 1.0
@@ -142,14 +145,6 @@ def test_dispatcher_falls_back_on_bad_r2():
     assert abs(res.rate) < 0.05
 
 
-def test_dispatcher_threshold_validation():
-    tr = exp_trace()
-    for bad in (0.0, -0.5, 1.2):
-        with pytest.raises(DomainError):
-            fit_decay_rate(tr, r2_threshold=bad)
-    assert fit_decay_rate(tr, r2_threshold=1.0).method is FitMethod.EXPONENTIAL
-
-
 @given(
     rate=st.floats(min_value=0.05, max_value=0.7),
     amp=st.floats(min_value=1e-3, max_value=1e3),
@@ -226,8 +221,8 @@ def test_bootstrap_exact_on_shared_rate():
     # different amplitudes, same rate: every resample mean is exactly
     # exponential, so the band collapses
     t = np.linspace(0.0, 1.0, 30)
-    traces = [DecayTrace(t, a * np.exp(-2.0 * t)) for a in (0.5, 1.0, 2.0, 4.0)]
-    boot = bootstrap_rate(traces, fit_exponential, n_resamples=50, seed=3)
+    traces = np.stack([a * np.exp(-2.0 * t) for a in (0.5, 1.0, 2.0, 4.0)])
+    boot = bootstrap_rate(t, traces, DECAYS, fit_exponential, n_resamples=50, seed=3)
     assert boot.mean == pytest.approx(2.0, rel=1e-10)
     assert boot.std == pytest.approx(0.0, abs=1e-10)
     assert boot.n_failed == 0
@@ -237,32 +232,32 @@ def test_bootstrap_exact_on_shared_rate():
 def test_bootstrap_deterministic_in_seed():
     rng = np.random.default_rng(11)
     t = np.linspace(0.0, 1.0, 30)
-    traces = [
-        DecayTrace(t, np.exp(-r * t))
+    traces = np.stack([
+        np.exp(-r * t)
         for r in rng.uniform(1.5, 2.5, size=8)
-    ]
-    a = bootstrap_rate(traces, fit_exponential, n_resamples=100, seed=7)
-    b = bootstrap_rate(traces, fit_exponential, n_resamples=100, seed=7)
+    ])
+    a = bootstrap_rate(t, traces, DECAYS, fit_exponential, n_resamples=100, seed=7)
+    b = bootstrap_rate(t, traces, DECAYS, fit_exponential, n_resamples=100, seed=7)
     assert (a.mean, a.std, a.n_failed) == (b.mean, b.std, b.n_failed)
-    c = bootstrap_rate(traces, fit_exponential, n_resamples=100, seed=8)
+    c = bootstrap_rate(t, traces, DECAYS, fit_exponential, n_resamples=100, seed=8)
     assert c.mean != a.mean
     assert a.std > 0.0
 
 
 def test_bootstrap_degenerate_cases():
     t = np.linspace(0.0, 1.0, 30)
-    single = [DecayTrace(t, np.exp(-2.0 * t))]
-    boot = bootstrap_rate(single, fit_exponential, n_resamples=50, seed=0)
+    single = np.exp(-2.0 * t)[None]
+    boot = bootstrap_rate(t, single, DECAYS, fit_exponential, n_resamples=50, seed=0)
     assert boot.degenerate
     assert boot.std == 0.0
-    two = single + [DecayTrace(t, 2.0 * np.exp(-2.0 * t))]
-    boot = bootstrap_rate(two, fit_exponential, n_resamples=1, seed=0)
+    two = np.concatenate([single, 2.0 * single])
+    boot = bootstrap_rate(t, two, DECAYS, fit_exponential, n_resamples=1, seed=0)
     assert boot.degenerate
 
 
 def test_bootstrap_failure_accounting():
     t = np.linspace(0.0, 1.0, 30)
-    traces = [DecayTrace(t, np.exp(-2.0 * t))] * 4
+    traces = np.stack([np.exp(-2.0 * t)] * 4)
     calls = [0]
 
     def mostly_fine(trace):
@@ -271,7 +266,7 @@ def test_bootstrap_failure_accounting():
             raise InsufficientDataError("synthetic failure")
         return fit_exponential(trace)
 
-    boot = bootstrap_rate(traces, mostly_fine, n_resamples=100, seed=0)
+    boot = bootstrap_rate(t, traces, DECAYS, mostly_fine, n_resamples=100, seed=0)
     assert boot.n_failed == 14  # every 7th of 100 calls
     assert boot.mean == pytest.approx(2.0, rel=1e-10)
 
@@ -279,27 +274,29 @@ def test_bootstrap_failure_accounting():
         raise InsufficientDataError("synthetic failure")
 
     with pytest.raises(BootstrapUnstableError):
-        bootstrap_rate(traces, always_fails, n_resamples=100, seed=0)
+        bootstrap_rate(t, traces, DECAYS, always_fails, n_resamples=100, seed=0)
 
 
 def test_bootstrap_input_validation():
     t = np.linspace(0.0, 1.0, 10)
-    tr = DecayTrace(t, np.exp(-t))
+    tr = np.exp(-t)[None]
     with pytest.raises(InsufficientDataError):
-        bootstrap_rate([], fit_exponential)
+        bootstrap_rate(t, np.empty((0, t.size)), DECAYS, fit_exponential)
     with pytest.raises(DomainError):
-        bootstrap_rate([tr], fit_exponential, n_resamples=0)
-    other_t = DecayTrace(t + 0.5, np.exp(-t))
+        bootstrap_rate(t, tr, DECAYS, fit_exponential, n_resamples=0)
+    # rows must sample the given times: one trace per row, len(times) columns
     with pytest.raises(DomainError):
-        bootstrap_rate([tr, other_t], fit_exponential)
-    other_kind = DecayTrace(t, np.exp(-t), TraceKind.MODE_OCCUPATION)
+        bootstrap_rate(t[1:], tr, DECAYS, fit_exponential)
     with pytest.raises(DomainError):
-        bootstrap_rate([tr, other_kind], fit_exponential)
+        bootstrap_rate(t, tr[0], DECAYS, fit_exponential)
+    # every row is checked as a trace is: here, a negative sample
+    with pytest.raises(DomainError):
+        bootstrap_rate(t, np.concatenate([tr, -tr]), DECAYS, fit_exponential)
 
 
 def test_bootstrap_result_type():
     t = np.linspace(0.0, 1.0, 10)
-    boot = bootstrap_rate([DecayTrace(t, np.exp(-t))] * 3, fit_exponential,
+    boot = bootstrap_rate(t, np.stack([np.exp(-t)] * 3), DECAYS, fit_exponential,
                           n_resamples=10, seed=1)
     assert isinstance(boot, BootstrapRate)
     assert boot.std >= 0.0
@@ -336,7 +333,10 @@ def test_fits_pinned_bit_for_bit():
         "rate from linear fallback; trace runs against its sign convention",
     )
     assert fit_decay_rate(DECAY) == PINNED_EXP
-    assert fit_decay_rate(LINEAR_DOWN, r2_threshold=0.999) == PINNED_LIN
+    # no trend: the log-space R^2 is far below 0.9, so the fallback's fit exactly
+    flat = DecayTrace(T, WIGGLE)
+    assert fit_exponential(flat).r_squared < 0.9
+    assert fit_decay_rate(flat) == fit_linear_fallback(flat)
 
 
 def test_windowed_slope_pinned_bit_for_bit():
@@ -367,19 +367,19 @@ def test_windowed_slope_pinned_bit_for_bit():
 def test_bootstrap_pinned_bit_for_bit():
     # the 30/s member leaves too few samples in the half window of
     # resamples that draw it three or more times: 17 of 200 fail
-    traces = [
-        DecayTrace(T, np.exp(-r * T) * (1.0 + 0.05 * np.sin(w * T)))
+    traces = np.stack([
+        np.exp(-r * T) * (1.0 + 0.05 * np.sin(w * T))
         for r, w in ((0.5, 3.0), (0.6, 5.0), (0.45, 7.0), (0.55, 4.0), (30.0, 2.0))
-    ]
-    assert bootstrap_rate(traces, fit_exponential, n_resamples=200, seed=4) == (
+    ])
+    assert bootstrap_rate(T, traces, DECAYS, fit_exponential, n_resamples=200, seed=4) == (
         BootstrapRate(0.8430526436264296, 0.39476407966515775, 17, False)
     )
-    growth = [
-        DecayTrace(T, 0.01 * np.exp(r * T) * (1.0 + 0.05 * np.sin(w * T)),
-                   TraceKind.MODE_OCCUPATION)
+    growth = np.stack([
+        0.01 * np.exp(r * T) * (1.0 + 0.05 * np.sin(w * T))
         for r, w in ((1.2, 3.0), (1.4, 5.0), (1.3, 6.0))
-    ]
+    ])
     fitter = lambda tr: windowed_log_slope(tr, 3, 0.2)
-    assert bootstrap_rate(growth, fitter, n_resamples=50, seed=9) == (
+    assert bootstrap_rate(T, growth, TraceKind.MODE_OCCUPATION, fitter,
+                          n_resamples=50, seed=9) == (
         BootstrapRate(1.238404027349856, 0.0350296592583559, 0, False)
     )

@@ -34,23 +34,24 @@ P0 = LatticeParams(j=1.0, g=0.0)
 
 
 def momentum_amps(state):
-    return np.fft.fftn(state.amplitudes, norm="ortho") * math.sqrt(state.grid.dz)
+    axes = (-3, -2, -1)
+    return np.fft.fftn(state.amplitudes, axes=axes, norm="ortho") * math.sqrt(state.grid.dz)
 
 
 def observables_of(state):
     amps = momentum_amps(state)
     total = float(np.sum(np.abs(amps) ** 2))
-    cond = float(np.abs(amps[0, 0, 0]) ** 2)
+    cond = float(np.abs(amps[0, 0, 0, 0]) ** 2)
     return (total - cond) / state.grid.volume, cond / total
 
 
 def atom_number(state):
-    """Total atom number sum |a|^2 dz of one field."""
+    """Total atom number sum |a|^2 dz of a one-row state."""
     return float(np.sum(np.abs(state.amplitudes) ** 2)) * state.grid.dz
 
 
 def field_energy(state, p):
-    """Mean-field energy of one field, conserved when the drive is off."""
+    """Mean-field energy of a one-row state, conserved when the drive is off."""
     eps = sum(axis_energies(*state.grid.mesh, p))
     kinetic = np.sum(eps * np.abs(momentum_amps(state)) ** 2)
     interaction = np.sum(np.abs(state.amplitudes) ** 4) * state.grid.dz
@@ -70,8 +71,8 @@ def gpe_step(state, drive, p, t, dt):
             a = a * np.exp(-1j * dt * p.u * np.abs(a) ** 2)
         shift = drive_shift(t + frac * dt, drive)
         eps = sum(axis_energies(*state.grid.mesh, p, *shift))
-        amps = np.fft.fftn(a, norm="ortho") * np.exp(-0.5j * dt * eps)
-        a = np.fft.ifftn(amps, norm="ortho")
+        amps = np.fft.fftn(a, axes=(-3, -2, -1), norm="ortho") * np.exp(-0.5j * dt * eps)
+        a = np.fft.ifftn(amps, axes=(-3, -2, -1), norm="ortho")
     return replace(state, amplitudes=a)
 
 
@@ -202,7 +203,7 @@ def test_free_modes_rotate_exactly():
     amps_q[1, 0, 0] = 0.3
     amps_q[0, 3, 0] = 0.2j
     a = np.fft.ifftn(amps_q, norm="ortho") / math.sqrt(grid.dz)
-    st = FieldState(amplitudes=a, grid=grid)
+    st = FieldState(amplitudes=a[None], grid=grid)
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 2.0 * math.pi)
     s = st
     for step in range(37):
@@ -213,14 +214,14 @@ def test_free_modes_rotate_exactly():
         + (0.5 * grid.qz_axis**2 / pfree.m_z)[None, None, :]
     )
     want = amps_q * np.exp(-1j * eps * 0.37)
-    np.testing.assert_allclose(momentum_amps(s), want, atol=1e-12)
+    np.testing.assert_allclose(momentum_amps(s)[0], want, atol=1e-12)
 
 
 def test_trace_identities():
     st = sample(9)
     n_total = atom_number(st)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    tr = run_trajectory(st, d, P, TwaRunConfig(steps_per_period=64, n_cycles=10))
+    [tr] = run_trajectory(st, (d,), P, TwaRunConfig(steps_per_period=64, n_cycles=10))
     hq = (GRID.n_modes - 1) / (2.0 * GRID.volume)
     assert tr.half_quantum == pytest.approx(hq, rel=1e-12)
     np.testing.assert_allclose(tr.n_ex, tr.n_ex_raw - hq, rtol=1e-12)
@@ -236,7 +237,7 @@ def test_trace_identities():
 
 
 def stacked(states):
-    return replace(states[0], amplitudes=np.stack([st.amplitudes for st in states]))
+    return replace(states[0], amplitudes=np.concatenate([st.amplitudes for st in states]))
 
 
 STOP = Envelope(ramp_up=2, hold=1, abrupt_stop=True, end_phase=0.5)
@@ -249,7 +250,7 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0, envelope)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=5)
     st = sample(4)
-    tr = run_trajectory(st, d, P, cfg)
+    [tr] = run_trajectory(st, (d,), P, cfg)
     s = st
     want = [observables_of(s)]
     dt = d.period / cfg.steps_per_period
@@ -259,8 +260,8 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
         want.append(observables_of(s))
     want = np.array(want)
     np.testing.assert_allclose(tr.times, d.period * np.arange(6), rtol=1e-12)
-    np.testing.assert_allclose(tr.n_ex_raw, want[:, 0], rtol=1e-10)
-    np.testing.assert_allclose(tr.condensed_fraction, want[:, 1], rtol=1e-10)
+    np.testing.assert_allclose(tr.n_ex_raw[0], want[:, 0], rtol=1e-10)
+    np.testing.assert_allclose(tr.condensed_fraction[0], want[:, 1], rtol=1e-10)
 
 
 @pytest.mark.parametrize("grid, n_drives", [
@@ -329,7 +330,7 @@ def test_non_finite_field_raises_blow_up(monkeypatch):
         with np.errstate(all="ignore"), pytest.raises(
             BlowUpError, match="field left the finite range in cycle 1"
         ):
-            run_trajectory(sample(1), d, P, quick_run())
+            run_trajectory(sample(1), (d,), P, quick_run())
 
 
 def test_run_trajectory_leaves_its_state_unchanged():
@@ -338,7 +339,7 @@ def test_run_trajectory_leaves_its_state_unchanged():
     grid = Grid(1, 1, 1)
     for st in (sample(3, grid), stacked([sample(k, grid) for k in range(2)])):
         before = st.amplitudes.copy()
-        run_trajectory(st, DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0), P, quick_run())
+        run_trajectory(st, (DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0),), P, quick_run())
         assert st.amplitudes.tobytes() == before.tobytes()
 
 
@@ -395,9 +396,9 @@ def test_step_chunks_do_not_change_results(monkeypatch):
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
     st = sample(2)
-    whole = run_trajectory(st, d, P, cfg)
+    [whole] = run_trajectory(st, (d,), P, cfg)
     monkeypatch.setattr(twa, "STEP_CHUNK", 5)
-    chunked = run_trajectory(st, d, P, cfg)
+    [chunked] = run_trajectory(st, (d,), P, cfg)
     assert chunked.n_ex_raw.tobytes() == whole.n_ex_raw.tobytes()
     assert chunked.condensed_fraction.tobytes() == whole.condensed_fraction.tobytes()
 
@@ -407,15 +408,15 @@ def test_stacked_rows_bit_identical_to_single_runs():
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
     grid = Grid(5, 3, 3, lz=2.0)  # odd sizes: no row aligns with a SIMD width
     states = [sample(k, grid) for k in range(5)]
-    batch = run_trajectory(stacked(states), d, P, cfg)
+    [batch] = run_trajectory(stacked(states), (d,), P, cfg)
     assert batch.n_ex_raw.shape == batch.condensed_fraction.shape == (5, 5)
     assert batch.atom_drift.shape == (5,)
     for j, st in enumerate(states):
-        solo = run_trajectory(st, d, P, cfg)
-        np.testing.assert_array_equal(batch.n_ex_raw[j], solo.n_ex_raw)
-        np.testing.assert_array_equal(batch.n_ex[j], solo.n_ex)
-        np.testing.assert_array_equal(batch.condensed_fraction[j], solo.condensed_fraction)
-        assert batch.atom_drift[j] == solo.atom_drift
+        [solo] = run_trajectory(st, (d,), P, cfg)
+        np.testing.assert_array_equal(batch.n_ex_raw[j], solo.n_ex_raw[0])
+        np.testing.assert_array_equal(batch.n_ex[j], solo.n_ex[0])
+        np.testing.assert_array_equal(batch.condensed_fraction[j], solo.condensed_fraction[0])
+        assert batch.atom_drift[j] == solo.atom_drift[0]
 
 
 def test_invariants_of_stacked_state():
@@ -423,7 +424,7 @@ def test_invariants_of_stacked_state():
     d = DriveSpec(Trajectory.DIAGONAL, 1.0, 7.0)
     states = [sample(k) for k in range(3)]
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=3)
-    tr = run_trajectory(stacked(states), d, P, cfg)
+    [tr] = run_trajectory(stacked(states), (d,), P, cfg)
     totals = tr.n_ex_raw * GRID.volume / (1.0 - tr.condensed_fraction)
     want = np.array([atom_number(st) for st in states])
     assert np.ptp(want) > 1e-6  # the noise gives each row its own atom number
@@ -443,14 +444,14 @@ def test_atom_drift_matches_atom_number(monkeypatch):
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 1.0)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=3)
-    tr = run_trajectory(sample(6), d, P, cfg)
-    assert tr.atom_drift == pytest.approx(1.0 - math.exp(-2e-4 * 96), rel=1e-9)
+    [tr] = run_trajectory(sample(6), (d,), P, cfg)
+    assert tr.atom_drift[0] == pytest.approx(1.0 - math.exp(-2e-4 * 96), rel=1e-9)
 
 
 def test_atom_drift_guard_names_realization(monkeypatch):
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    res = ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=2)
-    drifts = np.array([tr.atom_drift for tr in res.traces])
+    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=2)
+    drifts = res.trace.atom_drift
     assert np.all(drifts < twa.ATOM_DRIFT_TOL)
     worst = int(np.argmax(drifts))
     assert drifts[worst] > 0.0
@@ -458,7 +459,7 @@ def test_atom_drift_guard_names_realization(monkeypatch):
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
-        ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=2)
+        ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=2)
 
 
 # ------------------------------------------------------------ protocol axis
@@ -475,16 +476,15 @@ def test_stacked_drives_bit_identical_to_single_runs():
     stack = ensemble_run(GRID, drives, P, quick_run(), ens(n=3), workers=2)
     assert len(stack) == len(drives)
     for d, res in zip(drives, stack):
-        solo = ensemble_run(GRID, d, P, quick_run(), ens(n=3), workers=1)
+        [solo] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=3), workers=1)
         for field in ("times", "n_ex_raw", "n_ex", "condensed_fraction",
                       "band_lo", "band_hi"):
             assert getattr(res, field).tobytes() == getattr(solo, field).tobytes(), field
-        assert (res.half_quantum, res.atom_drift, res.bands_degenerate) == (
-            solo.half_quantum, solo.atom_drift, solo.bands_degenerate)
-        for tr, want in zip(res.traces, solo.traces, strict=True):
-            assert tr.realization == want.realization
-            assert tr.n_ex_raw.tobytes() == want.n_ex_raw.tobytes()
-            assert tr.atom_drift == want.atom_drift
+        assert (res.half_quantum, res.atom_drift, len(res.trace.n_ex) < 2) == (
+            solo.half_quantum, solo.atom_drift, len(solo.trace.n_ex) < 2)
+        assert res.trace.n_ex_raw.shape == solo.trace.n_ex_raw.shape
+        assert res.trace.n_ex_raw.tobytes() == solo.trace.n_ex_raw.tobytes()
+        assert res.trace.atom_drift.tobytes() == solo.trace.atom_drift.tobytes()
     # the protocols differ, so no result is a copy of another
     assert not np.array_equal(stack[0].n_ex, stack[1].n_ex)
 
@@ -512,7 +512,7 @@ def test_stacked_drives_must_share_omega_and_run_length():
 def test_atom_drift_guard_names_protocol_and_realization(monkeypatch):
     drives = end_phase_drives()
     runs = ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
-    drifts = np.array([[tr.atom_drift for tr in res.traces] for res in runs])
+    drifts = np.array([res.trace.atom_drift for res in runs])
     worst = np.unravel_index(np.argmax(drifts), drifts.shape)
     assert drifts[worst] > 0.0
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
@@ -539,11 +539,18 @@ def test_resolve_cycles():
     ramped = DriveSpec(
         Trajectory.LINEAR_X, 1.0, 6.0, Envelope(ramp_up=3, hold=4, ramp_down=2)
     )
-    assert TwaRunConfig(n_cycles=7).resolve_cycles(bare) == 7
-    assert TwaRunConfig(n_cycles=7).resolve_cycles(ramped) == 7
-    assert TwaRunConfig().resolve_cycles(ramped) == 9
+    assert TwaRunConfig(n_cycles=7).resolve_cycles((bare,)) == 7
+    assert TwaRunConfig(n_cycles=7).resolve_cycles((ramped,)) == 7
+    assert TwaRunConfig().resolve_cycles((ramped,)) == 9
     with pytest.raises(ConfigError):
-        TwaRunConfig().resolve_cycles(bare)
+        TwaRunConfig().resolve_cycles((bare,))
+
+
+def test_resolve_cycles_needs_a_drive():
+    with pytest.raises(DomainError, match="at least one drive"):
+        TwaRunConfig(n_cycles=3).resolve_cycles(())
+    with pytest.raises(DomainError, match="at least one drive"):
+        run_trajectory(sample(1), (), P, quick_run())
 
 
 # --------------------------------------------------------------- ensembles
@@ -559,6 +566,16 @@ def quick_run():
     return TwaRunConfig(steps_per_period=32, n_cycles=6)
 
 
+def assert_rows_are_realizations(res, d, seed=0):
+    """Row k of res.trace is, bit for bit, the one-row run_trajectory of
+    the sample drawn from realization_rng(seed, k)."""
+    for k in range(len(res.trace.n_ex)):
+        st = sample_initial(GRID, P, realization_rng(seed, k))
+        [solo] = run_trajectory(st, (d,), P, quick_run())
+        for field in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift"):
+            assert getattr(res.trace, field)[k].tobytes() == getattr(solo, field).tobytes()
+
+
 def test_ensemble_deterministic_and_worker_independent(monkeypatch):
     pools = []
 
@@ -569,51 +586,48 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
 
     monkeypatch.setattr(twa, "ProcessPoolExecutor", CountingPool)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    a = ensemble_run(GRID, d, P, quick_run(), ens(), workers=1)
-    b = ensemble_run(GRID, d, P, quick_run(), ens(), workers=1)
-    c = ensemble_run(GRID, d, P, quick_run(), ens(), workers=2)
+    [a] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
+    [b] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
+    [c] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=2)
     np.testing.assert_array_equal(a.n_ex, b.n_ex)
     np.testing.assert_array_equal(a.n_ex, c.n_ex)
     np.testing.assert_array_equal(a.band_lo, c.band_lo)
-    other = ensemble_run(GRID, d, P, quick_run(), ens(seed=1), workers=1)
+    [other] = ensemble_run(GRID, (d,), P, quick_run(), ens(seed=1), workers=1)
     assert not np.array_equal(a.n_ex, other.n_ex)
     # never more batches (processes) than realizations, none empty
     pools.clear()
-    runs = [ensemble_run(GRID, d, P, quick_run(), ens(n=2), workers=w) for w in (1, 2, 3)]
+    runs = [ensemble_run(GRID, (d,), P, quick_run(), ens(n=2), workers=w)[0]
+            for w in (1, 2, 3)]
     assert pools == [2, 2]
     for run in runs:
-        assert [tr.realization for tr in run.traces] == [0, 1]
+        assert_rows_are_realizations(run, d)
         for field in ("n_ex", "band_lo", "band_hi"):
             assert getattr(run, field).tobytes() == getattr(runs[0], field).tobytes()
 
 
 def test_ensemble_structure():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    res = ensemble_run(GRID, d, P, quick_run(), ens(n=4), workers=1)
-    assert len(res.traces) == 4
-    assert [tr.realization for tr in res.traces] == [0, 1, 2, 3]
+    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=1)
+    assert len(res.trace.n_ex) == 4
+    assert_rows_are_realizations(res, d)
     np.testing.assert_allclose(
         res.n_ex_raw,
-        np.stack([tr.n_ex_raw for tr in res.traces]).mean(axis=0),
+        res.trace.n_ex_raw.mean(axis=0),
         rtol=1e-12,
     )
     np.testing.assert_allclose(res.n_ex, res.n_ex_raw - res.half_quantum,
                                rtol=1e-12)
-    assert not res.bands_degenerate
-    assert res.atom_drift == max(tr.atom_drift for tr in res.traces)
+    assert not len(res.trace.n_ex) < 2  # bands from more than one realization
+    assert res.atom_drift == max(res.trace.atom_drift)
     assert 0.0 <= res.atom_drift <= twa.ATOM_DRIFT_TOL
     assert np.all(res.band_hi >= res.band_lo)
     assert np.all((res.n_ex >= res.band_lo) & (res.n_ex <= res.band_hi))
-    # member traces are exactly the matching single-seed runs
-    st = sample_initial(GRID, P, realization_rng(0, 2))
-    solo = run_trajectory(st, d, P, quick_run())
-    np.testing.assert_array_equal(res.traces[2].n_ex_raw, solo.n_ex_raw)
 
 
 def test_ensemble_degenerate_band():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    res = ensemble_run(GRID, d, P, quick_run(), ens(n=1), workers=1)
-    assert res.bands_degenerate
+    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=1), workers=1)
+    assert len(res.trace.n_ex) < 2
     # width is pure summation roundoff, which is the point of the flag
     assert np.allclose(res.band_hi - res.band_lo, 0.0, atol=1e-12)
 
@@ -623,7 +637,7 @@ def test_ensemble_blow_up_names_realization():
     d = DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="realization 0"):
         ensemble_run(
-            GRID, d, bad, TwaRunConfig(steps_per_period=16, n_cycles=1), ens(n=2)
+            GRID, (d,), bad, TwaRunConfig(steps_per_period=16, n_cycles=1), ens(n=2)
         )
 
 
@@ -633,10 +647,10 @@ def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
     # bits follow the CPU's tan); recorded with fftn, so the DFT-matrix
     # transforms reproduce them to rounding
     def run():
-        return ensemble_run(Grid(4, 4, 1), DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),
+        return ensemble_run(Grid(4, 4, 1), (DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),),
                             LatticeParams(j=1.0, g=5.0, n0=2.0),
                             TwaRunConfig(steps_per_period=16, n_cycles=2),
-                            ens(n=3, seed=5), workers=1)
+                            ens(n=3, seed=5), workers=1)[0]
 
     shipped = run()
     monkeypatch.setattr(twa, "_contact", contact_cos_sin)
