@@ -6,8 +6,9 @@ and runs a cmd_*, which reads the keys it uses through config's
 builders, computes, and returns its plot-ready tables (file name ->
 (header, rows)) and diagnostics.  Only then does main create --out and
 write them, through output, with a manifest.json listing exactly those
-files, so a run that fails leaves no --out behind.  Exit code 0 on
-success, 2 for configuration problems, 3 for numerical failures.
+files and the wall time of each phase, so a run that fails leaves no
+--out behind.  Exit code 0 on success, 2 for configuration problems, 3
+for numerical failures.
 Each study is one command: bdg writes each scan point's fastest mode
 (bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a heating
 curve or a g scan.  A [scan] point that fails numerically fails alone;
@@ -23,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import time
 from itertools import chain, count, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -420,10 +422,13 @@ def main(argv: list[str] | None = None) -> int:
         log.addHandler(_StderrLines())
     try:
         started = utc_stamp()
+        t_config = time.perf_counter()
         cp = load_config(args.config, args.preset)
         if args.command in ("endphase", "fit") and cp.has_section("scan"):
             raise ConfigError(f"{args.command} runs no scan; remove the [scan] section")
+        t_compute = time.perf_counter()
         tables, diagnostics = args.func(args, cp)
+        t_write = time.perf_counter()
         outdir = Path(args.out)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -431,8 +436,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot create --out {args.out}: {exc.strerror}") from exc
         for name, (header, rows) in tables.items():
             write_csv(outdir / name, header, rows)
+        timings = {"config_s": t_compute - t_config, "compute_s": t_write - t_compute,
+                   "write_s": time.perf_counter() - t_write}
         write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,
-                       list(tables), started=started, diagnostics=diagnostics)
+                       list(tables), started=started, diagnostics=diagnostics,
+                       timings=timings)
         return 0
     except ShakenBecError as exc:
         for family, label, code in _EXIT_CODES:

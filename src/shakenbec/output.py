@@ -6,8 +6,9 @@ carries an explicit _rad_s or _hz suffix (exponential rates are
 e-folding rates; their _rad_s values coincide numerically with 1/s).
 Each run directory gets a manifest.json recording the command, the
 fully-resolved configuration, the seed, a checksum per output file
-so scans can be audited and reproduced byte for byte, and the run's
-diagnostics (worst invariant drift, failed scan points).
+so scans can be audited and reproduced byte for byte, the run's
+diagnostics (worst invariant drift, failed scan points) and the wall
+time of each of its phases.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def write_manifest(
     outputs: Sequence[str],
     started: str | None = None,
     diagnostics: dict | None = None,
+    timings: dict | None = None,
 ) -> Path:
     """Write manifest.json next to the outputs; returns its path.
 
@@ -95,6 +97,9 @@ def write_manifest(
     guarantees apply to the listed output files, whose digests it pins.
     diagnostics holds the run's worst invariant drifts and its failed
     scan points (an empty object for commands that report none).
+    timings holds the wall time in seconds of each phase of the run:
+    config_s (reading the configuration), compute_s (the command) and
+    write_s (creating the output directory and writing the CSVs).
     """
     from . import __version__
 
@@ -118,6 +123,7 @@ def write_manifest(
         "finished": utc_stamp(),
         "outputs": entries,
         "diagnostics": diagnostics or {},
+        "timings": timings or {},
     }
     path = outdir / "manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -17,28 +17,30 @@ of the Gross-Pitaevskii equation in the co-moving frame: half-step
 kinetic (diagonal in momentum, drive shift evaluated at the substep
 midpoint), full-step contact interaction (diagonal in position, exact
 phase rotation), half-step kinetic.  run_trajectory keeps the field in
-momentum space and fuses the trailing half-kinetic phase of each step
+position space and fuses the trailing half-kinetic phase of each step
 with the leading one of the next: the same splitting (Bao, Jin &
-Markowich, J. Comput. Phys. 175, 487 (2002)) at one transform pair per
-step instead of two; observables read |A_q|^2, which the kinetic phase
-leaves unchanged, so no closing half step is taken.  A transform
-multiplies each grid axis longer than one point by its unitary DFT
-matrix, one matrix product per row, and agrees with fftn to rounding;
-the fused kinetic phase is separable, so it scales the columns of each
-axis's inverse matrix.  The contact phase comes from one half-angle
-tangent, within 1e-15 of libm's cos and sin.  A FieldState holds rows
-of fields on a leading axis, and a run takes a tuple of drives that
-share omega and run length, such as the stopping protocols of an
-end-phase study: every drive evolves the same R samples, the P x R rows
-stack protocol-major in one array, each drive's kinetic phase enters
-its own rows' inverse matrices, and one trace of R rows per drive comes
-back.  Ensembles run as contiguous batches of realizations, one array
-per batch, with one process per batch when there is more than one.  A
-row's matrix products do not depend on the stack, so rows of a stack
-evolve bit-identically to single runs.  Every period the run checks
-that the field is finite and that each row keeps its atom number to
-ATOM_DRIFT_TOL.  Ensemble means subtract the sampled half quantum per
-mode to estimate the physical excited density.
+Markowich, J. Comput. Phys. 175, 487 (2002)) at one kinetic pass per
+step instead of two.  That phase is diagonal in q and separable, so on
+each grid axis longer than one point it is one n x n circulant matrix,
+the propagator F^-1 diag(f) F of the axis's unitary DFT matrix F; a
+step multiplies each kept axis by its propagator, one matrix product
+per row, then applies the contact phase.  Only period boundaries need
+momentum amplitudes: one forward transform (F on each kept axis, fftn
+to rounding) reads |A_q|^2, which the pending trailing half phase
+leaves unchanged, so no closing half step is taken.  The contact phase
+comes from one half-angle tangent, within 1e-15 of libm's cos and sin.
+A FieldState holds rows of fields on a leading axis, and a run takes a
+tuple of drives that share omega and run length, such as the stopping
+protocols of an end-phase study: every drive evolves the same R
+samples, the P x R rows stack protocol-major in one array, each drive's
+propagators act on its own rows, and one trace of R rows per drive
+comes back.  Ensembles run as contiguous batches of realizations, one
+array per batch, with one process per batch when there is more than
+one.  A row's matrix products, and a drive's propagators, do not depend
+on the stack, so rows of a stack evolve bit-identically to single runs.
+Every period the run checks that the field is finite and that each row
+keeps its atom number to ATOM_DRIFT_TOL.  Ensemble means subtract the
+sampled half quantum per mode to estimate the physical excited density.
 """
 
 from __future__ import annotations
@@ -175,8 +177,9 @@ class EnsembleResult:
     single realization the bands are zero width and should not be
     quoted.  atom_drift is the worst of trace.atom_drift.  site_steps is
     the work integrated for this drive: grid sites x realizations x time
-    steps; transforms counts its whole-grid transforms, one per
-    realization before the first step and two per step.
+    steps; transforms counts its whole-grid passes per realization, one
+    set of propagator passes per step and one forward transform per
+    period boundary: steps + n_cycles + 1.
     """
 
     times: np.ndarray
@@ -268,6 +271,13 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi / n * (np.outer(k, k) % n)) / math.sqrt(n)
 
 
+def _propagator(f: np.ndarray, inv: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+    """One axis's circulant propagators F^-1 diag(f) F, P x 1 x n x n, for
+    each drive's kinetic phases f (P x n).  One n x n product per drive,
+    whatever P, so a drive's propagator does not depend on the others."""
+    return np.matmul(inv * f[:, None, :], fwd)[:, None]
+
+
 def _transform(mats, src: np.ndarray, out: np.ndarray):
     """mats[i] (n x n, or P x 1 x n x n: one per drive) along kept grid axis
     i of the (P, R, sites) field src, last axis first: (result, spare).
@@ -291,15 +301,16 @@ def run_trajectory(
     """Evolve rows of field samples under P drives, recording observables
     each drive period; one trace per drive.
 
-    The field stays in momentum space: each step takes one transform pair,
-    the fused kinetic phase folded into the inverse, around the contact
-    phase.  The drives share omega and resolve to one run length
-    (TwaRunConfig.resolve_cycles).  The state holds P x R rows,
-    protocol-major: row k R + j runs drive k, and is row j of drive k's
-    trace.  Row j of a drive's block is named realization
-    first_realization + j in errors, and the drive's index as the
-    protocol when P > 1.  Raises BlowUpError when the field leaves the
-    finite range or an atom number drifts by more than ATOM_DRIFT_TOL.
+    The field stays in position space: each step takes one propagator
+    pass per kept axis, then the contact phase, and a forward transform
+    at each period boundary reads |A_q|^2.  The drives share omega and
+    resolve to one run length (TwaRunConfig.resolve_cycles).  The state
+    holds P x R rows, protocol-major: row k R + j runs drive k, and is
+    row j of drive k's trace.  Row j of a drive's block is named
+    realization first_realization + j in errors, and the drive's index
+    as the protocol when P > 1.  Raises BlowUpError when the field
+    leaves the finite range or an atom number drifts by more than
+    ATOM_DRIFT_TOL.
     """
     n_cycles = cfg.resolve_cycles(drive)
     n_steps, grid, period = cfg.steps_per_period, state.grid, drive[0].period
@@ -317,7 +328,8 @@ def run_trajectory(
     kept = [i for i, n in enumerate(shape) if n > 1] or [2]
     fwd = [_dft_matrix(shape[i], -1) for i in kept]
     inv = [m.conj() for m in fwd]
-    field = rows.reshape(n_prot, n_real, -1).astype(complex)  # (P, R, sites), a copy
+    pos = rows.reshape(n_prot, n_real, -1).astype(complex)  # (P, R, sites), a copy
+    spare = np.empty_like(pos)
     times = np.arange(n_cycles + 1) * period
     total = np.empty((len(rows), n_cycles + 1))
     cond = np.empty_like(total)
@@ -325,7 +337,6 @@ def run_trajectory(
     # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
     offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
     trail = [np.ones((n_prot, shape[i])) for i in kept]
-    amps, spare = _transform(fwd, field, np.empty_like(field))
     for cycle in range(n_cycles + 1):
         if cycle:
             t0 = times[cycle - 1]
@@ -342,10 +353,14 @@ def run_trajectory(
                     lead[0] *= tr
                 trail = [f[-1] for f in factors]
                 for step in zip(*fused):
-                    # each axis's phases scale its inverse matrix's columns
-                    mats = [m * f[:, None, None, :] for m, f in zip(inv, step)]
-                    pos, spare = _transform(mats, amps, spare)
-                    amps, spare = _transform(fwd, _contact(pos, dt * p.u), spare)
+                    # built right before use: a chunk's table would cost memory
+                    props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+                    pos, spare = _transform(props, pos, spare)
+                    pos = _contact(pos, dt * p.u)
+        # the forward passes alternate between two buffers and must keep the
+        # field, so they run on a copy; the result's buffer is the next
+        # spare and the other is freed, which keeps two buffers between steps
+        amps = spare = _transform(fwd, pos.copy(), spare)[0]
         occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
         total[:, cycle] = occ.sum(axis=1) * grid.dz
         cond[:, cycle] = occ[:, 0] * grid.dz
@@ -406,7 +421,8 @@ def ensemble_run(
     (seeded from the master seed, afresh for each drive) and report
     mean +/- std of the resampled ensemble means.
     """
-    steps = run_cfg.steps_per_period * run_cfg.resolve_cycles(drive)
+    n_cycles = run_cfg.resolve_cycles(drive)
+    steps = run_cfg.steps_per_period * n_cycles
     n_real = ens_cfg.n_realizations
     n_batches = min(workers, n_real)
     payloads = [
@@ -420,7 +436,7 @@ def ensemble_run(
     else:
         batches = [_run_batch(payloads[0])]
     work = {"site_steps": grid.n_modes * n_real * steps,
-            "transforms": n_real * (1 + 2 * steps)}
+            "transforms": n_real * (steps + n_cycles + 1)}
     return tuple(_summarize(parts, ens_cfg, work) for parts in zip(*batches))
 
 

@@ -1197,6 +1197,29 @@ def test_module_entry_point():
         assert sub in proc.stdout
 
 
+@pytest.mark.parametrize("command, body", [
+    ("rates", RATES_CFG), ("twa", TWA_BODY),
+], ids=["rates", "twa"])
+def test_cli_manifest_times_each_phase(tmp_path, command, body):
+    # the wall time of each phase is a top-level object of the manifest;
+    # the CSVs, and the digests the manifest pins, do not carry it
+    cfg = write_cfg(tmp_path, body)
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    for m in manifests:
+        assert set(m["timings"]) == {"config_s", "compute_s", "write_s"}
+        for value in m["timings"].values():
+            assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+        assert "timings" not in m["diagnostics"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    for entry in manifests[0]["outputs"]:
+        data = [(out / entry["name"]).read_bytes() for out in outs]
+        assert data[0] == data[1]
+        assert hashlib.sha256(data[0]).hexdigest() == entry["sha256"]
+
+
 ENDPHASE_PROTOCOLS = 3  # ENDPHASE_BODY: two abrupt stops and the ramped control
 
 
@@ -1209,15 +1232,16 @@ ENDPHASE_PROTOCOLS = 3  # ENDPHASE_BODY: two abrupt stops and the ramped control
 def test_cli_twa_manifest_counts_realizations_and_transforms(tmp_path, command, body,
                                                               ensembles, periods):
     # every ensemble (scan point, end-phase protocol) of 2 or 3 realizations
-    # on 6 x 6 x 1 sites at 16 steps per period: one transform per
-    # realization before the first step, two per step
+    # on 6 x 6 x 1 sites at 16 steps per period: per realization, one set
+    # of propagator passes per step and one forward transform per period
+    # boundary
     out = tmp_path / "o"
     assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     n_real = 3 if command == "twa" else 2
     steps = 16 * periods
     assert diag["realizations"] == ensembles * n_real
-    assert diag["transforms"] == ensembles * n_real * (1 + 2 * steps)
+    assert diag["transforms"] == ensembles * n_real * (steps + periods + 1)
     assert diag["site_steps"] == ensembles * n_real * 36 * steps
 
 

@@ -63,7 +63,7 @@ def gpe_step(state, drive, p, t, dt):
 
     Half kinetic, contact, half kinetic, each kinetic half at the drive
     shift of its own midpoint: the splitting that run_trajectory fuses
-    into one FFT pair per step.
+    into one propagator pass per step.
     """
     a = state.amplitudes
     for k, frac in enumerate((0.25, 0.75)):
@@ -88,9 +88,11 @@ def contact_cos_sin(a, dt_u):
 
 
 def fftn_loop(state, drives, p, cfg):
-    """run_trajectory's step loop written with fftn/ifftn over the grid
-    axes longer than one point and contact_cos_sin: the momentum field of
-    the stacked rows (protocol-major) at every period boundary."""
+    """run_trajectory's splitting written as a momentum-resident loop:
+    fftn/ifftn over the grid axes longer than one point, the fused
+    kinetic phase multiplied in momentum space, and contact_cos_sin; the
+    momentum field of the stacked rows (protocol-major) at every period
+    boundary."""
     n_steps, grid, period = cfg.steps_per_period, state.grid, drives[0].period
     dt = period / n_steps
     rows = state.amplitudes
@@ -233,7 +235,7 @@ def test_trace_identities():
     assert np.allclose(np.diff(tr.times), d.period, rtol=1e-12)
 
 
-# ------------------------------------------------------------ k-space loop
+# ------------------------------------------------------------ step loop
 
 
 def stacked(states):
@@ -245,7 +247,7 @@ STOP = Envelope(ramp_up=2, hold=1, abrupt_stop=True, end_phase=0.5)
 
 @pytest.mark.parametrize("envelope", [None, STOP], ids=["constant", "abrupt-stop"])
 def test_run_trajectory_matches_gpe_step_loop(envelope):
-    # the fused momentum-space loop is the same splitting as gpe_step's
+    # the fused position-space loop is the same splitting as gpe_step's
     # two FFT pairs per step, up to rounding
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0, envelope)
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=5)
@@ -270,10 +272,10 @@ def test_run_trajectory_matches_gpe_step_loop(envelope):
     (GRID, 2),  # two stacked drives, each on its own rows
 ], ids=["odd-3d", "2d", "two-drives"])
 def test_run_trajectory_matches_fftn_loop(monkeypatch, grid, n_drives):
-    # the DFT-matrix passes with the kinetic phase folded into the inverse,
-    # against fftn/ifftn with a separate multiply, both with the cos/sin
-    # contact: every observable agrees to rounding.  atom_drift is itself
-    # rounding, about 1e-13, so it is compared in absolute terms
+    # the position-resident circulant propagators against a momentum-
+    # resident loop of fftn/ifftn with a separate multiply, both with the
+    # cos/sin contact: every observable agrees to rounding.  atom_drift is
+    # itself rounding, about 1e-13, so it is compared in absolute terms
     monkeypatch.setattr(twa, "_contact", contact_cos_sin)
     drives = end_phase_drives()[:n_drives]
     cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
@@ -369,18 +371,52 @@ def test_transform_matches_fftn(shape):
         assert np.abs(got - want).max() <= 1e-13
 
 
-def test_transform_with_folded_phase_matches_multiply_then_ifftn():
-    # per-drive phases scale the columns of each axis's inverse matrix; the
-    # transform then equals the separable phase multiply followed by ifftn
+def propagators(phases):
+    """twa._propagator of each drive's phases (P x n), P x 1 x n x n."""
+    n = phases.shape[-1]
+    return twa._propagator(phases, twa._dft_matrix(n, 1), twa._dft_matrix(n, -1))
+
+
+def test_propagators_match_multiply_between_fftn_and_ifftn():
+    # each axis's propagator F^-1 diag(f) F, one per drive, through the
+    # transform equals the separable phase multiply between fftn and ifftn
     shape = (5, 3, 4)
     field = random_rows(shape)
     rng = np.random.default_rng(4)
     phases = [np.exp(1j * rng.uniform(-np.pi, np.pi, (2, n))) for n in shape]
-    mats = [twa._dft_matrix(n, 1) * f[:, None, None, :] for n, f in zip(shape, phases)]
     fx, fy, fz = phases
     kin = fx[:, :, None, None] * fy[:, None, :, None] * fz[:, None, None, :]
-    want = np.fft.ifftn(field * kin[:, None], axes=(-3, -2, -1), norm="ortho")
-    assert np.abs(transform(mats, field) - want).max() <= 1e-13
+    axes = (-3, -2, -1)
+    want = np.fft.ifftn(kin[:, None] * np.fft.fftn(field, axes=axes, norm="ortho"),
+                        axes=axes, norm="ortho")
+    assert np.abs(transform([propagators(f) for f in phases], field) - want).max() <= 1e-13
+    # and each propagator is unitary
+    for n in (1, 2, 3, 5, 8, 12, 16, 24, 32):
+        for c in propagators(np.exp(1j * rng.uniform(-np.pi, np.pi, (2, n))))[:, 0]:
+            assert np.abs(c @ c.conj().T - np.eye(n)).max() <= 1e-14
+
+
+def test_transforms_counter_matches_the_engine(monkeypatch):
+    # one propagator pass set per step and one forward transform per
+    # period boundary: the manifest's count is the engine's own
+    calls = []
+    transform_ = twa._transform
+
+    def counted(mats, src, out):
+        calls.append(len(mats))
+        return transform_(mats, src, out)
+
+    monkeypatch.setattr(twa, "_transform", counted)
+    drives = end_phase_drives()
+    cfg = TwaRunConfig(steps_per_period=16, n_cycles=4)
+    run_trajectory(stacked([sample(k) for k in range(2)] * len(drives)), drives, P, cfg)
+    per_realization = 16 * 4 + 4 + 1
+    assert len(calls) == per_realization
+    assert set(calls) == {3}  # every call passes over the three axes of GRID
+    calls.clear()
+    results = ensemble_run(GRID, drives, P, cfg, ens(n=2))
+    assert len(calls) == per_realization
+    assert [res.transforms for res in results] == [2 * per_realization] * len(drives)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 32])
