@@ -27,7 +27,6 @@ from .bdg import (
     BdgRunConfig,
     GridScanResult,
     ModeBatchTrajectory,
-    ModePairState,
     evolve_modes,
     grid_instability_scan,
     init_mode,

@@ -6,13 +6,17 @@ equations of motion in the co-moving frame,
     i d/dt (u, v) = [[eps(q, t) + g, g], [-g, -eps(-q, t) - g]] (u, v),
 
 which are linear, so each drive period acts on (u, v) as a 2x2 map per
-mode.  _period_map builds that map by integrating the columns (1, 0) and
-(0, 1) over one period with fixed-step classical Runge-Kutta, vectorized
-over modes; _evolve_batch propagates (u, v) stroboscopically, one map
-product per period (Floquet theory; Lellouch et al., PRX 7, 021015
-(2017)).  A constant drive reuses one map; an envelope needs one per
-period, and the RK4 step holding an abrupt stop is split at the cut,
-which keeps the scheme fourth order across the kink in the drive.  The
+mode.  Modes travel as arrays: momenta q[:, mode] = (qx, qy, qz) of
+shape [3, m], and (u, v) as two arrays of length m.  init_mode gives the
+static vacuum (u, v) of each column, and grid_instability_scan feeds a
+grid's modes through init_mode and evolve_modes.  _period_map builds
+the map by integrating the columns (1, 0) and (0, 1) over one period
+with fixed-step classical Runge-Kutta, vectorized over modes;
+evolve_modes propagates (u, v) stroboscopically, one map product per
+period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
+constant drive reuses one map; an envelope needs one per period, and
+the RK4 step holding an abrupt stop is split at the cut, which keeps
+the scheme fourth order across the kink in the drive.  The
 energies eps(+-q, t) = eps0(+-q - A(t)) - eps0(-A(t)) come from
 model.axis_energies, tabulated at every RK4 node time on the distinct
 values of each momentum axis and gathered per mode.
@@ -40,7 +44,6 @@ i.e. twice the amplitude rate.  Grid scans run in one process.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,23 +85,8 @@ class BdgRunConfig:
             raise DomainError("n_cycles must be >= 1")
         if not (1 <= self.fit_window_cycles <= self.n_cycles):
             raise DomainError("fit_window_cycles must be in 1..n_cycles")
-
-
-@dataclass(frozen=True)
-class ModePairState:
-    """Instantaneous (u, v) amplitudes of one Bogoliubov pair."""
-
-    q: Momentum
-    u: complex
-    v: complex
-
-    @property
-    def occupation(self) -> float:
-        return abs(self.v) ** 2
-
-    @property
-    def norm(self) -> float:
-        return abs(self.u) ** 2 - abs(self.v) ** 2
+        if self.grid.n_modes < 2:
+            raise DomainError("the grid needs a mode besides the condensate q = 0, got 1 x 1 x 1")
 
 
 @dataclass(frozen=True)
@@ -126,17 +114,22 @@ class GridScanResult:
     mode_steps: int  # RK4 steps actually integrated, summed over modes
 
 
-def init_mode(q: Momentum, p: LatticeParams) -> ModePairState:
+def init_mode(q: np.ndarray, p: LatticeParams) -> tuple[np.ndarray, np.ndarray]:
     """Ground-state (u, v) = (cosh theta, -sinh theta) of the undriven
-    lattice at momentum q, the static frame grid_instability_scan starts
-    from; the relative sign is what makes |v|^2 silent until the drive is
-    switched on.  Raises SingularModeError at the gapless q = 0.
+    lattice at the momenta q[:, mode] = (qx, qy, qz), as two arrays: the
+    static frame grid_instability_scan starts from; the relative sign is
+    what makes |v|^2 silent until the drive is switched on.  Raises
+    SingularModeError naming the first gapless column (eps = 0, q = 0).
     """
-    eps = sum(axis_energies(*q.as_tuple(), p))
-    if eps == 0.0:
-        raise SingularModeError(f"no Bogoliubov mode at gapless momentum {q.as_tuple()}")
+    q = np.asarray(q, dtype=float)
+    eps = sum(axis_energies(*q, p))
+    gapless = eps == 0.0
+    if gapless.any():
+        i = int(gapless.argmax())
+        raise SingularModeError(f"no Bogoliubov mode at gapless momentum q[:, {i}] = "
+                                f"{tuple(q[:, i].tolist())}")
     _, u, v = bogoliubov_transform(eps, p.g)
-    return ModePairState(q=q, u=complex(u), v=complex(v))
+    return u, v
 
 
 def _batch_rhs(u, v, eps, g):
@@ -210,7 +203,7 @@ def _period_map(
     return s[:, :1] * m[:1] + s[:, 1:] * m[1:], steps
 
 
-def _evolve_batch(
+def evolve_modes(
     q: np.ndarray,
     u0: np.ndarray,
     v0: np.ndarray,
@@ -218,10 +211,16 @@ def _evolve_batch(
     p: LatticeParams,
     cfg: BdgRunConfig,
 ) -> ModeBatchTrajectory:
-    """Evolve the modes q[:, mode] from t = 0, sampling |v|^2 at every
-    period."""
-    u = u0.astype(np.complex128)
-    v = v0.astype(np.complex128)
+    """Evolve the modes q[:, mode] = (qx, qy, qz) from (u0, v0) at t = 0,
+    sampling |v|^2 at every period.  q must be [3, m] with m >= 1 and u0,
+    v0 of length m; DomainError otherwise."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != 3 or q.shape[1] == 0:
+        raise DomainError(f"evolve_modes needs momenta q of shape [3, m], m >= 1, got {q.shape}")
+    u, v = (np.asarray(a, dtype=np.complex128) for a in (u0, v0))
+    if u.shape != (q.shape[1],) or v.shape != u.shape:
+        raise DomainError(f"evolve_modes needs u0 and v0 of length {q.shape[1]}, "
+                          f"got shapes {u.shape} and {v.shape}")
     n_samples = cfg.n_cycles + 1
     occ = np.empty((n_samples, u.size))
     occ[0] = np.abs(v) ** 2
@@ -259,22 +258,6 @@ def _evolve_batch(
                 f"{cycle + 1}; increase steps_per_period"
             )
     return ModeBatchTrajectory(times, occ, drift, drift_abs, rk4_steps * u.size)
-
-
-def evolve_modes(
-    states: Sequence[ModePairState],
-    drive: DriveSpec,
-    p: LatticeParams,
-    cfg: BdgRunConfig,
-) -> ModeBatchTrajectory:
-    """Integrate many Bogoliubov pairs at once, from t = 0 on a common
-    stroboscopic clock."""
-    if not states:
-        raise DomainError("evolve_modes needs at least one mode")
-    q = np.array([s.q.as_tuple() for s in states]).T
-    u0 = np.array([s.u for s in states], dtype=np.complex128)
-    v0 = np.array([s.v for s in states], dtype=np.complex128)
-    return _evolve_batch(q, u0, v0, drive, p, cfg)
 
 
 def occupation_rate(
@@ -323,8 +306,7 @@ def grid_instability_scan(
     slot = np.empty(grid.n_modes, dtype=int)
     slot[own] = np.arange(-1, own.size - 1)
     own, column = own[1:], slot[rep[1:]]  # column: each mode's place in own
-    _, u0, v0 = bogoliubov_transform(sum(axis_energies(*q[:, own], p)), p.g)
-    run = _evolve_batch(q[:, own], u0, v0, drive, p, cfg)
+    run = evolve_modes(q[:, own], *init_mode(q[:, own], p), drive, p, cfg)
     rates = np.zeros(grid.n_modes)
     rates[1:] = occupation_rate(run.times, run.occupations, cfg.fit_window_cycles)[column]
     best = rates[1:].max()

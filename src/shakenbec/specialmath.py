@@ -8,13 +8,14 @@ an array of that shape); a float is the one-point case of the array
 code.  Each element takes the path a scalar loop would: the ascending
 series for J_n, and for the J_0 inverse plain Newton steps from the
 small-argument estimate x = 2 sqrt(1 - y), which lies below the root.
-Masks drop an element from the work once it has converged, so it stops
-taking series terms or Newton steps exactly where the scalar loop would
-stop: every element gets the bits of a one-point call.  The supported
-range, order <= 64 and |x| <= 8, covers the closed forms, whose drive
-amplitudes all lie below the first zero of J_0 (2.405); on it the
-series is within 1e-13 of scipy, and a handful of Newton steps reach
-the rounding floor.
+The series runs over the whole array until every element has met the
+scalar stop test, past which its terms lie below half an ulp of its
+total; a boolean mask stops each element's Newton steps where the
+scalar loop would.  So every element gets the bits of a one-point
+call.  The supported range, order <= 64 and |x| <= 8, covers the
+closed forms, whose drive amplitudes all lie below the first zero of
+J_0 (2.405); on it the series is within 1e-13 of scipy, and a handful
+of Newton steps reach the rounding floor.
 
 The band-structure solver diagonalizes the lattice Hamiltonian in a
 plane-wave basis and is used to convert a lattice depth into a tunneling
@@ -59,42 +60,25 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
 
 
 def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
-    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 8]: the
-    # term ratios of a block of k are multiplied and summed as running
-    # products and sums, and each element keeps the sum at its own first
-    # term below 1e-17 of the total, where a term-by-term loop stops.
-    # About 2 x + 10 terms reach that at order 0 (fewer at higher orders),
-    # so one block nearly always does.
+    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!) at each x in [0, 8], term by
+    # term over the whole array until every element has met the scalar
+    # loop's stop test, a term at most 1e-17 of its total.  Past its own
+    # stop an element's terms stay below half an ulp of its total, so the
+    # extra terms leave it with the bits of a one-point call.
     h = 0.5 * x
     term = np.ones(h.shape)
     for k in range(1, n + 1):
         term *= h / k
     total = term
     hh = h * h
-    out = np.empty(h.shape)
-    rows = np.arange(h.size)
-    block = int(2.0 * x.max(initial=0.0)) + 10
-    for first in range(1, _SERIES_TERMS, block):
-        k = np.arange(first, min(first + block, _SERIES_TERMS), dtype=float)
-        chain = np.empty((rows.size, k.size + 1))
-        chain[:, 0] = term
-        np.divide(-hh[:, None], k * (n + k), out=chain[:, 1:])
-        terms = np.multiply.accumulate(chain, axis=1)[:, 1:]
-        chain[:, 0] = total
-        chain[:, 1:] = terms
-        totals = np.add.accumulate(chain, axis=1)[:, 1:]
-        done = np.abs(terms) <= 1e-17 * np.abs(totals) + 1e-300
-        stop = done.argmax(axis=1)
-        ends = totals[np.arange(rows.size), stop]
-        hit = done[np.arange(rows.size), stop]
-        if hit.all():
-            out[rows] = ends
-            return out
-        out[rows[hit]] = ends[hit]
-        miss = ~hit
-        rows, hh = rows[miss], hh[miss]
-        term, total = terms[miss, -1], totals[miss, -1]
-    raise ConvergenceError(f"Bessel series stalled at order {n}, x = {x[rows[0]]}")
+    done = np.zeros(h.shape, dtype=bool)
+    for k in range(1, _SERIES_TERMS):
+        term = term * (-hh / (k * (n + k)))
+        total = total + term
+        done |= np.abs(term) <= 1e-17 * np.abs(total) + 1e-300
+        if done.all():
+            return total
+    raise ConvergenceError(f"Bessel series stalled at order {n}, x = {x[done.argmin()]}")
 
 
 def bessel_j(order: int, x):
@@ -144,29 +128,21 @@ def bessel_j0_inverse(y):
     _require(~((flat > 0.0) & (flat <= 1.0)), flat, "bessel_j0_inverse needs y in (0, 1]")
     zero = j0_first_zero()
     x = np.minimum(2.0 * np.sqrt(1.0 - flat), zero)
-    if x.size == 0:
-        return x.reshape(ya.shape)
-    # the unconverged elements, compacted: their index, x and y
-    idx, xl, yl = np.arange(x.size), x, flat
+    moving = np.ones(x.shape, dtype=bool)  # the elements still taking steps
     for _ in range(_NEWTON_STEPS):
-        residual = bessel_j(0, xl) - yl
-        moving = ~(np.abs(residual) <= _EPS)
-        if not moving.all():
-            x[idx] = xl
-            idx, xl, yl, residual = idx[moving], xl[moving], yl[moving], residual[moving]
-            if idx.size == 0:
-                break
-        step = residual / bessel_j(1, xl)  # J_0' = -J_1
-        xl = xl + step
-        moving = ~(np.abs(step) < 1e-15 * xl)
-        if not moving.all():
-            x[idx] = xl
-            idx, xl, yl = idx[moving], xl[moving], yl[moving]
-            if idx.size == 0:
-                break
+        residual = bessel_j(0, x) - flat
+        moving &= ~(np.abs(residual) <= _EPS)
+        if not moving.any():
+            break
+        # J_0' = -J_1; a converged element takes no step and keeps its x
+        step = np.divide(residual, bessel_j(1, x), out=np.zeros(x.shape), where=moving)
+        np.add(x, step, out=x, where=moving)
+        moving &= ~(np.abs(step) < 1e-15 * x)
+        if not moving.any():
+            break
     else:
         raise ConvergenceError(
-            f"bessel_j0_inverse({yl[0]}) not converged in "
+            f"bessel_j0_inverse({flat[moving.argmax()]}) not converged in "
             f"{_NEWTON_STEPS} Newton steps"
         )
     x = np.minimum(np.maximum(x, 0.0), zero)

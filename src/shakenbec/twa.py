@@ -63,7 +63,6 @@ from .model import (
 )
 
 ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
-STEP_CHUNK = 32  # steps whose kinetic factor tables are built at once
 
 
 @dataclass(frozen=True)
@@ -340,23 +339,21 @@ def run_trajectory(
     for cycle in range(n_cycles + 1):
         if cycle:
             t0 = times[cycle - 1]
-            for first in range(0, 2 * n_steps, 2 * STEP_CHUNK):
-                shifts = np.array([[drive_shift(t0 + off, d) for d in drive]
-                                   for off in offsets[first:first + 2 * STEP_CHUNK]])
-                # per kept axis, a (2 steps, P, n) table: every drive at every offset
-                tables = _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
-                factors = [tables[i].reshape(len(shifts), n_prot, -1) for i in kept]
-                # step s: trailing half of step s - 1, then leading half of step s
-                fused = [f[0::2] for f in factors]
-                for lead, f, tr in zip(fused, factors, trail):
-                    lead[1:] *= f[1:-1:2]
-                    lead[0] *= tr
-                trail = [f[-1] for f in factors]
-                for step in zip(*fused):
-                    # built right before use: a chunk's table would cost memory
-                    props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
-                    pos, spare = _transform(props, pos, spare)
-                    pos = _contact(pos, dt * p.u)
+            shifts = np.array([[drive_shift(t0 + off, d) for d in drive] for off in offsets])
+            # per kept axis, a (2 n_steps, P, n) table: every drive at every offset
+            tables = _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
+            factors = [tables[i].reshape(len(shifts), n_prot, -1) for i in kept]
+            # step s: trailing half of step s - 1, then leading half of step s
+            fused = [f[0::2] for f in factors]
+            for lead, f, tr in zip(fused, factors, trail):
+                lead[1:] *= f[1:-1:2]
+                lead[0] *= tr
+            trail = [f[-1] for f in factors]
+            for step in zip(*fused):
+                # built right before use: a period's table would cost memory
+                props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+                pos, spare = _transform(props, pos, spare)
+                pos = _contact(pos, dt * p.u)
         # the forward passes alternate between two buffers and must keep the
         # field, so they run on a copy; the result's buffer is the next
         # spare and the other is freed, which keeps two buffers between steps

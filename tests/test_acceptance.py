@@ -20,7 +20,6 @@ from shakenbec import (
     EnsembleConfig,
     Grid,
     LatticeParams,
-    Momentum,
     Trajectory,
     TwaRunConfig,
     calibrate_g_from_cusp,
@@ -171,14 +170,9 @@ def test_07_symplectic_invariant():
     drive = DriveSpec(Trajectory.LINEAR_X, 1.25, 20.0)
     cfg = BdgRunConfig(steps_per_period=256, n_cycles=100, fit_window_cycles=1)
     rng = np.random.default_rng(42)
-    states = [
-        init_mode(
-            Momentum(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)),
-            p,
-        )
-        for _ in range(50)
-    ]
-    batch = evolve_modes(states, drive, p, cfg)
+    # 50 modes in the lattice plane, (qx, qy) drawn pair by pair
+    q = np.vstack([rng.uniform(-math.pi, math.pi, (50, 2)).T, np.zeros(50)])
+    batch = evolve_modes(q, *init_mode(q, p), drive, p, cfg)
     assert batch.norm_drift_abs < 1e-8
     ok(7, f"max |(|u|^2-|v|^2) - 1| = {batch.norm_drift_abs:.2e} over 50 modes")
 

@@ -13,7 +13,6 @@ from shakenbec.analytics import most_unstable_mode
 from shakenbec.bdg import (
     BdgRunConfig,
     GridScanResult,
-    ModePairState,
     evolve_modes,
     grid_instability_scan,
     init_mode,
@@ -38,40 +37,55 @@ def cfg(**kw):
     return BdgRunConfig(**kw)
 
 
+def columns(*qs):
+    """The [3, m] momentum array of the Momentum objects qs."""
+    return np.array([q.as_tuple() for q in qs]).T
+
+
+def evolve(qs, drive, c, p=P):
+    """evolve_modes from the static vacuum of each Momentum of qs."""
+    q = columns(*qs)
+    return evolve_modes(q, *init_mode(q, p), drive, p, c)
+
+
 # ------------------------------------------------------------ initial state
 
 
 def test_init_mode_ground_state():
     q = Momentum(1.3, -0.4, 0.0)
-    st = init_mode(q, P)
+    [u], [v] = init_mode(columns(q), P)
     eps = 4.0 * P.j * (math.sin(0.5 * q.qx) ** 2 + math.sin(0.5 * q.qy) ** 2)
     cosh2 = (eps + P.g) / math.sqrt(eps * (eps + 2.0 * P.g))  # cosh(2 theta)
-    assert st.norm == pytest.approx(1.0, abs=1e-12)
-    assert st.u.real > 0.0 and st.v.real < 0.0  # relative sign convention
-    assert st.occupation == pytest.approx(0.5 * (cosh2 - 1.0), rel=1e-12)
-    assert st.u.imag == 0.0 and st.v.imag == 0.0
+    assert abs(u) ** 2 - abs(v) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert u.real > 0.0 and v.real < 0.0  # relative sign convention
+    assert abs(v) ** 2 == pytest.approx(0.5 * (cosh2 - 1.0), rel=1e-12)
+    assert u.imag == 0.0 and v.imag == 0.0
 
 
 def test_init_mode_rejects_the_condensate():
     # q = 0 is gapless: it has no Bogoliubov mode to start from
     for p in (P, LatticeParams(j=1.0, g=0.0)):
         with pytest.raises(SingularModeError, match="gapless"):
-            init_mode(Momentum(0.0, 0.0, 0.0), p)
+            init_mode(columns(Momentum(0.0, 0.0, 0.0)), p)
+    # the error names the first gapless column
+    q = columns(Momentum(1.0, 0.0, 0.0), Momentum(0.0, 0.0, 0.0), Momentum(0.0, 0.0, 0.0))
+    with pytest.raises(SingularModeError, match=r"q\[:, 1\] = \(0\.0, 0\.0, 0\.0\)"):
+        init_mode(q, P)
 
 
 def test_init_mode_noninteracting():
-    st = init_mode(Momentum(1.0, 0.0, 0.0), LatticeParams(j=1.0, g=0.0))
-    assert st.u == 1.0 + 0.0j
-    assert st.v == 0.0 + 0.0j
+    [u], [v] = init_mode(columns(Momentum(1.0, 0.0, 0.0)), LatticeParams(j=1.0, g=0.0))
+    assert u == 1.0 + 0.0j
+    assert v == 0.0 + 0.0j
 
 
 def test_init_mode_eps_equals_2g():
     # eps = 2g puts E = 2 sqrt(2) g and cosh(2 theta) = 3 / (2 sqrt(2))
     g = 2.0
     qx = 2.0 * math.asin(math.sqrt(2.0 * g / 4.0))  # eps = 4 J sin^2 = 2 g, J = 1
-    st = init_mode(Momentum(qx, 0.0, 0.0), LatticeParams(j=1.0, g=g))
+    [u], _ = init_mode(columns(Momentum(qx, 0.0, 0.0)), LatticeParams(j=1.0, g=g))
     cosh2 = 3.0 / (2.0 * math.sqrt(2.0))
-    assert abs(st.u) ** 2 == pytest.approx(0.5 * (cosh2 + 1.0), rel=1e-12)
+    assert abs(u) ** 2 == pytest.approx(0.5 * (cosh2 + 1.0), rel=1e-12)
 
 
 # ------------------------------------------------------------- invariants
@@ -79,7 +93,7 @@ def test_init_mode_eps_equals_2g():
 
 def test_undriven_mode_is_stationary():
     d = DriveSpec(Trajectory.LINEAR_X, 0.0, 8.0)
-    tr = evolve_modes([init_mode(Momentum(1.2, 0.5, 0.0), P)], d, P, cfg())
+    tr = evolve([Momentum(1.2, 0.5, 0.0)], d, cfg())
     occ = tr.occupations[:, 0]
     assert np.abs(occ - occ[0]).max() < 1e-7
     # one sample at t = 0 and one at every period boundary
@@ -93,7 +107,7 @@ def test_norm_conservation_random_modes():
     c = cfg(n_cycles=20)
     for _ in range(10):
         q = Momentum(*rng.uniform(-math.pi, math.pi, size=2), 0.0)
-        tr = evolve_modes([init_mode(q, P)], d, P, c)
+        tr = evolve([q], d, c)
         assert tr.norm_drift_abs < 1e-7
         assert tr.norm_drift <= tr.norm_drift_abs + 1e-15  # relative never larger
 
@@ -101,17 +115,18 @@ def test_norm_conservation_random_modes():
 def test_pair_symmetry_q_and_minus_q():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     c = cfg()
-    a = evolve_modes([init_mode(Momentum(1.1, 0.7, 0.0), P)], d, P, c).occupations[:, 0]
-    b = evolve_modes([init_mode(Momentum(-1.1, -0.7, 0.0), P)], d, P, c).occupations[:, 0]
+    a = evolve([Momentum(1.1, 0.7, 0.0)], d, c).occupations[:, 0]
+    b = evolve([Momentum(-1.1, -0.7, 0.0)], d, c).occupations[:, 0]
     diff = np.abs(a - b)
     assert diff.max() / max(1.0, a.max()) < 1e-8
 
 
-def _oracle_occupations(states, drive, times):
-    """|v|^2 at the given times from an adaptive integrator, per mode."""
+def _oracle_occupations(qs, u0, v0, drive, times):
+    """|v|^2 at the given times from an adaptive integrator, per Momentum
+    of qs from its (u0, v0)."""
     out = []
-    for st in states:
-        q, mq = st.q, -st.q
+    for q, u_start, v_start in zip(qs, u0, v0):
+        mq = -q
 
         def rhs(t, y):
             ep = dispersion(q, t, drive, P) + P.g
@@ -120,7 +135,7 @@ def _oracle_occupations(states, drive, times):
             return [-1j * (ep * u + P.g * v), 1j * (P.g * u + em * v)]
 
         sol = solve_ivp(
-            rhs, (times[0], times[-1]), [st.u, st.v], method="DOP853",
+            rhs, (times[0], times[-1]), [complex(u_start), complex(v_start)], method="DOP853",
             t_eval=times, rtol=1e-12, atol=1e-12,
         )
         assert sol.success
@@ -144,23 +159,21 @@ def _oracle_occupations(states, drive, times):
 def test_evolve_modes_against_adaptive_oracle(envelope):
     # a run from t = 0, and the engine's period maps from a quarter period
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0, envelope=envelope)
-    states = [
-        init_mode(Momentum(qx, qy, 0.0), P)
-        for qx, qy in ((1.667, 0.0), (0.9, -0.6), (-2.8, 1.9))
-    ]
-    batch = evolve_modes(states, d, P, cfg(steps_per_period=512, n_cycles=10))
-    oracle = _oracle_occupations(states, d, batch.times)
+    qs = [Momentum(qx, qy, 0.0) for qx, qy in ((1.667, 0.0), (0.9, -0.6), (-2.8, 1.9))]
+    q = columns(*qs)
+    u0, v0 = init_mode(q, P)
+    batch = evolve_modes(q, u0, v0, d, P, cfg(steps_per_period=512, n_cycles=10))
+    oracle = _oracle_occupations(qs, u0, v0, d, batch.times)
     np.testing.assert_allclose(batch.occupations, oracle, rtol=1e-6, atol=1e-12)
 
     times = (0.25 + np.arange(11)) * d.period
-    q = np.array([s.q.as_tuple() for s in states]).T
-    uv = np.array([[s.u for s in states], [s.v for s in states]])
+    uv = np.array([u0, v0], dtype=complex)
     occ = [np.abs(uv[1]) ** 2]
     for t_start in times[:-1]:
         m, _ = bdg._period_map(q, t_start, d, P, 512)
         uv = np.einsum("ijm,jm->im", m, uv)
         occ.append(np.abs(uv[1]) ** 2)
-    oracle = _oracle_occupations(states, d, times)
+    oracle = _oracle_occupations(qs, u0, v0, d, times)
     np.testing.assert_allclose(np.array(occ), oracle, rtol=1e-6, atol=1e-12)
 
 
@@ -179,8 +192,7 @@ def test_period_map_is_symplectic():
 
 def _engine_maps(qs, drive, c, t0, p=P):
     """m[mode] = the engine's map over one period from t0."""
-    q = np.array([q.as_tuple() for q in qs]).T
-    return bdg._period_map(q, t0, drive, p, c.steps_per_period)[0].transpose(2, 0, 1)
+    return bdg._period_map(columns(*qs), t0, drive, p, c.steps_per_period)[0].transpose(2, 0, 1)
 
 
 def _reference_full_period_maps(qs, drive, n_steps, t0):
@@ -284,7 +296,7 @@ def test_grid_scan_mirrors_each_pair(envelope):
         scale = np.abs(m_q).max(axis=(1, 2))
         assert np.all(np.abs(m_mq - mirrored).max(axis=(1, 2)) < 1e-12 * scale)
     # the copied partner agrees with integrating it in its own right
-    direct = evolve_modes([init_mode(q, pz) for q in (scan.q_max, -scan.q_max)], d, pz, c)
+    direct = evolve((scan.q_max, -scan.q_max), d, c, pz)
     np.testing.assert_allclose(direct.occupations[:, 1], direct.occupations[:, 0], rtol=1e-9)
     rates = occupation_rate(direct.times, direct.occupations, c.fit_window_cycles)
     np.testing.assert_allclose(rates, scan.rate, rtol=1e-9)
@@ -297,7 +309,7 @@ def test_resonant_rate_low_frequency():
     omega = 6.0
     res = most_unstable_mode(Trajectory.LINEAR_X, 1.25, omega, P)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, omega)
-    tr = evolve_modes([init_mode(res.q_mum[0], P)], d, P, cfg(n_cycles=32))
+    tr = evolve([res.q_mum[0]], d, cfg(n_cycles=32))
     rate = occupation_rate(tr.times, tr.occupations[:, 0], 8)
     assert rate == pytest.approx(2.0 * res.gamma, rel=0.05)
 
@@ -311,7 +323,7 @@ def test_resonant_rate_band_edge():
     sy2 = eps_res / (4.0 * P.j) - bessel_j(0, 1.25)
     q_shell = Momentum(math.pi, 2.0 * math.asin(math.sqrt(sy2)), 0.0)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, omega)
-    tr = evolve_modes([init_mode(q_shell, P)], d, P, cfg(n_cycles=32))
+    tr = evolve([q_shell], d, cfg(n_cycles=32))
     rate = occupation_rate(tr.times, tr.occupations[:, 0], 8)
     assert rate == pytest.approx(2.0 * res.gamma, rel=0.05)
 
@@ -331,7 +343,7 @@ def test_rate_converged_in_step_size():
 
 
 def _run(q, d, c):
-    tr = evolve_modes([init_mode(q, P)], d, P, c)
+    tr = evolve([q], d, c)
     return tr.times, tr.occupations[:, 0]
 
 
@@ -360,7 +372,26 @@ def test_config_validation():
         BdgRunConfig(n_cycles=0)
     with pytest.raises(DomainError):
         BdgRunConfig(n_cycles=4, fit_window_cycles=8)
+    # a one-point grid holds only the condensate, which a scan excludes
+    with pytest.raises(DomainError, match="besides the condensate"):
+        BdgRunConfig(grid=Grid(1, 1, 1))
     assert BdgRunConfig(steps_per_period=64).grid.nx == 24
+
+
+def test_evolve_modes_input_validation():
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
+    c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
+    q = columns(Momentum(1.0, 0.0, 0.0), Momentum(0.5, -0.5, 0.0))
+    u0, v0 = init_mode(q, P)
+    with pytest.raises(DomainError, match=r"shape \[3, m\], m >= 1, got \(3, 0\)"):
+        evolve_modes(q[:, :0], u0[:0], v0[:0], d, P, c)
+    with pytest.raises(DomainError, match=r"got \(2, 2\)"):
+        evolve_modes(q[:2], u0, v0, d, P, c)
+    with pytest.raises(DomainError, match=r"length 2, got shapes \(1,\) and \(2,\)"):
+        evolve_modes(q, u0[:1], v0, d, P, c)
+    with pytest.raises(DomainError, match=r"length 2, got shapes \(2,\) and \(\)"):
+        evolve_modes(q, u0, v0[0], d, P, c)
+    assert evolve_modes(q, u0, v0, d, P, c).occupations.shape == (3, 2)
 
 
 def test_blow_up_on_unstable_step():
@@ -370,15 +401,15 @@ def test_blow_up_on_unstable_step():
     d = DriveSpec(Trajectory.LINEAR_X, 1.0, 2.0 * math.pi)
     c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError):
-        evolve_modes([init_mode(Momentum(math.pi, 0.0, 0.0), pbig)], d, pbig, c)
+        evolve([Momentum(math.pi, 0.0, 0.0)], d, c, pbig)
 
 
 def test_blow_up_on_occupation_ceiling():
-    st = ModePairState(q=Momentum(1.0, 0.0, 0.0), u=complex(2e100), v=complex(-1.8e100))
+    q = columns(Momentum(1.0, 0.0, 0.0))
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
     c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
     with pytest.raises(BlowUpError, match="1e\\+200"):
-        evolve_modes([st], d, P, c)
+        evolve_modes(q, np.array([2e100]), np.array([-1.8e100]), d, P, c)
 
 
 def test_integrator_tolerance_guard():
@@ -387,7 +418,7 @@ def test_integrator_tolerance_guard():
     d = DriveSpec(Trajectory.LINEAR_X, 2.1, 20.0)
     c = BdgRunConfig(steps_per_period=64, n_cycles=64, fit_window_cycles=8)
     with pytest.raises(IntegratorToleranceError, match="steps_per_period"):
-        evolve_modes([init_mode(Momentum(math.pi, 0.0, 0.0), P)], d, P, c)
+        evolve([Momentum(math.pi, 0.0, 0.0)], d, c)
 
 
 # -------------------------------------------------------------- grid scans
@@ -435,8 +466,7 @@ def test_grid_scan_finds_resonant_mode():
     assert scan.rate > 0.3 * 2.0 * res.gamma  # grid point is near resonance
     # summed occupation matches every nonzero mode integrated on its own
     qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*scan.grid.mesh))
-    modes = [init_mode(Momentum(*q), P) for q in zip(qx[1:], qy[1:], qz[1:])]
-    direct = evolve_modes(modes, d, P, c)
+    direct = evolve([Momentum(*q) for q in zip(qx[1:], qy[1:], qz[1:])], d, c)
     assert scan.occupation_sum.shape == (25,)
     np.testing.assert_allclose(
         direct.occupations.sum(axis=1) / scan.grid.volume, scan.occupation_sum, rtol=1e-9

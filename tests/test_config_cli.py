@@ -711,6 +711,18 @@ def test_cli_bdg_single_point_failure_is_exit_3(tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_cli_bdg_rejects_a_one_point_grid(tmp_path, capsys):
+    # the only mode of a 1 x 1 x 1 grid is the condensate, which a scan
+    # excludes: a parameter error before any run, and no --out made
+    body = BASE + "\n[bdg]\nnx = 1\nny = 1\nnz = 1\n"
+    out = tmp_path / "o"
+    assert main(["bdg", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("shakenbec: invalid parameter: the grid needs a mode besides "
+                    "the condensate q = 0, got 1 x 1 x 1")
+    assert not out.exists()
+
+
 def test_cli_bdg_scan_marks_failed_points(tmp_path):
     body = BASE.replace("k0 = 1.25", "k0 = 2.1")
     body += (

@@ -143,6 +143,15 @@ def test_j0_inverse_raises_when_newton_stalls(monkeypatch):
         sm.bessel_j0_inverse(0.3)
 
 
+def test_bessel_series_stall_names_order_and_x(monkeypatch):
+    import shakenbec.specialmath as sm
+
+    # two terms settle x = 0 but no x near 8; the first such |x| is named
+    monkeypatch.setattr(sm, "_SERIES_TERMS", 3)
+    with pytest.raises(ConvergenceError, match=r"stalled at order 2, x = 7\.5$"):
+        sm.bessel_j(2, np.array([0.0, -7.5, 8.0]))
+
+
 def test_j0_inverse_domain():
     for bad in (0.0, -0.3, 1.0 + 1e-9, math.nan):
         with pytest.raises(DomainError):

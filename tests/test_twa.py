@@ -89,39 +89,32 @@ def contact_cos_sin(a, dt_u):
 
 def fftn_loop(state, drives, p, cfg):
     """run_trajectory's splitting written as a momentum-resident loop:
-    fftn/ifftn over the grid axes longer than one point, the fused
-    kinetic phase multiplied in momentum space, and contact_cos_sin; the
-    momentum field of the stacked rows (protocol-major) at every period
-    boundary."""
+    fftn/ifftn over the grid axes longer than one point, each half-step
+    kinetic phase multiplied in momentum space at the drive shift of its
+    own midpoint, as in gpe_step, and contact_cos_sin; the momentum field
+    of the stacked rows (protocol-major) at every period boundary."""
     n_steps, grid, period = cfg.steps_per_period, state.grid, drives[0].period
     dt = period / n_steps
     rows = state.amplitudes
     a = rows.reshape(len(drives), -1, *rows.shape[1:])
     axes = tuple(ax for ax in (-3, -2, -1) if a.shape[ax] > 1)
-    times = np.arange(cfg.n_cycles + 1) * period
-    offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
-    trail = [np.ones((len(drives), n)) for n in (grid.nx, grid.ny, grid.nz)]
+
+    def half_kinetic(t):
+        """exp(-i dt/2 eps0(q - A(t))) of each drive, on its own rows."""
+        return np.stack([
+            np.exp(-0.5j * dt * sum(axis_energies(*grid.mesh, p, *drive_shift(t, d))))
+            for d in drives
+        ])[:, None]
+
     amps = np.fft.fftn(a, axes=axes, norm="ortho")
     fields = []
-    for t0 in times[:-1]:
+    for t0 in np.arange(cfg.n_cycles) * period:
         fields.append(amps.copy())
-        for first in range(0, 2 * n_steps, 2 * twa.STEP_CHUNK):
-            shifts = np.array([[drive_shift(t0 + off, d) for d in drives]
-                               for off in offsets[first:first + 2 * twa.STEP_CHUNK]])
-            factors = [
-                f.reshape(len(shifts), len(drives), -1)
-                for f in twa._kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
-            ]
-            fused = [f[0::2] for f in factors]
-            for lead, f, tr in zip(fused, factors, trail):
-                lead[1:] *= f[1:-1:2]
-                lead[0] *= tr
-            trail = [f[-1] for f in factors]
-            for fx, fy, fz in zip(*fused):
-                amps *= (fx[..., :, None, None]
-                         * (fy[..., None, :, None] * fz[..., None, None, :]))[:, None]
-                a = contact_cos_sin(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
-                amps = np.fft.fftn(a, axes=axes, norm="ortho")
+        for step in range(n_steps):
+            t = t0 + step * dt
+            amps = amps * half_kinetic(t + 0.25 * dt)
+            a = contact_cos_sin(np.fft.ifftn(amps, axes=axes, norm="ortho"), dt * p.u)
+            amps = np.fft.fftn(a, axes=axes, norm="ortho") * half_kinetic(t + 0.75 * dt)
     return fields + [amps]
 
 
@@ -424,19 +417,6 @@ def test_dft_matrices_are_unitary(n):
     for sign in (-1, 1):
         f = twa._dft_matrix(n, sign)
         assert np.abs(f @ f.conj().T - np.eye(n)).max() <= 1e-15
-
-
-def test_step_chunks_do_not_change_results(monkeypatch):
-    # kinetic tables are built STEP_CHUNK steps at a time; the trailing
-    # half step carries across chunk boundaries, uneven last chunk included
-    d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP)
-    cfg = TwaRunConfig(steps_per_period=32, n_cycles=4)
-    st = sample(2)
-    [whole] = run_trajectory(st, (d,), P, cfg)
-    monkeypatch.setattr(twa, "STEP_CHUNK", 5)
-    [chunked] = run_trajectory(st, (d,), P, cfg)
-    assert chunked.n_ex_raw.tobytes() == whole.n_ex_raw.tobytes()
-    assert chunked.condensed_fraction.tobytes() == whole.condensed_fraction.tobytes()
 
 
 def test_stacked_rows_bit_identical_to_single_runs():
