@@ -16,10 +16,10 @@ evolve_modes propagates (u, v) stroboscopically, one map product per
 period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
 constant drive reuses one map; an envelope needs one per period, and
 the RK4 step holding an abrupt stop is split at the cut, which keeps
-the scheme fourth order across the kink in the drive.  The
-energies eps(+-q, t) = eps0(+-q - A(t)) - eps0(-A(t)) come from
-model.axis_energies, tabulated at every RK4 node time on the distinct
-values of each momentum axis and gathered per mode.
+the scheme fourth order across the kink in the drive.  One
+model.drive_shift call gives A(t) at every RK4 node of a map, the cut's
+included, where model.axis_energies tabulates eps(+-q, t) = eps0(+-q -
+A(t)) - eps0(-A(t)) on each momentum axis' distinct values, per mode.
 
 Two exact symmetries save work.  The conjugation (u, v) -> (v*, u*)
 carries the equations of q onto those with eps(q) and eps(-q)
@@ -163,16 +163,15 @@ def _period_map(
     # the drive at each of the 2 * map_steps + 1 half-step times, once;
     # an abrupt stop strictly inside step `cut` splits that step at the
     # cut, whose kink would otherwise cost the scheme its order
-    times = [t_start + 0.5 * dt * k for k in range(2 * map_steps + 1)]
+    times = t_start + 0.5 * dt * np.arange(2 * map_steps + 1)
     ts = drive.stop_time()
     cut = math.floor((ts - t_start) / dt) if ts is not None else -1
     if 0 <= cut < map_steps and times[2 * cut] < ts < times[2 * cut + 2]:
         h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
-        times += [ts - 0.5 * h1, ts, ts + 0.5 * h2]
+        times = np.append(times, [ts - 0.5 * h1, ts, ts + 0.5 * h2])
     else:
         cut = -1
-    shifts = np.array([drive_shift(t, drive) for t in times])
-    ax, ay = shifts[:, :1, None], shifts[:, 1:, None]
+    ax, ay = (a[:, None, None] for a in drive_shift(times, drive))
     # eps(+-q, t) = eps0(+-q - A) - eps0(-A): per-axis tables [time, sign,
     # axis value] on the distinct values of each axis, gathered per mode
     (ux, ix), (uy, iy) = (np.unique(axis, return_inverse=True) for axis in q[:2])

@@ -46,7 +46,6 @@ from .config import (
 from .errors import (
     ConfigError,
     DomainError,
-    InvertedBandError,
     NumericalError,
     ShakenBecError,
 )
@@ -206,21 +205,19 @@ def cmd_bdg(args, cp):
         "norm_drift_max", lambda result: result.norm_drift, strict=points is None,
     )
     head = ["trajectory", "k0", "omega_rad_s", "omega_hz"]
+    # the analytic rate 2 gamma of every point, empty where the band is inverted
+    omega, k0 = np.array([(pt.drive.omega, pt.drive.k0) for pt, _, _ in outcomes]).T
+    closed = analytics.ClosedFormScan(omega, p, k0).modes(drive.trajectory)
+    analytic = _cells(2.0 * closed.gamma, closed.inverted)
     rows, mode_rows = [], []
-    for point, result, status in outcomes:
+    for (point, result, status), predicted in zip(outcomes, analytic):
         d = point.drive
         cells = [d.trajectory.value, d.k0, d.omega, d.omega / TWO_PI]
-        try:
-            analytic = 2.0 * analytics.most_unstable_mode(
-                d.trajectory, d.k0, d.omega, point.lattice
-            ).gamma
-        except InvertedBandError:
-            analytic = None
         if result is None:
-            rows.append([*cells, None, analytic, None, None, None, None, status])
+            rows.append([*cells, None, predicted, None, None, None, None, status])
             continue
         q = result.q_max
-        rows.append([*cells, result.rate, analytic, q.qx, q.qy, q.qz,
+        rows.append([*cells, result.rate, predicted, q.qx, q.qy, q.qz,
                      result.norm_drift, status])
         # every grid mode's momentum and rate, in [nx, ny, nz] index order
         modes = [a.ravel().tolist()

@@ -21,6 +21,8 @@ Conventions used throughout the package:
   starting value there.  Either way the frame shift is periodic, so
   stroboscopic mode populations are directly comparable across cycles
   (a uniform momentum shift permutes modes without mixing them).
+  drive_shift gives A(t), and envelope_value its amplitude, elementwise
+  over an array of times (a float gives floats): one call per table.
 * Time counts from the start of a run: bdg and twa runs both start at
   t = 0, where an envelope begins its ramp-up.
 * The envelope's end_phase is quoted on the lattice velocity waveform of
@@ -205,47 +207,48 @@ class DriveSpec:
         return t_hold_end + ((env.end_phase + 0.5 * math.pi) % TWO_PI) / self.omega
 
 
-def envelope_value(t: float, drive: DriveSpec) -> float:
-    """Dimensionless envelope amplitude at time t (1.0 if no envelope)."""
+def envelope_value(t, drive: DriveSpec):
+    """Dimensionless envelope amplitude at time t (1.0 if no envelope),
+    elementwise over an array of times: a float t gives a float."""
+    t = np.asarray(t, dtype=float)
     env = drive.envelope
     if env is None:
-        return 1.0
-    if t < 0.0:
-        return 0.0
-    period = drive.period
-    t_up = env.ramp_up * period
-    if t < t_up:
-        return math.sin(0.5 * math.pi * t / t_up) ** 2
-    t_hold_end = t_up + env.hold * period
-    if env.abrupt_stop:
-        return 1.0 if t < drive.stop_time() else 0.0
-    if t < t_hold_end:
-        return 1.0
-    if env.ramp_down == 0:
-        return 0.0
-    t_down = env.ramp_down * period
-    if t < t_hold_end + t_down:
-        return math.cos(0.5 * math.pi * (t - t_hold_end) / t_down) ** 2
-    return 0.0
+        value = np.ones(t.shape)
+    else:
+        period = drive.period
+        t_up = env.ramp_up * period
+        # the amplitude holds at one until t_cut, then ramps down over t_down
+        t_cut, t_down = ((drive.stop_time(), 0.0) if env.abrupt_stop
+                         else (t_up + env.hold * period, env.ramp_down * period))
+        value = np.where((t_up <= t) & (t < t_cut), 1.0, 0.0)
+        up = (0.0 <= t) & (t < t_up)
+        # float_power is C pow, as a float's ** is (an array's ** multiplies)
+        value[up] = np.float_power(np.sin(0.5 * math.pi * t[up] / t_up), 2)
+        down = (t_cut <= t) & (t < t_cut + t_down)
+        value[down] = np.float_power(np.cos(0.5 * math.pi * (t[down] - t_cut) / t_down), 2)
+    return float(value) if value.ndim == 0 else value
 
 
-def drive_shift(t: float, drive: DriveSpec) -> tuple[float, float]:
-    """Quasimomentum shift A(t) = (Ax, Ay) in the co-moving frame.
+def drive_shift(t, drive: DriveSpec):
+    """Quasimomentum shift A(t) = (Ax, Ay) in the co-moving frame,
+    elementwise over an array of times: a float t gives two floats, an
+    array two arrays of its shape.
 
     After an abrupt stop the shift freezes at its cut value: the inertial
     force vanishes but the frame offset it imparted remains, which is
     what kicks the condensate when the cut happens away from a turning
     point of the lattice position.
     """
+    t = np.asarray(t, dtype=float)
+    amp = envelope_value(t, drive)
     ts = drive.stop_time()
-    if ts is not None and t >= ts:
-        t_eval, amp = ts, 1.0
-    else:
-        t_eval, amp = t, envelope_value(t, drive)
+    if ts is not None:
+        frozen = t >= ts
+        t, amp = np.where(frozen, ts, t), np.where(frozen, 1.0, amp)
     traj = drive.trajectory
-    ax = amp * drive.k0 * math.sin(drive.omega * t_eval)
-    ay = amp * drive.k0 * traj.kappa * math.sin(drive.omega * t_eval + traj.phi)
-    return ax, ay
+    ax = amp * drive.k0 * np.sin(drive.omega * t)
+    ay = amp * drive.k0 * traj.kappa * np.sin(drive.omega * t + traj.phi)
+    return (float(ax), float(ay)) if ax.ndim == 0 else (ax, ay)
 
 
 def axis_energies(qx, qy, qz, p: LatticeParams, ax=0.0, ay=0.0):

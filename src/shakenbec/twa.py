@@ -24,7 +24,9 @@ step instead of two.  That phase is diagonal in q and separable, so on
 each grid axis longer than one point it is one n x n circulant matrix,
 the propagator F^-1 diag(f) F of the axis's unitary DFT matrix F; a
 step multiplies each kept axis by its propagator, one matrix product
-per row, then applies the contact phase.  Only period boundaries need
+per row, then applies the contact phase.  Each period tabulates the
+phases of all its steps from one drive_shift call per drive, once the
+previous period's tables are freed.  Only period boundaries need
 momentum amplitudes: one forward transform (F on each kept axis, fftn
 to rounding) reads |A_q|^2, which the pending trailing half phase
 leaves unchanged, so no closing half step is taken.  The contact phase
@@ -225,14 +227,15 @@ def sample_initial(
     return FieldState(amplitudes=a[None], grid=grid)
 
 
-def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, shifts: np.ndarray):
-    """exp(-i h eps0(q - A)) for each shift A, one (m, n) factor table per
-    axis; the outer product of row k of each is the phase at shifts[k]."""
+def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, ax, ay):
+    """exp(-i h eps0(q - A)) at the shifts A = (ax, ay), two arrays of one
+    shape S: per grid axis an S x n factor table, exponentiated in place;
+    their outer product at an index of S is the phase at that shift."""
     ex, ey, ez = axis_energies(
-        grid.qx_axis, grid.qy_axis, grid.qz_axis, p, shifts[:, :1], shifts[:, 1:]
+        grid.qx_axis, grid.qy_axis, grid.qz_axis, p, ax[..., None], ay[..., None]
     )
-    ez = np.broadcast_to(ez, (len(shifts), grid.nz))
-    return tuple(np.exp(-1j * h * e) for e in (ex, ey, ez))
+    ez = np.broadcast_to(ez, (*ax.shape, grid.nz))
+    return tuple(np.exp(z, out=z) for z in (-1j * h * e for e in (ex, ey, ez)))
 
 
 def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
@@ -338,22 +341,20 @@ def run_trajectory(
     trail = [np.ones((n_prot, shape[i])) for i in kept]
     for cycle in range(n_cycles + 1):
         if cycle:
-            t0 = times[cycle - 1]
-            shifts = np.array([[drive_shift(t0 + off, d) for d in drive] for off in offsets])
-            # per kept axis, a (2 n_steps, P, n) table: every drive at every offset
-            tables = _kinetic_factors(grid, p, 0.5 * dt, shifts.reshape(-1, 2))
-            factors = [tables[i].reshape(len(shifts), n_prot, -1) for i in kept]
-            # step s: trailing half of step s - 1, then leading half of step s
-            fused = [f[0::2] for f in factors]
-            for lead, f, tr in zip(fused, factors, trail):
-                lead[1:] *= f[1:-1:2]
-                lead[0] *= tr
-            trail = [f[-1] for f in factors]
-            for step in zip(*fused):
+            # per grid axis, a (2 n_steps, P, n) table: every drive at every offset
+            ax, ay = np.stack([drive_shift(times[cycle - 1] + offsets, d) for d in drive], -1)
+            tables = _kinetic_factors(grid, p, 0.5 * dt, ax, ay)
+            # even row s: trailing half of step s - 1, then leading half of step s
+            for i, tr in zip(kept, trail):
+                tables[i][2::2] *= tables[i][1:-1:2]
+                tables[i][0] *= tr
+            trail = [tables[i][-1].copy() for i in kept]
+            for step in zip(*(tables[i][0::2] for i in kept)):
                 # built right before use: a period's table would cost memory
                 props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
                 pos, spare = _transform(props, pos, spare)
                 pos = _contact(pos, dt * p.u)
+            del tables, step  # the next period's tables are built without them
         # the forward passes alternate between two buffers and must keep the
         # field, so they run on a copy; the result's buffer is the next
         # spare and the other is freed, which keeps two buffers between steps

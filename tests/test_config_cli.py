@@ -802,20 +802,23 @@ def test_cli_bdg_modes_match_the_grid_scan(tmp_path):
 
 def test_cli_bdg_analytic_rate_is_twice_gamma(tmp_path):
     # the scan reports occupation rates, 2 gamma per mode, whatever the
-    # number of resonant pairs; the analytic column is the same quantity
+    # number of resonant pairs; the analytic column is the same quantity.
+    # The k0 scan crosses the first zero of J0 (2.405), past which the
+    # band is inverted and the analytic cell is empty
     body = BASE.replace("linear_x", "circular").replace("omega = 9.0", "omega = 11.0") + (
         "\n[bdg]\nnx = 4\nny = 4\nsteps_per_period = 128\nn_cycles = 4\n"
-        "fit_window_cycles = 2\n"
+        "fit_window_cycles = 2\n\n[scan]\nvariable = k0\nvalues = 1.25, 2.41\n"
     )
     cfg = write_cfg(tmp_path, body)
     out = tmp_path / "o"
     assert main(["bdg", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "bdg.csv", encoding="utf-8", newline="") as fh:
-        [row] = csv.DictReader(fh)
+        row, inverted = csv.DictReader(fh)
     ana = most_unstable_mode(Trajectory.CIRCULAR, 1.25, 11.0, lattice_from_config(load_config(cfg)))
     assert len(ana.q_mum) > 1  # where big_gamma - gamma0 would double count
     assert row["analytic_rate_rad_s"] == format_value(2.0 * ana.gamma)
     assert row["analytic_rate_rad_s"] != format_value(ana.big_gamma)
+    assert inverted["k0"] == "2.41" and inverted["analytic_rate_rad_s"] == ""
 
 
 def test_cli_bdg_workers_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dispersion
+from oracles import dispersion, drive_shift_scalar, envelope_scalar
 
 from shakenbec.analytics import ClosedFormScan, cusp_frequency, most_unstable_mode
 from shakenbec.errors import DomainError, InvertedBandError
@@ -316,6 +316,61 @@ def test_stroboscopic_shift_values():
         ax, ay = drive_shift(t, p_circ)
         assert abs(ax) < 1e-12
         assert ay == pytest.approx(-1.3, abs=1e-12)  # cosine-phased component
+
+
+# no envelope, a ramp-down, a ramp-down of 0 and abrupt stops at the
+# velocity phases 0 and pi/2
+ENVELOPES = [
+    None,
+    Envelope(ramp_up=2, hold=1, ramp_down=2),
+    Envelope(ramp_up=2, hold=1, ramp_down=0),
+    Envelope(ramp_up=2, hold=1, abrupt_stop=True, end_phase=0.0),
+    Envelope(ramp_up=2, hold=1, abrupt_stop=True, end_phase=0.5 * math.pi),
+]
+
+
+def branch_times(drive):
+    """A sweep from one period before the start to two past the end, plus
+    every branch boundary (end of ramp-up, hold and ramp-down, the cut,
+    the end) exactly and one ulp to either side."""
+    T = drive.period
+    env = drive.envelope or Envelope()
+    t_up = env.ramp_up * T
+    t_hold_end = t_up + env.hold * T
+    edges = [0.0, t_up, t_hold_end, t_hold_end + env.ramp_down * T, env.total_periods * T]
+    if drive.stop_time() is not None:
+        edges.append(drive.stop_time())
+    edges = np.array(edges)
+    sweep = np.linspace(-T, (env.total_periods + 2) * T, 301)
+    return np.concatenate([sweep, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@pytest.mark.parametrize("envelope", ENVELOPES)
+@pytest.mark.parametrize("trajectory", ALL_TRAJECTORIES)
+def test_drive_arrays_match_one_point_calls_bit_for_bit(trajectory, envelope):
+    drive = DriveSpec(trajectory, k0=1.25, omega=12.5, envelope=envelope)
+    t = branch_times(drive)
+    env = envelope_value(t[:, None], drive)
+    ax, ay = drive_shift(t[:, None], drive)
+    assert env.shape == ax.shape == ay.shape == (t.size, 1)
+    one = [(envelope_value(v, drive), *drive_shift(v, drive)) for v in t.tolist()]
+    assert all(type(x) is float for row in one for x in row)
+    # bit for bit, the sign of zero included
+    arrays = np.concatenate([env, ax, ay], axis=1)
+    np.testing.assert_array_equal(np.array(one).view(np.int64), arrays.view(np.int64))
+
+
+@pytest.mark.parametrize("envelope", ENVELOPES)
+@pytest.mark.parametrize("trajectory", ALL_TRAJECTORIES)
+def test_drive_one_point_values_match_scalar_formulas(trajectory, envelope):
+    drive = DriveSpec(trajectory, k0=1.25, omega=12.5, envelope=envelope)
+    t = branch_times(drive).tolist()
+    env = np.array([envelope_value(v, drive) for v in t])
+    np.testing.assert_array_max_ulp(env, [envelope_scalar(v, drive) for v in t], maxulp=1)
+    shift = np.array([drive_shift(v, drive) for v in t])
+    np.testing.assert_array_max_ulp(shift, [drive_shift_scalar(v, drive) for v in t], maxulp=1)
+    if envelope is not None:  # the sweep reaches every branch
+        assert (env == 0.0).any() and (env == 1.0).any() and ((0.0 < env) & (env < 1.0)).any()
 
 
 def test_envelope_validation():

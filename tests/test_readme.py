@@ -1,4 +1,5 @@
-"""README's library quickstart runs and its config block loads as written."""
+"""README's library quickstart runs, its config block loads as written,
+and its claims table names tests and presets that exist."""
 
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shakenbec.config import (
+    available_presets,
     bdg_from_config,
     drive_from_config,
     lattice_from_config,
@@ -40,3 +42,22 @@ def test_readme_config_block_loads(tmp_path):
     assert scan_from_config(cp, allowed=("omega",)).values.size == 3
     assert bdg_from_config(cp).grid == Grid(24, 24, 1, lz=1.0)
     assert twa_from_config(cp)[0] == Grid(16, 16, 8, lz=12.9)
+
+
+def test_readme_claims_table_names_what_exists():
+    section = README.read_text(encoding="utf-8").split("## Claims", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.split("|")[1:-1]]
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ["claim", "command", "preset", "test", "status"]
+    assert len(rows) == 6  # the abstract's four claims and the end-phase study
+    for claim, command, preset, test, status in rows[1:]:
+        assert re.match(r"(engine-tested|formula only|open|negative result)\b", status), claim
+        # only an open claim names no command, preset or test
+        is_open = status.startswith("open")
+        presets = re.findall(r"`([\w-]+)`", preset)
+        tests = re.findall(r"`(tests/\w+\.py)::(\w+)`", test)
+        assert (not presets) == (not tests) == is_open, claim
+        assert set(presets) <= set(available_presets()), claim
+        for path, func in tests:
+            source = (README.parent / path).read_text(encoding="utf-8")
+            assert re.search(rf"^def {func}\(", source, re.M), (claim, func)

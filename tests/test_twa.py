@@ -1,6 +1,7 @@
 """Classical-field sampling, evolution invariants and ensembles."""
 
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -433,6 +434,31 @@ def test_stacked_rows_bit_identical_to_single_runs():
         np.testing.assert_array_equal(batch.n_ex[j], solo.n_ex[0])
         np.testing.assert_array_equal(batch.condensed_fraction[j], solo.condensed_fraction[0])
         assert batch.atom_drift[j] == solo.atom_drift[0]
+
+
+def test_run_trajectory_holds_one_period_of_tables():
+    # the end-phase study's shapes: 12 x 12 x 1 sites, three drives x six
+    # rows, 128 steps per period, over three periods
+    grid = Grid(12, 12, 1)
+    stops = [Envelope(ramp_up=2, hold=6, abrupt_stop=True, end_phase=phase)
+             for phase in (0.0, 0.5 * math.pi)]
+    drives = tuple(DriveSpec(Trajectory.LINEAR_X, 1.25, 12.5, env)
+                   for env in (*stops, Envelope(ramp_up=2, hold=6, ramp_down=3)))
+    cfg = TwaRunConfig(steps_per_period=128, n_cycles=3)
+    state = stacked([sample(k, grid) for k in range(6)] * 3)
+    run_trajectory(state, drives, P, cfg)  # one-off allocations stay out of the count
+    tracemalloc.start()
+    try:
+        run_trajectory(state, drives, P, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = state.amplitudes.size * 16  # one complex buffer of every row
+    tables = 2 * 128 * 3 * (12 + 12 + 1) * 16  # one period: both half phases of each step
+    # slack: the build's float energies and temporaries, less than one more
+    # period of tables, and numpy's 8192-element complex casting buffer.  A
+    # second period of tables kept alive during the build exceeds it
+    assert peak < 2 * field + 2 * tables + 8192 * 16, (peak, field, tables)
 
 
 def test_invariants_of_stacked_state():
