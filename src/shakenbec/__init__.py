@@ -82,7 +82,6 @@ from .specialmath import (
 )
 from .twa import (
     EnsembleConfig,
-    EnsembleResult,
     FieldState,
     ObservableTrace,
     TwaRunConfig,

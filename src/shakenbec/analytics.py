@@ -129,9 +129,8 @@ def _scan_arrays(omega, k0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
-    # fn on each value as a Python float, so that pow and asin come from
-    # the C library as in scalar code: numpy's own differ from it in the
-    # last place on some inputs
+    # fn on each value as a Python float, so that asin comes from the C
+    # library as in scalar code: numpy's arcsin differs in the last place
     return np.fromiter(map(fn, values.tolist()), float, values.size)
 
 
@@ -209,7 +208,7 @@ class ClosedFormScan:
         qx[high] = math.pi
         gamma[high] = c * p.j * b2[high] * p.g / omega[high]
         w, b0, b2 = omega[low], b0[low], b2[low]
-        eps_res = np.sqrt(p.g**2 + _libm(lambda v: v**2, w)) - p.g
+        eps_res = np.sqrt(p.g**2 + np.float_power(w, 2)) - p.g
         # omega < omega_c keeps the arcsine argument <= 1 up to roundoff
         arg = np.minimum(np.sqrt(eps_res / (c * p.j * b0)), 1.0)
         qx[low] = 2.0 * _libm(math.asin, arg)

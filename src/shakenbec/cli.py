@@ -232,25 +232,47 @@ def cmd_bdg(args, cp):
     }, diagnostics
 
 
-def _rate_with_error(result, window, period, ens_cfg, stop=None):
+def _mean_n_ex(trace) -> np.ndarray:
+    """An ensemble's excited density: the mean of its rows less the half quantum."""
+    return trace.n_ex_raw.mean(axis=0) - trace.half_quantum
+
+
+def _band(trace, ens_cfg):
+    """(band_lo, band_hi) cells: the mean n_ex -/+ the std of bootstrap means
+    of whole realizations, from their own stream (master_seed, 0xB00757);
+    empty where fewer than two rows or resamples make the width zero."""
+    if len(trace.n_ex_raw) < 2 or ens_cfg.bootstrap_resamples < 2:
+        empty = [None] * len(trace.times)
+        return empty, empty
+    mean = _mean_n_ex(trace)
+    rng = twa.realization_rng(ens_cfg.master_seed, 0xB00757)
+    band = fitting.bootstrap_means(trace.n_ex_raw, ens_cfg.bootstrap_resamples,
+                                   rng).std(axis=0)
+    return mean - band, mean + band
+
+
+def _rate_with_error(trace, window, period, ens_cfg, stop=None):
     """The windowed log slope of an ensemble's mean growth and its bootstrap
-    over realizations: each row of result.trace.n_ex, clipped at zero,
-    as a growth trace over samples [:stop]."""
-    times, values = result.times[:stop], np.maximum(result.trace.n_ex[:, :stop], 0.0)
+    error over realizations, None where the bootstrap is degenerate: each
+    row of trace.n_ex, clipped at zero, as a growth trace over samples
+    [:stop]."""
+    times, values = trace.times[:stop], np.maximum(trace.n_ex[:, :stop], 0.0)
     fitter = lambda tr: fitting.windowed_log_slope(tr, window, period)
     kind = fitting.TraceKind.MODE_OCCUPATION
     fit = fitter(fitting.DecayTrace(times, values.mean(axis=0), kind))
     boot = fitting.bootstrap_rate(times, values, kind, fitter,
                                   n_resamples=ens_cfg.bootstrap_resamples,
                                   seed=ens_cfg.master_seed)
-    return fit, boot
+    return fit, None if boot.degenerate else boot.std
 
 
-def _twa_counters(results) -> dict[str, int]:
-    """The engine counters of TWA ensembles, summed over them for the manifest."""
-    return {"realizations": sum(len(res.trace.n_ex) for res in results),
-            "transforms": sum(res.transforms for res in results),
-            "site_steps": sum(res.site_steps for res in results)}
+def _twa_counters(traces) -> dict:
+    """The worst atom drift of TWA ensembles (None without one) and their
+    engine counters, summed over them, for the manifest."""
+    return {"atom_drift_max": max((float(tr.atom_drift.max()) for tr in traces), default=None),
+            "realizations": sum(len(tr.n_ex) for tr in traces),
+            "transforms": sum(tr.transforms for tr in traces),
+            "site_steps": sum(tr.site_steps for tr in traces)}
 
 
 def cmd_twa(args, cp):
@@ -262,17 +284,17 @@ def cmd_twa(args, cp):
 
     if points is not None:
         def run(point):
-            [result] = twa.ensemble_run(grid, (drive,), point.lattice, run_cfg, ens_cfg,
-                                        workers=args.workers)
-            fit, boot = _rate_with_error(result, window, period, ens_cfg)
-            return result.atom_drift, result, fit.rate, boot.std
+            [trace] = twa.ensemble_run(grid, (drive,), point.lattice, run_cfg, ens_cfg,
+                                       workers=args.workers)
+            fit, err = _rate_with_error(trace, window, period, ens_cfg)
+            return trace, fit.rate, err
 
         outcomes, diagnostics = _run_points(
-            "twa", points, run, "atom_drift_max", lambda done: done[0]
+            "twa", points, run, "atom_drift_max", lambda done: done[0].atom_drift.max()
         )
-        diagnostics.update(_twa_counters([done[1] for _, done, _ in outcomes if done]))
+        diagnostics.update(_twa_counters([done[0] for _, done, _ in outcomes if done]))
         rows = [
-            [point.value, point.value / p.j, *(done[2:] if done else (None, None)),
+            [point.value, point.value / p.j, *(done[1:] if done else (None, None)),
              ens_cfg.n_realizations, status]
             for point, done, status in outcomes
         ]
@@ -280,42 +302,39 @@ def cmd_twa(args, cp):
                   "n_realizations", "status"]
         return {"twa_g_scan.csv": (header, rows)}, diagnostics
 
-    [result] = twa.ensemble_run(grid, (drive,), p, run_cfg, ens_cfg, workers=args.workers)
-    n = min(window, result.times.size - 1)
+    [trace] = twa.ensemble_run(grid, (drive,), p, run_cfg, ens_cfg, workers=args.workers)
+    n = min(window, trace.times.size - 1)
     rate_rows = []
     for label, stop in (("early", n + 1), ("late", None)):
-        fit, boot = _rate_with_error(result, n, period, ens_cfg, stop)
+        fit, err = _rate_with_error(trace, n, period, ens_cfg, stop)
         rate_rows.append([
-            label, fit.method.value, fit.rate, boot.std,
+            label, fit.method.value, fit.rate, err,
             fit.window[0], fit.window[1], fit.n_points, fit.warning,
         ])
     return {
         "twa_trace.csv": (
             ["time_s", "cycle", "n_ex_raw", "n_ex", "band_lo", "band_hi",
              "condensed_fraction"],
-            zip(result.times, count(), result.n_ex_raw, result.n_ex,
-                result.band_lo, result.band_hi, result.condensed_fraction),
+            zip(trace.times, count(), trace.n_ex_raw.mean(axis=0), _mean_n_ex(trace),
+                *_band(trace, ens_cfg), trace.condensed_fraction.mean(axis=0)),
         ),
         "twa_rates.csv": (
             ["window", "method", "rate_rad_s", "rate_err_rad_s",
              "window_start_s", "window_end_s", "n_points", "warning"],
             rate_rows,
         ),
-    }, {"atom_drift_max": result.atom_drift, **_twa_counters([result])}
+    }, _twa_counters([trace])
 
 
 def cmd_endphase(args, cp):
     p, grid, cfg, ens_cfg, protocols = endphase_from_config(cp, args.seed)
     # every protocol runs the same samples for the same length: one stack
-    results = twa.ensemble_run(grid, tuple(d for _, _, d in protocols), p, cfg, ens_cfg,
-                               workers=args.workers)
-    rows = [
-        [name, phase, float(res.n_ex[d.envelope.total_periods]), float(res.n_ex[-1])]
-        for (name, phase, d), res in zip(protocols, results)
-    ]
+    traces = twa.ensemble_run(grid, tuple(d for _, _, d in protocols), p, cfg, ens_cfg,
+                              workers=args.workers)
+    rows = [[name, phase, float(n_ex[d.envelope.total_periods]), float(n_ex[-1])]
+            for (name, phase, d), n_ex in zip(protocols, map(_mean_n_ex, traces))]
     header = ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"]
-    return {"endphase.csv": (header, rows)}, {
-        "atom_drift_max": max(res.atom_drift for res in results), **_twa_counters(results)}
+    return {"endphase.csv": (header, rows)}, _twa_counters(traces)
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

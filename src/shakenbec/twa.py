@@ -41,8 +41,8 @@ array per batch, with one process per batch when there is more than
 one.  A row's matrix products, and a drive's propagators, do not depend
 on the stack, so rows of a stack evolve bit-identically to single runs.
 Every period the run checks that the field is finite and that each row
-keeps its atom number to ATOM_DRIFT_TOL.  Ensemble means subtract the
-sampled half quantum per mode to estimate the physical excited density.
+keeps its atom number to ATOM_DRIFT_TOL.  The engine returns the rows;
+the twa command takes their means and bootstrap bands.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, DomainError
-from .fitting import bootstrap_means
 from .model import (
     DriveSpec,
     Grid,
@@ -121,7 +120,8 @@ class EnsembleConfig:
 
     Realization k draws its noise from a counter-based stream keyed by
     (master_seed, k), so results are independent of worker count and
-    scheduling order.
+    scheduling order.  bootstrap_resamples is read by the twa command's
+    statistics, not by the engine.
     """
 
     n_realizations: int = 16
@@ -159,7 +159,12 @@ class ObservableTrace:
     half quantum per mode; n_ex subtracts half_quantum, the constant
     (n_modes - 1) / (2 volume).  n_ex_raw, n_ex and condensed_fraction
     have shape (R, n_cycles + 1); atom_drift, of shape (R,), is each
-    row's worst relative change of the atom number over the run.
+    row's worst relative change of the atom number over the run.  The
+    ensemble's excited density is n_ex_raw.mean(axis=0) - half_quantum.
+    site_steps (sites x R x time steps) is the work integrated for the
+    rows; transforms, R (steps + n_cycles + 1), counts their whole-grid
+    passes: one set of propagator passes per step and one forward
+    transform per period boundary.
     """
 
     times: np.ndarray
@@ -168,30 +173,6 @@ class ObservableTrace:
     condensed_fraction: np.ndarray
     half_quantum: float
     atom_drift: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Ensemble-averaged observables with bootstrap uncertainty bands.
-
-    trace holds every realization's row, in realization order.  With a
-    single realization the bands are zero width and should not be
-    quoted.  atom_drift is the worst of trace.atom_drift.  site_steps is
-    the work integrated for this drive: grid sites x realizations x time
-    steps; transforms counts its whole-grid passes per realization, one
-    set of propagator passes per step and one forward transform per
-    period boundary: steps + n_cycles + 1.
-    """
-
-    times: np.ndarray
-    n_ex_raw: np.ndarray
-    n_ex: np.ndarray
-    condensed_fraction: np.ndarray
-    band_lo: np.ndarray  # mean - bootstrap std of n_ex
-    band_hi: np.ndarray
-    trace: ObservableTrace
-    half_quantum: float
-    atom_drift: float
     site_steps: int
     transforms: int
 
@@ -378,9 +359,11 @@ def run_trajectory(
     n_raw = (total - cond) / grid.volume
     cf = cond / np.where(total > 0.0, total, 1.0)
     half_quantum = (grid.n_modes - 1) / (2.0 * grid.volume)
+    steps = n_steps * n_cycles
     blocks = [slice(k * n_real, (k + 1) * n_real) for k in range(n_prot)]
     return tuple(
-        ObservableTrace(times, n_raw[b], n_raw[b] - half_quantum, cf[b], half_quantum, drift[b])
+        ObservableTrace(times, n_raw[b], n_raw[b] - half_quantum, cf[b], half_quantum, drift[b],
+                        grid.n_modes * n_real * steps, n_real * (steps + n_cycles + 1))
         for b in blocks
     )
 
@@ -404,23 +387,21 @@ def ensemble_run(
     run_cfg: TwaRunConfig,
     ens_cfg: EnsembleConfig,
     workers: int = 1,
-) -> tuple[EnsembleResult, ...]:
-    """Average an ensemble of Wigner samples under each drive of a tuple;
-    one EnsembleResult per drive, deterministic per seed.
+) -> tuple[ObservableTrace, ...]:
+    """Evolve an ensemble of Wigner samples under each drive of a tuple;
+    one ObservableTrace per drive, of every realization's row in
+    realization order, deterministic per seed.
 
     The drives share omega and run length (see run_trajectory) and every
     drive evolves the same samples.  The realizations are split into
     min(workers, n_realizations) contiguous batches, each evolved under
     all drives as one array, in a process pool when there is more than
-    one batch.  Realization k is sampled from realization_rng(master_seed,
-    k) whatever its batch, and rows of a stack evolve bit-identically to
-    single runs, so results depend neither on workers nor on the other
-    drives of the tuple.  Bootstrap bands resample whole realizations
-    (seeded from the master seed, afresh for each drive) and report
-    mean +/- std of the resampled ensemble means.
+    one batch; a drive's trace joins its batches' rows and sums their
+    work counters.  Realization k is sampled from
+    realization_rng(master_seed, k) whatever its batch, and rows of a
+    stack evolve bit-identically to single runs, so results depend
+    neither on workers nor on the other drives of the tuple.
     """
-    n_cycles = run_cfg.resolve_cycles(drive)
-    steps = run_cfg.steps_per_period * n_cycles
     n_real = ens_cfg.n_realizations
     n_batches = min(workers, n_real)
     payloads = [
@@ -433,34 +414,11 @@ def ensemble_run(
             batches = list(pool.map(_run_batch, payloads))
     else:
         batches = [_run_batch(payloads[0])]
-    work = {"site_steps": grid.n_modes * n_real * steps,
-            "transforms": n_real * (steps + n_cycles + 1)}
-    return tuple(_summarize(parts, ens_cfg, work) for parts in zip(*batches))
-
-
-def _summarize(parts: tuple[ObservableTrace, ...], ens_cfg: EnsembleConfig,
-               work: dict[str, int]) -> EnsembleResult:
-    """One drive's ensemble from its batches' traces: their rows joined in
-    realization order, means, bootstrap bands and work counters."""
-    trace = replace(parts[0], **{
-        name: np.concatenate([getattr(tr, name) for tr in parts])
-        for name in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift")
-    })
-    mean_raw = trace.n_ex_raw.mean(axis=0)
-    mean_sub = mean_raw - trace.half_quantum
-
-    # the bands draw from their own stream, (master_seed, 0xB00757)
-    rng = realization_rng(ens_cfg.master_seed, 0xB00757)
-    band = bootstrap_means(trace.n_ex_raw, ens_cfg.bootstrap_resamples, rng).std(axis=0)
-    return EnsembleResult(
-        times=trace.times,
-        n_ex_raw=mean_raw,
-        n_ex=mean_sub,
-        condensed_fraction=trace.condensed_fraction.mean(axis=0),
-        band_lo=mean_sub - band,
-        band_hi=mean_sub + band,
-        trace=trace,
-        half_quantum=trace.half_quantum,
-        atom_drift=float(trace.atom_drift.max()),
-        **work,
+    return tuple(
+        replace(parts[0], **{
+            name: np.concatenate([getattr(tr, name) for tr in parts])
+            for name in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift")
+        }, site_steps=sum(tr.site_steps for tr in parts),
+            transforms=sum(tr.transforms for tr in parts))
+        for parts in zip(*batches)
     )

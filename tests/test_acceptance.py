@@ -192,12 +192,12 @@ def test_08_twa_conservation_and_growth():
         EnsembleConfig(n_realizations=8, master_seed=3, bootstrap_resamples=50),
     )
     worst = 0.0
-    for n_ex_raw, cf in zip(res.trace.n_ex_raw, res.trace.condensed_fraction):
+    for n_ex_raw, cf in zip(res.n_ex_raw, res.condensed_fraction):
         total = n_ex_raw * grid.volume / (1.0 - cf)
         worst = max(worst, float(np.abs(total - total[0]).max() / total[0]))
     assert worst < 1e-6
 
-    inc = np.diff(res.n_ex)
+    inc = np.diff(res.n_ex_raw.mean(axis=0) - res.half_quantum)
     i = int(np.argmax(inc))
     assert 1 <= i <= inc.size - 2, "growth increments must rise then fall"
     assert inc[-1] < inc[i]
@@ -217,7 +217,8 @@ def test_08_twa_conservation_and_growth():
             fit_window_cycles=4,
         ),
     )
-    sl_twa = np.polyfit(twa.times[3:10], np.log(twa.n_ex[3:10]), 1)[0]
+    n_ex = twa.n_ex_raw.mean(axis=0) - twa.half_quantum
+    sl_twa = np.polyfit(twa.times[3:10], np.log(n_ex[3:10]), 1)[0]
     sl_bdg = np.polyfit(bdg.times[3:10], np.log(bdg.occupation_sum[3:10]), 1)[0]
     assert abs(sl_twa - sl_bdg) / sl_bdg < 0.20
     ok(8, f"N drift {worst:.1e}, saturation bend at cycle {i + 1}, "
@@ -236,9 +237,10 @@ def test_09_twa_g_scaling():
             TwaRunConfig(steps_per_period=128, n_cycles=n_cycles),
             EnsembleConfig(n_realizations=10, master_seed=5, bootstrap_resamples=50),
         )
-        idx = np.flatnonzero((res.n_ex >= 0.4) & (res.n_ex <= 6.0))
+        n_ex = res.n_ex_raw.mean(axis=0) - res.half_quantum
+        idx = np.flatnonzero((n_ex >= 0.4) & (n_ex <= 6.0))
         assert idx.size >= 3, f"g={g}: exponential window too short"
-        rates.append(np.polyfit(res.times[idx], np.log(res.n_ex[idx]), 1)[0])
+        rates.append(np.polyfit(res.times[idx], np.log(n_ex[idx]), 1)[0])
     gs = [c[0] for c in cases]
     slope = float(np.polyfit(np.log(gs), np.log(rates), 1)[0])
     assert 0.7 <= slope <= 1.3, f"log-log slope {slope:.3f}"

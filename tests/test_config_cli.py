@@ -943,6 +943,32 @@ def test_cli_twa_g_scan(tmp_path):
     assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
+@pytest.mark.parametrize("keys", ["n_realizations = 1\n", "bootstrap_resamples = 1\n"],
+                         ids=["one-realization", "one-resample"])
+def test_cli_twa_quotes_no_degenerate_uncertainty(tmp_path, keys):
+    # a bootstrap over one row or one resample has zero width by
+    # construction: the band and rate error cells stay empty, the rest not
+    body = re.sub(rf"^{keys.split()[0]} = .*\n", keys, TWA_BODY, flags=re.M)
+    cfg = write_cfg(tmp_path, body)
+    assert main(["twa", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "twa_trace.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7
+    for r in rows:
+        assert (r["band_lo"], r["band_hi"]) == ("", "")
+        assert float(r["n_ex_raw"]) > float(r["n_ex"])
+    with open(tmp_path / "o" / "twa_rates.csv", encoding="utf-8", newline="") as fh:
+        rate_rows = list(csv.DictReader(fh))
+    assert [r["window"] for r in rate_rows] == ["early", "late"]
+    assert all(r["rate_err_rad_s"] == "" and r["rate_rad_s"] != "" for r in rate_rows)
+    scan = write_cfg(tmp_path, body + "\n[scan]\nvariable = g\nvalues = 6, 12\n", "scan.cfg")
+    assert main(["twa", "--config", scan, "--out", str(tmp_path / "g")]) == 0
+    with open(tmp_path / "g" / "twa_g_scan.csv", encoding="utf-8", newline="") as fh:
+        scan_rows = list(csv.DictReader(fh))
+    assert [(r["rate_err_rad_s"], r["status"]) for r in scan_rows] == [("", "ok")] * 2
+    assert all(r["rate_rad_s"] != "" for r in scan_rows)
+
+
 def test_cli_twa_g_scan_records_failed_point(tmp_path, monkeypatch):
     real_run = twa.ensemble_run
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shakenbec import twa
+from shakenbec import cli, twa
 from shakenbec.errors import BlowUpError, ConfigError, DomainError
 from shakenbec.model import (
     DriveSpec,
@@ -411,6 +411,15 @@ def test_transforms_counter_matches_the_engine(monkeypatch):
     results = ensemble_run(GRID, drives, P, cfg, ens(n=2))
     assert len(calls) == per_realization
     assert [res.transforms for res in results] == [2 * per_realization] * len(drives)
+    # each trace's counters are the sums over the batches that joined into it
+    monkeypatch.setattr(twa, "_transform", transform_)
+    for workers, batches in ((1, [range(3)]), (2, [range(1), range(1, 3)])):
+        parts = [twa._run_batch((GRID, drives, P, cfg, ens(n=3), ks)) for ks in batches]
+        traces = ensemble_run(GRID, drives, P, cfg, ens(n=3), workers=workers)
+        for k, res in enumerate(traces):
+            assert res.transforms == sum(b[k].transforms for b in parts) == 3 * per_realization
+            assert res.site_steps == sum(b[k].site_steps for b in parts) == (
+                GRID.n_modes * 3 * 16 * 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 32])
@@ -493,11 +502,12 @@ def test_atom_drift_matches_atom_number(monkeypatch):
 def test_atom_drift_guard_names_realization(monkeypatch):
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=2)
-    drifts = res.trace.atom_drift
+    drifts = res.atom_drift
     assert np.all(drifts < twa.ATOM_DRIFT_TOL)
     worst = int(np.argmax(drifts))
     assert drifts[worst] > 0.0
-    assert res.atom_drift == drifts[worst]  # worst over both batches
+    # worst over both batches
+    assert cli._twa_counters([res])["atom_drift_max"] == drifts[worst]
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
@@ -519,14 +529,15 @@ def test_stacked_drives_bit_identical_to_single_runs():
     assert len(stack) == len(drives)
     for d, res in zip(drives, stack):
         [solo] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=3), workers=1)
-        for field in ("times", "n_ex_raw", "n_ex", "condensed_fraction",
-                      "band_lo", "band_hi"):
+        for field in ("times", "n_ex_raw", "n_ex", "condensed_fraction"):
             assert getattr(res, field).tobytes() == getattr(solo, field).tobytes(), field
-        assert (res.half_quantum, res.atom_drift, len(res.trace.n_ex) < 2) == (
-            solo.half_quantum, solo.atom_drift, len(solo.trace.n_ex) < 2)
-        assert res.trace.n_ex_raw.shape == solo.trace.n_ex_raw.shape
-        assert res.trace.n_ex_raw.tobytes() == solo.trace.n_ex_raw.tobytes()
-        assert res.trace.atom_drift.tobytes() == solo.trace.atom_drift.tobytes()
+        for band, solo_band in zip(cli._band(res, ens(n=3)), cli._band(solo, ens(n=3))):
+            assert band.tobytes() == solo_band.tobytes()
+        assert (res.half_quantum, res.atom_drift.max(), len(res.n_ex) < 2) == (
+            solo.half_quantum, solo.atom_drift.max(), len(solo.n_ex) < 2)
+        assert res.n_ex_raw.shape == solo.n_ex_raw.shape
+        assert res.n_ex_raw.tobytes() == solo.n_ex_raw.tobytes()
+        assert res.atom_drift.tobytes() == solo.atom_drift.tobytes()
     # the protocols differ, so no result is a copy of another
     assert not np.array_equal(stack[0].n_ex, stack[1].n_ex)
 
@@ -554,7 +565,7 @@ def test_stacked_drives_must_share_omega_and_run_length():
 def test_atom_drift_guard_names_protocol_and_realization(monkeypatch):
     drives = end_phase_drives()
     runs = ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
-    drifts = np.array([res.trace.atom_drift for res in runs])
+    drifts = np.array([res.atom_drift for res in runs])
     worst = np.unravel_index(np.argmax(drifts), drifts.shape)
     assert drifts[worst] > 0.0
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
@@ -609,13 +620,13 @@ def quick_run():
 
 
 def assert_rows_are_realizations(res, d, seed=0):
-    """Row k of res.trace is, bit for bit, the one-row run_trajectory of
-    the sample drawn from realization_rng(seed, k)."""
-    for k in range(len(res.trace.n_ex)):
+    """Row k of the trace res is, bit for bit, the one-row run_trajectory
+    of the sample drawn from realization_rng(seed, k)."""
+    for k in range(len(res.n_ex)):
         st = sample_initial(GRID, P, realization_rng(seed, k))
         [solo] = run_trajectory(st, (d,), P, quick_run())
         for field in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift"):
-            assert getattr(res.trace, field)[k].tobytes() == getattr(solo, field).tobytes()
+            assert getattr(res, field)[k].tobytes() == getattr(solo, field).tobytes()
 
 
 def test_ensemble_deterministic_and_worker_independent(monkeypatch):
@@ -633,7 +644,7 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
     [c] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=2)
     np.testing.assert_array_equal(a.n_ex, b.n_ex)
     np.testing.assert_array_equal(a.n_ex, c.n_ex)
-    np.testing.assert_array_equal(a.band_lo, c.band_lo)
+    np.testing.assert_array_equal(cli._band(a, ens())[0], cli._band(c, ens())[0])
     [other] = ensemble_run(GRID, (d,), P, quick_run(), ens(seed=1), workers=1)
     assert not np.array_equal(a.n_ex, other.n_ex)
     # never more batches (processes) than realizations, none empty
@@ -643,35 +654,31 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
     assert pools == [2, 2]
     for run in runs:
         assert_rows_are_realizations(run, d)
-        for field in ("n_ex", "band_lo", "band_hi"):
-            assert getattr(run, field).tobytes() == getattr(runs[0], field).tobytes()
+        assert run.n_ex.tobytes() == runs[0].n_ex.tobytes()
+        for band, first in zip(cli._band(run, ens(n=2)), cli._band(runs[0], ens(n=2))):
+            assert band.tobytes() == first.tobytes()
 
 
 def test_ensemble_structure():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=1)
-    assert len(res.trace.n_ex) == 4
+    assert len(res.n_ex) == 4
     assert_rows_are_realizations(res, d)
+    mean = cli._mean_n_ex(res)
     np.testing.assert_allclose(
-        res.n_ex_raw,
-        res.trace.n_ex_raw.mean(axis=0),
+        mean + res.half_quantum,
+        res.n_ex_raw.mean(axis=0),
         rtol=1e-12,
     )
     np.testing.assert_allclose(res.n_ex, res.n_ex_raw - res.half_quantum,
                                rtol=1e-12)
-    assert not len(res.trace.n_ex) < 2  # bands from more than one realization
-    assert res.atom_drift == max(res.trace.atom_drift)
-    assert 0.0 <= res.atom_drift <= twa.ATOM_DRIFT_TOL
-    assert np.all(res.band_hi >= res.band_lo)
-    assert np.all((res.n_ex >= res.band_lo) & (res.n_ex <= res.band_hi))
-
-
-def test_ensemble_degenerate_band():
-    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=1), workers=1)
-    assert len(res.trace.n_ex) < 2
-    # width is pure summation roundoff, which is the point of the flag
-    assert np.allclose(res.band_hi - res.band_lo, 0.0, atol=1e-12)
+    assert not len(res.n_ex) < 2  # bands from more than one realization
+    drift = cli._twa_counters([res])["atom_drift_max"]
+    assert drift == max(res.atom_drift)
+    assert 0.0 <= drift <= twa.ATOM_DRIFT_TOL
+    band_lo, band_hi = cli._band(res, ens(n=4))
+    assert np.all(band_hi >= band_lo)
+    assert np.all((mean >= band_lo) & (mean <= band_hi))
 
 
 def test_ensemble_blow_up_names_realization():
@@ -688,23 +695,25 @@ def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
     # cos/sin contact the numbers were recorded with (the tangent's last
     # bits follow the CPU's tan); recorded with fftn, so the DFT-matrix
     # transforms reproduce them to rounding
+    # the twa command's band code (cli._band) over the engine's rows
     def run():
-        return ensemble_run(Grid(4, 4, 1), (DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),),
-                            LatticeParams(j=1.0, g=5.0, n0=2.0),
-                            TwaRunConfig(steps_per_period=16, n_cycles=2),
-                            ens(n=3, seed=5), workers=1)[0]
+        trace = ensemble_run(Grid(4, 4, 1), (DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),),
+                             LatticeParams(j=1.0, g=5.0, n0=2.0),
+                             TwaRunConfig(steps_per_period=16, n_cycles=2),
+                             ens(n=3, seed=5), workers=1)[0]
+        return cli._band(trace, ens(n=3, seed=5))
 
-    shipped = run()
+    shipped_lo, shipped_hi = run()
     monkeypatch.setattr(twa, "_contact", contact_cos_sin)
-    res = run()
-    np.testing.assert_allclose(res.band_lo, [
+    band_lo, band_hi = run()
+    np.testing.assert_allclose(band_lo, [
         0.06577447252690788, 0.5806436177909525, 0.6910172505276788,
     ], rtol=1e-12)
-    np.testing.assert_allclose(res.band_hi, [
+    np.testing.assert_allclose(band_hi, [
         0.3196012891484394, 0.9161114395309377, 1.0840169197451093,
     ], rtol=1e-12)
-    np.testing.assert_allclose(shipped.band_lo, res.band_lo, rtol=1e-12)
-    np.testing.assert_allclose(shipped.band_hi, res.band_hi, rtol=1e-12)
+    np.testing.assert_allclose(shipped_lo, band_lo, rtol=1e-12)
+    np.testing.assert_allclose(shipped_hi, band_hi, rtol=1e-12)
 
 
 def test_ensemble_config_validation():
