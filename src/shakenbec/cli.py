@@ -275,6 +275,12 @@ def _twa_counters(traces) -> dict:
             "site_steps": sum(tr.site_steps for tr in traces)}
 
 
+def _fit_warnings(rows) -> dict:
+    """The manifest's fit_warnings: the non-empty warning (last cell) of
+    each fit row, keyed by its first cell (twa's window, fit's method)."""
+    return {row[0]: row[-1] for row in rows if row[-1]}
+
+
 def cmd_twa(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
@@ -323,7 +329,7 @@ def cmd_twa(args, cp):
              "window_start_s", "window_end_s", "n_points", "warning"],
             rate_rows,
         ),
-    }, _twa_counters([trace])
+    }, {**_twa_counters([trace]), "fit_warnings": _fit_warnings(rate_rows)}
 
 
 def cmd_endphase(args, cp):
@@ -372,13 +378,14 @@ def cmd_fit(args, cp):
     except DomainError as exc:
         raise ConfigError(f"{args.trace}: {exc}") from exc
     result = fitting.fit_decay_rate(trace)
+    rows = [[result.method.value, result.amplitude, result.rate, result.stderr,
+             result.r_squared, result.window[0], result.window[1],
+             result.n_points, result.warning]]
     return {"fit.csv": (
         ["method", "amplitude", "rate_rad_s", "stderr_rad_s", "r_squared",
          "window_start_s", "window_end_s", "n_points", "warning"],
-        [[result.method.value, result.amplitude, result.rate, result.stderr,
-          result.r_squared, result.window[0], result.window[1],
-          result.n_points, result.warning]],
-    )}, {}
+        rows,
+    )}, {"fit_warnings": _fit_warnings(rows)}
 
 
 def _worker_count(text: str) -> int:

@@ -263,6 +263,9 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
             raise ConfigError(f"[scan] start and stop must be finite, got {start}, {stop}")
         if count < 1:
             raise ConfigError("[scan] count must be >= 1")
+        if count == 1 and start != stop:
+            raise ConfigError(f"[scan] count = 1 runs one point: start and stop must be "
+                              f"equal, got {start}, {stop}")
         if spacing == "linear":
             values = np.linspace(start, stop, count)
         elif spacing == "log":

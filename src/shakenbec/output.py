@@ -13,13 +13,23 @@ time of each of its phases.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# CPython's own SHA-256, so a run never loads OpenSSL's libcrypto (which
+# hashlib's import costs, about 3.5 MB of peak RSS); hashlib's where an
+# interpreter is built without it
+try:
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def _field(index: int, kind: type) -> str:
@@ -73,7 +83,7 @@ def utc_stamp() -> str:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
@@ -95,11 +105,12 @@ def write_manifest(
 
     The manifest itself carries wall-clock timestamps; reproducibility
     guarantees apply to the listed output files, whose digests it pins.
-    diagnostics holds the run's worst invariant drifts and its failed
-    scan points (an empty object for commands that report none).
-    timings holds the wall time in seconds of each phase of the run:
-    config_s (reading the configuration), compute_s (the command) and
-    write_s (creating the output directory and writing the CSVs).
+    diagnostics holds the run's worst invariant drifts, failed scan
+    points and fit warnings (an empty object for commands that report
+    none).  timings holds the wall time in seconds of each phase of the
+    run: config_s (reading the configuration), compute_s (the command)
+    and write_s (creating the output directory and writing the CSVs,
+    which includes building the rows a command yields lazily).
     """
     from . import __version__
 
@@ -118,7 +129,7 @@ def write_manifest(
         "seed": seed,
         "workers": workers,
         "config": config_sections,
-        "config_sha256": hashlib.sha256(config_blob).hexdigest(),
+        "config_sha256": sha256(config_blob).hexdigest(),
         "started": started,
         "finished": utc_stamp(),
         "outputs": entries,

@@ -48,7 +48,6 @@ the twa command takes their means and bootstrap bands.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -410,6 +409,10 @@ def ensemble_run(
         for b in range(n_batches)
     ]
     if n_batches > 1:
+        # imported here: the pool's modules (multiprocessing, socket,
+        # subprocess) cost a run that starts none 1.5 MB of peak RSS
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
             batches = list(pool.map(_run_batch, payloads))
     else:

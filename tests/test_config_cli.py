@@ -228,6 +228,20 @@ def test_scan_validation():
             ),
             ("omega",),
         )
+    # one point cannot span a range: start and stop must agree
+    for spacing in ("linear", "log"):
+        with pytest.raises(ConfigError, match="start and stop must be equal, got 300.0, 400.0"):
+            scan_from_config(
+                parse(BASE + "\n[scan]\nvariable = omega\nstart = 300\nstop = 400\n"
+                      f"count = 1\nspacing = {spacing}\n"),
+                ("omega",),
+            )
+        scan = scan_from_config(
+            parse(BASE + "\n[scan]\nvariable = omega\nstart = 300\nstop = 300\n"
+                  f"count = 1\nspacing = {spacing}\n"),
+            ("omega",),
+        )
+        np.testing.assert_allclose(scan.values, [300.0])
     # descending scans are legitimate
     scan = scan_from_config(
         parse(BASE + "\n[scan]\nvariable = omega\nvalues = 3, 2, 1\n"), ("omega",)
@@ -643,6 +657,21 @@ def test_cli_manifest_and_reproducibility(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["outputs"] == m["outputs"]
     assert m2["config_sha256"] == m["config_sha256"]
+
+
+def test_cli_manifest_digests_an_output_of_many_chunks(tmp_path):
+    # a 2,000-point scan writes about 1 MB, so the digest reads many
+    # 64 KiB chunks; the built-in SHA-256 agrees with hashlib's
+    body = BASE + "\n[scan]\nvariable = omega\nstart = 6\nstop = 40\ncount = 2000\n"
+    out = tmp_path / "o"
+    assert main(["rates", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    [entry] = m["outputs"]
+    data = (out / "rates.csv").read_bytes()
+    assert entry["bytes"] == len(data) > 10 * (1 << 16)
+    assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    config_blob = json.dumps(m["config"], sort_keys=True).encode("utf-8")
+    assert m["config_sha256"] == hashlib.sha256(config_blob).hexdigest()
 
 
 @pytest.mark.parametrize("old, new", [
@@ -1163,6 +1192,40 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, monkeypatch, command, body,
     assert not out.exists()
 
 
+def test_cli_manifest_lists_fit_warnings(tmp_path):
+    # an undriven, nearly ideal gas: the one realization of seed 0 starts
+    # with a negative excited density, so both windows hold non-positive
+    # samples and set their rate to zero with a warning
+    body = (TWA_BODY.replace("k0 = 1.25", "k0 = 0").replace("g = 12.0", "g = 0.01")
+            .replace("n_realizations = 3", "n_realizations = 1")
+            .replace("master_seed = 2", "master_seed = 0"))
+    out = tmp_path / "twa"
+    assert main(["twa", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    with open(out / "twa_rates.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    warning = "non-positive samples in window; rate set to zero"
+    assert [(r["window"], r["warning"]) for r in rows] == [("early", warning),
+                                                          ("late", warning)]
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["fit_warnings"] == {"early": warning, "late": warning}
+    # a growing trace fitted as a condensed fraction warns by method;
+    # a clean decay lists no warning
+    for rate, warnings in ((2.0, {"exponential": "trace grows against its sign convention"}),
+                           (-2.0, {})):
+        trace = tmp_path / f"trace{rate}.csv"
+        lines = ["time_s,condensed_fraction"]
+        lines += [f"{t},{math.exp(rate * t)}" for t in np.linspace(0.0, 1.0, 30)]
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / f"fit{rate}"
+        assert main(["fit", "--config", write_cfg(tmp_path, BASE), "--out", str(out),
+                     str(trace)]) == 0
+        with open(out / "fit.csv", encoding="utf-8", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert row["warning"] == "".join(warnings.values())
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["fit_warnings"] == warnings
+
+
 def test_cli_endphase_requires_envelope(tmp_path):
     cfg = write_cfg(tmp_path, TWA_BODY)
     assert main(["endphase", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -1305,3 +1368,34 @@ def test_cli_twa_csv_independent_of_blas_threads(tmp_path):
         outputs.append([(out / name).read_bytes()
                         for name in ("twa_trace.csv", "twa_rates.csv")])
     assert outputs[0] == outputs[1]
+
+
+# rates and bdg through main in a fresh interpreter: the modules each run
+# leaves behind, then a two-worker TWA run, which starts its pool
+_LEAN_RUN = """
+import sys
+from shakenbec.cli import main
+cfg, out = sys.argv[1:]
+for command in ("rates", "bdg"):
+    assert main([command, "--config", cfg, "--out", out + "-" + command]) == 0
+print(sorted({"_hashlib", "concurrent.futures.process"} & set(sys.modules)))
+assert main(["twa", "--config", cfg, "--out", out + "-twa", "--workers", "2"]) == 0
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_cli_runs_load_neither_openssl_nor_the_pool_they_do_not_use(tmp_path):
+    body = (TWA_BODY + "\n[bdg]\nnx = 4\nny = 4\nnz = 1\nsteps_per_period = 512\n"
+            "n_cycles = 2\nfit_window_cycles = 1\n")
+    cfg = write_cfg(tmp_path, body)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LEAN_RUN, cfg, str(tmp_path / "o")],
+                          env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines() == ["[]", "True"]
+    # the built-in SHA-256 the runs used agrees with hashlib's
+    for command in ("rates", "bdg", "twa"):
+        out = tmp_path / f"o-{command}"
+        for entry in json.loads((out / "manifest.json").read_text())["outputs"]:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()

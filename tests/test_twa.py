@@ -1,5 +1,6 @@
 """Classical-field sampling, evolution invariants and ensembles."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -637,7 +638,7 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(twa, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
     [a] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
     [b] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
