@@ -8,12 +8,12 @@ equations of motion in the co-moving frame,
 which are linear, so each drive period acts on (u, v) as a 2x2 map per
 mode.  Modes travel as arrays: momenta q[:, mode] = (qx, qy, qz) of
 shape [3, m], and (u, v) as two arrays of length m.  init_mode gives the
-static vacuum (u, v) of each column, and grid_instability_scan feeds a
-grid's modes through init_mode and evolve_modes.  _period_map builds
-the map by integrating the columns (1, 0) and (0, 1) over one period
-with fixed-step classical Runge-Kutta, vectorized over modes;
-evolve_modes propagates (u, v) stroboscopically, one map product per
-period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
+static vacuum (u, v) of each column, and grid_instability_scan feeds a grid's
+modes (Grid.momenta, paired by Grid.partners()) through init_mode and
+evolve_modes.  period_map builds the map by integrating the columns (1, 0)
+and (0, 1) over one period with fixed-step classical Runge-Kutta, vectorized
+over modes; evolve_modes propagates (u, v) stroboscopically, one map product
+per period (Floquet theory; Lellouch et al., PRX 7, 021015 (2017)).  A
 constant drive reuses one map; an envelope needs one per period, and
 the RK4 step holding an abrupt stop is split at the cut, which keeps
 the scheme fourth order across the kink in the drive.  One
@@ -149,7 +149,7 @@ def _rk4(u, v, h, e1, e2, e4, g):
     )
 
 
-def _period_map(
+def period_map(
     q: np.ndarray, t_start: float, drive: DriveSpec, p: LatticeParams, steps_per_period: int
 ) -> tuple[np.ndarray, int]:
     """(m, steps): for the modes q[:, mode] = (qx, qy, qz), one period from
@@ -231,7 +231,7 @@ def evolve_modes(
     rk4_steps = 0
     for cycle in range(cfg.n_cycles):
         if m is None or drive.envelope is not None:
-            m, steps = _period_map(q, times[cycle], drive, p, cfg.steps_per_period)
+            m, steps = period_map(q, times[cycle], drive, p, cfg.steps_per_period)
             rk4_steps += steps
         u, v = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
         nu = np.abs(u) ** 2
@@ -291,21 +291,17 @@ def grid_instability_scan(
     (its linearization is singular); its rate entry is zero.  Rate ties
     are broken towards lexicographically smallest (qx, qy, qz); q and
     -q always tie, as one mode of each pair is integrated and copied to
-    the other (its grid index is (-i) mod n on each axis).  The summed occupation
-    divided by the grid volume is directly comparable to the excited
-    density of a truncated-Wigner run on the same grid.
+    the other (Grid.partners()).  The summed occupation divided by the
+    grid volume is directly comparable to the excited density of a
+    truncated-Wigner run on the same grid.
     """
     grid = cfg.grid
-    shape = (grid.nx, grid.ny, grid.nz)
-    q = np.stack(np.broadcast_arrays(*grid.mesh)).reshape(3, -1)
-    # each (q, -q) pair is integrated once, at its lower flat index
-    index = np.arange(grid.n_modes).reshape(shape)
-    rep = np.minimum(index, index[np.ix_(*grid.partner_axes())]).ravel()
-    own = np.flatnonzero(rep == index.ravel())  # own[0] = 0 is the condensate
-    slot = np.empty(grid.n_modes, dtype=int)
-    slot[own] = np.arange(-1, own.size - 1)
-    own, column = own[1:], slot[rep[1:]]  # column: each mode's place in own
-    run = evolve_modes(q[:, own], *init_mode(q[:, own], p), drive, p, cfg)
+    q = grid.momenta
+    # each (q, -q) pair is integrated once, at its lower flat index, and column
+    # is each mode's place among the pairs (index 0, the condensate, is left out)
+    pairs, column = np.unique(np.minimum(np.arange(grid.n_modes), grid.partners())[1:],
+                              return_inverse=True)
+    run = evolve_modes(q[:, pairs], *init_mode(q[:, pairs], p), drive, p, cfg)
     rates = np.zeros(grid.n_modes)
     rates[1:] = occupation_rate(run.times, run.occupations, cfg.fit_window_cycles)[column]
     best = rates[1:].max()
@@ -315,7 +311,7 @@ def grid_instability_scan(
         grid=grid,
         q_max=Momentum(*q[:, i_best]),
         rate=float(best),
-        rates=rates.reshape(shape),
+        rates=rates.reshape(grid.nx, grid.ny, grid.nz),
         times=run.times,
         occupation_sum=run.occupations[:, column].sum(axis=1) / grid.volume,
         norm_drift=run.norm_drift,

@@ -220,8 +220,7 @@ def cmd_bdg(args, cp):
         rows.append([*cells, result.rate, predicted, q.qx, q.qy, q.qz,
                      result.norm_drift, status])
         # every grid mode's momentum and rate, in [nx, ny, nz] index order
-        modes = [a.ravel().tolist()
-                 for a in (*np.broadcast_arrays(*result.grid.mesh), result.rates)]
+        modes = [*result.grid.momenta.tolist(), result.rates.ravel().tolist()]
         mode_rows.append(zip(*map(repeat, cells), *modes))
     diagnostics["mode_steps"] = sum(r.mode_steps for _, r, _ in outcomes if r is not None)
     return {
@@ -277,7 +276,7 @@ def _twa_counters(traces) -> dict:
 
 def _fit_warnings(rows) -> dict:
     """The manifest's fit_warnings: the non-empty warning (last cell) of
-    each fit row, keyed by its first cell (twa's window, fit's method)."""
+    each fit row, keyed by its first cell (twa's window or g=<value>, fit's method)."""
     return {row[0]: row[-1] for row in rows if row[-1]}
 
 
@@ -293,14 +292,16 @@ def cmd_twa(args, cp):
             [trace] = twa.ensemble_run(grid, (drive,), point.lattice, run_cfg, ens_cfg,
                                        workers=args.workers)
             fit, err = _rate_with_error(trace, window, period, ens_cfg)
-            return trace, fit.rate, err
+            return trace, fit.rate, err, fit.warning
 
         outcomes, diagnostics = _run_points(
             "twa", points, run, "atom_drift_max", lambda done: done[0].atom_drift.max()
         )
         diagnostics.update(_twa_counters([done[0] for _, done, _ in outcomes if done]))
+        diagnostics["fit_warnings"] = _fit_warnings(
+            [(f"g={point.value}", done[3]) for point, done, _ in outcomes if done])
         rows = [
-            [point.value, point.value / p.j, *(done[1:] if done else (None, None)),
+            [point.value, point.value / p.j, *(done[1:3] if done else (None, None)),
              ens_cfg.n_realizations, status]
             for point, done, status in outcomes
         ]

@@ -23,6 +23,8 @@ Conventions used throughout the package:
   (a uniform momentum shift permutes modes without mixing them).
   drive_shift gives A(t), and envelope_value its amplitude, elementwise
   over an array of times (a float gives floats): one call per table.
+* Grid owns the mode order and the (q, -q) pairing that bdg and twa use:
+  Grid.momenta lists q[:, i] in [nx, ny, nz] order, Grid.partners() the i of -q.
 * Time counts from the start of a run: bdg and twa runs both start at
   t = 0, where an envelope begins its ramp-up.
 * The envelope's end_phase is quoted on the lattice velocity waveform of
@@ -337,7 +339,12 @@ class Grid:
     def n_modes(self) -> int:
         return self.nx * self.ny * self.nz
 
-    def partner_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per axis, the index (-i) mod n of the pairing partner -q of the
-        momentum q at index i."""
-        return tuple((-np.arange(n)) % n for n in (self.nx, self.ny, self.nz))
+    @property
+    def momenta(self) -> np.ndarray:
+        """q[:, i] = (qx, qy, qz) of every mode, [3, n_modes], in [nx, ny, nz] index order."""
+        return np.stack(np.broadcast_arrays(*self.mesh)).reshape(3, -1)
+
+    def partners(self) -> np.ndarray:
+        """Flat index of each mode's pairing partner -q: (-i) mod n on each axis."""
+        index = np.arange(self.n_modes).reshape(self.nx, self.ny, self.nz)
+        return index[np.ix_(*((-np.arange(n)) % n for n in index.shape))].ravel()

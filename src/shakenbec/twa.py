@@ -196,12 +196,8 @@ def sample_initial(
     gamma of mean square 1/2, drawn from rng.
     """
     _, uu, vv = bogoliubov_transform(sum(axis_energies(*grid.mesh, p)), p.g)
-
-    shape = (grid.nx, grid.ny, grid.nz)
-    gamma = rng.normal(0.0, 0.5, shape) + 1j * rng.normal(0.0, 0.5, shape)
-    gamma_pair = np.conj(gamma[np.ix_(*grid.partner_axes())])
-
-    amps_q = uu * gamma + vv * gamma_pair
+    gamma = rng.normal(0.0, 0.5, uu.shape) + 1j * rng.normal(0.0, 0.5, uu.shape)
+    amps_q = uu * gamma + vv * np.conj(gamma.ravel()[grid.partners()]).reshape(uu.shape)
     amps_q[0, 0, 0] = math.sqrt(p.n0 * grid.volume)
     a = np.fft.ifftn(amps_q, norm="ortho") / math.sqrt(grid.dz)
     return FieldState(amplitudes=a[None], grid=grid)

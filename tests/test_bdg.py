@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from shakenbec.bdg import (
     grid_instability_scan,
     init_mode,
     occupation_rate,
+)
+from shakenbec.config import (
+    bdg_from_config,
+    drive_from_config,
+    lattice_from_config,
+    load_config,
 )
 from shakenbec.errors import (
     BlowUpError,
@@ -170,7 +177,7 @@ def test_evolve_modes_against_adaptive_oracle(envelope):
     uv = np.array([u0, v0], dtype=complex)
     occ = [np.abs(uv[1]) ** 2]
     for t_start in times[:-1]:
-        m, _ = bdg._period_map(q, t_start, d, P, 512)
+        m, _ = bdg.period_map(q, t_start, d, P, 512)
         uv = np.einsum("ijm,jm->im", m, uv)
         occ.append(np.abs(uv[1]) ** 2)
     oracle = _oracle_occupations(qs, u0, v0, d, times)
@@ -192,7 +199,7 @@ def test_period_map_is_symplectic():
 
 def _engine_maps(qs, drive, c, t0, p=P):
     """m[mode] = the engine's map over one period from t0."""
-    return bdg._period_map(columns(*qs), t0, drive, p, c.steps_per_period)[0].transpose(2, 0, 1)
+    return bdg.period_map(columns(*qs), t0, drive, p, c.steps_per_period)[0].transpose(2, 0, 1)
 
 
 def _reference_full_period_maps(qs, drive, n_steps, t0):
@@ -271,7 +278,13 @@ def _mirror(a):
     return np.roll(a[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
 
 
-@pytest.mark.parametrize("envelope", [None, Envelope(ramp_up=2, hold=8)])
+@pytest.mark.parametrize("envelope", [
+    None,
+    Envelope(ramp_up=2, hold=8),
+    # the cut at 6.36 periods splits an RK4 step of the period maps from
+    # 6 and from 6.25 periods
+    Envelope(ramp_up=2, hold=4, abrupt_stop=True, end_phase=0.7),
+])
 def test_grid_scan_mirrors_each_pair(envelope):
     # q and -q obey each other's equations under (u, v) -> (v*, u*): the
     # map of -q is sigma_x M(q)* sigma_x, so |v|^2 and the rate are shared,
@@ -280,16 +293,17 @@ def test_grid_scan_mirrors_each_pair(envelope):
     d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, envelope=envelope)
     c = cfg(steps_per_period=512, n_cycles=8, fit_window_cycles=4, grid=Grid(6, 4, 3, lz=4.0))
     scan = grid_instability_scan(d, pz, c)
-    # 71 modes: 3 are their own partners (qx, qy in {0, -pi}, qz = 0), 34 pairs
-    assert scan.mode_steps == 37 * (256 if envelope is None else 512 * 8)
+    # 71 modes: 3 are their own partners (qx, qy in {0, -pi}, qz = 0), 34
+    # pairs; a cut inside a step splits it in two
+    cut_steps = d.stop_time() is not None
+    assert scan.mode_steps == 37 * (256 if envelope is None else 512 * 8 + cut_steps)
     assert np.array_equal(scan.rates, _mirror(scan.rates))
     # the tie goes to the lexicographically smaller momentum of the pair
     assert scan.q_max.as_tuple() <= (-scan.q_max).as_tuple()
     assert scan.rate > 0.0
 
-    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*scan.grid.mesh))
-    qs = [Momentum(*q) for q in zip(qx, qy, qz)][1:]
-    for t0 in (0.0, 0.25 * d.period):
+    qs = [Momentum(*q) for q in scan.grid.momenta.T][1:]
+    for t0 in (0.0, 0.25 * d.period) + ((6.25 * d.period,) if cut_steps else ()):
         maps = _engine_maps(qs + [-q for q in qs], d, c, t0, pz)
         m_q, m_mq = maps[: len(qs)], maps[len(qs):]
         mirrored = m_q[:, ::-1, ::-1].conj()  # sigma_x M* sigma_x
@@ -465,12 +479,36 @@ def test_grid_scan_finds_resonant_mode():
     assert scan.q_max.qy == 0.0
     assert scan.rate > 0.3 * 2.0 * res.gamma  # grid point is near resonance
     # summed occupation matches every nonzero mode integrated on its own
-    qx, qy, qz = (axis.ravel() for axis in np.broadcast_arrays(*scan.grid.mesh))
-    direct = evolve([Momentum(*q) for q in zip(qx[1:], qy[1:], qz[1:])], d, c)
+    direct = evolve([Momentum(*q) for q in scan.grid.momenta[:, 1:].T], d, c)
     assert scan.occupation_sum.shape == (25,)
     np.testing.assert_allclose(
         direct.occupations.sum(axis=1) / scan.grid.volume, scan.occupation_sum, rtol=1e-9
     )
+
+
+BDG_SCAN = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "bdg-scan.cfg"
+
+
+@pytest.mark.parametrize("hz, resonant", [(350, True), (440, True), (900, False),
+                                          (2500, False)])
+def test_period_map_floquet_rate_on_bdg_scan(hz, resonant):
+    # the period map M of each (q, -q) pair has det M = 1, so it grows
+    # |v|^2 at the Floquet rate (2/T) arccosh(|tr M| / 2) when |tr M| > 2
+    # and keeps it bounded otherwise.  Below the cusp the fastest pair's
+    # rate is the scan's fitted rate; above the 2D Bogoliubov bandwidth
+    # no pair of the bdg-scan grid is unstable
+    cp = load_config(str(BDG_SCAN), "paper-11er")
+    p, c = lattice_from_config(cp), bdg_from_config(cp)
+    d = dataclasses.replace(drive_from_config(cp), omega=2.0 * math.pi * hz)
+    grid = c.grid
+    pairs = np.unique(np.minimum(np.arange(grid.n_modes), grid.partners()))[1:]
+    m, _ = bdg.period_map(grid.momenta[:, pairs], 0.0, d, p, c.steps_per_period)
+    half_trace = np.abs(m[0, 0] + m[1, 1]) / 2.0
+    if resonant:
+        rate = 2.0 / d.period * np.arccosh(half_trace.max())
+        assert rate == pytest.approx(grid_instability_scan(d, p, c).rate, rel=1e-9)
+    else:
+        assert half_trace.max() <= 1.0
 
 
 def test_grid_scan_transverse_axis():

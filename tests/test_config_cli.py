@@ -1208,6 +1208,15 @@ def test_cli_manifest_lists_fit_warnings(tmp_path):
                                                           ("late", warning)]
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["fit_warnings"] == {"early": warning, "late": warning}
+    # a g scan of the same gas warns at each point, keyed by its g; the
+    # scan's CSV has no warning column
+    scan = write_cfg(tmp_path, body + "\n[scan]\nvariable = g\nvalues = 0.01, 0.02\n", "scan.cfg")
+    out = tmp_path / "g"
+    assert main(["twa", "--config", scan, "--out", str(out)]) == 0
+    with open(out / "twa_g_scan.csv", encoding="utf-8", newline="") as fh:
+        assert [(r["rate_rad_s"], r["status"]) for r in csv.DictReader(fh)] == [("0", "ok")] * 2
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["fit_warnings"] == {"g=0.01": warning, "g=0.02": warning}
     # a growing trace fitted as a condensed fraction warns by method;
     # a clean decay lists no warning
     for rate, warnings in ((2.0, {"exponential": "trace grows against its sign convention"}),

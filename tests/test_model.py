@@ -424,16 +424,23 @@ def test_grid_axes_and_measures():
     assert g.n_modes == 8 * 6 * 4
 
 
-def test_grid_partner_axes():
-    # q pairs with -q: the momenta of an index and of its partner sum to
-    # zero, modulo the period of the FFT axis
-    g = Grid(8, 6, 4, lz=10.0)
-    axes = (g.qx_axis, g.qy_axis, g.qz_axis)
-    periods = (TWO_PI, TWO_PI, TWO_PI * g.nz / g.lz)
-    for axis, period, partner in zip(axes, periods, g.partner_axes()):
-        assert sorted(partner) == list(range(axis.size))
-        gap = np.remainder(axis + axis[partner] + period / 2, period)
-        np.testing.assert_allclose(gap - period / 2, 0.0, atol=1e-12)
+@pytest.mark.parametrize("g", [Grid(8, 6, 4, lz=10.0), Grid(5, 3, 3, lz=2.5)],
+                         ids=["even", "odd"])
+def test_grid_partners_and_momenta(g):
+    # momenta lists every mode in [nx, ny, nz] index order; q pairs with
+    # -q: partners() is a permutation that undoes itself, and the momenta
+    # of a mode and of its partner sum to zero modulo each axis' period
+    q = g.momenta
+    assert q.shape == (3, g.n_modes)
+    ix, iy, iz = np.unravel_index(np.arange(g.n_modes), (g.nx, g.ny, g.nz))
+    for got, axis, i in zip(q, (g.qx_axis, g.qy_axis, g.qz_axis), (ix, iy, iz)):
+        assert np.array_equal(got, axis[i])
+    partner = g.partners()
+    assert np.array_equal(np.sort(partner), np.arange(g.n_modes))
+    assert np.array_equal(partner[partner], np.arange(g.n_modes))
+    period = np.array([[TWO_PI], [TWO_PI], [TWO_PI * g.nz / g.lz]])
+    gap = np.remainder(q + q[:, partner] + period / 2, period)
+    np.testing.assert_allclose(gap - period / 2, 0.0, atol=1e-12)
 
 
 def test_grid_validation():
