@@ -39,16 +39,9 @@ from .model import (
     Regime,
     Trajectory,
     bogoliubov_transform,
+    check_drive,
 )
-from .specialmath import _require, bessel_j, bessel_j0_inverse, j0_first_zero
-
-
-def _checked_k0(k0) -> np.ndarray:
-    """k0 as a float array, each value checked as DriveSpec checks it."""
-    k0 = np.asarray(k0, dtype=float)
-    _require(~np.isfinite(k0), k0, "k0 must be finite")
-    _require(k0 < 0.0, k0, "drive amplitude must be >= 0")
-    return k0
+from .specialmath import bessel_j, bessel_j0_inverse, j0_first_zero
 
 
 def _corner_factor(trajectory: Trajectory) -> float:
@@ -120,14 +113,6 @@ class ModeScan:
     cusp_at_bandwidth: np.ndarray
 
 
-def _scan_arrays(omega, k0) -> tuple[np.ndarray, np.ndarray]:
-    """omega and k0 as float arrays, each value checked as DriveSpec does."""
-    omega = np.asarray(omega, dtype=float)
-    _require(~np.isfinite(omega), omega, "omega must be finite")
-    _require(omega <= 0.0, omega, "drive frequency must be positive")
-    return omega, _checked_k0(k0)
-
-
 def _libm(fn, values: np.ndarray) -> np.ndarray:
     # fn on each value as a Python float, so that asin comes from the C
     # library as in scalar code: numpy's arcsin differs in the last place
@@ -142,8 +127,8 @@ class ClosedFormScan:
     when only the threshold is wanted).  This is the one implementation
     of the rate and threshold formulas: most_unstable_mode and
     critical_drive_amplitude evaluate it at a single point, and element
-    by element it gives their bits.  Raises DomainError naming the first
-    omega or k0 that DriveSpec rejects (not finite, omega <= 0, k0 < 0);
+    by element it gives their bits.  model.check_drive, DriveSpec's check,
+    raises DomainError for the first omega or k0 outside the drive domain;
     k0 at or past the first zero of J0 is marked inverted, not raised.
     """
 
@@ -152,7 +137,7 @@ class ClosedFormScan:
     k0: np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        omega, k0 = _scan_arrays(self.omega, self.k0)
+        omega, k0 = check_drive(self.omega, self.k0)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k0", k0)
 
@@ -304,7 +289,7 @@ def calibrate_g_from_cusp(measured_omega_c: float, j: float, k0: float) -> float
     """
     if not 0.0 < j < math.inf:  # NaN fails too
         raise DomainError(f"hopping must be positive and finite, got {j}")
-    if not _checked_k0(k0) < j0_first_zero():
+    if not check_drive(1.0, k0)[1] < j0_first_zero():  # k0 of any drive
         raise CalibrationError(
             f"effective hopping J J0(k0) is positive only for "
             f"0 <= k0 < {j0_first_zero():.6f}, got k0 = {k0}"

@@ -36,9 +36,12 @@ starts at t = 0.  The guards run on the propagated state every
 period: the amplitudes must stay finite and below OCCUPATION_CEILING,
 and the exact invariant |u|^2 - |v|^2 must not drift by more than
 NORM_DRIFT_TOL relative to the mode magnitude (so strongly amplified
-modes are held to the same standard as quiescent ones).  The pair occupation |v|^2 grows
-as exp(2 s t) on resonance; rates extracted here are occupation rates,
-i.e. twice the amplitude rate.  Grid scans run in one process.
+modes are held to the same standard as quiescent ones).  numpy overflow
+and invalid warnings are off in evolve_modes' period loop, whose guard
+reports the non-finite amplitude they leave (period_map has no guard and
+keeps them).  The pair occupation |v|^2 grows as exp(2 s t) on resonance;
+rates extracted here are occupation rates, i.e. twice the amplitude
+rate.  Grid scans run in one process.
 """
 
 from __future__ import annotations
@@ -160,17 +163,17 @@ def period_map(
     # count puts no step boundary at T/2
     half_period = drive.envelope is None and steps_per_period % 2 == 0
     map_steps = steps_per_period // 2 if half_period else steps_per_period
-    # the drive at each of the 2 * map_steps + 1 half-step times, once;
-    # an abrupt stop strictly inside step `cut` splits that step at the
-    # cut, whose kink would otherwise cost the scheme its order
+    # the drive at each of the 2 * map_steps + 1 half-step times, once; each step,
+    # (midpoint node, end node, length), starts at the last one's end.  An abrupt
+    # stop strictly inside step `cut` splits it at the cut, whose kink costs the order
     times = t_start + 0.5 * dt * np.arange(2 * map_steps + 1)
+    steps = [(2 * s + 1, 2 * s + 2, dt) for s in range(map_steps)]
     ts = drive.stop_time()
     cut = math.floor((ts - t_start) / dt) if ts is not None else -1
     if 0 <= cut < map_steps and times[2 * cut] < ts < times[2 * cut + 2]:
-        h1, h2 = ts - times[2 * cut], times[2 * cut + 2] - ts
+        h1, h2, n = ts - times[2 * cut], times[2 * cut + 2] - ts, times.size
+        steps[cut:cut + 1] = [(n, n + 1, h1), (n + 2, 2 * cut + 2, h2)]
         times = np.append(times, [ts - 0.5 * h1, ts, ts + 0.5 * h2])
-    else:
-        cut = -1
     ax, ay = (a[:, None, None] for a in drive_shift(times, drive))
     # eps(+-q, t) = eps0(+-q - A) - eps0(-A): per-axis tables [time, sign,
     # axis value] on the distinct values of each axis, gathered per mode
@@ -186,20 +189,14 @@ def period_map(
     # row j of (u, v) is the solution starting from column j of the identity
     u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, q.shape[1]))
     e4 = eps(0)
-    for step in range(map_steps):
-        e1, e4 = e4, eps(2 * step + 2)
-        if step == cut:
-            e_cut = eps(2 * map_steps + 2)
-            u, v = _rk4(u, v, h1, e1, eps(2 * map_steps + 1), e_cut, g)
-            u, v = _rk4(u, v, h2, e_cut, eps(2 * map_steps + 3), e4, g)
-        else:
-            u, v = _rk4(u, v, dt, e1, eps(2 * step + 1), e4, g)
+    for mid, end, h in steps:
+        e1, e4 = e4, eps(end)
+        u, v = _rk4(u, v, h, e1, eps(mid), e4, g)
     m = np.stack((u, v))
-    steps = map_steps + (cut >= 0)
     if not half_period:
-        return m, steps
+        return m, len(steps)
     s = m[::-1, ::-1].conj()  # sigma_x N* sigma_x
-    return s[:, :1] * m[:1] + s[:, 1:] * m[1:], steps
+    return s[:, :1] * m[:1] + s[:, 1:] * m[1:], len(steps)
 
 
 def evolve_modes(
@@ -229,33 +226,35 @@ def evolve_modes(
     norm0 = np.abs(u) ** 2 - np.abs(v) ** 2
     m = None
     rk4_steps = 0
-    for cycle in range(cfg.n_cycles):
-        if m is None or drive.envelope is not None:
-            m, steps = period_map(q, times[cycle], drive, p, cfg.steps_per_period)
-            rk4_steps += steps
-        u, v = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
-        nu = np.abs(u) ** 2
-        nv = np.abs(v) ** 2
-        occ[cycle + 1] = nv
-        if not np.all(np.isfinite(nv)):
-            raise BlowUpError(
-                f"mode amplitudes left the finite range in cycle {cycle + 1}; "
-                "reduce n_cycles or the drive strength"
-            )
-        if nv.max() > OCCUPATION_CEILING:
-            raise BlowUpError(
-                f"mode occupation exceeded {OCCUPATION_CEILING:.0e} in cycle "
-                f"{cycle + 1}; reduce n_cycles"
-            )
-        dev = np.abs(nu - nv - norm0)
-        drift_abs = max(drift_abs, float(dev.max()))
-        rel = dev / np.maximum(1.0, nu + nv)
-        drift = max(drift, float(rel.max()))
-        if drift > NORM_DRIFT_TOL:
-            raise IntegratorToleranceError(
-                f"|u|^2 - |v|^2 drifted by {drift:.3e} (relative) after cycle "
-                f"{cycle + 1}; increase steps_per_period"
-            )
+    # a step that overflows leaves a non-finite amplitude, for the guard to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cycle in range(cfg.n_cycles):
+            if m is None or drive.envelope is not None:
+                m, steps = period_map(q, times[cycle], drive, p, cfg.steps_per_period)
+                rk4_steps += steps
+            u, v = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
+            nu = np.abs(u) ** 2
+            nv = np.abs(v) ** 2
+            occ[cycle + 1] = nv
+            if not np.all(np.isfinite(nv)):
+                raise BlowUpError(
+                    f"mode amplitudes left the finite range in cycle {cycle + 1}; "
+                    "reduce n_cycles or the drive strength"
+                )
+            if nv.max() > OCCUPATION_CEILING:
+                raise BlowUpError(
+                    f"mode occupation exceeded {OCCUPATION_CEILING:.0e} in cycle "
+                    f"{cycle + 1}; reduce n_cycles"
+                )
+            dev = np.abs(nu - nv - norm0)
+            drift_abs = max(drift_abs, float(dev.max()))
+            rel = dev / np.maximum(1.0, nu + nv)
+            drift = max(drift, float(rel.max()))
+            if drift > NORM_DRIFT_TOL:
+                raise IntegratorToleranceError(
+                    f"|u|^2 - |v|^2 drifted by {drift:.3e} (relative) after cycle "
+                    f"{cycle + 1}; increase steps_per_period"
+                )
     return ModeBatchTrajectory(times, occ, drift, drift_abs, rk4_steps * u.size)
 
 

@@ -157,10 +157,17 @@ def lattice_from_config(cp) -> LatticeParams:
 
     With depth_er given instead of j, the recoil energy comes from
     wavelength_nm and mass_u (default rubidium-87), and j is solved from
-    the band width.
+    the band width.  A key left unread is a ConfigError naming it:
+    depth_er, wavelength_nm or mass_u with j, m_z with transverse_recoil.
     """
     if not cp.has_section("lattice"):
         raise ConfigError("missing required section [lattice]")
+    for key, unread in (("j", ("depth_er", "wavelength_nm", "mass_u")),
+                        ("transverse_recoil", ("m_z",))):
+        clash = [k for k in unread if cp.has_option("lattice", k)]
+        if cp.has_option("lattice", key) and clash:
+            raise ConfigError(f"[lattice] {', '.join(clash)} not read with {key}: "
+                              "give one or the other")
     scale = frequency_scale(cp)
     if cp.has_option("lattice", "j"):
         j = scale * _get(cp, "lattice", "j", float)
@@ -337,7 +344,7 @@ def endphase_from_config(cp, seed_override: int | None = None):
     entry stops the drive abruptly at that phase, and the ramped control
     ramps it down over [endphase] ramp_down periods (>= 1).  This
     schedule overrides [drive] stop keys and [twa] n_cycles, so they are
-    ConfigErrors.
+    ConfigErrors, as is an empty phases list.
     """
     for key in ("ramp_down", "abrupt_stop", "end_phase"):
         if cp.has_option("drive", key):
@@ -353,6 +360,8 @@ def endphase_from_config(cp, seed_override: int | None = None):
         raise ConfigError("[twa] n_cycles is not read by endphase, which runs ramp_up + "
                           "hold + [endphase] post_hold_periods + 1 periods")
     phases = _floats(cp, "endphase", "phases", "0, 0.7853981633974483, 1.5707963267948966")
+    if not phases:
+        raise ConfigError("[endphase] phases list is empty")
     ramp_down = _get(cp, "endphase", "ramp_down", int, 1)
     post_hold = _get(cp, "endphase", "post_hold_periods", int, 8)
     if post_hold < 0:

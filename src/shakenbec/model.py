@@ -23,6 +23,8 @@ Conventions used throughout the package:
   (a uniform momentum shift permutes modes without mixing them).
   drive_shift gives A(t), and envelope_value its amplitude, elementwise
   over an array of times (a float gives floats): one call per table.
+* check_drive is the one check of the drive domain, elementwise:
+  DriveSpec and the analytics scans call it.
 * Grid owns the mode order and the (q, -q) pairing that bdg and twa use:
   Grid.momenta lists q[:, i] in [nx, ny, nz] order, Grid.partners() the i of -q.
 * Time counts from the start of a run: bdg and twa runs both start at
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specialmath import _require_finite
+from .specialmath import _require, _require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +173,17 @@ class Envelope:
         return self.ramp_up + self.hold + self.ramp_down
 
 
+def check_drive(omega, k0) -> tuple[np.ndarray, np.ndarray]:
+    """omega and k0 as float arrays; DomainError names the first omega not
+    finite and > 0, else the first k0 not finite and >= 0."""
+    omega, k0 = np.asarray(omega, dtype=float), np.asarray(k0, dtype=float)
+    _require(~np.isfinite(omega), omega, "omega must be finite")
+    _require(omega <= 0.0, omega, "drive frequency must be positive")
+    _require(~np.isfinite(k0), k0, "k0 must be finite")
+    _require(k0 < 0.0, k0, "drive amplitude must be >= 0")
+    return omega, k0
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """A shaking protocol: trajectory shape, amplitude, frequency, envelope.
@@ -187,11 +200,7 @@ class DriveSpec:
     envelope: Envelope | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("k0", "omega"))
-        if self.k0 < 0.0:
-            raise DomainError(f"drive amplitude must be >= 0, got {self.k0}")
-        if self.omega <= 0.0:
-            raise DomainError(f"drive frequency must be positive, got {self.omega}")
+        check_drive(self.omega, self.k0)
 
     @property
     def period(self) -> float:

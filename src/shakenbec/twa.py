@@ -41,8 +41,9 @@ array per batch, with one process per batch when there is more than
 one.  A row's matrix products, and a drive's propagators, do not depend
 on the stack, so rows of a stack evolve bit-identically to single runs.
 Every period the run checks that the field is finite and that each row
-keeps its atom number to ATOM_DRIFT_TOL.  The engine returns the rows;
-the twa command takes their means and bootstrap bands.
+keeps its atom number to ATOM_DRIFT_TOL, with numpy overflow and invalid
+warnings off: the guard reports the field they leave.  The engine returns
+the rows; the twa command takes their means and bootstrap bands.
 """
 
 from __future__ import annotations
@@ -315,42 +316,44 @@ def run_trajectory(
     # drive shifts at t + dt/4 and t + 3 dt/4 of every step of a period
     offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
     trail = [np.ones((n_prot, shape[i])) for i in kept]
-    for cycle in range(n_cycles + 1):
-        if cycle:
-            # per grid axis, a (2 n_steps, P, n) table: every drive at every offset
-            ax, ay = np.stack([drive_shift(times[cycle - 1] + offsets, d) for d in drive], -1)
-            tables = _kinetic_factors(grid, p, 0.5 * dt, ax, ay)
-            # even row s: trailing half of step s - 1, then leading half of step s
-            for i, tr in zip(kept, trail):
-                tables[i][2::2] *= tables[i][1:-1:2]
-                tables[i][0] *= tr
-            trail = [tables[i][-1].copy() for i in kept]
-            for step in zip(*(tables[i][0::2] for i in kept)):
-                # built right before use: a period's table would cost memory
-                props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
-                pos, spare = _transform(props, pos, spare)
-                pos = _contact(pos, dt * p.u)
-            del tables, step  # the next period's tables are built without them
-        # the forward passes alternate between two buffers and must keep the
-        # field, so they run on a copy; the result's buffer is the next
-        # spare and the other is freed, which keeps two buffers between steps
-        amps = spare = _transform(fwd, pos.copy(), spare)[0]
-        occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
-        total[:, cycle] = occ.sum(axis=1) * grid.dz
-        cond[:, cycle] = occ[:, 0] * grid.dz
-        dev = np.abs(total[:, cycle] - total[:, 0]) / np.maximum(total[:, 0], 1e-300)
-        drift = np.maximum(drift, dev)
-        bad = ~np.isfinite(total[:, cycle]) | (dev > ATOM_DRIFT_TOL)
-        if bad.any():
-            row = int(np.argmax(bad))
-            prot, real = divmod(row, n_real)
-            where = f"protocol {prot}, " if n_prot > 1 else ""
-            what = (
-                f"atom number drifted by {dev[row]:.3e} (relative)"
-                if np.isfinite(total[row, cycle]) else "field left the finite range"
-            )
-            raise BlowUpError(f"{where}realization {first_realization + real}: {what} "
-                              f"in cycle {cycle}; reduce the time step or the drive strength")
+    # a step that overflows leaves a non-finite field, for the guard to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cycle in range(n_cycles + 1):
+            if cycle:
+                # per grid axis, a (2 n_steps, P, n) table: every drive at every offset
+                ax, ay = np.stack([drive_shift(times[cycle - 1] + offsets, d) for d in drive], -1)
+                tables = _kinetic_factors(grid, p, 0.5 * dt, ax, ay)
+                # even row s: trailing half of step s - 1, then leading half of step s
+                for i, tr in zip(kept, trail):
+                    tables[i][2::2] *= tables[i][1:-1:2]
+                    tables[i][0] *= tr
+                trail = [tables[i][-1].copy() for i in kept]
+                for step in zip(*(tables[i][0::2] for i in kept)):
+                    # built right before use: a period's table would cost memory
+                    props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+                    pos, spare = _transform(props, pos, spare)
+                    pos = _contact(pos, dt * p.u)
+                del tables, step  # the next period's tables are built without them
+            # the forward passes alternate between two buffers and must keep the
+            # field, so they run on a copy; the result's buffer is the next
+            # spare and the other is freed, which keeps two buffers between steps
+            amps = spare = _transform(fwd, pos.copy(), spare)[0]
+            occ = (amps.real**2 + amps.imag**2).reshape(len(rows), -1)
+            total[:, cycle] = occ.sum(axis=1) * grid.dz
+            cond[:, cycle] = occ[:, 0] * grid.dz
+            dev = np.abs(total[:, cycle] - total[:, 0]) / np.maximum(total[:, 0], 1e-300)
+            drift = np.maximum(drift, dev)
+            bad = ~np.isfinite(total[:, cycle]) | (dev > ATOM_DRIFT_TOL)
+            if bad.any():
+                row = int(np.argmax(bad))
+                prot, real = divmod(row, n_real)
+                where = f"protocol {prot}, " if n_prot > 1 else ""
+                what = (
+                    f"atom number drifted by {dev[row]:.3e} (relative)"
+                    if np.isfinite(total[row, cycle]) else "field left the finite range"
+                )
+                raise BlowUpError(f"{where}realization {first_realization + real}: {what} "
+                                  f"in cycle {cycle}; reduce the time step or the drive strength")
     n_raw = (total - cond) / grid.volume
     cf = cond / np.where(total > 0.0, total, 1.0)
     half_quantum = (grid.n_modes - 1) / (2.0 * grid.volume)

@@ -414,7 +414,7 @@ def test_blow_up_on_unstable_step():
     pbig = LatticeParams(j=1.0, g=1e6)
     d = DriveSpec(Trajectory.LINEAR_X, 1.0, 2.0 * math.pi)
     c = BdgRunConfig(steps_per_period=64, n_cycles=2, fit_window_cycles=1)
-    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError):
         evolve([Momentum(math.pi, 0.0, 0.0)], d, c, pbig)
 
 

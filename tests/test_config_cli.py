@@ -134,6 +134,22 @@ def test_transverse_recoil_sets_mass():
     assert lattice_from_config(cp2).m_z == 0.25
 
 
+@pytest.mark.parametrize("overlay, unread", [
+    ("depth_er = 11.0\nwavelength_nm = 814.0", "depth_er, wavelength_nm not read with j"),
+    ("mass_u = 86.9", "mass_u not read with j"),
+    ("m_z = 5", "m_z not read with transverse_recoil"),
+])
+def test_cli_lattice_keys_left_unread_exit_2(tmp_path, capsys, overlay, unread):
+    # paper-11er sets j and transverse_recoil; an overlay key they leave
+    # unread would otherwise be recorded in the manifest and ignored
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, f"[lattice]\n{overlay}\n")
+    assert main(["rates", "--preset", "paper-11er", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"shakenbec: config error: [lattice] {unread}: give one or the other\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ drive
 
 
@@ -1115,6 +1131,8 @@ def test_cli_endphase_workers_byte_identical(tmp_path):
      "set [endphase] ramp_down and phases instead"),
     ("ramp_up = 2\n", "ramp_up = 2\nabrupt_stop = yes\n", "[drive] abrupt_stop is not read"),
     ("ramp_up = 2\n", "ramp_up = 2\nend_phase = 1.0\n", "[drive] end_phase is not read"),
+    # no abrupt stop would leave the ramped control with nothing to compare
+    ("phases = 0, 1.5707963267948966\n", "phases =\n", "[endphase] phases list is empty"),
 ])
 def test_cli_endphase_rejects_before_running(tmp_path, capsys, monkeypatch,
                                              old, new, message):
@@ -1408,3 +1426,45 @@ def test_cli_runs_load_neither_openssl_nor_the_pool_they_do_not_use(tmp_path):
         for entry in json.loads((out / "manifest.json").read_text())["outputs"]:
             data = (out / entry["name"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+BDG_OVERFLOW = (
+    "[units]\nfrequency = rad_s\n\n[lattice]\nj = 1\ng = 5\n\n"
+    "[drive]\ntrajectory = linear_x\nk0 = 1.25\nomega = 12.5\n\n"
+    "[bdg]\nnx = 4\nny = 4\nnz = 2\nlz = 0.001\nsteps_per_period = 64\n"
+    "n_cycles = 2\nfit_window_cycles = 1\n"
+)  # qz^2 / (2 m_z) dt far past the RK4 stability region: the amplitudes overflow
+TWA_OVERFLOW = (
+    "[units]\nfrequency = rad_s\n\n[lattice]\nj = 1\ng = 10\nn0 = 1e-308\n\n"
+    "[drive]\ntrajectory = linear_x\nk0 = 1\nomega = 6\n\n"
+    "[twa]\nnx = 4\nny = 4\nn_realizations = 2\nsteps_per_period = 16\nn_cycles = 1\n"
+)  # U = g / n0 overflows, and the contact phase with it
+
+
+@pytest.mark.parametrize("command, body, code, n_lines", [
+    ("bdg", BDG_OVERFLOW, 3, 1),
+    ("bdg", BDG_OVERFLOW + "\n[scan]\nvariable = omega\nvalues = 12.5, 13\n", 0, 2),
+    ("twa", TWA_OVERFLOW, 3, 1),
+    ("twa", TWA_OVERFLOW + "\n[scan]\nvariable = g\nvalues = 10, 11\n", 0, 2),
+], ids=["bdg", "bdg-scan", "twa", "twa-g-scan"])
+def test_cli_numerical_failure_prints_one_line_each(tmp_path, command, body, code, n_lines):
+    # each engine's guard owns its overflow: the one line per failure (the
+    # error, or each failed scan point's warning) is all stderr gets, from
+    # the TWA pool's workers too, and no numpy RuntimeWarning gets past it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)  # numpy's warnings print as they would for a user
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "shakenbec", command, "--config", write_cfg(tmp_path, body),
+         "--out", str(out), "--workers", str(min(2, os.cpu_count() or 1))],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == code
+    lines = done.stderr.splitlines()
+    assert len(lines) == n_lines
+    assert all(line.startswith("shakenbec") and "left the finite range in cycle 1" in line
+               for line in lines)
+    if code == 0:
+        table = out / ("twa_g_scan.csv" if command == "twa" else "bdg.csv")
+        with open(table, encoding="utf-8", newline="") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["BlowUpError"] * 2
