@@ -1,6 +1,6 @@
 """Command-line scan harness.
 
-Subcommands: rates, k0c, bdg, twa, endphase, fit.  main is the one
+Subcommands: rates, bdg, twa, endphase, fit.  main is the one
 runner: it loads the layered configuration (--preset under --config)
 and runs a cmd_*, which reads the keys it uses through config's
 builders, computes, and returns its plot-ready tables (file name ->
@@ -9,10 +9,11 @@ write them, through output, with a manifest.json listing exactly those
 files and the wall time of each phase, so a run that fails leaves no
 --out behind.  Exit code 0 on success, 2 for configuration problems, 3
 for numerical failures.
-Each study is one command: bdg writes each scan point's fastest mode
-(bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a heating
-curve or a g scan.  A [scan] point that fails numerically fails alone;
-endphase and fit run no scan and reject a [scan] section.
+Each study is one command: rates writes every closed form (the critical
+drive amplitude k0_critical included), bdg each scan point's fastest
+mode (bdg.csv) and every grid mode's rate (bdg_modes.csv), twa a
+heating curve or a g scan.  A [scan] point that fails numerically fails
+alone; endphase and fit run no scan and reject a [scan] section.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .model import DriveSpec, LatticeParams, Regime, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
-from .specialmath import j0_first_zero
 
 TWO_PI = 2.0 * math.pi
 log = logging.getLogger("shakenbec")
@@ -178,22 +178,6 @@ def cmd_rates(args, cp):
     return {"rates.csv": (header, _rate_rows(k0, omega, k0c, modes))}, {}
 
 
-def cmd_k0c(args, cp):
-    p = lattice_from_config(cp)
-    scan = scan_from_config(cp, allowed=("omega",))
-    omega = np.array([drive_from_config(cp).omega]) if scan is None else scan.values
-    k0c = analytics.ClosedFormScan(omega, p).k0_critical
-    asymptote = j0_first_zero()
-    header = [
-        "omega_rad_s", "omega_hz", "g_over_omega",
-        "k0_critical", "k0_critical_asymptote", "no_solution",
-    ]
-    none = np.isnan(k0c)
-    rows = zip(omega.tolist(), (omega / TWO_PI).tolist(), (p.g / omega).tolist(),
-               _cells(k0c, none), repeat(asymptote), none.astype(int).tolist())
-    return {"k0c.csv": (header, rows)}, {}
-
-
 def cmd_bdg(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
@@ -285,6 +269,7 @@ def cmd_twa(args, cp):
     drive = drive_from_config(cp)
     grid, run_cfg, ens_cfg, window = twa_from_config(cp, args.seed)
     points = _scan_points(cp, ("g",), drive, p)
+    run_cfg.resolve_cycles((drive,))  # a zero run length fails before any sampling
     period = drive.period
 
     if points is not None:
@@ -418,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    add("rates", cmd_rates, "closed-form instability rates for all trajectories")
-    add("k0c", cmd_k0c, "runaway-heating threshold amplitude vs frequency")
+    add("rates", cmd_rates, "closed-form rates and critical drive amplitudes")
     add("bdg", cmd_bdg, "Bogoliubov grid scans vs the analytic rate")
     add("twa", cmd_twa, "truncated-Wigner ensemble runs and g scans")
     add("endphase", cmd_endphase, "post-stop excitation vs drive end phase")

@@ -79,8 +79,11 @@ def load_config(
 
     Every section and key must be one _KNOWN_KEYS lists (ConfigError
     otherwise), so a misspelt name fails instead of being ignored.
+    Values are literal (no % interpolation), and no section is special:
+    [DEFAULT] is an unknown section, not keys for every other one.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                   default_section="\n")  # no file can name "\n"
     if preset is not None:
         entry = _preset_dir().joinpath(f"{preset.lower()}.cfg")
         if not entry.is_file():
@@ -122,6 +125,12 @@ def _get(cp, section: str, key: str, conv, default=_REQUIRED):
         raise ConfigError(
             f"bad value for '{key}' in section [{section}]: {raw!r} ({exc})"
         ) from exc
+
+
+def _given(cp, section: str, convs: dict) -> dict:
+    """The keys of convs present in section, each converted by its conv."""
+    return {key: _get(cp, section, key, conv)
+            for key, conv in convs.items() if cp.has_option(section, key)}
 
 
 def _bool(raw: str) -> bool:
@@ -179,21 +188,20 @@ def lattice_from_config(cp) -> LatticeParams:
     else:
         raise ConfigError("missing required key 'j' in section [lattice]")
     g = scale * _get(cp, "lattice", "g", float)
-    n0 = _get(cp, "lattice", "n0", float, 1.0)
-    gamma0 = _get(cp, "lattice", "gamma0", float, 0.0)  # 1/s, never scaled
+    # gamma0 is in 1/s, never scaled; absent keys keep the dataclass defaults
+    given = _given(cp, "lattice", dict.fromkeys(("n0", "gamma0", "m_z"), float))
     if cp.has_option("lattice", "transverse_recoil"):
         er_rad = scale * _get(cp, "lattice", "transverse_recoil", float)
-        m_z = math.pi**2 / (2.0 * er_rad)
-    else:
-        m_z = _get(cp, "lattice", "m_z", float, 1.0)
-    return LatticeParams(j=j, g=g, n0=n0, gamma0=gamma0, m_z=m_z)
+        given["m_z"] = math.pi**2 / (2.0 * er_rad)
+    return LatticeParams(j=j, g=g, **given)
 
 
 _TRAJECTORIES = {t.value: t for t in Trajectory}
 
 
 def drive_from_config(cp) -> DriveSpec:
-    """Build DriveSpec from [drive]; envelope keys are all optional.
+    """Build DriveSpec from [drive]; envelope keys are all optional, and
+    absent ones keep Envelope's defaults.
 
     An envelope is attached when any of ramp_up / hold / ramp_down /
     abrupt_stop / end_phase appears (otherwise the drive runs at
@@ -212,26 +220,19 @@ def drive_from_config(cp) -> DriveSpec:
         )
     k0 = _get(cp, "drive", "k0", float)
     omega = scale * _get(cp, "drive", "omega", float)
-    given = [k for k in ("ramp_up", "hold", "ramp_down", "abrupt_stop", "end_phase")
-             if cp.has_option("drive", k)]
+    given = _given(cp, "drive", {"ramp_up": int, "hold": int, "ramp_down": int,
+                                 "abrupt_stop": _bool, "end_phase": float})
     envelope = None
     if given:
-        abrupt = _get(cp, "drive", "abrupt_stop", _bool, False)
-        if "end_phase" in given and not abrupt:
+        if "end_phase" in given and not given.get("abrupt_stop"):
             raise ConfigError("[drive] end_phase is read only with abrupt_stop = true")
-        if "ramp_down" in given and abrupt:
+        if "ramp_down" in given and given.get("abrupt_stop"):
             raise ConfigError("[drive] ramp_down is not read with abrupt_stop = true, "
                               "which cuts the drive instead")
         if "ramp_up" not in given and "hold" not in given:
-            raise ConfigError(f"[drive] {given[0]} needs ramp_up or hold: the "
+            raise ConfigError(f"[drive] {next(iter(given))} needs ramp_up or hold: the "
                               "envelope ramps up and holds before it stops")
-        envelope = Envelope(
-            ramp_up=_get(cp, "drive", "ramp_up", int, 1),
-            hold=_get(cp, "drive", "hold", int, 0),
-            ramp_down=_get(cp, "drive", "ramp_down", int, 0),
-            abrupt_stop=abrupt,
-            end_phase=_get(cp, "drive", "end_phase", float, 0.0),
-        )
+        envelope = Envelope(**given)
     return DriveSpec(
         trajectory=_TRAJECTORIES[name], k0=k0, omega=omega, envelope=envelope
     )
@@ -298,12 +299,6 @@ def grid_from_config(cp, section: str, default: Grid) -> Grid:
         nz=_get(cp, section, "nz", int, default.nz),
         lz=_get(cp, section, "lz", float, default.lz),
     )
-
-
-def _given(cp, section: str, convs: dict) -> dict:
-    """The keys of convs present in section, each converted by its conv."""
-    return {key: _get(cp, section, key, conv)
-            for key, conv in convs.items() if cp.has_option(section, key)}
 
 
 def bdg_from_config(cp) -> BdgRunConfig:

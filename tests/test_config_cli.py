@@ -134,6 +134,11 @@ def test_transverse_recoil_sets_mass():
     assert lattice_from_config(cp2).m_z == 0.25
 
 
+def test_lattice_keys_left_out_keep_the_dataclass_defaults():
+    cp = parse("[units]\nfrequency = rad_s\n\n[lattice]\nj = 2\ng = 3\n")
+    assert lattice_from_config(cp) == LatticeParams(2.0, 3.0)
+
+
 @pytest.mark.parametrize("overlay, unread", [
     ("depth_er = 11.0\nwavelength_nm = 814.0", "depth_er, wavelength_nm not read with j"),
     ("mass_u = 86.9", "mass_u not read with j"),
@@ -162,7 +167,7 @@ def test_unknown_trajectory():
 def test_envelope_attached_when_keys_present():
     cp = parse(BASE + "ramp_up = 3\nhold = 5\n")
     d = drive_from_config(cp)
-    assert d.envelope is not None
+    assert d.envelope == Envelope(ramp_up=3, hold=5)
     assert d.envelope.ramp_up == 3
     assert d.envelope.hold == 5
     assert d.envelope.ramp_down == 0
@@ -343,7 +348,6 @@ PRESET_TINY = {
 }
 COMMAND_OUTPUTS = {
     "rates": ["rates.csv"],
-    "k0c": ["k0c.csv"],
     "bdg": ["bdg.csv", "bdg_modes.csv"],
     "twa": ["twa_trace.csv", "twa_rates.csv"],
     "endphase": ["endphase.csv"],
@@ -413,6 +417,8 @@ def test_heating_preset_is_acceptance_08_system():
 @pytest.mark.parametrize("overlay, name", [
     ("[bdg]\nsteps_per_perod = 64\n", "unknown key 'steps_per_perod' in section [bdg]"),
     ("[lattic]\nj = 2\n", "unknown section [lattic]"),
+    # its keys would otherwise be read as keys of every other section
+    ("[DEFAULT]\nnx = 8\n", "unknown section [DEFAULT]"),
     # n_cycles sets a TWA run's length; there is no second key for it
     ("[twa]\npost_hold_periods = 4\n", "unknown key 'post_hold_periods' in section [twa]"),
     # the vacuum's half quantum is the only noise, and the ramped control always runs
@@ -433,6 +439,32 @@ def test_unknown_names_rejected(tmp_path, capsys, overlay, name):
     assert main(argv) == 2
     assert name in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_cli_default_section_alone_is_not_read(tmp_path, capsys):
+    # the only section of the config: fit would otherwise ignore it unseen
+    trace = tmp_path / "decay.csv"
+    trace.write_text(DECAY_CSV, encoding="utf-8")
+    cfg = write_cfg(tmp_path, "[DEFAULT]\nkind = mode_occupation\n")
+    out = tmp_path / "o"
+    assert main(["fit", str(trace), "--config", cfg, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("shakenbec: config error: unknown section [DEFAULT]; known: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overlay, message", [
+    ("[drive]\ntrajectory = linear_x%\n", "unknown trajectory 'linear_x%'"),
+    # a %(key)s reference is text, never another key's value
+    ("[lattice]\ng = 7%(j)s\n", "bad value for 'g' in section [lattice]: '7%(j)s'"),
+], ids=["percent", "reference"])
+def test_cli_config_values_are_literal(tmp_path, capsys, overlay, message):
+    cfg = write_cfg(tmp_path, overlay)
+    out = tmp_path / "o"
+    assert main(["rates", "--preset", "paper-11er", "--config", cfg, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"shakenbec: config error: {message}")
+    assert not out.exists()
 
 
 def test_unknown_preset():
@@ -583,22 +615,6 @@ def test_cli_rates_matches_per_point_calls(tmp_path, source, stride):
     assert len(lines) == n_traj * scan_from_config(cp, ("omega", "k0")).values.size
     picked = [line for i, line in enumerate(lines) if (i // n_traj) % stride == 0]
     assert picked == list(_per_point_rates(cp, stride))
-
-
-def test_cli_k0c_matches_per_point_calls(tmp_path):
-    out = tmp_path / "o"
-    assert main(["k0c", "--preset", "paper-11er", "--out", str(out)]) == 0
-    cp = load_config(preset="paper-11er")
-    p = lattice_from_config(cp)
-    want = []
-    for omega in scan_from_config(cp, ("omega",)).values.tolist():
-        try:
-            k0c, none = critical_drive_amplitude(omega, p), 0
-        except NoCriticalAmplitudeError:
-            k0c, none = None, 1
-        row = [omega, omega / TWO_PI, p.g / omega, k0c, j0_first_zero(), none]
-        want.append(",".join(format_value(v) for v in row))
-    assert (out / "k0c.csv").read_text(encoding="utf-8").splitlines()[1:] == want
 
 
 def test_cli_rates_k0_scan_past_the_first_zero(tmp_path):
@@ -894,20 +910,6 @@ def test_cli_workers_out_of_range(tmp_path, capsys, workers):
 # ------------------------------------------------------------ cli: others
 
 
-def test_cli_k0c(tmp_path):
-    cfg = write_cfg(tmp_path, BASE + "\n[scan]\nvariable = omega\nvalues = 6, 24\n")
-    out = tmp_path / "o"
-    assert main(["k0c", "--config", cfg, "--out", str(out)]) == 0
-    with open(out / "k0c.csv", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["no_solution"] == "1"  # g = 12 > omega = 6
-    assert rows[0]["k0_critical"] == ""
-    assert rows[1]["no_solution"] == "0"
-    assert float(rows[1]["k0_critical"]) == pytest.approx(
-        float(rows[1]["k0_critical_asymptote"]), rel=0.5
-    )
-
-
 TWA_BODY = (
     BASE
     + "\n[twa]\nnx = 6\nny = 6\nnz = 1\nlz = 1\nsteps_per_period = 16\n"
@@ -937,6 +939,26 @@ def test_cli_rejects_envelope_keys_it_would_not_read(tmp_path, capsys, monkeypat
     assert main(["twa", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("scan", ["", "\n[scan]\nvariable = g\nvalues = 4, 5\n"],
+                         ids=["run", "g-scan"])
+def test_cli_twa_zero_run_length_fails_before_running(tmp_path, capsys, monkeypatch, scan):
+    # a constant drive with no [twa] n_cycles has no run length
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the run length was checked")
+
+    monkeypatch.setattr(twa, "ensemble_run", no_run)
+    cfg = write_cfg(tmp_path, (
+        "[units]\nfrequency = rad_s\n\n[lattice]\nj = 1\ng = 5\nn0 = 100\n"
+        "\n[drive]\ntrajectory = linear_x\nk0 = 1\nomega = 12.5\n"
+        "\n[twa]\nnx = 8\nny = 8\nn_realizations = 4\n" + scan))
+    out = tmp_path / "o"
+    workers = str(min(2, os.cpu_count() or 1))
+    assert main(["twa", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err == (
+        "shakenbec: config error: run length is zero: give n_cycles or an envelope\n")
+    assert not out.exists()
 
 
 def test_cli_twa_trace_run(tmp_path):
@@ -1324,7 +1346,7 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    for sub in ("rates", "k0c", "bdg", "twa", "endphase", "fit"):
+    for sub in ("rates", "bdg", "twa", "endphase", "fit"):
         assert sub in proc.stdout
 
 
