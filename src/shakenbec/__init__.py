@@ -81,7 +81,6 @@ from .specialmath import (
     recoil_frequency_hz,
 )
 from .twa import (
-    EnsembleConfig,
     FieldState,
     ObservableTrace,
     TwaRunConfig,

@@ -220,21 +220,20 @@ def _mean_n_ex(trace) -> np.ndarray:
     return trace.n_ex_raw.mean(axis=0) - trace.half_quantum
 
 
-def _band(trace, ens_cfg):
+def _band(trace, cfg):
     """(band_lo, band_hi) cells: the mean n_ex -/+ the std of bootstrap means
     of whole realizations, from their own stream (master_seed, 0xB00757);
     empty where fewer than two rows or resamples make the width zero."""
-    if len(trace.n_ex_raw) < 2 or ens_cfg.bootstrap_resamples < 2:
+    if len(trace.n_ex_raw) < 2 or cfg.bootstrap_resamples < 2:
         empty = [None] * len(trace.times)
         return empty, empty
     mean = _mean_n_ex(trace)
-    rng = twa.realization_rng(ens_cfg.master_seed, 0xB00757)
-    band = fitting.bootstrap_means(trace.n_ex_raw, ens_cfg.bootstrap_resamples,
-                                   rng).std(axis=0)
+    rng = twa.realization_rng(cfg.master_seed, 0xB00757)
+    band = fitting.bootstrap_means(trace.n_ex_raw, cfg.bootstrap_resamples, rng).std(axis=0)
     return mean - band, mean + band
 
 
-def _rate_with_error(trace, window, period, ens_cfg, stop=None):
+def _rate_with_error(trace, window, period, cfg, stop=None):
     """The windowed log slope of an ensemble's mean growth and its bootstrap
     error over realizations, None where the bootstrap is degenerate: each
     row of trace.n_ex, clipped at zero, as a growth trace over samples
@@ -244,8 +243,8 @@ def _rate_with_error(trace, window, period, ens_cfg, stop=None):
     kind = fitting.TraceKind.MODE_OCCUPATION
     fit = fitter(fitting.DecayTrace(times, values.mean(axis=0), kind))
     boot = fitting.bootstrap_rate(times, values, kind, fitter,
-                                  n_resamples=ens_cfg.bootstrap_resamples,
-                                  seed=ens_cfg.master_seed)
+                                  n_resamples=cfg.bootstrap_resamples,
+                                  seed=cfg.master_seed)
     return fit, None if boot.degenerate else boot.std
 
 
@@ -253,7 +252,7 @@ def _twa_counters(traces) -> dict:
     """The worst atom drift of TWA ensembles (None without one) and their
     engine counters, summed over them, for the manifest."""
     return {"atom_drift_max": max((float(tr.atom_drift.max()) for tr in traces), default=None),
-            "realizations": sum(len(tr.n_ex) for tr in traces),
+            "realizations": sum(len(tr.n_ex_raw) for tr in traces),
             "transforms": sum(tr.transforms for tr in traces),
             "site_steps": sum(tr.site_steps for tr in traces)}
 
@@ -267,16 +266,15 @@ def _fit_warnings(rows) -> dict:
 def cmd_twa(args, cp):
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
-    grid, run_cfg, ens_cfg, window = twa_from_config(cp, args.seed)
+    cfg = twa_from_config(cp, args.seed)
     points = _scan_points(cp, ("g",), drive, p)
-    run_cfg.resolve_cycles((drive,))  # a zero run length fails before any sampling
+    cfg.resolve_cycles((drive,))  # a zero run length fails before any sampling
     period = drive.period
 
     if points is not None:
         def run(point):
-            [trace] = twa.ensemble_run(grid, (drive,), point.lattice, run_cfg, ens_cfg,
-                                       workers=args.workers)
-            fit, err = _rate_with_error(trace, window, period, ens_cfg)
+            [trace] = twa.ensemble_run((drive,), point.lattice, cfg, workers=args.workers)
+            fit, err = _rate_with_error(trace, cfg.rate_window_cycles, period, cfg)
             return trace, fit.rate, err, fit.warning
 
         outcomes, diagnostics = _run_points(
@@ -285,20 +283,20 @@ def cmd_twa(args, cp):
         diagnostics.update(_twa_counters([done[0] for _, done, _ in outcomes if done]))
         diagnostics["fit_warnings"] = _fit_warnings(
             [(f"g={point.value}", done[3]) for point, done, _ in outcomes if done])
-        rows = [
-            [point.value, point.value / p.j, *(done[1:3] if done else (None, None)),
-             ens_cfg.n_realizations, status]
-            for point, done, status in outcomes
-        ]
+        rows = []
+        for point, done, status in outcomes:
+            rate, err, warning = done[1:] if done else (None, None, None)
+            rows.append([point.value, point.value / p.j, rate, err, cfg.n_realizations,
+                         warning, status])
         header = ["g_rad_s", "g_over_j", "rate_rad_s", "rate_err_rad_s",
-                  "n_realizations", "status"]
+                  "n_realizations", "warning", "status"]
         return {"twa_g_scan.csv": (header, rows)}, diagnostics
 
-    [trace] = twa.ensemble_run(grid, (drive,), p, run_cfg, ens_cfg, workers=args.workers)
-    n = min(window, trace.times.size - 1)
+    [trace] = twa.ensemble_run((drive,), p, cfg, workers=args.workers)
+    n = min(cfg.rate_window_cycles, trace.times.size - 1)
     rate_rows = []
     for label, stop in (("early", n + 1), ("late", None)):
-        fit, err = _rate_with_error(trace, n, period, ens_cfg, stop)
+        fit, err = _rate_with_error(trace, n, period, cfg, stop)
         rate_rows.append([
             label, fit.method.value, fit.rate, err,
             fit.window[0], fit.window[1], fit.n_points, fit.warning,
@@ -308,7 +306,7 @@ def cmd_twa(args, cp):
             ["time_s", "cycle", "n_ex_raw", "n_ex", "band_lo", "band_hi",
              "condensed_fraction"],
             zip(trace.times, count(), trace.n_ex_raw.mean(axis=0), _mean_n_ex(trace),
-                *_band(trace, ens_cfg), trace.condensed_fraction.mean(axis=0)),
+                *_band(trace, cfg), trace.condensed_fraction.mean(axis=0)),
         ),
         "twa_rates.csv": (
             ["window", "method", "rate_rad_s", "rate_err_rad_s",
@@ -319,10 +317,9 @@ def cmd_twa(args, cp):
 
 
 def cmd_endphase(args, cp):
-    p, grid, cfg, ens_cfg, protocols = endphase_from_config(cp, args.seed)
+    p, cfg, protocols = endphase_from_config(cp, args.seed)
     # every protocol runs the same samples for the same length: one stack
-    traces = twa.ensemble_run(grid, tuple(d for _, _, d in protocols), p, cfg, ens_cfg,
-                              workers=args.workers)
+    traces = twa.ensemble_run(tuple(d for _, _, d in protocols), p, cfg, workers=args.workers)
     rows = [[name, phase, float(n_ex[d.envelope.total_periods]), float(n_ex[-1])]
             for (name, phase, d), n_ex in zip(protocols, map(_mean_n_ex, traces))]
     header = ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"]
@@ -395,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", metavar="NAME", help="built-in parameter preset")
         sp.add_argument("--out", metavar="DIR", default=".", help="output directory")
         sp.add_argument("--seed", type=int, metavar="N",
-                        help="override the ensemble master seed")
+                        help="twa, endphase: override the ensemble master seed")
         sp.add_argument("--workers", type=_worker_count, default=1, metavar="N",
-                        help="TWA ensembles: realization batches, one process each")
+                        help="twa, endphase: realization batches, one process each")
         if trace_arg:
             sp.add_argument("trace", help="input CSV with time,value columns")
         sp.set_defaults(func=func)
@@ -446,7 +443,10 @@ def main(argv: list[str] | None = None) -> int:
             write_csv(outdir / name, header, rows)
         timings = {"config_s": t_compute - t_config, "compute_s": t_write - t_compute,
                    "write_s": time.perf_counter() - t_write}
-        write_manifest(outdir, args.command, config_as_dict(cp), args.seed, args.workers,
+        # only the ensemble commands read --seed and --workers; the rest record null
+        ensemble = args.command in ("twa", "endphase")
+        write_manifest(outdir, args.command, config_as_dict(cp),
+                       args.seed if ensemble else None, args.workers if ensemble else None,
                        list(tables), started=started, diagnostics=diagnostics,
                        timings=timings)
         return 0

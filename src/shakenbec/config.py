@@ -27,7 +27,7 @@ from .specialmath import (
     BandProblem,
     hopping_from_depth,
 )
-from .twa import EnsembleConfig, TwaRunConfig
+from .twa import TwaRunConfig
 from .bdg import BdgRunConfig
 
 TWO_PI = 2.0 * math.pi
@@ -310,30 +310,22 @@ def bdg_from_config(cp) -> BdgRunConfig:
     return BdgRunConfig(grid=grid_from_config(cp, "bdg", BdgRunConfig.grid), **given)
 
 
-def twa_from_config(cp, seed_override: int | None = None):
-    """Returns (Grid, TwaRunConfig, EnsembleConfig, rate_window_cycles).
-
-    Absent [twa] keys keep the dataclass defaults; seed_override, when
-    given, replaces master_seed.
-    """
+def twa_from_config(cp, seed_override: int | None = None) -> TwaRunConfig:
+    """[twa] as a TwaRunConfig; absent keys keep the dataclass defaults,
+    and seed_override, when given, replaces master_seed."""
     if not cp.has_section("twa"):
         raise ConfigError("missing required section [twa]")
-    grid = grid_from_config(cp, "twa", Grid(16, 16))
-    run_cfg = TwaRunConfig(**_given(cp, "twa", {"steps_per_period": int, "n_cycles": int}))
     given = _given(cp, "twa", dict.fromkeys(
-        ("n_realizations", "master_seed", "bootstrap_resamples"), int))
+        ("steps_per_period", "n_cycles", "n_realizations", "master_seed",
+         "bootstrap_resamples", "rate_window_cycles"), int))
     if seed_override is not None:
         given["master_seed"] = seed_override
-    ens_cfg = EnsembleConfig(**given)
-    window = _get(cp, "twa", "rate_window_cycles", int, 8)
-    if window < 1:
-        raise ConfigError("[twa] rate_window_cycles must be >= 1")
-    return grid, run_cfg, ens_cfg, window
+    return TwaRunConfig(grid=grid_from_config(cp, "twa", TwaRunConfig.grid), **given)
 
 
 def endphase_from_config(cp, seed_override: int | None = None):
-    """The end-phase study: (LatticeParams, Grid, TwaRunConfig,
-    EnsembleConfig, [(protocol, end phase or None, DriveSpec)]).
+    """The end-phase study: (LatticeParams, TwaRunConfig,
+    [(protocol, end phase or None, DriveSpec)]).
 
     After the [drive] envelope's ramp_up and hold, each [endphase] phases
     entry stops the drive abruptly at that phase, and the ramped control
@@ -347,7 +339,7 @@ def endphase_from_config(cp, seed_override: int | None = None):
                               "stops: set [endphase] ramp_down and phases instead")
     p = lattice_from_config(cp)
     drive = drive_from_config(cp)
-    grid, run_cfg, ens_cfg, _ = twa_from_config(cp, seed_override)
+    cfg = twa_from_config(cp, seed_override)
     env = drive.envelope
     if env is None:
         raise ConfigError("endphase needs [drive] envelope keys (ramp_up, hold)")
@@ -373,8 +365,8 @@ def endphase_from_config(cp, seed_override: int | None = None):
     # the abrupt stops are over after ramp_up + hold + 1 periods, the
     # ramped control (ramp_down <= post_hold + 1) no later: one run length
     # serves every protocol
-    run_cfg = replace(run_cfg, n_cycles=env.ramp_up + env.hold + post_hold + 1)
-    return p, grid, run_cfg, ens_cfg, [
+    cfg = replace(cfg, n_cycles=env.ramp_up + env.hold + post_hold + 1)
+    return p, cfg, [
         (name, phase, replace(drive, envelope=e)) for name, phase, e in stops]
 
 

@@ -95,7 +95,7 @@ def write_manifest(
     command: str,
     config_sections: dict,
     seed: int | None,
-    workers: int,
+    workers: int | None,
     outputs: Sequence[str],
     started: str | None = None,
     diagnostics: dict | None = None,

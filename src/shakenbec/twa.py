@@ -44,6 +44,9 @@ Every period the run checks that the field is finite and that each row
 keeps its atom number to ATOM_DRIFT_TOL, with numpy overflow and invalid
 warnings off: the guard reports the field they leave.  The engine returns
 the rows; the twa command takes their means and bootstrap bands.
+One TwaRunConfig holds the whole [twa] section: run_trajectory reads
+its step and run length, ensemble_run its grid and ensemble fields, and
+the twa command its bootstrap and rate-window fields.
 """
 
 from __future__ import annotations
@@ -68,7 +71,16 @@ ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
 
 @dataclass(frozen=True)
 class TwaRunConfig:
-    """Controls for a single classical-field trajectory.
+    """The [twa] section: one classical-field run and its ensemble.
+
+    Each reader takes its own fields.  run_trajectory reads the step
+    (steps_per_period) and the run length (n_cycles) and takes the grid
+    from the state it evolves.  ensemble_run reads the grid and the
+    ensemble: realization k draws its noise from a counter-based stream
+    keyed by (master_seed, k), so results are independent of worker
+    count and scheduling order.  The twa command reads
+    bootstrap_resamples for its bands and rate errors and
+    rate_window_cycles for its rate fits.
 
     n_cycles = None runs for the drive envelope's scheduled periods; an
     explicit value overrides.  Observables are recorded at every period
@@ -77,12 +89,25 @@ class TwaRunConfig:
 
     steps_per_period: int = 128
     n_cycles: int | None = None
+    grid: Grid = Grid(16, 16)
+    n_realizations: int = 16
+    master_seed: int = 0
+    bootstrap_resamples: int = 200
+    rate_window_cycles: int = 8
 
     def __post_init__(self) -> None:
         if self.steps_per_period < 16:
             raise DomainError("steps_per_period must be >= 16")
         if self.n_cycles is not None and self.n_cycles < 1:
             raise DomainError("n_cycles must be >= 1 when given")
+        if self.n_realizations < 1:
+            raise DomainError("n_realizations must be >= 1")
+        if self.bootstrap_resamples < 1:
+            raise DomainError("bootstrap_resamples must be >= 1")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.rate_window_cycles < 1:
+            raise DomainError("rate_window_cycles must be >= 1")
 
     def resolve_cycles(self, drive: tuple[DriveSpec, ...]) -> int:
         """Periods to run for a tuple of drives that evolve as one array.
@@ -115,29 +140,6 @@ class TwaRunConfig:
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    """Sampling controls for truncated-Wigner ensembles.
-
-    Realization k draws its noise from a counter-based stream keyed by
-    (master_seed, k), so results are independent of worker count and
-    scheduling order.  bootstrap_resamples is read by the twa command's
-    statistics, not by the engine.
-    """
-
-    n_realizations: int = 16
-    master_seed: int = 0
-    bootstrap_resamples: int = 200
-
-    def __post_init__(self) -> None:
-        if self.n_realizations < 1:
-            raise DomainError("n_realizations must be >= 1")
-        if self.bootstrap_resamples < 1:
-            raise DomainError("bootstrap_resamples must be >= 1")
-        if self.master_seed < 0:
-            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
-
-
-@dataclass(frozen=True)
 class FieldState:
     """Rows of classical fields in position space at t = 0.
 
@@ -156,10 +158,10 @@ class ObservableTrace:
     """Stroboscopic observables of R trajectories, one row each.
 
     n_ex_raw is the Wigner-mean excited density including the sampled
-    half quantum per mode; n_ex subtracts half_quantum, the constant
-    (n_modes - 1) / (2 volume).  n_ex_raw, n_ex and condensed_fraction
-    have shape (R, n_cycles + 1); atom_drift, of shape (R,), is each
-    row's worst relative change of the atom number over the run.  The
+    half quantum per mode; the property n_ex subtracts half_quantum, the
+    constant (n_modes - 1) / (2 volume).  n_ex_raw, n_ex and
+    condensed_fraction have shape (R, n_cycles + 1); atom_drift, of shape
+    (R,), is each row's worst relative change of the atom number.  The
     ensemble's excited density is n_ex_raw.mean(axis=0) - half_quantum.
     site_steps (sites x R x time steps) is the work integrated for the
     rows; transforms, R (steps + n_cycles + 1), counts their whole-grid
@@ -169,12 +171,15 @@ class ObservableTrace:
 
     times: np.ndarray
     n_ex_raw: np.ndarray
-    n_ex: np.ndarray
     condensed_fraction: np.ndarray
     half_quantum: float
     atom_drift: np.ndarray
     site_steps: int
     transforms: int
+
+    @property
+    def n_ex(self) -> np.ndarray:
+        return self.n_ex_raw - self.half_quantum
 
 
 def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
@@ -360,7 +365,7 @@ def run_trajectory(
     steps = n_steps * n_cycles
     blocks = [slice(k * n_real, (k + 1) * n_real) for k in range(n_prot)]
     return tuple(
-        ObservableTrace(times, n_raw[b], n_raw[b] - half_quantum, cf[b], half_quantum, drift[b],
+        ObservableTrace(times, n_raw[b], cf[b], half_quantum, drift[b],
                         grid.n_modes * n_real * steps, n_real * (steps + n_cycles + 1))
         for b in blocks
     )
@@ -369,42 +374,39 @@ def run_trajectory(
 def _run_batch(payload) -> tuple[ObservableTrace, ...]:
     """Evolve realizations ks under every drive as one array; one trace
     per drive, of one row per realization."""
-    grid, drive, p, run_cfg, ens_cfg, ks = payload
+    drive, p, cfg, ks = payload
     samples = np.concatenate([
-        sample_initial(grid, p, realization_rng(ens_cfg.master_seed, k)).amplitudes
+        sample_initial(cfg.grid, p, realization_rng(cfg.master_seed, k)).amplitudes
         for k in ks
     ])
-    batch = FieldState(np.concatenate([samples] * len(drive)), grid)
-    return run_trajectory(batch, drive, p, run_cfg, first_realization=ks[0])
+    batch = FieldState(np.concatenate([samples] * len(drive)), cfg.grid)
+    return run_trajectory(batch, drive, p, cfg, first_realization=ks[0])
 
 
 def ensemble_run(
-    grid: Grid,
     drive: tuple[DriveSpec, ...],
     p: LatticeParams,
-    run_cfg: TwaRunConfig,
-    ens_cfg: EnsembleConfig,
+    cfg: TwaRunConfig,
     workers: int = 1,
 ) -> tuple[ObservableTrace, ...]:
-    """Evolve an ensemble of Wigner samples under each drive of a tuple;
-    one ObservableTrace per drive, of every realization's row in
+    """Evolve an ensemble of Wigner samples on cfg.grid under each drive of
+    a tuple; one ObservableTrace per drive, of every realization's row in
     realization order, deterministic per seed.
 
     The drives share omega and run length (see run_trajectory) and every
-    drive evolves the same samples.  The realizations are split into
-    min(workers, n_realizations) contiguous batches, each evolved under
-    all drives as one array, in a process pool when there is more than
-    one batch; a drive's trace joins its batches' rows and sums their
-    work counters.  Realization k is sampled from
-    realization_rng(master_seed, k) whatever its batch, and rows of a
-    stack evolve bit-identically to single runs, so results depend
+    drive evolves the same samples.  The cfg.n_realizations realizations
+    are split into min(workers, n_realizations) contiguous batches, each
+    evolved under all drives as one array, in a process pool when there
+    is more than one batch; a drive's trace joins its batches' rows and
+    sums their work counters.  Realization k is sampled from
+    realization_rng(cfg.master_seed, k) whatever its batch, and rows of
+    a stack evolve bit-identically to single runs, so results depend
     neither on workers nor on the other drives of the tuple.
     """
-    n_real = ens_cfg.n_realizations
+    n_real = cfg.n_realizations
     n_batches = min(workers, n_real)
     payloads = [
-        (grid, drive, p, run_cfg, ens_cfg,
-         range(n_real * b // n_batches, n_real * (b + 1) // n_batches))
+        (drive, p, cfg, range(n_real * b // n_batches, n_real * (b + 1) // n_batches))
         for b in range(n_batches)
     ]
     if n_batches > 1:
@@ -419,7 +421,7 @@ def ensemble_run(
     return tuple(
         replace(parts[0], **{
             name: np.concatenate([getattr(tr, name) for tr in parts])
-            for name in ("n_ex_raw", "n_ex", "condensed_fraction", "atom_drift")
+            for name in ("n_ex_raw", "condensed_fraction", "atom_drift")
         }, site_steps=sum(tr.site_steps for tr in parts),
             transforms=sum(tr.transforms for tr in parts))
         for parts in zip(*batches)

@@ -17,7 +17,6 @@ from shakenbec import (
     BdgRunConfig,
     DriveSpec,
     Envelope,
-    EnsembleConfig,
     Grid,
     LatticeParams,
     Trajectory,
@@ -187,9 +186,9 @@ def test_08_twa_conservation_and_growth():
         Trajectory.LINEAR_X, k0, om, envelope=Envelope(ramp_up=2, hold=22)
     )
     [res] = ensemble_run(
-        grid, (ramped,), p,
-        TwaRunConfig(steps_per_period=128),
-        EnsembleConfig(n_realizations=8, master_seed=3, bootstrap_resamples=50),
+        (ramped,), p,
+        TwaRunConfig(steps_per_period=128, grid=grid,
+                     n_realizations=8, master_seed=3, bootstrap_resamples=50),
     )
     worst = 0.0
     for n_ex_raw, cf in zip(res.n_ex_raw, res.condensed_fraction):
@@ -206,9 +205,9 @@ def test_08_twa_conservation_and_growth():
     # a constant drive so both engines see the same schedule
     flat = DriveSpec(Trajectory.LINEAR_X, k0, om)
     [twa] = ensemble_run(
-        grid, (flat,), p,
-        TwaRunConfig(steps_per_period=128, n_cycles=10),
-        EnsembleConfig(n_realizations=12, master_seed=3, bootstrap_resamples=50),
+        (flat,), p,
+        TwaRunConfig(steps_per_period=128, n_cycles=10, grid=grid,
+                     n_realizations=12, master_seed=3, bootstrap_resamples=50),
     )
     bdg = grid_instability_scan(
         flat, p,
@@ -233,9 +232,9 @@ def test_09_twa_g_scaling():
     for g, n_cycles in cases:
         p = LatticeParams(j=1.0, g=g, n0=50.0, m_z=0.0712)
         [res] = ensemble_run(
-            grid, (drive,), p,
-            TwaRunConfig(steps_per_period=128, n_cycles=n_cycles),
-            EnsembleConfig(n_realizations=10, master_seed=5, bootstrap_resamples=50),
+            (drive,), p,
+            TwaRunConfig(steps_per_period=128, n_cycles=n_cycles, grid=grid,
+                         n_realizations=10, master_seed=5, bootstrap_resamples=50),
         )
         n_ex = res.n_ex_raw.mean(axis=0) - res.half_quantum
         idx = np.flatnonzero((n_ex >= 0.4) & (n_ex <= 6.0))

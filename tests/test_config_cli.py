@@ -20,6 +20,7 @@ from shakenbec.analytics import critical_drive_amplitude, most_unstable_mode
 from shakenbec.bdg import NORM_DRIFT_TOL, BdgRunConfig
 from shakenbec.cli import main
 from shakenbec.config import (
+    _KNOWN_KEYS,
     _preset_dir,
     available_presets,
     bdg_from_config,
@@ -36,7 +37,7 @@ from shakenbec.errors import (
     NoCriticalAmplitudeError,
 )
 from shakenbec.model import DriveSpec, Envelope, Grid, LatticeParams, Trajectory
-from shakenbec.twa import EnsembleConfig, TwaRunConfig
+from shakenbec.twa import TwaRunConfig
 from shakenbec.output import format_value, write_csv
 from shakenbec.specialmath import j0_first_zero
 
@@ -287,21 +288,28 @@ def test_empty_bdg_section_takes_the_dataclass_defaults():
 
 
 def test_empty_twa_section_takes_the_dataclass_defaults():
-    grid, run_cfg, ens_cfg, window = twa_from_config(parse(BASE + "\n[twa]\n"))
-    assert (run_cfg, ens_cfg) == (TwaRunConfig(), EnsembleConfig())
-    assert (grid, window) == (Grid(16, 16), 8)
+    cfg = twa_from_config(parse(BASE + "\n[twa]\n"))
+    assert cfg == TwaRunConfig()
+    assert (cfg.grid, cfg.rate_window_cycles) == (Grid(16, 16), 8)
+
+
+@pytest.mark.parametrize("section, run_config", [("twa", TwaRunConfig), ("bdg", BdgRunConfig)])
+def test_engine_section_keys_are_its_run_config_fields(section, run_config):
+    # a key outside the dataclass would bypass its defaults and checks
+    fields = {f.name for f in dataclasses.fields(run_config)} - {"grid"}
+    assert sorted(_KNOWN_KEYS[section]) == sorted({"nx", "ny", "nz", "lz"} | fields)
 
 
 def test_twa_section_and_seed_override():
     cp = parse(BASE + "\n[twa]\nnx = 6\nny = 6\nnz = 2\nlz = 4\nmaster_seed = 5\nn_realizations = 3\n")
-    grid, run_cfg, ens_cfg, window = twa_from_config(cp)
+    cfg = twa_from_config(cp)
+    grid = cfg.grid
     assert (grid.nx, grid.ny, grid.nz, grid.lz) == (6, 6, 2, 4.0)
-    assert ens_cfg.master_seed == 5
-    assert ens_cfg.n_realizations == 3
-    assert run_cfg.n_cycles is None  # 0 means "use the envelope"
-    assert window == 8
-    _, _, ens2, _ = twa_from_config(cp, seed_override=99)
-    assert ens2.master_seed == 99
+    assert cfg.master_seed == 5
+    assert cfg.n_realizations == 3
+    assert cfg.n_cycles is None  # 0 means "use the envelope"
+    assert cfg.rate_window_cycles == 8
+    assert twa_from_config(cp, seed_override=99).master_seed == 99
 
 
 # ----------------------------------------------------------------- presets
@@ -409,9 +417,8 @@ def test_heating_preset_is_acceptance_08_system():
         Trajectory.LINEAR_X, 2.1, 20.0, envelope=Envelope(ramp_up=2, hold=22))
     assert bdg_from_config(cp) == BdgRunConfig(
         steps_per_period=1024, n_cycles=10, grid=grid, fit_window_cycles=4)
-    assert twa_from_config(cp) == (
-        grid, TwaRunConfig(steps_per_period=128),
-        EnsembleConfig(n_realizations=8, master_seed=3), 8)
+    assert twa_from_config(cp) == TwaRunConfig(
+        steps_per_period=128, grid=grid, n_realizations=8, master_seed=3, rate_window_cycles=8)
 
 
 @pytest.mark.parametrize("overlay, name", [
@@ -897,6 +904,30 @@ def test_cli_bdg_workers_byte_identical(tmp_path):
     assert (out1 / "bdg.csv").read_bytes() == (out2 / "bdg.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command, args, outputs", [
+    ("rates", ["--preset", "paper-11er"], COMMAND_OUTPUTS["rates"]),
+    ("bdg", ["--preset", "paper-11er", "--config", "tiny-bdg.cfg"], COMMAND_OUTPUTS["bdg"]),
+    ("fit", ["trace.csv"], ["fit.csv"]),
+], ids=["rates", "bdg", "fit"])
+def test_cli_commands_without_an_ensemble_record_null_seed_and_workers(
+        tmp_path, monkeypatch, command, args, outputs):
+    # only twa and endphase read --seed and --workers; the other commands
+    # accept both, write the same bytes with them, and record neither
+    monkeypatch.chdir(tmp_path)
+    Path("tiny-bdg.cfg").write_text(
+        "[bdg]\nnx = 8\nny = 8\nsteps_per_period = 64\nn_cycles = 2\nfit_window_cycles = 1\n"
+        "\n[scan]\nvariable = omega\nvalues = 2500\n", encoding="utf-8")
+    Path("trace.csv").write_text(DECAY_CSV, encoding="utf-8")
+    workers = str(min(2, os.cpu_count() or 1))
+    assert main([command, *args, "--out", "plain"]) == 0
+    assert main([command, *args, "--out", "flags", "--seed", "5", "--workers", workers]) == 0
+    for out in ("plain", "flags"):
+        m = json.loads(Path(out, "manifest.json").read_text())
+        assert (m["seed"], m["workers"]) == (None, None)
+    for name in outputs:
+        assert Path("plain", name).read_bytes() == Path("flags", name).read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1", str((os.cpu_count() or 1) + 1)])
 def test_cli_workers_out_of_range(tmp_path, capsys, workers):
     out = tmp_path / "o"
@@ -992,6 +1023,8 @@ def test_cli_twa_seed_flag_recorded(tmp_path):
                  "--workers", "2"]) == 0
     m = json.loads((out1 / "manifest.json").read_text())
     assert m["seed"] == 7
+    m2 = json.loads((out2 / "manifest.json").read_text())
+    assert (m2["seed"], m2["workers"]) == (7, 2)
     # reruns with the same seed are byte-identical even across workers
     assert (out1 / "twa_trace.csv").read_bytes() == (out2 / "twa_trace.csv").read_bytes()
 
@@ -1039,17 +1072,19 @@ def test_cli_twa_quotes_no_degenerate_uncertainty(tmp_path, keys):
 def test_cli_twa_g_scan_records_failed_point(tmp_path, monkeypatch):
     real_run = twa.ensemble_run
 
-    def run_failing_at_g12(grid, drive, p, *rest, **kw):
+    def run_failing_at_g12(drive, p, *rest, **kw):
         if p.g == 12.0:
             raise BlowUpError("atom number drifted")
-        return real_run(grid, drive, p, *rest, **kw)
+        return real_run(drive, p, *rest, **kw)
 
     monkeypatch.setattr(twa, "ensemble_run", run_failing_at_g12)
     cfg = write_cfg(tmp_path, TWA_BODY + "\n[scan]\nvariable = g\nvalues = 6, 12\n")
     out = tmp_path / "o"
     assert main(["twa", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "twa_g_scan.csv", encoding="utf-8", newline="") as fh:
-        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "BlowUpError"]
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok", "BlowUpError"]
+    assert rows[1]["warning"] == ""  # a failed point has no fit to warn about
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["failed_points"] == [{
         "variable": "g", "value": 12.0, "error": "BlowUpError",
@@ -1061,10 +1096,10 @@ def test_cli_twa_g_scan_records_failed_point(tmp_path, monkeypatch):
 def test_cli_twa_g_scan_counts_site_steps_of_finished_points(tmp_path, monkeypatch):
     real_run = twa.ensemble_run
 
-    def run_failing_at_g12(grid, drive, p, *rest, **kw):
+    def run_failing_at_g12(drive, p, *rest, **kw):
         if p.g == 12.0:
             raise BlowUpError("atom number drifted")
-        return real_run(grid, drive, p, *rest, **kw)
+        return real_run(drive, p, *rest, **kw)
 
     monkeypatch.setattr(twa, "ensemble_run", run_failing_at_g12)
     cfg = write_cfg(tmp_path, TWA_BODY + "\n[scan]\nvariable = g\nvalues = 6, 8, 12\n")
@@ -1248,13 +1283,16 @@ def test_cli_manifest_lists_fit_warnings(tmp_path):
                                                           ("late", warning)]
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["fit_warnings"] == {"early": warning, "late": warning}
-    # a g scan of the same gas warns at each point, keyed by its g; the
-    # scan's CSV has no warning column
+    # a g scan of the same gas warns at each point, keyed by its g, and in
+    # its CSV's warning column, just before status
     scan = write_cfg(tmp_path, body + "\n[scan]\nvariable = g\nvalues = 0.01, 0.02\n", "scan.cfg")
     out = tmp_path / "g"
     assert main(["twa", "--config", scan, "--out", str(out)]) == 0
     with open(out / "twa_g_scan.csv", encoding="utf-8", newline="") as fh:
-        assert [(r["rate_rad_s"], r["status"]) for r in csv.DictReader(fh)] == [("0", "ok")] * 2
+        scan_rows = list(csv.DictReader(fh))
+    assert [(r["rate_rad_s"], r["status"]) for r in scan_rows] == [("0", "ok")] * 2
+    assert [r["warning"] for r in scan_rows] == [warning] * 2
+    assert list(scan_rows[0])[-2:] == ["warning", "status"]
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["fit_warnings"] == {"g=0.01": warning, "g=0.02": warning}
     # a growing trace fitted as a condensed fraction warns by method;

@@ -41,7 +41,7 @@ def test_readme_config_block_loads(tmp_path):
     assert drive_from_config(cp).envelope == Envelope(ramp_up=2, hold=20)
     assert scan_from_config(cp, allowed=("omega",)).values.size == 3
     assert bdg_from_config(cp).grid == Grid(24, 24, 1, lz=1.0)
-    assert twa_from_config(cp)[0] == Grid(16, 16, 8, lz=12.9)
+    assert twa_from_config(cp).grid == Grid(16, 16, 8, lz=12.9)
 
 
 def test_readme_claims_table_names_what_exists():

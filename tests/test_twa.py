@@ -21,7 +21,6 @@ from shakenbec.model import (
     drive_shift,
 )
 from shakenbec.twa import (
-    EnsembleConfig,
     FieldState,
     TwaRunConfig,
     ensemble_run,
@@ -407,14 +406,14 @@ def test_transforms_counter_matches_the_engine(monkeypatch):
     assert len(calls) == per_realization
     assert set(calls) == {3}  # every call passes over the three axes of GRID
     calls.clear()
-    results = ensemble_run(GRID, drives, P, cfg, ens(n=2))
+    results = ensemble_run(drives, P, ens(n=2, run=cfg))
     assert len(calls) == per_realization
     assert [res.transforms for res in results] == [2 * per_realization] * len(drives)
     # each trace's counters are the sums over the batches that joined into it
     monkeypatch.setattr(twa, "_transform", transform_)
     for workers, batches in ((1, [range(3)]), (2, [range(1), range(1, 3)])):
-        parts = [twa._run_batch((GRID, drives, P, cfg, ens(n=3), ks)) for ks in batches]
-        traces = ensemble_run(GRID, drives, P, cfg, ens(n=3), workers=workers)
+        parts = [twa._run_batch((drives, P, ens(n=3, run=cfg), ks)) for ks in batches]
+        traces = ensemble_run(drives, P, ens(n=3, run=cfg), workers=workers)
         for k, res in enumerate(traces):
             assert res.transforms == sum(b[k].transforms for b in parts) == 3 * per_realization
             assert res.site_steps == sum(b[k].site_steps for b in parts) == (
@@ -500,7 +499,7 @@ def test_atom_drift_matches_atom_number(monkeypatch):
 
 def test_atom_drift_guard_names_realization(monkeypatch):
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=2)
+    [res] = ensemble_run((d,), P, ens(n=4), workers=2)
     drifts = res.atom_drift
     assert np.all(drifts < twa.ATOM_DRIFT_TOL)
     worst = int(np.argmax(drifts))
@@ -510,7 +509,7 @@ def test_atom_drift_guard_names_realization(monkeypatch):
     assert np.sum(drifts >= 0.999 * drifts[worst]) == 1
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     with pytest.raises(BlowUpError, match=f"realization {worst}: atom number .* cycle"):
-        ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=2)
+        ensemble_run((d,), P, ens(n=4), workers=2)
 
 
 # ------------------------------------------------------------ protocol axis
@@ -524,10 +523,10 @@ def end_phase_drives(omega=9.0):
 
 def test_stacked_drives_bit_identical_to_single_runs():
     drives = end_phase_drives()
-    stack = ensemble_run(GRID, drives, P, quick_run(), ens(n=3), workers=2)
+    stack = ensemble_run(drives, P, ens(n=3), workers=2)
     assert len(stack) == len(drives)
     for d, res in zip(drives, stack):
-        [solo] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=3), workers=1)
+        [solo] = ensemble_run((d,), P, ens(n=3), workers=1)
         for field in ("times", "n_ex_raw", "n_ex", "condensed_fraction"):
             assert getattr(res, field).tobytes() == getattr(solo, field).tobytes(), field
         for band, solo_band in zip(cli._band(res, ens(n=3)), cli._band(solo, ens(n=3))):
@@ -546,7 +545,7 @@ def test_stacked_drives_must_share_omega_and_run_length():
     st = stacked([sample(k) for k in range(3)])
     mixed = drives[:2] + (replace(drives[2], omega=10.0),)
     with pytest.raises(DomainError, match="share omega"):
-        ensemble_run(GRID, mixed, P, quick_run(), ens(n=1))
+        ensemble_run(mixed, P, ens(n=1))
     with pytest.raises(DomainError, match="share omega"):
         run_trajectory(st, mixed, P, quick_run())
     # with n_cycles unset, the ramped control ends a period after the stops
@@ -563,7 +562,7 @@ def test_stacked_drives_must_share_omega_and_run_length():
 
 def test_atom_drift_guard_names_protocol_and_realization(monkeypatch):
     drives = end_phase_drives()
-    runs = ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
+    runs = ensemble_run(drives, P, ens(n=4), workers=2)
     drifts = np.array([res.atom_drift for res in runs])
     worst = np.unravel_index(np.argmax(drifts), drifts.shape)
     assert drifts[worst] > 0.0
@@ -571,7 +570,7 @@ def test_atom_drift_guard_names_protocol_and_realization(monkeypatch):
     monkeypatch.setattr(twa, "ATOM_DRIFT_TOL", 0.999 * drifts[worst])
     want = f"protocol {worst[0]}, realization {worst[1]}: atom number .* cycle"
     with pytest.raises(BlowUpError, match=want):
-        ensemble_run(GRID, drives, P, quick_run(), ens(n=4), workers=2)
+        ensemble_run(drives, P, ens(n=4), workers=2)
 
 
 # -------------------------------------------------------------- run config
@@ -608,10 +607,10 @@ def test_resolve_cycles_needs_a_drive():
 # --------------------------------------------------------------- ensembles
 
 
-def ens(n=3, seed=0, resamples=20):
-    return EnsembleConfig(
-        n_realizations=n, master_seed=seed, bootstrap_resamples=resamples
-    )
+def ens(n=3, seed=0, resamples=20, run=None):
+    """quick_run(), or run, on GRID with an ensemble of n realizations."""
+    return replace(run or quick_run(), grid=GRID, n_realizations=n, master_seed=seed,
+                   bootstrap_resamples=resamples)
 
 
 def quick_run():
@@ -638,17 +637,17 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    [a] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
-    [b] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=1)
-    [c] = ensemble_run(GRID, (d,), P, quick_run(), ens(), workers=2)
+    [a] = ensemble_run((d,), P, ens(), workers=1)
+    [b] = ensemble_run((d,), P, ens(), workers=1)
+    [c] = ensemble_run((d,), P, ens(), workers=2)
     np.testing.assert_array_equal(a.n_ex, b.n_ex)
     np.testing.assert_array_equal(a.n_ex, c.n_ex)
     np.testing.assert_array_equal(cli._band(a, ens())[0], cli._band(c, ens())[0])
-    [other] = ensemble_run(GRID, (d,), P, quick_run(), ens(seed=1), workers=1)
+    [other] = ensemble_run((d,), P, ens(seed=1), workers=1)
     assert not np.array_equal(a.n_ex, other.n_ex)
     # never more batches (processes) than realizations, none empty
     pools.clear()
-    runs = [ensemble_run(GRID, (d,), P, quick_run(), ens(n=2), workers=w)[0]
+    runs = [ensemble_run((d,), P, ens(n=2), workers=w)[0]
             for w in (1, 2, 3)]
     assert pools == [2, 2]
     for run in runs:
@@ -660,7 +659,7 @@ def test_ensemble_deterministic_and_worker_independent(monkeypatch):
 
 def test_ensemble_structure():
     d = DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0)
-    [res] = ensemble_run(GRID, (d,), P, quick_run(), ens(n=4), workers=1)
+    [res] = ensemble_run((d,), P, ens(n=4), workers=1)
     assert len(res.n_ex) == 4
     assert_rows_are_realizations(res, d)
     mean = cli._mean_n_ex(res)
@@ -685,7 +684,7 @@ def test_ensemble_blow_up_names_realization():
     d = DriveSpec(Trajectory.LINEAR_X, 1.0, 6.0)
     with pytest.raises(BlowUpError, match="realization 0"):
         ensemble_run(
-            GRID, (d,), bad, TwaRunConfig(steps_per_period=16, n_cycles=1), ens(n=2)
+            (d,), bad, ens(n=2, run=TwaRunConfig(steps_per_period=16, n_cycles=1))
         )
 
 
@@ -696,10 +695,11 @@ def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
     # transforms reproduce them to rounding
     # the twa command's band code (cli._band) over the engine's rows
     def run():
-        trace = ensemble_run(Grid(4, 4, 1), (DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),),
+        trace = ensemble_run((DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),),
                              LatticeParams(j=1.0, g=5.0, n0=2.0),
-                             TwaRunConfig(steps_per_period=16, n_cycles=2),
-                             ens(n=3, seed=5), workers=1)[0]
+                             TwaRunConfig(steps_per_period=16, n_cycles=2, grid=Grid(4, 4, 1),
+                                          n_realizations=3, master_seed=5,
+                                          bootstrap_resamples=20), workers=1)[0]
         return cli._band(trace, ens(n=3, seed=5))
 
     shipped_lo, shipped_hi = run()
@@ -717,6 +717,8 @@ def test_ensemble_bands_pinned_bit_for_bit(monkeypatch):
 
 def test_ensemble_config_validation():
     with pytest.raises(DomainError):
-        EnsembleConfig(n_realizations=0)
+        TwaRunConfig(n_realizations=0)
     with pytest.raises(DomainError):
-        EnsembleConfig(bootstrap_resamples=0)
+        TwaRunConfig(bootstrap_resamples=0)
+    with pytest.raises(DomainError, match="rate_window_cycles must be >= 1"):
+        TwaRunConfig(rate_window_cycles=0)
