@@ -93,14 +93,12 @@ def _scan_points(cp, allowed: tuple[str, ...], drive: DriveSpec,
     return points
 
 
-def _run_points(command: str, points: list[_Point], run, drift: str, drift_of,
-                strict: bool = False):
+def _run_points(command: str, points: list[_Point], run, strict: bool = False):
     """Run each point in turn: ([(point, result or None, status)], diagnostics).
 
     A NumericalError fails only its own point (strict re-raises it): its
     status is the error class, and the shakenbec logger (stderr) and
-    diagnostics' failed_points get its message.  diagnostics[drift] is
-    the worst drift_of(result).
+    diagnostics' failed_points get its message.
     """
     outcomes, failures = [], []
     for point in points:
@@ -114,8 +112,7 @@ def _run_points(command: str, points: list[_Point], run, drift: str, drift_of,
             failures.append({"variable": point.variable, "value": point.value,
                              "error": type(exc).__name__, "message": str(exc)})
             outcomes.append((point, None, type(exc).__name__))
-    drifts = [drift_of(result) for _, result, _ in outcomes if result is not None]
-    return outcomes, {drift: max(drifts, default=None), "failed_points": failures}
+    return outcomes, {"failed_points": failures}
 
 
 def _cells(values: np.ndarray, missing: np.ndarray) -> list:
@@ -186,7 +183,7 @@ def cmd_bdg(args, cp):
     outcomes, diagnostics = _run_points(
         "bdg", points or [_Point("omega", drive.omega, drive, p)],
         lambda point: bdg.grid_instability_scan(point.drive, point.lattice, cfg),
-        "norm_drift_max", lambda result: result.norm_drift, strict=points is None,
+        strict=points is None,
     )
     head = ["trajectory", "k0", "omega_rad_s", "omega_hz"]
     # the analytic rate 2 gamma of every point, empty where the band is inverted
@@ -206,7 +203,9 @@ def cmd_bdg(args, cp):
         # every grid mode's momentum and rate, in [nx, ny, nz] index order
         modes = [*result.grid.momenta.tolist(), result.rates.ravel().tolist()]
         mode_rows.append(zip(*map(repeat, cells), *modes))
-    diagnostics["mode_steps"] = sum(r.mode_steps for _, r, _ in outcomes if r is not None)
+    done = [result for _, result, _ in outcomes if result is not None]
+    diagnostics["norm_drift_max"] = max((r.norm_drift for r in done), default=None)
+    diagnostics["mode_steps"] = sum(r.mode_steps for r in done)
     return {
         "bdg.csv": ([*head, "extracted_rate_rad_s", "analytic_rate_rad_s",
                      "qx_max", "qy_max", "qz_max", "norm_drift", "status"], rows),
@@ -233,11 +232,13 @@ def _band(trace, cfg):
     return mean - band, mean + band
 
 
-def _rate_with_error(trace, window, period, cfg, stop=None):
+def _rate_with_error(trace, period, cfg, stop=None):
     """The windowed log slope of an ensemble's mean growth and its bootstrap
     error over realizations, None where the bootstrap is degenerate: each
     row of trace.n_ex, clipped at zero, as a growth trace over samples
-    [:stop]."""
+    [:stop], fitted over the last cfg.rate_window_cycles periods, or the
+    whole run when it is shorter."""
+    window = min(cfg.rate_window_cycles, trace.times.size - 1)
     times, values = trace.times[:stop], np.maximum(trace.n_ex[:, :stop], 0.0)
     fitter = lambda tr: fitting.windowed_log_slope(tr, window, period)
     kind = fitting.TraceKind.MODE_OCCUPATION
@@ -274,12 +275,10 @@ def cmd_twa(args, cp):
     if points is not None:
         def run(point):
             [trace] = twa.ensemble_run((drive,), point.lattice, cfg, workers=args.workers)
-            fit, err = _rate_with_error(trace, cfg.rate_window_cycles, period, cfg)
+            fit, err = _rate_with_error(trace, period, cfg)
             return trace, fit.rate, err, fit.warning
 
-        outcomes, diagnostics = _run_points(
-            "twa", points, run, "atom_drift_max", lambda done: done[0].atom_drift.max()
-        )
+        outcomes, diagnostics = _run_points("twa", points, run)
         diagnostics.update(_twa_counters([done[0] for _, done, _ in outcomes if done]))
         diagnostics["fit_warnings"] = _fit_warnings(
             [(f"g={point.value}", done[3]) for point, done, _ in outcomes if done])
@@ -293,10 +292,9 @@ def cmd_twa(args, cp):
         return {"twa_g_scan.csv": (header, rows)}, diagnostics
 
     [trace] = twa.ensemble_run((drive,), p, cfg, workers=args.workers)
-    n = min(cfg.rate_window_cycles, trace.times.size - 1)
     rate_rows = []
-    for label, stop in (("early", n + 1), ("late", None)):
-        fit, err = _rate_with_error(trace, n, period, cfg, stop)
+    for label, stop in (("early", cfg.rate_window_cycles + 1), ("late", None)):
+        fit, err = _rate_with_error(trace, period, cfg, stop)
         rate_rows.append([
             label, fit.method.value, fit.rate, err,
             fit.window[0], fit.window[1], fit.n_points, fit.warning,

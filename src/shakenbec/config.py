@@ -7,20 +7,22 @@ and are converted to angular frequencies internally; set
 frequency = rad_s to pass values straight through (handy for
 dimensionless studies with j = 1).  Exponential rates such as gamma0
 are e-folding rates in 1/s and are never scaled by 2*pi.
+Each [bdg] and [twa] key is named once: nx, ny, nz and lz set the grid, and
+every other field of the run config (BdgRunConfig, TwaRunConfig) is an int key.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
 from .fitting import TraceKind
-from .model import DriveSpec, Envelope, Grid, LatticeParams, Trajectory
+from .model import DriveSpec, Envelope, LatticeParams, Trajectory
 from .specialmath import (
     ATOMIC_MASS_KG,
     RB87_MASS_U,
@@ -32,6 +34,13 @@ from .bdg import BdgRunConfig
 
 TWO_PI = 2.0 * math.pi
 _REQUIRED = object()
+_GRID_KEYS = {"nx": int, "ny": int, "nz": int, "lz": float}
+
+
+def _engine_keys(run_config) -> tuple[str, ...]:
+    # an engine section's keys: the grid's, then every other run config field
+    return (*_GRID_KEYS, *(f.name for f in fields(run_config) if f.name != "grid"))
+
 
 # Every section a config may hold and the keys each one reads; anything
 # else is a typo that would otherwise fall back to a default unseen.
@@ -42,11 +51,8 @@ _KNOWN_KEYS = {
     "drive": ("trajectory", "k0", "omega", "ramp_up", "hold", "ramp_down",
               "abrupt_stop", "end_phase"),
     "scan": ("variable", "values", "start", "stop", "count", "spacing"),
-    "bdg": ("nx", "ny", "nz", "lz", "steps_per_period", "n_cycles",
-            "fit_window_cycles"),
-    "twa": ("nx", "ny", "nz", "lz", "steps_per_period", "n_cycles",
-            "n_realizations", "master_seed", "bootstrap_resamples",
-            "rate_window_cycles"),
+    "bdg": _engine_keys(BdgRunConfig),
+    "twa": _engine_keys(TwaRunConfig),
     "endphase": ("phases", "ramp_down", "post_hold_periods"),
     "fit": ("kind",),
 }
@@ -291,36 +297,27 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
     return ScanSpec(variable=variable, values=values)
 
 
-def grid_from_config(cp, section: str, default: Grid) -> Grid:
-    """The grid keys nx, ny, nz and lz of [section]; absent ones keep default's."""
-    return Grid(
-        nx=_get(cp, section, "nx", int, default.nx),
-        ny=_get(cp, section, "ny", int, default.ny),
-        nz=_get(cp, section, "nz", int, default.nz),
-        lz=_get(cp, section, "lz", float, default.lz),
-    )
+def _run_config(cp, section: str, run_config, **override):
+    """[section] as a run_config (BdgRunConfig or TwaRunConfig): the grid keys
+    over its default grid, and every other field an int key.  Absent keys keep
+    the dataclass defaults; an override that is not None replaces its field."""
+    if not cp.has_section(section):
+        raise ConfigError(f"missing required section [{section}]")
+    given = _given(cp, section, {key: int for key in _KNOWN_KEYS[section]
+                                 if key not in _GRID_KEYS})
+    grid = replace(run_config.grid, **_given(cp, section, _GRID_KEYS))
+    given.update((key, value) for key, value in override.items() if value is not None)
+    return run_config(grid=grid, **given)
 
 
 def bdg_from_config(cp) -> BdgRunConfig:
-    """[bdg] as a BdgRunConfig; absent keys keep the dataclass defaults."""
-    if not cp.has_section("bdg"):
-        raise ConfigError("missing required section [bdg]")
-    given = _given(cp, "bdg", dict.fromkeys(
-        ("steps_per_period", "n_cycles", "fit_window_cycles"), int))
-    return BdgRunConfig(grid=grid_from_config(cp, "bdg", BdgRunConfig.grid), **given)
+    """[bdg] as a BdgRunConfig."""
+    return _run_config(cp, "bdg", BdgRunConfig)
 
 
 def twa_from_config(cp, seed_override: int | None = None) -> TwaRunConfig:
-    """[twa] as a TwaRunConfig; absent keys keep the dataclass defaults,
-    and seed_override, when given, replaces master_seed."""
-    if not cp.has_section("twa"):
-        raise ConfigError("missing required section [twa]")
-    given = _given(cp, "twa", dict.fromkeys(
-        ("steps_per_period", "n_cycles", "n_realizations", "master_seed",
-         "bootstrap_resamples", "rate_window_cycles"), int))
-    if seed_override is not None:
-        given["master_seed"] = seed_override
-    return TwaRunConfig(grid=grid_from_config(cp, "twa", TwaRunConfig.grid), **given)
+    """[twa] as a TwaRunConfig; seed_override, when given, replaces master_seed."""
+    return _run_config(cp, "twa", TwaRunConfig, master_seed=seed_override)
 
 
 def endphase_from_config(cp, seed_override: int | None = None):

@@ -6,6 +6,9 @@ decay rates are extracted from experimental scans.  When the trace is
 not exponential enough (log-space R^2 below R2_THRESHOLD) a linear
 fallback reports the initial fractional slope instead.  Ensemble
 uncertainties come from bootstrap resampling of whole realizations.
+Whichever method fits, a rate against the trace's sign convention comes
+with a warning instead of an error: "trace grows (decays) against its
+sign convention", or the linear fallback's own warning with that note.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def _fit(trace: DecayTrace, mask: np.ndarray, method: FitMethod, min_points: int
     if linear:
         warning = "rate from linear fallback" + (
             "" if rate >= 0.0 else "; trace runs against its sign convention")
-    elif method is FitMethod.EXPONENTIAL and rate < 0.0:
+    elif rate < 0.0:
         warning = f"trace {'grows' if decays else 'decays'} against its sign convention"
     return FitResult(amplitude if linear else math.exp(amplitude), rate,
                      stderr / scale, method, r2, window, n_points, warning)
@@ -158,9 +161,7 @@ def _fit(trace: DecayTrace, mask: np.ndarray, method: FitMethod, min_points: int
 def fit_exponential(trace: DecayTrace) -> FitResult:
     """Log-space least squares over the window y >= y(0)/2.
 
-    Requires at least four positive samples in the window.  A rate with
-    the unexpected sign (e.g. a growing condensed fraction) is returned
-    with a warning rather than raised.
+    Requires at least four positive samples in the window.
     """
     return _fit(trace, _half_window(trace) & (trace.values > 0.0),
                 FitMethod.EXPONENTIAL, 4,

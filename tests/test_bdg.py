@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dispersion
+from oracles import dispersion, ring_ground_depletion
 from scipy.integrate import solve_ivp
 
 from shakenbec import bdg
@@ -93,6 +93,19 @@ def test_init_mode_eps_equals_2g():
     [u], _ = init_mode(columns(Momentum(qx, 0.0, 0.0)), LatticeParams(j=1.0, g=g))
     cosh2 = 3.0 / (2.0 * math.sqrt(2.0))
     assert abs(u) ** 2 == pytest.approx(0.5 * (cosh2 + 1.0), rel=1e-12)
+
+
+def test_init_mode_depletion_matches_the_exact_three_site_ring():
+    # Grid(3, 1, 1) holds the condensate and one (q, -q) pair, q = 2 pi / 3:
+    # the exact ground state's n_+ + n_- tends to Bogoliubov's 2 |v|^2 as the
+    # atom number grows at fixed g = U n0 (measured gaps 1.1e-5 at N = 30 and
+    # 4.6e-6 at N = 90), and an ideal gas is not depleted at all
+    p = LatticeParams(j=1.0, g=2.0)
+    _, [v] = init_mode(columns(Momentum(2.0 * math.pi / 3.0, 0.0, 0.0)), p)
+    gaps = [abs(ring_ground_depletion(n, p) - 2.0 * abs(v) ** 2) for n in (30, 90)]
+    assert max(gaps) < 2e-5
+    assert gaps[1] < gaps[0]
+    assert ring_ground_depletion(30, LatticeParams(j=1.0, g=0.0)) < 1e-12
 
 
 # ------------------------------------------------------------- invariants

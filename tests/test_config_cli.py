@@ -33,6 +33,7 @@ from shakenbec.config import (
 from shakenbec.errors import (
     BlowUpError,
     ConfigError,
+    DomainError,
     InvertedBandError,
     NoCriticalAmplitudeError,
 )
@@ -298,6 +299,20 @@ def test_engine_section_keys_are_its_run_config_fields(section, run_config):
     # a key outside the dataclass would bypass its defaults and checks
     fields = {f.name for f in dataclasses.fields(run_config)} - {"grid"}
     assert sorted(_KNOWN_KEYS[section]) == sorted({"nx", "ny", "nz", "lz"} | fields)
+
+
+@pytest.mark.parametrize("build", [bdg_from_config, twa_from_config])
+def test_engine_section_errors_in_one_order(build):
+    # the int keys are read before the grid keys, and the grid is checked
+    # before the run config it sits in
+    section = build.__name__.split("_")[0]
+    for body, error, message in (
+            ("nx = x\nsteps_per_period = y", ConfigError, "bad value for 'steps_per_period'"),
+            ("nz = q\nlz = 0", ConfigError, "bad value for 'nz'"),
+            ("nx = 0\nsteps_per_period = 1", DomainError, "grid extents"),
+            ("steps_per_period = 1", DomainError, "steps_per_period must be >= ")):
+        with pytest.raises(error, match=message):
+            build(parse(f"[{section}]\n{body}\n"))
 
 
 def test_twa_section_and_seed_override():
@@ -1311,6 +1326,46 @@ def test_cli_manifest_lists_fit_warnings(tmp_path):
         assert row["warning"] == "".join(warnings.values())
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["fit_warnings"] == warnings
+
+
+TINY_TWA = "[twa]\nnx = 4\nny = 4\nn_realizations = 2\nsteps_per_period = 32\n"
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_g_scan_flags_a_rate_against_the_sign_convention(tmp_path):
+    # the packaged end-phase preset on a 4x4 lattice at its seed: the mean
+    # excited density falls over both points' windows, so each windowed
+    # growth rate is negative and must say so, in the CSV and the manifest
+    body = TINY_TWA + "\n[scan]\nvariable = g\nvalues = 4, 5\n"
+    out = tmp_path / "g"
+    assert main(["twa", "--preset", "endphase-12x12", "--config", write_cfg(tmp_path, body),
+                 "--out", str(out)]) == 0
+    rows = _csv_rows(out / "twa_g_scan.csv")
+    warning = "trace decays against its sign convention"
+    assert [(float(r["rate_rad_s"]) < 0.0, r["warning"], r["status"]) for r in rows] == [
+        (True, warning, "ok")] * 2
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["fit_warnings"] == {"g=4.0": warning, "g=5.0": warning}
+
+
+def test_cli_g_scan_row_is_the_late_fit_of_a_plain_run(tmp_path):
+    # one rate window for both shapes of the twa command: a g-scan point
+    # writes the cells of the plain run's late row at that g, byte for byte
+    body = TINY_TWA + "rate_window_cycles = 3\n"
+    plain, scan = tmp_path / "plain", tmp_path / "scan"
+    assert main(["twa", "--preset", "endphase-12x12", "--out", str(plain), "--config",
+                 write_cfg(tmp_path, body + "\n[lattice]\ng = 5\n", "plain.cfg")]) == 0
+    assert main(["twa", "--preset", "endphase-12x12", "--out", str(scan), "--config",
+                 write_cfg(tmp_path, body + "\n[scan]\nvariable = g\nvalues = 5\n")]) == 0
+    early, late = _csv_rows(plain / "twa_rates.csv")
+    [row] = _csv_rows(scan / "twa_g_scan.csv")
+    cells = ("rate_rad_s", "rate_err_rad_s", "warning")
+    assert [row[c] for c in cells] == [late[c] for c in cells]
+    assert early["rate_rad_s"] != late["rate_rad_s"]  # the window picks the late samples
 
 
 def test_cli_endphase_requires_envelope(tmp_path):

@@ -351,6 +351,7 @@ def test_windowed_slope_pinned_bit_for_bit():
     assert windowed_log_slope(fading, 3, 0.2) == FitResult(
         0.17803810217199786, -0.5542102322736099, 0.04466202857185142,
         FitMethod.WINDOWED_LOG_SLOPE, 0.9685500553741628, window, 7,
+        "trace decays against its sign convention",
     )
     assert fit_exponential(fading) == FitResult(
         0.5115643531986439, -0.7407972406382133, 0.03239839738995933,
