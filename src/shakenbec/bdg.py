@@ -21,6 +21,20 @@ model.drive_shift call gives A(t) at every RK4 node of a map, the cut's
 included, where model.axis_energies tabulates eps(+-q, t) = eps0(+-q -
 A(t)) - eps0(-A(t)) on each momentum axis' distinct values, per mode.
 
+A map's step list, the cut's two sub-steps included, is split into
+SEGMENTS contiguous slices that are integrated side by side, each from
+the identity, as one [2, 2, segment, mode] RK4 run; a shorter slice is
+padded with steps of length 0, which leave a finite state as it is.
+The equations are linear, so the map is the product of the slices'
+maps, later slices on the left: the same RK4 step matrices multiplied
+in another grouping, which moves only the rounding (maps agree with
+the sequential loop to below 1e-13 relative).  The split follows from
+the step list alone, never from the number of columns, and the modes
+run in blocks of at most BLOCK_COLUMNS (the 1,027 pairs of the
+heating-16x16x8 grid take a fifth less time in three blocks than in
+one), whose work is elementwise per mode, so a mode's map is bit for
+bit the same whatever batch it is integrated in.
+
 Two exact symmetries save work.  The conjugation (u, v) -> (v*, u*)
 carries the equations of q onto those with eps(q) and eps(-q)
 swapped, which are the equations of -q.  At constant amplitude the
@@ -64,6 +78,8 @@ from .model import (
 
 NORM_DRIFT_TOL = 1e-6  # relative drift of |u|^2 - |v|^2 per run
 OCCUPATION_CEILING = 1e200  # abort before exp growth overflows doubles
+SEGMENTS = 8  # slices of a period map's steps that period_map integrates side by side
+BLOCK_COLUMNS = 512  # most modes in one RK4 run of period_map; wider arrays run slower
 
 
 @dataclass(frozen=True)
@@ -152,11 +168,19 @@ def _rk4(u, v, h, e1, e2, e4, g):
     )
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The map a @ b of two [2, 2, mode] maps, mode by mode."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
 def period_map(
     q: np.ndarray, t_start: float, drive: DriveSpec, p: LatticeParams, steps_per_period: int
 ) -> tuple[np.ndarray, int]:
     """(m, steps): for the modes q[:, mode] = (qx, qy, qz), one period from
-    t_start takes (u, v) to m @ (u, v), m[i, j, mode], in `steps` RK4 steps."""
+    t_start takes (u, v) to m @ (u, v), m[i, j, mode], in `steps` RK4 steps;
+    DomainError if steps_per_period < 1."""
+    if steps_per_period < 1:
+        raise DomainError(f"period_map needs steps_per_period >= 1, got {steps_per_period}")
     dt = drive.period / steps_per_period
     # A(t + T/2) = -A(t) makes the second half period's map sigma_x N* sigma_x
     # (module docstring); an envelope breaks that symmetry, and an odd step
@@ -174,29 +198,51 @@ def period_map(
         h1, h2, n = ts - times[2 * cut], times[2 * cut + 2] - ts, times.size
         steps[cut:cut + 1] = [(n, n + 1, h1), (n + 2, 2 * cut + 2, h2)]
         times = np.append(times, [ts - 0.5 * h1, ts, ts + 0.5 * h2])
-    ax, ay = (a[:, None, None] for a in drive_shift(times, drive))
-    # eps(+-q, t) = eps0(+-q - A) - eps0(-A): per-axis tables [time, sign,
+    ax, ay = (a[:, None] for a in drive_shift(times, drive))
+    # eps(+-q, t) = eps0(+-q - A) - eps0(-A): per-axis tables [sign, time,
     # axis value] on the distinct values of each axis, gathered per mode
     (ux, ix), (uy, iy) = (np.unique(axis, return_inverse=True) for axis in q[:2])
-    sign = np.array([[1.0], [-1.0]])
+    sign = np.array([1.0, -1.0])[:, None, None]
     ex, ey, ez = axis_energies(sign * ux, sign * uy, q[2], p, ax, ay)
     ex -= sum(axis_energies(0.0, 0.0, 0.0, p, ax, ay))
 
-    def eps(k: int) -> np.ndarray:
-        return ex[k].take(ix, axis=1) + ey[k].take(iy, axis=1) + ez  # eps(+-q, t_k)
+    def eps(k: np.ndarray, cols: slice) -> np.ndarray:  # [sign, segment, mode]
+        return ex[:, k].take(ix[cols], axis=2) + ey[:, k].take(iy[cols], axis=2) + ez[cols]
 
+    # the steps run in SEGMENTS contiguous slices side by side, each from the
+    # identity, so the loop is as long as the longest slice; a shorter one is
+    # padded with steps of length 0 at its last node, which leave it as it is
+    bounds = [len(steps) * s // SEGMENTS for s in range(SEGMENTS + 1)]
+    width = max(b - a for a, b in zip(bounds, bounds[1:]))
+    node = [steps[b - 1][1] if b else 0 for b in bounds]  # where each slice ends
+    rows = [steps[a:b] + [(n, n, 0.0)] * (width - (b - a))
+            for a, b, n in zip(bounds, bounds[1:], node[1:])]
+    mid, end, h = np.array(rows).T  # each [step, segment]
+    mid, end = mid.astype(int), end.astype(int)
     g = p.g
-    # row j of (u, v) is the solution starting from column j of the identity
-    u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None], (2, 2, q.shape[1]))
-    e4 = eps(0)
-    for mid, end, h in steps:
-        e1, e4 = e4, eps(end)
-        u, v = _rk4(u, v, h, e1, eps(mid), e4, g)
-    m = np.stack((u, v))
-    if not half_period:
-        return m, len(steps)
-    s = m[::-1, ::-1].conj()  # sigma_x N* sigma_x
-    return s[:, :1] * m[:1] + s[:, 1:] * m[1:], len(steps)
+    # the modes run in blocks of at most BLOCK_COLUMNS; every operation is
+    # elementwise per mode, so the blocks leave each mode's map as it is
+    modes = q.shape[1]
+    blocks = max(1, -(-modes // BLOCK_COLUMNS))
+    edges = [modes * b // blocks for b in range(blocks + 1)]
+    m = np.empty((2, 2, modes), dtype=np.complex128)
+    for cols in (slice(a, b) for a, b in zip(edges, edges[1:])):
+        # row j of (u, v) is the solution starting from column j of the identity
+        u, v = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None, None],
+                               (2, 2, SEGMENTS, cols.stop - cols.start))
+        e4 = eps(np.array(node[:-1]), cols)  # each slice starts where the last one ends
+        for k in range(width):
+            e1, e4 = e4, eps(end[k], cols)
+            u, v = _rk4(u, v, h[k, :, None], e1, eps(mid[k], cols), e4, g)
+        # the linear equations make the map the product of the slices' maps
+        segment = np.stack((u, v))
+        block = segment[:, :, 0]
+        for s in range(1, SEGMENTS):
+            block = _compose(segment[:, :, s], block)
+        m[:, :, cols] = block
+    if half_period:
+        m = _compose(m[::-1, ::-1].conj(), m)  # sigma_x N* sigma_x N
+    return m, len(steps)
 
 
 def evolve_modes(

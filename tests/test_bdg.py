@@ -238,16 +238,22 @@ def _reference_full_period_maps(qs, drive, n_steps, t0):
     return m
 
 
-@pytest.mark.parametrize("trajectory", list(Trajectory))
-def test_half_period_map_equals_full_period_rk4(trajectory):
-    # a constant drive has A(t + T/2) = -A(t), so the engine integrates
-    # half a period and mirrors it; that must be the full-period RK4 map
-    # to rounding, from a period boundary and from a quarter period
+@pytest.mark.parametrize("trajectory, steps_per_period", [
+    *(pytest.param(t, 512, id=str(t)) for t in Trajectory),
+    *(pytest.param(t, 513, id=f"{t}-513") for t in Trajectory),
+])
+def test_half_period_map_equals_full_period_rk4(trajectory, steps_per_period):
+    # a constant drive has A(t + T/2) = -A(t), so at 512 steps the engine
+    # integrates half a period and mirrors it; 513 steps take the
+    # full-period loop and do not split evenly into the map's time
+    # segments (64 or 65 steps, the shorter padded with steps of length
+    # 0); either way the map must be the full-period RK4 map to rounding,
+    # from a period boundary and from a quarter period
     d = DriveSpec(trajectory, 1.25, 6.0)
     qs = [Momentum(1.667, 0.0, 0.0), Momentum(0.9, -0.6, 0.0), Momentum(-2.8, 1.9, 0.0)]
     for t0 in (0.0, 0.25 * d.period):
-        got = _engine_maps(qs, d, cfg(steps_per_period=512), t0)
-        want = _reference_full_period_maps(qs, d, 512, t0)
+        got = _engine_maps(qs, d, cfg(steps_per_period=steps_per_period), t0)
+        want = _reference_full_period_maps(qs, d, steps_per_period, t0)
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) < 1e-11 * scale)
         assert np.abs(want[:, 1, 0]).min() > 1e-3  # the drive mixes u and v
@@ -268,6 +274,33 @@ def test_envelope_period_map_equals_reference_rk4(trajectory):
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) < 1e-11 * scale)
         assert np.abs(want[:, 1, 0]).min() > 1e-3  # the drive mixes u and v
+
+
+@pytest.mark.parametrize("envelope, steps_per_period, t0_periods, n_steps", [
+    (None, 512, 0.0, 256),  # a constant drive: the half-period map
+    (Envelope(ramp_up=2, hold=8), 512, 1.25, 512),  # in the ramp-up
+    # the cut at 6.36 periods splits a step of the map from 6 periods
+    (Envelope(ramp_up=2, hold=4, abrupt_stop=True, end_phase=0.7), 512, 6.0, 513),
+    (None, 513, 0.0, 513),  # an odd step count: the full-period loop
+])
+def test_period_map_does_not_depend_on_its_batch(envelope, steps_per_period, t0_periods,
+                                                 n_steps):
+    # the map's time segments follow from its step list alone, never from
+    # the number of columns, and its column blocks only group elementwise
+    # work, so each mode's map is bit for bit the same alone, among three,
+    # or among all the pairs of a 48x24 grid, which run in two blocks
+    d = DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, envelope=envelope)
+    grid = Grid(48, 24)
+    pairs = np.unique(np.minimum(np.arange(grid.n_modes), grid.partners()))[1:]
+    assert bdg.BLOCK_COLUMNS < pairs.size <= 2 * bdg.BLOCK_COLUMNS
+    q = grid.momenta[:, pairs]
+    t0 = t0_periods * d.period
+    m, steps = bdg.period_map(q, t0, d, P, steps_per_period)
+    assert steps == n_steps
+    for cols in ([100], [0, 150, pairs.size - 1]):
+        part, part_steps = bdg.period_map(q[:, cols], t0, d, P, steps_per_period)
+        assert part_steps == steps
+        assert np.array_equal(part, m[:, :, cols])
 
 
 def test_odd_steps_and_envelopes_take_the_full_period_loop():
@@ -419,6 +452,13 @@ def test_evolve_modes_input_validation():
     with pytest.raises(DomainError, match=r"length 2, got shapes \(2,\) and \(\)"):
         evolve_modes(q, u0, v0[0], d, P, c)
     assert evolve_modes(q, u0, v0, d, P, c).occupations.shape == (3, 2)
+
+
+@pytest.mark.parametrize("steps_per_period", [0, -4])
+def test_period_map_rejects_a_step_count_below_one(steps_per_period):
+    d = DriveSpec(Trajectory.LINEAR_X, 1.25, 6.0)
+    with pytest.raises(DomainError, match="steps_per_period >= 1"):
+        bdg.period_map(columns(Momentum(1.0, 0.0, 0.0)), 0.0, d, P, steps_per_period)
 
 
 def test_blow_up_on_unstable_step():
