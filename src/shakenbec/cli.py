@@ -316,12 +316,19 @@ def cmd_twa(args, cp):
 
 def cmd_endphase(args, cp):
     p, cfg, protocols = endphase_from_config(cp, args.seed)
+    # endphase takes ensemble means only, so it never reads the twa command's
+    # fit keys; they stay accepted, as presets shared with twa set them
+    unused = [f"twa.{key}" for key in ("bootstrap_resamples", "rate_window_cycles")
+              if cp.has_option("twa", key)]
+    if unused:
+        log.warning(f"shakenbec endphase: {', '.join(unused)} not read: endphase "
+                    "takes ensemble means, with no bootstrap band or rate fit")
     # every protocol runs the same samples for the same length: one stack
     traces = twa.ensemble_run(tuple(d for _, _, d in protocols), p, cfg, workers=args.workers)
     rows = [[name, phase, float(n_ex[d.envelope.total_periods]), float(n_ex[-1])]
             for (name, phase, d), n_ex in zip(protocols, map(_mean_n_ex, traces))]
     header = ["protocol", "end_phase_rad", "n_ex_at_stop", "n_ex_final"]
-    return {"endphase.csv": (header, rows)}, _twa_counters(traces)
+    return {"endphase.csv": (header, rows)}, {**_twa_counters(traces), "unused_keys": unused}
 
 
 def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

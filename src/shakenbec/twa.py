@@ -26,11 +26,17 @@ the propagator F^-1 diag(f) F of the axis's unitary DFT matrix F; a
 step multiplies each kept axis by its propagator, one matrix product
 per row, then applies the contact phase.  Each period tabulates the
 phases of all its steps from one drive_shift call per drive, once the
-previous period's tables are freed.  Only period boundaries need
-momentum amplitudes: one forward transform (F on each kept axis, fftn
-to rounding) reads |A_q|^2, which the pending trailing half phase
-leaves unchanged, so no closing half step is taken.  The contact phase
-comes from one half-angle tangent, within 1e-15 of libm's cos and sin.
+previous period's tables are freed.  An axis whose phase holds still
+over a period (z after the first period, y under a linear_x drive,
+every axis in the periods after an abrupt stop, or at k0 = 0) gets
+one propagator for the period; the others get theirs PROPAGATOR_BLOCK
+steps per product, each the same n x n product as a step's alone, so
+the bits do not depend on how propagators are grouped.  Only period
+boundaries need momentum amplitudes: one forward transform (F on each
+kept axis, fftn to rounding) reads |A_q|^2, which the pending trailing
+half phase leaves unchanged, so no closing half step is taken.  The
+contact phase runs on contiguous scratch and comes from one
+half-angle tangent, within 1e-15 of libm's cos and sin.
 A FieldState holds rows of fields on a leading axis, and a run takes a
 tuple of drives that share omega and run length, such as the stopping
 protocols of an end-phase study: every drive evolves the same R
@@ -51,6 +57,7 @@ the twa command its bootstrap and rate-window fields.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -67,6 +74,7 @@ from .model import (
 )
 
 ATOM_DRIFT_TOL = 1e-6  # relative drift of each realization's atom number
+PROPAGATOR_BLOCK = 4  # steps whose propagators on one axis one product builds
 
 
 @dataclass(frozen=True)
@@ -221,29 +229,31 @@ def _kinetic_factors(grid: Grid, p: LatticeParams, h: float, ax, ay):
 
 
 def _contact(a: np.ndarray, dt_u: float) -> np.ndarray:
-    """Exact contact phase exp(i theta), theta = -dt U |a|^2, applied in place.
+    """Exact contact phase exp(i theta), theta = -dt U |a|^2, applied in place
+    to a C-contiguous a.
 
     The phase comes from one half-angle tangent t = tan(theta / 2):
     cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2 t / (1 + t^2),
     one transcendental pass where cos and sin take two.  Against libm's
     cos and sin it is within 1e-15 absolute for |theta| <= 1e8, and
-    | |phase|^2 - 1 | <= 1e-15; a non-finite a stays non-finite.  Its
-    two scratch arrays are all it allocates.
+    | |phase|^2 - 1 | <= 1e-15; a non-finite a stays non-finite.  The
+    steps run on contiguous float arrays, with |a|^2 from the squares of
+    a's interleaved (re, im) floats and the phase interleaved into their
+    buffer, because numpy runs strided .real and .imag views 2 to 4 times
+    slower; each value is the same IEEE operations in the same order.
     """
-    t = np.empty(a.shape)
-    phase = np.empty_like(a)
-    c, s = phase.real, phase.imag
-    np.multiply(a.real, a.real, out=t)
-    np.multiply(a.imag, a.imag, out=c)
-    t += c
+    av = a.view(float)
+    sq = av * av
+    t = sq[..., 0::2] + sq[..., 1::2]
     t *= -0.5 * dt_u
     np.tan(t, out=t)
-    np.multiply(t, t, out=s)
-    np.subtract(1.0, s, out=c)
+    s = t * t
+    c = np.subtract(1.0, s)
     s += 1.0
     t += t
-    c /= s
-    np.divide(t, s, out=s)
+    phase = sq.view(complex)
+    np.divide(c, s, out=phase.real)
+    np.divide(t, s, out=phase.imag)
     a *= phase
     return a
 
@@ -256,10 +266,23 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
 
 
 def _propagator(f: np.ndarray, inv: np.ndarray, fwd: np.ndarray) -> np.ndarray:
-    """One axis's circulant propagators F^-1 diag(f) F, P x 1 x n x n, for
-    each drive's kinetic phases f (P x n).  One n x n product per drive,
-    whatever P, so a drive's propagator does not depend on the others."""
-    return np.matmul(inv * f[:, None, :], fwd)[:, None]
+    """One axis's circulant propagators F^-1 diag(f) F for kinetic phases f
+    (..., P, n), one row per drive: (..., P, 1, n, n).  One n x n product
+    per row, whatever the leading shape, so a drive's propagator does not
+    depend on the other drives or on how many steps are built at once."""
+    return np.matmul(inv * f[..., None, :], fwd)[..., None, :, :]
+
+
+def _step_propagators(f: np.ndarray, inv: np.ndarray, fwd: np.ndarray):
+    """Each step's propagator on one axis, for its fused phases f (steps, P, n),
+    as an iterator.  When every step's row equals the first, the axis's phase
+    holds still over the period and its propagator is built once; otherwise
+    one product builds PROPAGATOR_BLOCK steps at a time, which keeps memory
+    flat.  Either way a step gets _propagator of its own row, bit for bit."""
+    if (f == f[0]).all():
+        return itertools.repeat(_propagator(f[0], inv, fwd), len(f))
+    return (m for k in range(0, len(f), PROPAGATOR_BLOCK)
+            for m in _propagator(f[k:k + PROPAGATOR_BLOCK], inv, fwd))
 
 
 def _transform(mats, src: np.ndarray, out: np.ndarray):
@@ -333,12 +356,11 @@ def run_trajectory(
                     tables[i][2::2] *= tables[i][1:-1:2]
                     tables[i][0] *= tr
                 trail = [tables[i][-1].copy() for i in kept]
-                for step in zip(*(tables[i][0::2] for i in kept)):
-                    # built right before use: a period's table would cost memory
-                    props = [_propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+                fused = [tables[i][0::2] for i in kept]
+                for props in zip(*map(_step_propagators, fused, inv, fwd)):
                     pos, spare = _transform(props, pos, spare)
                     pos = _contact(pos, dt * p.u)
-                del tables, step  # the next period's tables are built without them
+                del tables, fused, props  # the next period's tables are built without them
             # the forward passes alternate between two buffers and must keep the
             # field, so they run on a copy; the result's buffer is the next
             # spare and the other is freed, which keeps two buffers between steps

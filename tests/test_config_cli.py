@@ -1162,6 +1162,32 @@ def test_cli_endphase(tmp_path):
     assert 0.0 < diag["atom_drift_max"] <= twa.ATOM_DRIFT_TOL
 
 
+def test_cli_endphase_lists_twa_keys_it_does_not_read(tmp_path, capsys):
+    # endphase accepts the twa command's fit keys, which presets shared with
+    # twa set, reads neither, and says so in the manifest and one log line
+    outs = {}
+    for name, body in (
+        ("neither", ENDPHASE_BODY.replace("bootstrap_resamples = 10\n", "")),
+        ("one", ENDPHASE_BODY),
+        ("both", ENDPHASE_BODY.replace("bootstrap_resamples = 10\n",
+                                       "rate_window_cycles = 2\nbootstrap_resamples = 10\n")),
+    ):
+        out = outs[name] = tmp_path / name
+        assert main(["endphase", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        want = {"neither": [], "one": ["twa.bootstrap_resamples"],
+                "both": ["twa.bootstrap_resamples", "twa.rate_window_cycles"]}[name]
+        assert diag["unused_keys"] == want
+        err = capsys.readouterr().err.splitlines()
+        if want:
+            [line] = err
+            assert line.startswith(f"shakenbec endphase: {', '.join(want)} not read")
+        else:
+            assert err == []
+    csvs = {(out / "endphase.csv").read_bytes() for out in outs.values()}
+    assert len(csvs) == 1
+
+
 def test_cli_endphase_preset(tmp_path):
     assert "endphase-12x12" in available_presets()
     cfg = write_cfg(tmp_path, "[twa]\nn_realizations = 2\n\n[endphase]\nphases = 0\n")

@@ -88,6 +88,78 @@ def contact_cos_sin(a, dt_u):
     return a
 
 
+def contact_strided(a, dt_u):
+    """twa._contact's half-angle arithmetic on the strided .real and .imag
+    views of a complex phase: the reference the engine's contiguous-scratch
+    version must match bit for bit."""
+    t = np.empty(a.shape)
+    phase = np.empty_like(a)
+    c, s = phase.real, phase.imag
+    np.multiply(a.real, a.real, out=t)
+    np.multiply(a.imag, a.imag, out=c)
+    t += c
+    t *= -0.5 * dt_u
+    np.tan(t, out=t)
+    np.multiply(t, t, out=s)
+    np.subtract(1.0, s, out=c)
+    s += 1.0
+    t += t
+    c /= s
+    np.divide(t, s, out=s)
+    a *= phase
+    return a
+
+
+def fused_phases(grid, drives, p, cfg, n_cycles):
+    """Each period's fused kinetic phases, per kept grid axis a (steps, P, n)
+    array: row s is the trailing half phase of step s - 1 (none before the
+    first step) times the leading half phase of step s, each half at the
+    drive shift of its own midpoint, built from twa._kinetic_factors."""
+    n_steps, period = cfg.steps_per_period, drives[0].period
+    dt = period / n_steps
+    shape = (grid.nx, grid.ny, grid.nz)
+    kept = [i for i, n in enumerate(shape) if n > 1] or [2]
+    offsets = dt * (0.25 + 0.5 * np.arange(2 * n_steps))
+    trail = [np.ones((len(drives), shape[i])) for i in kept]
+    periods = []
+    for cycle in range(n_cycles):
+        ax, ay = np.stack([drive_shift(cycle * period + offsets, d) for d in drives], -1)
+        tables = twa._kinetic_factors(grid, p, 0.5 * dt, ax, ay)
+        fused = []
+        for i, tr in zip(kept, trail):
+            f = tables[i][0::2].copy()
+            f[0] = tables[i][0] * tr
+            f[1:] = tables[i][2::2] * tables[i][1:-1:2]
+            fused.append(f)
+        trail = [tables[i][-1] for i in kept]
+        periods.append(fused)
+    return periods
+
+
+def step_loop(state, drives, p, cfg):
+    """run_trajectory with every step's propagators built alone, by
+    twa._propagator of that step's fused phases, and contact_strided: the
+    traces (n_ex_raw, condensed_fraction, atom_drift) of all P x R rows."""
+    grid, rows = state.grid, state.amplitudes
+    shape = (grid.nx, grid.ny, grid.nz)
+    fwd = [twa._dft_matrix(n, -1) for n in shape if n > 1] or [twa._dft_matrix(1, -1)]
+    inv = [m.conj() for m in fwd]
+    pos = rows.reshape(len(drives), -1, rows[0].size).astype(complex)
+    dt = drives[0].period / cfg.steps_per_period
+    occ = []
+    for fused in [None] + fused_phases(grid, drives, p, cfg, cfg.n_cycles):
+        for step in zip(*fused) if fused else ():
+            props = [twa._propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+            pos = twa._transform(props, pos, np.empty_like(pos))[0]
+            pos = contact_strided(pos, dt * p.u)
+        amps = twa._transform(fwd, pos.copy(), np.empty_like(pos))[0]
+        occ.append((amps.real**2 + amps.imag**2).reshape(len(rows), -1))
+    total = np.stack([o.sum(axis=1) * grid.dz for o in occ], axis=1)
+    cond = np.stack([o[:, 0] * grid.dz for o in occ], axis=1)
+    drift = (np.abs(total - total[:, :1]) / np.maximum(total[:, :1], 1e-300)).max(axis=1)
+    return ((total - cond) / grid.volume, cond / np.where(total > 0.0, total, 1.0), drift)
+
+
 def fftn_loop(state, drives, p, cfg):
     """run_trajectory's splitting written as a momentum-resident loop:
     fftn/ifftn over the grid axes longer than one point, each half-step
@@ -327,6 +399,27 @@ def test_non_finite_field_raises_blow_up(monkeypatch):
             run_trajectory(sample(1), (d,), P, quick_run())
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 47), (1, 6, 2049), (2, 3, 1), (1, 1, 9001)])
+def test_contact_matches_strided_oracle_bit_for_bit(shape):
+    # the same IEEE operations in the same order as on strided views, on
+    # odd sizes in a buffer one element past its allocation, so that no
+    # row starts on a SIMD boundary, with NaN and infinite elements; in
+    # place, as run_trajectory reuses its field buffer
+    rng = np.random.default_rng(11)
+    size = math.prod(shape)
+    specials = [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(1.0, np.nan),
+                complex(-np.inf, 2.0)]
+    for dt_u in (1e-3, 0.7, 1.0, -1.0, 1e8):
+        a = np.empty(size + 1, dtype=complex)[1:].reshape(shape)
+        a[...] = 4.0 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        a.flat[rng.choice(size, len(specials), replace=False)] = specials
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = contact_strided(a.copy(), dt_u)
+            got = twa._contact(a, dt_u)
+        assert got is a
+        assert got.tobytes() == want.tobytes()
+
+
 def test_run_trajectory_leaves_its_state_unchanged():
     # a 1 x 1 x 1 grid has no axis longer than one point; its transform
     # must still copy the field, not evolve the caller's array in place
@@ -418,6 +511,69 @@ def test_transforms_counter_matches_the_engine(monkeypatch):
             assert res.transforms == sum(b[k].transforms for b in parts) == 3 * per_realization
             assert res.site_steps == sum(b[k].site_steps for b in parts) == (
                 GRID.n_modes * 3 * 16 * 4)
+
+
+CUT = Envelope(ramp_up=1, hold=1, abrupt_stop=True, end_phase=0.5)  # cut in period 3
+
+
+@pytest.mark.parametrize("drives, held", [
+    ((DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0),), 6),  # y and z, periods 2 to 4
+    ((DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0),), 3),  # z only
+    ((DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, CUT),), 5),  # and x, y after the cut
+    ((DriveSpec(Trajectory.LINEAR_X, 1.25, 9.0), DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0)),
+     3),  # y holds still for one drive only, so it is built per step
+], ids=["linear_x", "circular", "abrupt-stop", "y-held-for-one-drive"])
+def test_step_propagators_bit_for_bit(monkeypatch, drives, held):
+    # each step applies, bit for bit, twa._propagator of its own fused
+    # phases, whether its axis's propagator is built once for the period
+    # (phases (P, n)) or with a block of steps (phases (steps, P, n))
+    grid = Grid(5, 3, 3, lz=2.0)
+    cfg = TwaRunConfig(steps_per_period=16, n_cycles=4)
+    fwd = [twa._dft_matrix(n, -1) for n in (5, 3, 3)]
+    inv = [m.conj() for m in fwd]
+    want = [[twa._propagator(f, m, w) for f, m, w in zip(step, inv, fwd)]
+            for fused in fused_phases(grid, drives, P, cfg, cfg.n_cycles)
+            for step in zip(*fused)]
+    applied, builds = [], []
+    transform, propagator = twa._transform, twa._propagator
+
+    def record(mats, src, out):
+        if mats[0].ndim == 4:  # a step's propagators, not the forward transform
+            applied.append([m.copy() for m in mats])
+        return transform(mats, src, out)
+
+    def counted(f, inv, fwd):
+        builds.append(f.ndim)
+        return propagator(f, inv, fwd)
+
+    monkeypatch.setattr(twa, "_transform", record)
+    monkeypatch.setattr(twa, "_propagator", counted)
+    run_trajectory(stacked([sample(k, grid) for k in range(2)] * len(drives)), drives, P, cfg)
+    assert len(applied) == len(want) == 16 * 4
+    for got, exp in zip(applied, want):
+        assert all(np.array_equal(g, e) for g, e in zip(got, exp))
+    assert builds.count(2) == held
+
+
+@pytest.mark.parametrize("grid, n_drives", [
+    (Grid(5, 3, 3, lz=2.0), 1),  # a circular drive cut in period 4 of 5
+    (Grid(6, 6, 1), 3),  # the end-phase study's stops and ramp
+], ids=["odd-3d", "2d-three-drives"])
+def test_run_trajectory_matches_step_loop_bit_for_bit(grid, n_drives):
+    # per-period propagators and the contiguous contact leave every trace
+    # equal to a loop that builds each step's propagators alone and takes
+    # the strided contact
+    drives = ((DriveSpec(Trajectory.CIRCULAR, 1.25, 9.0, STOP),) if n_drives == 1
+              else end_phase_drives())
+    cfg = TwaRunConfig(steps_per_period=16, n_cycles=5)
+    state = stacked([sample(k, grid) for k in range(3)] * len(drives))
+    traces = run_trajectory(state, drives, P, cfg)
+    n_raw, cf, drift = step_loop(state, drives, P, cfg)
+    for k, tr in enumerate(traces):
+        rows = slice(3 * k, 3 * k + 3)
+        assert np.array_equal(tr.n_ex_raw, n_raw[rows])
+        assert np.array_equal(tr.condensed_fraction, cf[rows])
+        assert np.array_equal(tr.atom_drift, drift[rows])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 32])
