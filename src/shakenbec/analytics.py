@@ -67,7 +67,8 @@ def _cusp_terms(trajectory: Trajectory, b0, p: LatticeParams):
     circular, corner (pi, 0)) or 8 J_eff (diagonal, corner (pi, pi)).
     For linear shaking the top of the effective band is at (pi, pi) with
     single-particle energy 4 J (|J0| + 1); for diagonal and circular
-    trajectories it is 8 J |J0|.
+    trajectories it is 8 J |J0|.  A NaN J0 (an inverted band) gives NaN,
+    NaN and False.
     """
     corner = _corner_factor(trajectory) * (p.j * b0)
     b0 = np.abs(b0)
@@ -179,9 +180,6 @@ class ClosedFormScan:
         p = self.lattice
         inverted, b0, b2 = self._bessel_terms
         omega_c, bandwidth, at_bandwidth = _cusp_terms(trajectory, b0, p)
-        omega_c[inverted] = np.nan
-        bandwidth[inverted] = np.nan
-        at_bandwidth &= ~inverted
         inverted, b0, b2, omega_c, bandwidth, at_bandwidth, omega = np.broadcast_arrays(
             inverted, b0, b2, omega_c, bandwidth, at_bandwidth, self.omega
         )

@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import logging
-import math
 import os
 import sys
 import time
@@ -50,10 +49,9 @@ from .errors import (
     NumericalError,
     ShakenBecError,
 )
-from .model import DriveSpec, LatticeParams, Regime, Trajectory
+from .model import TWO_PI, DriveSpec, LatticeParams, Regime, Trajectory
 from .output import config_as_dict, utc_stamp, write_csv, write_manifest
 
-TWO_PI = 2.0 * math.pi
 log = logging.getLogger("shakenbec")
 
 
@@ -347,8 +345,11 @@ def _read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
         try:
             t, y = float(row[0]), float(row[1])
         except ValueError:
-            if line_no == 1:
-                continue  # header row
+            try:
+                float(row[0])
+            except ValueError:
+                if line_no == 1:
+                    continue  # a header row: its time cell is not a number
             raise ConfigError(
                 f"{path}: line {line_no}: non-numeric entry in {row[:2]}"
             ) from None

@@ -9,6 +9,9 @@ dimensionless studies with j = 1).  Exponential rates such as gamma0
 are e-folding rates in 1/s and are never scaled by 2*pi.
 Each [bdg] and [twa] key is named once: nx, ny, nz and lz set the grid, and
 every other field of the run config (BdgRunConfig, TwaRunConfig) is an int key.
+A fixed-choice key ([units] frequency, [drive] trajectory, [scan] variable
+and spacing, [fit] kind) is read stripped and lowercased, and a value outside
+its choices is one ConfigError: "[section] key must be one of a, b, got 'x'".
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fitting import TraceKind
-from .model import DriveSpec, Envelope, LatticeParams, Trajectory
+from .model import TWO_PI, DriveSpec, Envelope, LatticeParams, Trajectory
 from .specialmath import (
     ATOMIC_MASS_KG,
     RB87_MASS_U,
@@ -32,7 +35,6 @@ from .specialmath import (
 from .twa import TwaRunConfig
 from .bdg import BdgRunConfig
 
-TWO_PI = 2.0 * math.pi
 _REQUIRED = object()
 _GRID_KEYS = {"nx": int, "ny": int, "nz": int, "lz": float}
 
@@ -139,6 +141,15 @@ def _given(cp, section: str, convs: dict) -> dict:
             for key, conv in convs.items() if cp.has_option(section, key)}
 
 
+def _choice(cp, section: str, key: str, choices, default=_REQUIRED) -> str:
+    """[section] key, stripped and lowercased, which must be one of choices."""
+    value = _get(cp, section, key, str, default).strip().lower()
+    if value not in choices:
+        raise ConfigError(
+            f"[{section}] {key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -159,12 +170,7 @@ def _floats(cp, section: str, key: str, default=_REQUIRED) -> list[float]:
 
 def frequency_scale(cp) -> float:
     """Multiplier turning configured frequencies into rad/s."""
-    unit = _get(cp, "units", "frequency", str, "hz").strip().lower()
-    if unit == "hz":
-        return TWO_PI
-    if unit == "rad_s":
-        return 1.0
-    raise ConfigError(f"[units] frequency must be 'hz' or 'rad_s', got '{unit}'")
+    return TWO_PI if _choice(cp, "units", "frequency", ("hz", "rad_s"), "hz") == "hz" else 1.0
 
 
 def lattice_from_config(cp) -> LatticeParams:
@@ -202,9 +208,6 @@ def lattice_from_config(cp) -> LatticeParams:
     return LatticeParams(j=j, g=g, **given)
 
 
-_TRAJECTORIES = {t.value: t for t in Trajectory}
-
-
 def drive_from_config(cp) -> DriveSpec:
     """Build DriveSpec from [drive]; envelope keys are all optional, and
     absent ones keep Envelope's defaults.
@@ -219,11 +222,7 @@ def drive_from_config(cp) -> DriveSpec:
     if not cp.has_section("drive"):
         raise ConfigError("missing required section [drive]")
     scale = frequency_scale(cp)
-    name = _get(cp, "drive", "trajectory", str).strip().lower()
-    if name not in _TRAJECTORIES:
-        raise ConfigError(
-            f"unknown trajectory '{name}'; choose from {', '.join(_TRAJECTORIES)}"
-        )
+    trajectory = Trajectory(_choice(cp, "drive", "trajectory", [t.value for t in Trajectory]))
     k0 = _get(cp, "drive", "k0", float)
     omega = scale * _get(cp, "drive", "omega", float)
     given = _given(cp, "drive", {"ramp_up": int, "hold": int, "ramp_down": int,
@@ -239,9 +238,7 @@ def drive_from_config(cp) -> DriveSpec:
             raise ConfigError(f"[drive] {next(iter(given))} needs ramp_up or hold: the "
                               "envelope ramps up and holds before it stops")
         envelope = Envelope(**given)
-    return DriveSpec(
-        trajectory=_TRAJECTORIES[name], k0=k0, omega=omega, envelope=envelope
-    )
+    return DriveSpec(trajectory=trajectory, k0=k0, omega=omega, envelope=envelope)
 
 
 @dataclass(frozen=True)
@@ -256,11 +253,7 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
     """Parse [scan]; returns None when the section is absent."""
     if not cp.has_section("scan"):
         return None
-    variable = _get(cp, "scan", "variable", str).strip().lower()
-    if variable not in allowed:
-        raise ConfigError(
-            f"scan variable '{variable}' not supported here; allowed: {', '.join(allowed)}"
-        )
+    variable = _choice(cp, "scan", "variable", allowed)
     if cp.has_option("scan", "values"):
         values = np.array(_floats(cp, "scan", "values"))
         if values.size == 0:
@@ -272,7 +265,7 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
         start = _get(cp, "scan", "start", float)
         stop = _get(cp, "scan", "stop", float)
         count = _get(cp, "scan", "count", int)
-        spacing = _get(cp, "scan", "spacing", str, "linear").strip().lower()
+        spacing = _choice(cp, "scan", "spacing", ("linear", "log"), "linear")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"[scan] start and stop must be finite, got {start}, {stop}")
         if count < 1:
@@ -280,14 +273,9 @@ def scan_from_config(cp, allowed: tuple[str, ...]) -> ScanSpec | None:
         if count == 1 and start != stop:
             raise ConfigError(f"[scan] count = 1 runs one point: start and stop must be "
                               f"equal, got {start}, {stop}")
-        if spacing == "linear":
-            values = np.linspace(start, stop, count)
-        elif spacing == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise ConfigError("[scan] log spacing needs positive start and stop")
-            values = np.geomspace(start, stop, count)
-        else:
-            raise ConfigError(f"[scan] spacing must be linear or log, got '{spacing}'")
+        if spacing == "log" and (start <= 0.0 or stop <= 0.0):
+            raise ConfigError("[scan] log spacing needs positive start and stop")
+        values = (np.geomspace if spacing == "log" else np.linspace)(start, stop, count)
     if values.size > 1:
         steps = np.diff(values)
         if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
@@ -369,8 +357,5 @@ def endphase_from_config(cp, seed_override: int | None = None):
 
 def fit_from_config(cp) -> TraceKind:
     """[fit] kind: what the fitted trace measures, condensed_fraction by default."""
-    name = _get(cp, "fit", "kind", str, "condensed_fraction").strip().lower()
-    kinds = {k.value: k for k in TraceKind}
-    if name not in kinds:
-        raise ConfigError(f"[fit] kind must be one of {', '.join(kinds)}, got '{name}'")
-    return kinds[name]
+    return TraceKind(_choice(cp, "fit", "kind", [k.value for k in TraceKind],
+                             "condensed_fraction"))

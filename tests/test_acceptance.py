@@ -12,27 +12,18 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from shakenbec import (
-    BandProblem,
-    BdgRunConfig,
-    DriveSpec,
-    Envelope,
-    Grid,
-    LatticeParams,
-    Trajectory,
-    TwaRunConfig,
+from shakenbec.analytics import (
     calibrate_g_from_cusp,
     critical_drive_amplitude,
     cusp_frequency,
-    ensemble_run,
-    evolve_modes,
-    grid_instability_scan,
-    hopping_from_depth,
-    init_mode,
     most_unstable_mode,
 )
+from shakenbec.bdg import BdgRunConfig, evolve_modes, grid_instability_scan, init_mode
 from shakenbec.cli import main
 from shakenbec.fitting import DecayTrace, TraceKind, bootstrap_rate, fit_exponential
+from shakenbec.model import DriveSpec, Envelope, Grid, LatticeParams, Trajectory
+from shakenbec.specialmath import BandProblem, hopping_from_depth
+from shakenbec.twa import TwaRunConfig, ensemble_run
 
 TWO_PI = 2.0 * math.pi
 

@@ -22,6 +22,7 @@ from shakenbec.bdg import (
 from shakenbec.config import (
     bdg_from_config,
     drive_from_config,
+    endphase_from_config,
     lattice_from_config,
     load_config,
 )
@@ -575,3 +576,19 @@ def test_grid_scan_transverse_axis():
     scan = grid_instability_scan(d, pz, c)
     assert scan.rates.shape == (4, 4, 4)
     assert scan.grid.qz_axis[1] == pytest.approx(2.0 * math.pi / 8.0, rel=1e-12)
+
+
+def test_grid_scan_orders_the_end_phase_protocols():
+    # acceptance 10's ordering, from the linearized engine: on the
+    # endphase-12x12 preset's lattice, grid and 15-period schedule, an
+    # abrupt stop at phase 0 leaves more excitation than one at pi/2,
+    # and the ramped control less than either (0.2764 > 0.1772 > 0.1645
+    # at the last period; 512 steps per period agree to four digits)
+    p, twa_cfg, protocols = endphase_from_config(load_config(preset="endphase-12x12"))
+    c = cfg(n_cycles=twa_cfg.n_cycles, grid=twa_cfg.grid)
+    drives = {phase: d for _, phase, d in protocols}
+    sums = [grid_instability_scan(drives[phase], p, c).occupation_sum
+            for phase in (0.0, math.pi / 2, None)]
+    assert [s[0] for s in sums] == [sums[0][0]] * 3  # one vacuum, before any stop
+    at_zero, at_quarter, ramped = (s[-1] for s in sums)
+    assert at_zero > at_quarter > ramped

@@ -218,7 +218,8 @@ def test_scan_linear_and_log_ranges():
 
 def test_scan_validation():
     assert scan_from_config(parse(BASE), ("omega",)) is None
-    with pytest.raises(ConfigError, match="not supported"):
+    with pytest.raises(ConfigError,
+                       match=re.escape("[scan] variable must be one of omega, got 'g'")):
         scan_from_config(parse(BASE + "\n[scan]\nvariable = g\nvalues = 1\n"), ("omega",))
     with pytest.raises(ConfigError, match="monotonic"):
         scan_from_config(
@@ -476,7 +477,8 @@ def test_cli_default_section_alone_is_not_read(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overlay, message", [
-    ("[drive]\ntrajectory = linear_x%\n", "unknown trajectory 'linear_x%'"),
+    ("[drive]\ntrajectory = linear_x%\n",
+     "[drive] trajectory must be one of linear_x, diagonal, circular, got 'linear_x%'"),
     # a %(key)s reference is text, never another key's value
     ("[lattice]\ng = 7%(j)s\n", "bad value for 'g' in section [lattice]: '7%(j)s'"),
 ], ids=["percent", "reference"])
@@ -1439,6 +1441,19 @@ def test_cli_fit_bad_trace(tmp_path, capsys):
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o"), missing]) == 2
 
 
+def test_cli_fit_rejects_a_malformed_first_row(tmp_path, capsys):
+    # row 1 is a header only when its time cell is not a number: a typo in a
+    # headerless trace's first sample fails as it would on any later line
+    bad = tmp_path / "bad.csv"
+    lines = ["0,1.0x"] + [f"{t},{math.exp(-2.0 * t)}" for t in (0.1, 0.2, 0.3, 0.4)]
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["fit", "--out", str(out), str(bad)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"shakenbec: config error: {bad}: line 1: non-numeric entry")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
 @pytest.mark.parametrize("command", ["fit-trace", "config"])
 def test_cli_unreadable_input_is_a_config_error(tmp_path, capsys, kind, command):
@@ -1467,6 +1482,18 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("rates", "bdg", "twa", "endphase", "fit"):
         assert sub in proc.stdout
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path):
+    # python -m shakenbec, the entry point the benchmark runs, goes through
+    # the package import; its rates.csv is the in-process run's, byte for byte
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "shakenbec", "rates", "--preset", "paper-11er",
+                    "--out", str(tmp_path / "module")], env=env, check=True)
+    assert main(["rates", "--preset", "paper-11er", "--out", str(tmp_path / "main")]) == 0
+    module, direct = ((tmp_path / d / "rates.csv").read_bytes() for d in ("module", "main"))
+    assert module == direct
 
 
 @pytest.mark.parametrize("command, body", [
